@@ -101,7 +101,7 @@ def _build_traces(tcfg, scene, state, master_seed):
                                     tuple(trace_cfg["velocity_mps"]),
                                     int(trace_cfg["duration_s"]))]
     if trace_cfg["kind"] == "from_traffic":
-        if state is None or not getattr(state, "connected_traces", None):
+        if state is None or not state.connected_traces:
             raise ConfigError("from_traffic trace needs a traffic stage with "
                               "connected vehicles")
         min_len = int(trace_cfg.get("min_duration_s", 60))

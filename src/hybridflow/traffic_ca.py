@@ -17,19 +17,25 @@ Update stages per step, applied to every vehicle against the previous state:
 Exactly one uniform is drawn per vehicle per step, in ascending vehicle id,
 so a scenario flag can degrade the rule set to the classic single-p CA and be
 checked draw-for-draw against a brute-force reference.
+
+The one occupancy index is ``SimState._segs``: per (edge, lane), the occupied
+(lo, hi, vid) spans sorted by position, rebuilt and overlap-checked after each
+move and kept sorted through injection and lane changes. A vehicle's leader is
+the next span in its lane; only a lane's last span scans on along the route.
+Ids are issued ascending and never re-inserted, so ``state.vehicles`` in dict
+order is ascending id order and the phases iterate it without sorting.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
 from .rng import substream
-from .road_net import RoadNetwork, Route, ring_network, route_candidates
+from .road_net import RoadNetwork, ring_network, route_candidates
 
 _INF = math.inf
 
@@ -85,7 +91,7 @@ def _degenerate(cls: VehicleClass) -> VehicleClass:
 class Vehicle:
     __slots__ = ("vid", "cls", "edge", "lane", "cell", "v", "brake_light", "route",
                  "route_pos", "circular", "spawn_s", "exit_s", "front_out",
-                 "prev_lanes", "_gap", "_leader", "_new_v", "_new_bl", "_wall")
+                 "prev_lanes", "_gap", "_leader", "_vmax", "_new_v", "_new_bl", "_wall")
 
     def __init__(self, vid, cls, edge, lane, cell, route, route_pos, circular, spawn_s):
         self.vid = vid
@@ -101,12 +107,11 @@ class Vehicle:
         self.spawn_s = spawn_s
         self.exit_s = None
         self.front_out = False
-        self.prev_lanes = {}
-        self._gap = 0
-        self._leader = None
-        self._new_v = 0
+        self.prev_lanes = {}  # edge -> lane held when the front left it
+        # per-step scratch, written by the step phases before it is read
+        self._gap = self._vmax = self._new_v = 0
+        self._leader = self._wall = None
         self._new_bl = False
-        self._wall = None
 
 
 @dataclass
@@ -148,9 +153,6 @@ class TrafficMetrics:
             "queued_end": self.queued_end,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
 class _DemandEntry:
@@ -180,15 +182,15 @@ class SimState:
     arrival_log: list = field(default_factory=list)
     rng_traffic: object = None
     rng_injection: object = None
+    vehicle_steps: int = 0
+    connected_traces: dict | None = None
     _segs: dict = field(default_factory=dict, repr=False)
+    # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
+    _lane_memo: dict = field(default_factory=dict, repr=False)
     _dets_by_edge: dict = field(default_factory=dict, repr=False)
     _det_events: dict = field(default_factory=dict, repr=False)
     _det_occ: dict = field(default_factory=dict, repr=False)
     _next_vid: int = 0
-    _vehicle_steps: int = 0
-
-    def vehicle_count(self) -> int:
-        return len(self.vehicles)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,6 @@ def init_ring(n_cells: int, n_vehicles: int, cls: VehicleClass, seed: int,
     state = SimState(net=net, classes={cls.name: cls}, anticipation=not nasch_degenerate,
                      rng_traffic=substream(seed, "traffic"),
                      rng_injection=substream(seed, "injection"))
-    route = Route(edges=("ring",), free_flow_time_s=0.0, circular=True)
     if positions is None:
         positions = [int(i * n_cells / n_vehicles) for i in range(n_vehicles)]
     for i, pos in enumerate(positions):
@@ -286,41 +287,30 @@ def init_ring(n_cells: int, n_vehicles: int, cls: VehicleClass, seed: int,
 # ---------------------------------------------------------------------------
 # geometry on the route chain
 
-def _next_route_index(veh):
-    if veh.route_pos + 1 < len(veh.route):
-        return veh.route_pos + 1
+def _next_route_index(veh, idx):
+    if idx + 1 < len(veh.route):
+        return idx + 1
     return 0 if veh.circular else None
 
 
-def _prev_route_index(veh, idx):
-    if idx > 0:
-        return idx - 1
-    return len(veh.route) - 1 if veh.circular else None
-
-
 def _allowed_lanes(state, edge_id, cls):
-    policy = state.lane_policies.get(edge_id)
-    e = state.net.edges[edge_id]
-    if policy is None:
-        return range(e.lanes)
-    return [l for l in range(e.lanes) if policy[l] is None or cls.name in policy[l]]
-
-
-def _lane_allowed(state, edge_id, lane, cls):
-    policy = state.lane_policies.get(edge_id)
-    return policy is None or policy[lane] is None or cls.name in policy[lane]
+    key = (edge_id, cls.name)
+    if key not in state._lane_memo:
+        policy = state.lane_policies.get(edge_id)
+        state._lane_memo[key] = tuple(
+            l for l in range(state.net.edges[edge_id].lanes)
+            if policy is None or policy[l] is None or cls.name in policy[l])
+    return state._lane_memo[key]
 
 
 def _mapped_lane(state, edge_id, lane, cls):
     """Lane taken when entering edge_id from index ``lane``; None = impassable."""
-    e = state.net.edges[edge_id]
-    base = min(lane, e.lanes - 1)
-    if _lane_allowed(state, edge_id, base, cls):
-        return base
-    allowed = _allowed_lanes(state, edge_id, cls)
-    if not allowed:
-        return None
-    return min(allowed, key=lambda l: (abs(l - base), l))
+    key = (edge_id, lane, cls.name)
+    if key not in state._lane_memo:
+        base = min(lane, state.net.edges[edge_id].lanes - 1)
+        nearest = sorted(_allowed_lanes(state, edge_id, cls), key=lambda l: (abs(l - base), l))
+        state._lane_memo[key] = nearest[0] if nearest else None
+    return state._lane_memo[key]
 
 
 def _body_segments(veh, net):
@@ -341,7 +331,7 @@ def _body_segments(veh, net):
         if lo >= 0:
             break
         need = -lo
-        idx = _prev_route_index(veh, idx)
+        idx = idx - 1 if idx > 0 else (len(veh.route) - 1 if veh.circular else None)
         if idx is None:
             break
         e = veh.route[idx]
@@ -354,14 +344,15 @@ def _rebuild_segments(state):
     """Recompute per-(edge,lane) occupancy spans; overlap here is a collision."""
     segs = {}
     dead = []
-    for vid in sorted(state.vehicles):
-        veh = state.vehicles[vid]
+    for vid, veh in state.vehicles.items():
+        lo = veh.cell - veh.cls.length_cells + 1
+        if lo >= 0 and not veh.front_out:
+            # the body lies wholly on the current edge: one span, no tail to trace
+            segs.setdefault((veh.edge, veh.lane), []).append((lo, veh.cell, vid))
+            continue
         body = _body_segments(veh, state.net)
         if not body:
             dead.append(vid)
-            continue
-        live_edges = {b[0] for b in body}
-        veh.prev_lanes = {e: l for e, l in veh.prev_lanes.items() if e in live_edges}
         for e, lane, lo, hi in body:
             segs.setdefault((e, lane), []).append((lo, hi, vid))
     for key, lst in segs.items():
@@ -379,9 +370,7 @@ def _rebuild_segments(state):
 
 
 def _occupied(state, edge, lane, cell):
-    segs = state._segs.get((edge, lane))
-    if not segs:
-        return False
+    segs = state._segs.get((edge, lane), ())
     i = bisect_right(segs, (cell, _INF, _INF))
     return i >= 1 and segs[i - 1][1] >= cell
 
@@ -413,7 +402,7 @@ def _chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
             return wall_gap, None
         if end_gap >= need_far:
             return need_far, None
-        nrp = rp + 1 if rp + 1 < len(veh.route) else (0 if veh.circular else None)
+        nrp = _next_route_index(veh, rp)
         if nrp is None:
             return need_far, None
         ne = veh.route[nrp]
@@ -469,7 +458,6 @@ def _try_inject(state):
             if edge.cell_count < length:
                 raise ScenarioError(
                     f"entry edge {eid!r} shorter than vehicle class {cname!r}")
-            placed = False
             for lane in _allowed_lanes(state, eid, cls):
                 segs = state._segs.get((eid, lane))
                 if segs and bisect_right(segs, (length - 1, _INF, _INF)) >= 1:
@@ -477,61 +465,58 @@ def _try_inject(state):
                 queue.popleft()
                 vid = state._next_vid
                 state._next_vid += 1
-                veh = Vehicle(vid, cls, eid, lane, length - 1, route.edges, 0,
-                              route.circular, spawn_s)
-                state.vehicles[vid] = veh
+                state.vehicles[vid] = Vehicle(vid, cls, eid, lane, length - 1, route.edges,
+                                              0, route.circular, spawn_s)
                 state.injected += 1
-                seg = (0, length - 1, vid)
-                lst = state._segs.setdefault((eid, lane), [])
-                insort(lst, seg)
-                placed = True
+                insort(state._segs.setdefault((eid, lane), []), (0, length - 1, vid))
                 break
-            if not placed:
-                break
+            else:
+                break  # every allowed entry lane is blocked: the queue waits
 
 
 def _lane_change_phase(state):
-    net = state.net
-    for vid in sorted(state.vehicles):
-        veh = state.vehicles[vid]
-        edge = net.edges[veh.edge]
-        if edge.lanes < 2 or veh.front_out:
+    edges = state.net.edges
+    segs_map = state._segs
+    for vid, veh in state.vehicles.items():
+        e = veh.edge
+        if edges[e].lanes < 2 or veh.front_out:
             continue
-        lo_me = veh.cell - veh.cls.length_cells + 1
+        cell, lane = veh.cell, veh.lane
+        lo_me = cell - veh.cls.length_cells + 1
         if lo_me < 0:
             continue  # straddling an edge boundary: hold the lane
-        mandatory = not _lane_allowed(state, veh.edge, veh.lane, veh.cls)
+        allowed = _allowed_lanes(state, e, veh.cls)
+        mandatory = lane not in allowed
         need = veh.v + 2
-        gap_cur, _ = _chain_scan(state, veh, veh.edge, veh.lane, veh.cell,
-                                 veh.route_pos, need, None)
+        probe = (cell, _INF, _INF)
+        own = segs_map[(e, lane)]
+        i = bisect_right(own, probe)
+        if i < len(own):  # the next span in the lane is the leader
+            gap_cur = min(own[i][0] - cell - 1, need)
+        else:
+            gap_cur, _ = _chain_scan(state, veh, e, lane, cell, veh.route_pos, need, None)
         if not mandatory and gap_cur > veh.v:
             continue  # not blocked ahead
         if mandatory:
-            candidates = sorted((l for l in _allowed_lanes(state, veh.edge, veh.cls)
-                                 if l != veh.lane),
-                                key=lambda l: (abs(l - veh.lane), l))
+            candidates = sorted((l for l in allowed if l != lane),
+                                key=lambda l: (abs(l - lane), l))
         else:
-            candidates = [l for l in (veh.lane - 1, veh.lane + 1)
-                          if 0 <= l < edge.lanes
-                          and _lane_allowed(state, veh.edge, l, veh.cls)]
+            candidates = [l for l in (lane - 1, lane + 1) if l in allowed]
         for target in candidates:
-            segs = state._segs.get((veh.edge, target), [])
-            i = bisect_right(segs, (veh.cell, _INF, _INF))
-            if i >= 1 and segs[i - 1][1] >= lo_me:
-                continue  # target cells occupied
+            segs = segs_map.get((e, target), [])
+            i = bisect_right(segs, probe)
             if i >= 1:
-                follower = state.vehicles[segs[i - 1][2]]
-                if lo_me - segs[i - 1][1] - 1 < follower.cls.v_max_cells:
+                behind = segs[i - 1]
+                if behind[1] >= lo_me:
+                    continue  # target cells occupied
+                if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
                     continue  # would force the follower to brake hard
             if not mandatory:
-                gap_t, _ = _chain_scan(state, veh, veh.edge, target, veh.cell,
-                                       veh.route_pos, need, None)
+                gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
                 if gap_t <= gap_cur:
                     continue
-            old = state._segs.get((veh.edge, veh.lane), [])
-            old.remove((lo_me, veh.cell, vid))
-            insort(state._segs.setdefault((veh.edge, target), []),
-                   (lo_me, veh.cell, vid))
+            own.remove((lo_me, cell, vid))
+            insort(segs_map.setdefault((e, target), []), (lo_me, cell, vid))
             veh.lane = target
             break
 
@@ -547,18 +532,19 @@ def _entry_arbitration(state):
     """
     net = state.net
     claims = {}
-    for vid in sorted(state.vehicles):
-        veh = state.vehicles[vid]
+    for vid, veh in state.vehicles.items():
         veh._wall = None
         if veh.front_out:
             continue
         edge = net.edges[veh.edge]
-        v_possible = min(veh.v + 1, min(veh.cls.v_max_cells, edge.v_max_cells))
+        v_possible = min(veh.v + 1, veh.cls.v_max_cells, edge.v_max_cells)
         dist = edge.cell_count - veh.cell  # advance needed to enter the next edge
+        if v_possible < dist:
+            continue
         ln, rp = veh.lane, veh.route_pos
         source = (veh.edge, veh.lane)
         while v_possible >= dist:
-            nrp = rp + 1 if rp + 1 < len(veh.route) else (0 if veh.circular else None)
+            nrp = _next_route_index(veh, rp)
             if nrp is None:
                 break
             ne = veh.route[nrp]
@@ -570,8 +556,6 @@ def _entry_arbitration(state):
             source = (ne, nlane)
             dist += net.edges[ne].cell_count
     for lst in claims.values():
-        if len(lst) < 2:
-            continue
         lst.sort()
         winner_source = lst[0][2]
         for dist, vid, source in lst[1:]:
@@ -584,34 +568,57 @@ def _entry_arbitration(state):
 
 
 def _velocity_phase(state):
-    net = state.net
-    rng = state.rng_traffic
+    edges = state.net.edges
+    vehicles = state.vehicles
     anticipation = state.anticipation
-    order = sorted(state.vehicles)
-    # pass 1: leader and gap for everyone (synchronous view)
-    for vid in order:
-        veh = state.vehicles[vid]
-        if veh.front_out:
-            veh._gap, veh._leader = 10 ** 9, None
-            continue
-        cls = veh.cls
-        v0 = veh.v
-        vmax_eff = min(cls.v_max_cells, net.edges[veh.edge].v_max_cells)
-        need = max(min(v0 + 1, vmax_eff), v0 * min(v0, cls.anticipation_horizon_h)) + 1
-        veh._gap, veh._leader = _chain_scan(state, veh, veh.edge, veh.lane, veh.cell,
-                                            veh.route_pos, need, veh._wall)
+    # pass 1: effective v_max, leader and gap for everyone (synchronous view),
+    # walking each lane's spans: the leader is the next span in the lane
+    seen = 0
+    for (e, ln), segs in state._segs.items():
+        edge_vmax = edges[e].v_max_cells
+        last = len(segs) - 1
+        for i, (lo, hi, vid) in enumerate(segs):
+            veh = vehicles[vid]
+            if veh.edge != e or veh.lane != ln or (hi != veh.cell and not veh.front_out):
+                continue  # a tail span: on an earlier edge or lane, or the ring's wrap
+            seen += 1
+            cls = veh.cls
+            vmax = veh._vmax = cls.v_max_cells if cls.v_max_cells < edge_vmax else edge_vmax
+            if veh.front_out:  # the span left on its final edge
+                veh._gap, veh._leader = 10 ** 9, None
+                continue
+            v0 = veh.v
+            h = cls.anticipation_horizon_h
+            v_next = v0 + 1 if v0 < vmax else vmax
+            ts_product = v0 * (v0 if v0 < h else h)
+            need = (v_next if v_next > ts_product else ts_product) + 1
+            wall = veh._wall
+            if i < last:
+                lo_next, _, leader = segs[i + 1]
+                gap = lo_next - hi - 1
+                if wall is not None and wall < gap:
+                    gap, leader = wall, None
+                elif gap > need:
+                    gap, leader = need, None
+            else:
+                gap, leader = _chain_scan(state, veh, e, ln, hi, veh.route_pos, need, wall)
+            veh._gap = gap
+            veh._leader = None if leader is None else vehicles[leader]
+    if seen != len(vehicles):
+        raise RuntimeError(f"spans hold {seen} of {len(vehicles)} vehicles at t={state.clock_s}")
     # pass 2: the four update stages; one draw per vehicle, ascending id
-    for vid in order:
-        veh = state.vehicles[vid]
+    rng_random = state.rng_traffic.random
+    for veh in vehicles.values():
         cls = veh.cls
         v0 = veh.v
         gap = veh._gap
-        leader = state.vehicles.get(veh._leader) if veh._leader is not None else None
-        vmax_eff = min(cls.v_max_cells, net.edges[veh.edge].v_max_cells)
-        ts_product = v0 * min(v0, cls.anticipation_horizon_h)
-        headway_large = v0 == 0 or gap >= ts_product
+        leader = veh._leader
+        vmax_eff = veh._vmax
+        h = cls.anticipation_horizon_h
+        headway_large = v0 == 0 or gap >= v0 * (v0 if v0 < h else h)
+        leader_light = leader is not None and leader.brake_light
         # stage 0
-        pb_branch = (leader is not None and leader.brake_light and not headway_large)
+        pb_branch = leader_light and not headway_large
         if pb_branch:
             p = cls.brake_p_b
         elif v0 == 0:
@@ -619,32 +626,31 @@ def _velocity_phase(state):
         else:
             p = cls.dawdle_p_d
         # stage 1
-        lights_off = not veh.brake_light and (leader is None or not leader.brake_light)
-        if lights_off or headway_large:
-            v1 = min(v0 + 1, vmax_eff)
-        else:
-            v1 = min(v0, vmax_eff)
+        v1 = v0 + 1 if headway_large or not (veh.brake_light or leader_light) else v0
+        if v1 > vmax_eff:
+            v1 = vmax_eff
         # stage 2. The anticipation bonus assumes the leader's visible rear
         # advances by its velocity; that fails while the leader straddles an
         # edge boundary (hidden tail cells pour onto this edge) and when the
         # leader is capped by a slower edge, so both cases clamp the bonus.
+        d_eff = gap
         if (anticipation and leader is not None
                 and leader.cell - leader.cls.length_cells + 1 >= 0):
-            leader_vmax = min(leader.cls.v_max_cells,
-                              net.edges[leader.edge].v_max_cells)
-            v_anti = min(leader._gap, leader.v, leader_vmax)
-            d_eff = gap + max(v_anti - cls.security_gap_cells, 0)
-        else:
-            d_eff = gap
+            v_anti = leader._gap
+            if leader.v < v_anti:
+                v_anti = leader.v
+            if leader._vmax < v_anti:
+                v_anti = leader._vmax
+            if v_anti > cls.security_gap_cells:
+                d_eff += v_anti - cls.security_gap_cells
         if veh._wall is not None and d_eff > veh._wall:
             d_eff = veh._wall  # an entry wall is absolute, no anticipation past it
-        v2 = min(v1, d_eff)
+        v2 = v1 if v1 < d_eff else d_eff
         new_bl = v2 < v0
         # stage 3
-        u = rng.random()
         v3 = v2
-        if u < p:
-            v3 = max(v2 - 1, 0)
+        if rng_random() < p:
+            v3 = v2 - 1 if v2 > 0 else 0
             if pb_branch and v3 < v2:
                 new_bl = True
         veh._new_v = v3
@@ -654,19 +660,17 @@ def _velocity_phase(state):
 def _move_phase(state):
     net = state.net
     t_new = state.clock_s + 1
-    for vid in sorted(state.vehicles):
-        veh = state.vehicles[vid]
+    state.vehicle_steps += len(state.vehicles)
+    for vid, veh in state.vehicles.items():
         adv = veh._new_v
         veh.v = adv
         veh.brake_light = veh._new_bl
-        state._vehicle_steps += 1
         if adv == 0:
             continue
         c = veh.cell
         target = c + adv
         while True:
-            edge = net.edges[veh.edge]
-            cc = edge.cell_count
+            cc = net.edges[veh.edge].cell_count
             dets = state._dets_by_edge.get(veh.edge)
             if dets is not None and not veh.front_out:
                 hi_here = min(target, cc - 1)
@@ -677,12 +681,11 @@ def _move_phase(state):
             if target < cc or veh.front_out:
                 veh.cell = target
                 break
-            nrp = _next_route_index(veh)
+            nrp = _next_route_index(veh, veh.route_pos)
             if nrp is None:
                 veh.cell = target
-                if not veh.front_out:
-                    veh.front_out = True
-                    veh.exit_s = t_new
+                veh.front_out = True
+                veh.exit_s = t_new
                 break
             nlane = _mapped_lane(state, veh.route[nrp], veh.lane, veh.cls)
             if nlane is None:
@@ -733,11 +736,7 @@ def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
     if all(m is not None and not (set(state.classes) & m) for m in norm):
         raise ScenarioError("mask excludes every class from every lane")
     state.lane_policies[edge_id] = norm
-    return state
-
-
-def clear_lane_policy(state: SimState, edge_id: str) -> SimState:
-    state.lane_policies.pop(edge_id, None)
+    state._lane_memo.clear()
     return state
 
 
@@ -772,10 +771,9 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     co-simulation.
     """
     t_start = state.clock_s
-    traces = getattr(state, "connected_traces", None)
-    if trace_connected and traces is None:
-        traces = {}
-        state.connected_traces = traces
+    if trace_connected and state.connected_traces is None:
+        state.connected_traces = {}
+    traces = state.connected_traces
     observations = {d: [] for d in state.net.detectors}
     next_window = t_start + window_s
     for _ in range(duration_s):

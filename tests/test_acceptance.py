@@ -85,7 +85,7 @@ def test_criterion_2_safety_and_conservation():
             assert len(state.vehicles) == n  # exact conservation
             if t % 70 == 0:
                 collision_check(state)
-        vehicle_steps += state._vehicle_steps
+        vehicle_steps += state.vehicle_steps
         scenarios += 1
     # open networks with merges, lane drops, policies, mixed classes
     for seed in range(10):
@@ -105,7 +105,7 @@ def test_criterion_2_safety_and_conservation():
             step(state)  # the per-step segment sweep raises on any overlap
             if t % 60 == 0:
                 collision_check(state)
-        vehicle_steps += state._vehicle_steps
+        vehicle_steps += state.vehicle_steps
         scenarios += 1
     elapsed = time.time() - t0
     assert scenarios >= 20

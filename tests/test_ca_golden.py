@@ -1,0 +1,174 @@
+"""Golden fixtures for the CA kernel: pinned state hashes and report bytes.
+
+The digests were recorded on the straightforward per-vehicle kernel (a
+`_chain_scan` for every vehicle, `sorted(state.vehicles)` in every phase)
+before the lane-ordered rewrite, so any rewrite of the step phases must
+reproduce them exactly: same RNG draws, same trajectories.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hybridflow import harness
+from hybridflow.road_net import build_network
+from hybridflow.traffic_ca import (apply_lane_policy, default_classes, init_ring,
+                                   init_scenario, state_hash, step)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CHECK_STEPS = (50, 200, 400)
+
+MERGE_NETWORK = {
+    "version": 1, "cell_length_m": 1.5,
+    "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "C", "x": 0, "y": 300},
+              {"id": "M", "x": 450, "y": 60}, {"id": "B", "x": 900, "y": 0}],
+    "edges": [
+        {"id": "am", "from": "A", "to": "M", "length_m": 450, "lanes": 3, "v_max_kmh": 108},
+        {"id": "cm", "from": "C", "to": "M", "length_m": 300, "lanes": 2, "v_max_kmh": 72},
+        {"id": "mb", "from": "M", "to": "B", "length_m": 450, "lanes": 1, "v_max_kmh": 36}],
+    "detectors": []}
+MERGE_DEMAND = [
+    {"origin": "A", "dest": "B", "rate_veh_h": 1900.0, "splits": [1.0]},
+    {"origin": "C", "dest": "B", "rate_veh_h": 950.0, "splits": [1.0]},
+]
+MERGE_MIX = {"car": 0.5, "truck": 0.25, "automated_car": 0.25}
+MERGE_POLICY = [{"car", "truck", "automated_car"}, {"car", "automated_car"},
+                {"car", "automated_car"}]
+
+# (cells, vehicles, class, lanes, seed)
+RINGS = {
+    "car_1lane": (400, 40, "car", 1, 1),
+    "car_2lane": (300, 55, "car", 2, 2),
+    "truck_1lane": (400, 30, "truck", 1, 3),
+    "truck_2lane": (300, 35, "truck", 2, 4),
+    "automated_1lane": (400, 45, "automated_car", 1, 5),
+    "automated_2lane": (300, 60, "automated_car", 2, 6),
+}
+
+GOLDEN = {
+    "merge": [
+        "a67d6cf542493070720445e5051e76a5e3f48a508f060316ce1c323a4baebffe",
+        "da831c4761f1aae3fb81f6b7d77112c783f2def7dc2444853bb1c1842b6c7b5c",
+        "24cdaba82db0c3079c8acba33af52c5a8166c752b5e15c860f79db899630f7f1",
+    ],
+    "merge_policy": [
+        "e232af4ea8e7a39ca4554b83f77bac3ca664baf62ec8abb6f3932e382cfb9925",
+        "dce7f21fb87affb980ffcb82b71d9b55862093fdeedd2f6aa7362de4d353bed3",
+        "59ec5216820c6403d40e77ba805b2e65df2914b902ff0decd6f71f1681b6b04e",
+    ],
+    "merge_policy_at_200": [
+        "a67d6cf542493070720445e5051e76a5e3f48a508f060316ce1c323a4baebffe",
+        "da831c4761f1aae3fb81f6b7d77112c783f2def7dc2444853bb1c1842b6c7b5c",
+        "6b4033530d95fe7d3e3dc25e7da5ba689ac32d7f38136b8a22d9b8e2ee3ab7c1",
+    ],
+    "ring_automated_1lane": [
+        "ac517719dca115b072dd7a90ae3b9c352578efeaf60d4cfdbd29adf195f59ed0",
+        "55664ee843e26cc93ea9f7c74f86bd14c4fd038bcc90c534e220ab18e00d055c",
+        "9d054e5cb7a1665b3ff3d312255c3478c2cd44db38a1d5d2676d13b559f9ef68",
+    ],
+    "ring_automated_2lane": [
+        "e2a2db04fa1d9d9cf1c1c687a9e88a59f69f69df69eba2280703785ba68e0d94",
+        "2e2217784664ec5ace84100c432e67bf93b18ec806bf1671e4377b3533fd7945",
+        "361be57d8e4931dd390e82261dc50e767e7a8c219ae61c363c870188b887445c",
+    ],
+    "ring_car_1lane": [
+        "631a14997fe71c0487c6b0ee2a75a7eca75ed6e433e40c855130429a641a7bdd",
+        "744428944424f71243f1a2f0e86def55c6ea2162ef94bb6729e08fc045c57f23",
+        "377b863a9ce202475278b462486d3dddfe8be2aef8bb1c14c2defedabd3e65a0",
+    ],
+    "ring_car_2lane": [
+        "6f3b08bffec06d57d9c72069c084590309459e2abf291d92802daee4d912881d",
+        "107523f8488c36674011b0b7f866a4e0c59f4b1559d827c98ad340cbcf89dd41",
+        "6b21e2efd54379bffaf83203771319b25a88902b3bd47932028a2d07641737e2",
+    ],
+    "ring_nasch_degenerate": [
+        "17d942fd9cba50a6d3631cd09f590faf8c39edad05b55eab7b4eb63a0fc9f8ec",
+        "13d5e93aa5e9687e2eb5d272208f5e32d4aaf201169b1483e47d59c0b35181f1",
+        "4e16b390489c0eee74b67d021e7155d656e0422f0e06454c179c004aae10d3f2",
+    ],
+    "ring_truck_1lane": [
+        "c3927b200b960ba85575f45747c3af4ee99ae930c99205eab00609c798e9f313",
+        "129775e197396ec66e68657809f6b14586761d6a7f995c57bf11d0239cada485",
+        "0468884d8194268ca6f45c977bc1e78b57fa42c709fad1a4c122cf4661f2c2af",
+    ],
+    "ring_truck_2lane": [
+        "5936bceb1fe77c1ee03b128953a412a6346c51051b7ea64399536b355f339a36",
+        "0b36b637d501a275abb6be9d8e862c4b9211c6e8343be0ee3d6a058fa28a21e5",
+        "820c667c2c132ce58c582f6ddb3b483d5e25613a2004bb0c936153f8911003f5",
+    ],
+}
+DEMO_REPORT_SHA256 = "f9afcf60f4fb475d56f10203c273589e0660c2c3d05205960b427bdb5e1788fe"
+
+
+def _ring(name):
+    cells, n, cname, lanes, seed = RINGS[name]
+    return init_ring(cells, n, default_classes()[cname], seed=seed, lanes=lanes)
+
+
+def _nasch_ring():
+    return init_ring(300, 40, default_classes()["car"], seed=8, lanes=2,
+                     nasch_degenerate=True)
+
+
+def _merge(seed=10, policy=False):
+    state = init_scenario(build_network(MERGE_NETWORK), MERGE_DEMAND, default_classes(),
+                          seed=seed, class_mix=MERGE_MIX)
+    if policy:
+        apply_lane_policy(state, "am", MERGE_POLICY)
+    return state
+
+
+SCENARIOS = {
+    **{f"ring_{name}": (lambda name=name: _ring(name), None) for name in RINGS},
+    "ring_nasch_degenerate": (_nasch_ring, None),
+    "merge": (_merge, None),
+    "merge_policy": (lambda: _merge(policy=True), None),
+    "merge_policy_at_200": (_merge, 200),
+}
+
+
+def scenario_hashes(name):
+    """state_hash after each of CHECK_STEPS; a merge gets the policy before step policy_at."""
+    make, policy_at = SCENARIOS[name]
+    state = make()
+    hashes = []
+    for t in range(1, CHECK_STEPS[-1] + 1):
+        if t - 1 == policy_at:
+            apply_lane_policy(state, "am", MERGE_POLICY)
+        step(state)
+        if t in CHECK_STEPS:
+            hashes.append(state_hash(state))
+    return hashes
+
+
+def demo_report_sha256(out_dir):
+    harness.run_experiment(harness.load_config(CONFIG_DIR / "demo.json"), seed=7,
+                           out_dir=out_dir)
+    return hashlib.sha256((Path(out_dir) / "report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_state_hash_sequence(name):
+    assert scenario_hashes(name) == GOLDEN[name]
+
+
+def test_mid_run_policy_changes_trajectory():
+    # the fixture is only a memo check if the policy actually moves the state
+    assert GOLDEN["merge_policy_at_200"][1] == GOLDEN["merge"][1]
+    assert GOLDEN["merge_policy_at_200"][2] != GOLDEN["merge"][2]
+
+
+def test_demo_report_bytes(tmp_path):
+    assert demo_report_sha256(tmp_path) == DEMO_REPORT_SHA256
+
+
+def test_vehicle_dict_order_stays_ascending():
+    # the step phases iterate state.vehicles in dict order and rely on it
+    # being ascending by id through injections and exits
+    state = _merge(seed=11, policy=True)
+    for _ in range(520):
+        step(state)
+        ids = list(state.vehicles)
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert 0 < state.exited < state.injected

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import nasch_oracle
@@ -168,7 +170,7 @@ class TestDwell:
         blobs = []
         for _ in range(2):
             state = init_scenario(net, demand, default_classes(), seed=13)
-            blobs.append(run(state, 400).to_json())
+            blobs.append(json.dumps(run(state, 400).to_dict(), sort_keys=True))
         assert blobs[0] == blobs[1]
 
 
