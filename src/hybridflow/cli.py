@@ -7,7 +7,7 @@ import os
 
 import click
 
-from . import __version__, fingerprint, harness, impute, routing_opt
+from . import __version__, fingerprint, harness, impute
 from .road_net import load_network
 
 
@@ -133,27 +133,14 @@ main.add_command(impute_cmd, name="impute")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["fixed", "wardrop", "bmp", "combined"]),
               default="bmp", show_default=True)
-@click.option("--lambda", "lam", type=float, default=0.01, show_default=True,
-              help="Travel-time weight of the combined method.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-def assign(config_path, method, lam, seed, out_path):
-    """Calibrate from a probe run and evaluate one assignment method."""
+def assign(config_path, method, seed, out_path):
+    """Evaluate one assignment method with the config's assign-stage settings."""
     try:
-        config = harness.load_config(config_path)
-        net = harness._resolve_network(config, os.path.dirname(config_path) or ".")
-        classes, class_mix = harness._classes_from_config(config)
-        acfg = config.get("stages", {}).get("assign", {})
-        result = routing_opt.evaluate_policy(
-            net, config.get("demand", []), method,
-            config.get("seed", 0) if seed is None else seed,
-            classes=classes, class_mix=class_mix,
-            k_routes=int(acfg.get("k_routes", 2)),
-            duration_s=int(config.get("duration_s", 600)),
-            probe_factor=float(acfg.get("probe_factor", 1.5)),
-            density_crit=float(acfg.get("density_crit", 0.35)),
-            sustain_s=float(acfg.get("sustain_s", 120.0)),
-            window_s=int(config.get("window_s", 60)), lam=lam)
+        result = harness.evaluate_assignment(harness.load_config(config_path), method,
+                                             seed=seed,
+                                             base_dir=os.path.dirname(config_path) or ".")
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
     payload = result.to_dict()

@@ -248,12 +248,6 @@ class ConfusionMatrix:
     def accuracy(self):
         return (self.cc + self.tt) / self.total
 
-    @property
-    def recalls(self):
-        car = self.cc / (self.cc + self.ct) if self.cc + self.ct else None
-        truck = self.tt / (self.tc + self.tt) if self.tc + self.tt else None
-        return {CAR_LIKE: car, TRUCK_LIKE: truck}
-
     def to_dict(self):
         return {"cc": self.cc, "ct": self.ct, "tc": self.tc, "tt": self.tt,
                 "accuracy": self.accuracy}

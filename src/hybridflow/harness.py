@@ -2,7 +2,10 @@
 
 A single master seed fans out into named substreams (traffic, injection,
 shadowing, transfer, corpus) so enabling one stage never perturbs another's
-draws. Stage order: fingerprint (class shares can arm lane policies) ->
+draws. `parse_config` checks an experiment document against the schema
+tables below and fills in their defaults; `run_experiment`,
+`compare_policies` and `evaluate_assignment` all start from it. `STAGES` is
+the stage order: fingerprint (class shares can arm lane policies) ->
 traffic -> impute -> assign -> transfer. Every artifact lands in the output
 directory; report.json indexes them and is byte-identical for identical
 (config, seed).
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -36,25 +38,91 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+class _Optional(dict):
+    """Schema of a nested object that may be left out; it then parses to None."""
+
+
+# Each schema maps a key to its default. A nested schema is a nested object, a
+# one-element list holding a schema is a list of such objects, a type marks a
+# required value converted by that type, None passes the value through
+# unchecked, and any other default (number, string, bool, tuple) also converts
+# a given value to its type.
+DEMAND = {"origin": str, "dest": str, "rate_veh_h": float, "splits": (1.0,),
+          "class_mix": None, "schedule": None}
+STATION = {"id": str, "x": float, "y": float, "tx_power_dbm": 43.0}
+NET_POINT = {"edge": str, "offset_m": float}
+OBSERVATION = {**NET_POINT, "day": 0, "flow": float}
+FINGERPRINT = {"count": 500, "noise_sigma_db": 2.0, "mix": 0.5, "holdout_fraction": 0.2,
+               "regs": ("l1", "l2"), "lam": 1e-3, "epochs": 250,
+               "feed_lane_policy": _Optional(edge=str, truck_share_min=0.2, mask=list)}
+IMPUTE = {"observations": [OBSERVATION], "targets": [NET_POINT], "length_scale_m": 1000.0,
+          "euclidean": False, "knn_k": 0}
+ASSIGN = {"methods": ("fixed", "bmp"), "k_routes": 2, "probe_factor": 1.5,
+          "density_crit": 0.35, "sustain_s": 120.0, "lambda": 0.01}
+TRANSFER = {"stations": [STATION], "noise_dbm": -100.0,
+            "shadowing": {"pl0_db": 70.0, "exponent": 3.0, "sigma_db": 6.0, "enabled": True},
+            "trace": {"kind": "line", "start": (0.0, 0.0), "velocity_mps": (10.0, 0.0),
+                      "duration_s": 600, "min_duration_s": 60, "max_vehicles": 3},
+            "sensor_rate_bytes_s": 10_000.0, "policies": ("periodic", "ml_cat"),
+            "policy": None, "build_map": True, "predictor": "formula"}
+# network: road_net validates it; classes: VehicleClass(**entry); policy: TransferPolicy(**)
+CONFIG = {"version": None, "seed": 0, "network": None, "classes": None, "demand": [DEMAND],
+          "duration_s": 600, "window_s": 60, "nasch_degenerate": False,
+          "lane_policies": None,
+          "stages": {"fingerprint": _Optional(FINGERPRINT), "traffic": _Optional(),
+                     "impute": _Optional(IMPUTE), "assign": _Optional(ASSIGN),
+                     "transfer": _Optional(TRANSFER)}}
+
+
+def _section(obj, schema, where):
+    """Check obj's keys against schema, fill in the defaults, convert the values."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+    out = {}
+    for key, default in schema.items():
+        path = f"{where}.{key}"
+        if key not in obj and isinstance(default, (type, _Optional)):
+            if isinstance(default, type):
+                raise ConfigError(f"{where}: missing key {key!r}")
+            out[key] = None
+        elif isinstance(default, dict):
+            out[key] = _section(obj[key] if key in obj else {}, default, path)
+        elif isinstance(default, list):
+            items = obj[key] if key in obj else []
+            if not isinstance(items, list):
+                raise ConfigError(f"{path}: expected a list, got {type(items).__name__}")
+            out[key] = [_section(v, default[0], f"{path}[{i}]") for i, v in enumerate(items)]
+        elif key not in obj or default is None:
+            out[key] = obj[key] if key in obj else default
+        else:
+            try:
+                out[key] = (default if isinstance(default, type) else type(default))(obj[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+    return out
+
+
+def parse_config(config: dict) -> dict:
+    """The experiment document with every default filled in; ConfigError names
+    the dotted path of an unknown or missing key or of a value of the wrong type."""
+    parsed = _section(config, CONFIG, "config")
+    if parsed["version"] != 1:
+        raise ConfigError(f"unsupported config version {parsed['version']!r}")
+    return parsed
+
+
 def load_config(path) -> dict:
+    """The raw experiment document at path, checked by parse_config."""
     with open(path) as fh:
         config = json.load(fh)
-    if config.get("version") != 1:
-        raise ConfigError(f"unsupported config version {config.get('version')!r}")
+    parse_config(config)
     return config
 
 
-def _resolve_network(config, base_dir):
-    net_spec = config.get("network")
-    if net_spec is None:
-        raise ConfigError("config has no network")
-    if isinstance(net_spec, str):
-        return load_network(os.path.join(base_dir, net_spec))
-    return build_network(net_spec)
-
-
-def _classes_from_config(config):
-    entries = config.get("classes")
+def _classes_from_config(entries):
     if not entries:
         return traffic_ca.default_classes(), None
     classes = {}
@@ -69,64 +137,104 @@ def _classes_from_config(config):
     return classes, (mix or None)
 
 
-def _scene_from_config(tcfg, master_seed) -> radio_env.RadioScene:
-    stations = [radio_env.BaseStation(s["id"], (float(s["x"]), float(s["y"])),
-                                      tx_power_dbm=float(s.get("tx_power_dbm", 43.0)))
-                for s in tcfg.get("stations", [])]
+class _Run:
+    """What the stages of one run share; the traffic stage adds its state and metrics."""
+
+    def __init__(self, cfg, seed, base_dir, out_dir=None):
+        self.config = cfg
+        self.seed = int(cfg["seed"] if seed is None else seed)
+        self.net = cfg["network"]
+        if isinstance(self.net, str):
+            self.net = load_network(os.path.join(base_dir, self.net))
+        elif self.net is not None:
+            self.net = build_network(self.net)
+        self.classes, self.class_mix = _classes_from_config(cfg["classes"])
+        self.lane_policies = {k: [None if m is None else list(m) for m in v]
+                              for k, v in (cfg["lane_policies"] or {}).items()}
+        self.out_dir = out_dir
+        self.artifacts = {}
+        self.state = self.traffic_metrics = None
+
+    def artifact(self, key, name):
+        """Path of an output file, indexed in the report; None without out_dir."""
+        if self.out_dir is None:
+            return None
+        self.artifacts[key] = name
+        return os.path.join(self.out_dir, name)
+
+
+def _simulate_traffic(run, trace_connected):
+    """Init the scenario, apply the lane policies, run the CA; (state, metrics)."""
+    if run.net is None:
+        raise ConfigError("no network configured")
+    cfg = run.config
+    state = traffic_ca.init_scenario(run.net, cfg["demand"], run.classes, run.seed,
+                                     class_mix=run.class_mix,
+                                     nasch_degenerate=cfg["nasch_degenerate"])
+    for eid, mask in run.lane_policies.items():
+        traffic_ca.apply_lane_policy(state, eid, mask)
+    metrics = traffic_ca.run(state, cfg["duration_s"], window_s=cfg["window_s"],
+                             trace_connected=trace_connected)
+    return state, metrics
+
+
+def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
+    if run.net is None:
+        raise ConfigError("no network configured")
+    cfg = run.config
+    return routing_opt.evaluate_policy(
+        run.net, cfg["demand"], method, run.seed, classes=run.classes,
+        class_mix=run.class_mix, k_routes=acfg["k_routes"], duration_s=cfg["duration_s"],
+        probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
+        sustain_s=acfg["sustain_s"], window_s=cfg["window_s"], lam=acfg["lambda"],
+        lane_policies=run.lane_policies)
+
+
+def _scene_and_traces(tcfg, master_seed, state):
+    """Radio scene and drive traces; the scene's map is crowdsensed along the traces."""
+    stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]),
+                                      tx_power_dbm=s["tx_power_dbm"])
+                for s in tcfg["stations"]]
     if not stations:
         raise ConfigError("transfer stage needs at least one base station")
-    shadow = tcfg.get("shadowing", {})
+    shadow = tcfg["shadowing"]
     model = radio_env.PropagationModel(
-        pl0_db=float(shadow.get("pl0_db", 70.0)),
-        exponent=float(shadow.get("exponent", 3.0)),
-        shadowing_sigma_db=float(shadow.get("sigma_db", 6.0)),
-        shadowing_enabled=bool(shadow.get("enabled", True)),
+        pl0_db=shadow["pl0_db"], exponent=shadow["exponent"],
+        shadowing_sigma_db=shadow["sigma_db"], shadowing_enabled=shadow["enabled"],
         seed=substream_seed(master_seed, "shadowing"))
-    return radio_env.RadioScene(stations, noise_dbm=float(tcfg.get("noise_dbm", -100.0)),
-                                model=model)
+    scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
+    traces = _build_traces(tcfg, state)
+    if tcfg["build_map"]:
+        scene.map = radio_env.ConnectivityMap(metric="sinr_db")
+        for _, x, y in (point for trace in traces for point in trace):
+            for _ in range(3):
+                scene.map.record((x, y), scene.sinr((x, y)))
+    return scene, traces
 
 
-def _policy_from_config(kind, tcfg) -> transfer.TransferPolicy:
-    overrides = dict(tcfg.get("policy", {}))
-    if kind in ("cat", "pcat"):
-        return transfer.sinr_policy(kind, **overrides)
-    return transfer.TransferPolicy(kind=kind, **overrides)
-
-
-def _build_traces(tcfg, scene, state, master_seed):
-    trace_cfg = tcfg.get("trace", {"kind": "line", "start": [0.0, 0.0],
-                                   "velocity_mps": [10.0, 0.0], "duration_s": 600})
+def _build_traces(tcfg, state):
+    trace_cfg = tcfg["trace"]
     if trace_cfg["kind"] == "line":
-        return [transfer.line_trace(tuple(trace_cfg["start"]),
-                                    tuple(trace_cfg["velocity_mps"]),
-                                    int(trace_cfg["duration_s"]))]
+        return [transfer.line_trace(trace_cfg["start"], trace_cfg["velocity_mps"],
+                                    trace_cfg["duration_s"])]
     if trace_cfg["kind"] == "from_traffic":
         if state is None or not state.connected_traces:
             raise ConfigError("from_traffic trace needs a traffic stage with "
                               "connected vehicles")
-        min_len = int(trace_cfg.get("min_duration_s", 60))
-        max_vehicles = int(trace_cfg.get("max_vehicles", 3))
+        min_len = trace_cfg["min_duration_s"]
         usable = sorted(((vid, tr) for vid, tr in state.connected_traces.items()
                          if len(tr) >= min_len), key=lambda kv: (-len(kv[1]), kv[0]))
         if not usable:
             raise ConfigError(f"no connected trace of at least {min_len}s")
-        return [tr for _, tr in usable[:max_vehicles]]
-    raise ConfigError(f"unknown trace kind {trace_cfg.get('kind')!r}")
-
-
-def _crowdsense_map(scene, traces, passes: int = 3) -> radio_env.ConnectivityMap:
-    cmap = radio_env.ConnectivityMap(metric="sinr_db")
-    for trace in traces:
-        for _, x, y in trace:
-            for _ in range(passes):
-                cmap.record((x, y), scene.sinr((x, y)))
-    return cmap
+        return [tr for _, tr in usable[:trace_cfg["max_vehicles"]]]
+    raise ConfigError(f"unknown trace kind {trace_cfg['kind']!r}")
 
 
 def run_transfer_policy(kind, tcfg, scene, traces, master_seed, predictor=None):
     """One policy over all traces; returns (mean metrics dict, merged log)."""
-    policy = _policy_from_config(kind, tcfg)
-    rate = float(tcfg.get("sensor_rate_bytes_s", 10_000.0))
+    make = transfer.sinr_policy if kind in ("cat", "pcat") else transfer.TransferPolicy
+    policy = make(kind=kind, **(tcfg["policy"] or {}))
+    rate = tcfg["sensor_rate_bytes_s"]
     all_metrics = []
     merged_log = []
     for i, trace in enumerate(traces):
@@ -158,6 +266,141 @@ def _write_detector_csv(path, observations):
                              json.dumps(obs.per_class, sort_keys=True)])
 
 
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, sort_keys=True, indent=2))
+
+
+def _fingerprint_stage(run, fcfg):
+    corpus_seed = substream_seed(run.seed, "corpus")
+    corpus = fingerprint.generate_corpus(fcfg["count"], fcfg["noise_sigma_db"], fcfg["mix"],
+                                         corpus_seed)
+    train_set, holdout = fingerprint.split_corpus(corpus, fcfg["holdout_fraction"],
+                                                  corpus_seed)
+    train_records = [fingerprint.extract_features(t) for t in train_set]
+    hold_records = [fingerprint.extract_features(t) for t in holdout]
+    stage_out = {"corpus_size": len(corpus), "holdout": len(holdout), "confusion": {}}
+    model = None
+    for reg in fcfg["regs"]:
+        model = fingerprint.train(train_records, reg=reg, lam=fcfg["lam"],
+                                  epochs=fcfg["epochs"], seed=corpus_seed)
+        cm = fingerprint.evaluate(model, hold_records)
+        stage_out["confusion"][reg] = cm.to_dict()
+        if path := run.artifact(f"confusion_{reg}", f"confusion_{reg}.json"):
+            _write_json(path, cm.to_dict())
+    shares = fingerprint.class_shares(holdout, model)
+    stage_out["class_shares"] = {k: shares[k] for k in sorted(shares)}
+    feed = fcfg["feed_lane_policy"]
+    if feed and shares[fingerprint.TRUCK_LIKE] >= feed["truck_share_min"]:
+        run.lane_policies[feed["edge"]] = feed["mask"]
+        stage_out["lane_policy_armed"] = feed["edge"]
+    return stage_out
+
+
+def _traffic_stage(run, _):
+    transfer_cfg = run.config["stages"]["transfer"]
+    want_traces = transfer_cfg is not None and transfer_cfg["trace"]["kind"] == "from_traffic"
+    run.state, run.traffic_metrics = _simulate_traffic(run, want_traces)
+    metrics = run.traffic_metrics.to_dict()
+    if path := run.artifact("traffic_metrics", "traffic_metrics.json"):
+        _write_json(path, metrics)
+        for det_id, obs in sorted(run.traffic_metrics.observations.items()):
+            _write_detector_csv(run.artifact(f"detector_{det_id}", f"detector_{det_id}.csv"),
+                                obs)
+    return metrics
+
+
+def _impute_stage(run, icfg):
+    if icfg["observations"]:
+        observations = [impute.VolumeObservation(impute.NetPoint(o["edge"], o["offset_m"]),
+                                                 o["day"], o["flow"])
+                        for o in icfg["observations"]]
+    else:
+        if run.traffic_metrics is None:
+            raise ConfigError("impute needs inline observations or a "
+                              "traffic stage with detectors")
+        observations = []
+        for det_id, series in sorted(run.traffic_metrics.observations.items()):
+            det = run.net.detectors[det_id]
+            count = sum(o.count for o in series)
+            window = sum(o.t1 - o.t0 for o in series)
+            if window == 0:
+                continue
+            flow_day = count / window * 86400.0
+            observations.append(impute.VolumeObservation(
+                impute.NetPoint(det.edge, det.cell * run.net.cell_length_m), 0, flow_day))
+    if not observations:
+        raise ConfigError("no observations available for imputation")
+    params = impute.default_params([o.flow_veh_day for o in observations],
+                                   icfg["length_scale_m"])
+    if icfg["euclidean"]:
+        params.euclidean = True
+    model = impute.fit_gpr(run.net, observations, params)
+    targets = [impute.NetPoint(t["edge"], t["offset_m"]) for t in icfg["targets"]]
+    preds = impute.predict_gpr(model, targets)
+    stage_out = {"observations": len(observations),
+                 "predictions": [{"edge": loc.edge, "offset_m": loc.offset_m,
+                                  "mean": m, "variance": v}
+                                 for loc, (m, v) in zip(targets, preds)]}
+    if k := icfg["knn_k"]:
+        stage_out["knn"] = [
+            {"edge": loc.edge, "offset_m": loc.offset_m,
+             "estimate": impute.knn_estimate(observations, loc,
+                                             min(k, len(observations)), run.net)}
+            for loc in targets]
+    if targets and (path := run.artifact("imputation", "imputation.csv")):
+        impute.write_predictions_csv(path, targets, preds)
+    return stage_out
+
+
+def _assign_stage(run, acfg):
+    methods = acfg["methods"]
+    stage_out = {"methods": {}}
+    for method in methods:
+        result = _evaluate_method(run, acfg, method)
+        split = result.split.to_dict(result.problem) if result.split else None
+        stage_out["methods"][method] = {"mean_dwell_s": result.mean_dwell_s, "split": split}
+        if split is not None and (path := run.artifact(f"assignment_{method}",
+                                                       f"assignment_{method}.json")):
+            _write_json(path, split)
+    if len(methods) >= 2:
+        base, other = (stage_out["methods"][m]["mean_dwell_s"] for m in methods[:2])
+        if base and other:
+            stage_out["dwell_ratio"] = other / base
+    return stage_out
+
+
+def _transfer_stage(run, tcfg):
+    scene, traces = _scene_and_traces(tcfg, run.seed, run.state)
+    predictor = None
+    if tcfg["predictor"] == "learned":
+        cal_policy = transfer.TransferPolicy(kind="periodic", periodic_interval_s=10.0)
+        rows = []
+        for i, trace in enumerate(traces):
+            _, log = transfer.simulate_drive(
+                trace, scene, cal_policy, tcfg["sensor_rate_bytes_s"],
+                substream_seed(run.seed, "transfer-calibration", i))
+            rows.extend(r for r in log if r["decision"] == "transmit")
+        if rows:
+            predictor = transfer.train_predictor(rows)
+    stage_out = {"policies": {}}
+    for kind in tcfg["policies"]:
+        mean, log = run_transfer_policy(kind, tcfg, scene, traces, run.seed,
+                                        predictor=predictor)
+        stage_out["policies"][kind] = mean
+        if path := run.artifact(f"transfer_log_{kind}", f"transfer_log_{kind}.csv"):
+            transfer.write_log_csv(path, log)
+    if scene.map is not None and (path := run.artifact("connectivity_map",
+                                                       "connectivity_map.csv")):
+        scene.map.to_csv(path)
+    return stage_out
+
+
+STAGES = (("fingerprint", _fingerprint_stage), ("traffic", _traffic_stage),
+          ("impute", _impute_stage), ("assign", _assign_stage),
+          ("transfer", _transfer_stage))
+
+
 @dataclass
 class ExperimentReport:
     data: dict
@@ -168,229 +411,24 @@ class ExperimentReport:
 
 def run_experiment(config: dict, seed: int | None = None,
                    out_dir=None, base_dir=".") -> ExperimentReport:
-    """Execute the enabled pipeline stages; see the module docstring for order.
+    """Execute the configured stages in STAGES order.
 
     A failing stage raises StageError naming the stage; artifacts of stages
     that completed earlier are left in place.
     """
-    seed = int(config.get("seed", 0) if seed is None else seed)
-    stages = config.get("stages", {})
-    report = {"toolkit_version": __version__, "seed": seed, "config": config,
-              "stages": {}, "artifacts": {}}
+    run = _Run(parse_config(config), seed, base_dir, out_dir)
+    report = {"toolkit_version": __version__, "seed": run.seed, "config": config,
+              "stages": {}, "artifacts": run.artifacts}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-
-    def artifact(name):
-        return None if out_dir is None else os.path.join(out_dir, name)
-
-    lane_policies = {k: [None if m is None else list(m) for m in v]
-                     for k, v in config.get("lane_policies", {}).items()}
-    net = None
-    if "network" in config:
-        net = _resolve_network(config, base_dir)
-    classes, class_mix = _classes_from_config(config)
-
-    # ---- fingerprint ------------------------------------------------------
-    if "fingerprint" in stages:
-        fcfg = stages["fingerprint"]
+    for name, stage in STAGES:
+        section = run.config["stages"][name]
+        if section is None:
+            continue
         try:
-            corpus_seed = substream_seed(seed, "corpus")
-            corpus = fingerprint.generate_corpus(
-                int(fcfg.get("count", 500)), float(fcfg.get("noise_sigma_db", 2.0)),
-                float(fcfg.get("mix", 0.5)), corpus_seed)
-            train_set, holdout = fingerprint.split_corpus(
-                corpus, float(fcfg.get("holdout_fraction", 0.2)), corpus_seed)
-            train_records = [fingerprint.extract_features(t) for t in train_set]
-            hold_records = [fingerprint.extract_features(t) for t in holdout]
-            stage_out = {"corpus_size": len(corpus), "holdout": len(holdout),
-                         "confusion": {}}
-            model = None
-            for reg in fcfg.get("regs", ["l1", "l2"]):
-                model = fingerprint.train(train_records, reg=reg,
-                                          lam=float(fcfg.get("lam", 1e-3)),
-                                          epochs=int(fcfg.get("epochs", 250)),
-                                          seed=corpus_seed)
-                cm = fingerprint.evaluate(model, hold_records)
-                stage_out["confusion"][reg] = cm.to_dict()
-                if artifact(f"confusion_{reg}.json"):
-                    with open(artifact(f"confusion_{reg}.json"), "w") as fh:
-                        json.dump(cm.to_dict(), fh, sort_keys=True, indent=2)
-                    report["artifacts"][f"confusion_{reg}"] = f"confusion_{reg}.json"
-            shares = fingerprint.class_shares(holdout, model)
-            stage_out["class_shares"] = {k: shares[k] for k in sorted(shares)}
-            feed = fcfg.get("feed_lane_policy")
-            if feed and shares[fingerprint.TRUCK_LIKE] >= float(feed.get("truck_share_min", 0.2)):
-                lane_policies[feed["edge"]] = feed["mask"]
-                stage_out["lane_policy_armed"] = feed["edge"]
-            report["stages"]["fingerprint"] = stage_out
+            report["stages"][name] = stage(run, section)
         except Exception as exc:
-            raise StageError("fingerprint", exc) from exc
-
-    # ---- traffic ----------------------------------------------------------
-    state = None
-    traffic_metrics = None
-    if "traffic" in stages:
-        if net is None:
-            raise StageError("traffic", ConfigError("no network configured"))
-        tcfg = stages["traffic"]
-        try:
-            state = traffic_ca.init_scenario(
-                net, config.get("demand", []), classes, seed, class_mix=class_mix,
-                nasch_degenerate=bool(config.get("nasch_degenerate", False)))
-            for eid, mask in lane_policies.items():
-                traffic_ca.apply_lane_policy(state, eid, mask)
-            want_traces = ("transfer" in stages and
-                           stages["transfer"].get("trace", {}).get("kind") == "from_traffic")
-            traffic_metrics = traffic_ca.run(
-                state, int(config.get("duration_s", 600)),
-                window_s=int(config.get("window_s", 60)),
-                trace_connected=want_traces)
-            report["stages"]["traffic"] = traffic_metrics.to_dict()
-            if out_dir is not None:
-                with open(artifact("traffic_metrics.json"), "w") as fh:
-                    fh.write(json.dumps(traffic_metrics.to_dict(), sort_keys=True, indent=2))
-                report["artifacts"]["traffic_metrics"] = "traffic_metrics.json"
-                for det_id, obs in sorted(traffic_metrics.observations.items()):
-                    name = f"detector_{det_id}.csv"
-                    _write_detector_csv(artifact(name), obs)
-                    report["artifacts"][f"detector_{det_id}"] = name
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("traffic", exc) from exc
-
-    # ---- impute -----------------------------------------------------------
-    if "impute" in stages:
-        icfg = stages["impute"]
-        try:
-            if isinstance(icfg.get("observations"), list):
-                observations = [impute.VolumeObservation(
-                    impute.NetPoint(o["edge"], float(o["offset_m"])),
-                    int(o.get("day", 0)), float(o["flow"]))
-                    for o in icfg["observations"]]
-            else:
-                if traffic_metrics is None:
-                    raise ConfigError("impute needs inline observations or a "
-                                      "traffic stage with detectors")
-                duration = int(config.get("duration_s", 600))
-                observations = []
-                for det_id, series in sorted(traffic_metrics.observations.items()):
-                    det = net.detectors[det_id]
-                    count = sum(o.count for o in series)
-                    window = sum(o.t1 - o.t0 for o in series)
-                    if window == 0:
-                        continue
-                    flow_day = count / window * 86400.0
-                    observations.append(impute.VolumeObservation(
-                        impute.NetPoint(det.edge, det.cell * net.cell_length_m),
-                        0, flow_day))
-            if not observations:
-                raise ConfigError("no observations available for imputation")
-            values = [o.flow_veh_day for o in observations]
-            params = impute.default_params(values,
-                                           float(icfg.get("length_scale_m", 1000.0)))
-            if icfg.get("euclidean"):
-                params.euclidean = True
-            model = impute.fit_gpr(net, observations, params)
-            targets = [impute.NetPoint(t["edge"], float(t["offset_m"]))
-                       for t in icfg.get("targets", [])]
-            preds = impute.predict_gpr(model, targets)
-            stage_out = {"observations": len(observations),
-                         "predictions": [{"edge": loc.edge, "offset_m": loc.offset_m,
-                                          "mean": m, "variance": v}
-                                         for loc, (m, v) in zip(targets, preds)]}
-            k = icfg.get("knn_k")
-            if k:
-                stage_out["knn"] = [
-                    {"edge": loc.edge, "offset_m": loc.offset_m,
-                     "estimate": impute.knn_estimate(observations, loc,
-                                                     min(int(k), len(observations)), net)}
-                    for loc in targets]
-            report["stages"]["impute"] = stage_out
-            if out_dir is not None and targets:
-                impute.write_predictions_csv(artifact("imputation.csv"), targets, preds)
-                report["artifacts"]["imputation"] = "imputation.csv"
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("impute", exc) from exc
-
-    # ---- assign -----------------------------------------------------------
-    if "assign" in stages:
-        acfg = stages["assign"]
-        try:
-            methods = acfg.get("methods", ["fixed", "bmp"])
-            stage_out = {"methods": {}}
-            for method in methods:
-                result = routing_opt.evaluate_policy(
-                    net, config.get("demand", []), method, seed, classes=classes,
-                    class_mix=class_mix, k_routes=int(acfg.get("k_routes", 2)),
-                    duration_s=int(config.get("duration_s", 600)),
-                    probe_factor=float(acfg.get("probe_factor", 1.5)),
-                    density_crit=float(acfg.get("density_crit", 0.35)),
-                    sustain_s=float(acfg.get("sustain_s", 120.0)),
-                    window_s=int(config.get("window_s", 60)),
-                    lam=float(acfg.get("lambda", 0.01)),
-                    lane_policies=lane_policies)
-                stage_out["methods"][method] = {
-                    "mean_dwell_s": result.mean_dwell_s,
-                    "split": result.split.to_dict(result.problem) if result.split else None,
-                }
-                if out_dir is not None and result.split is not None:
-                    name = f"assignment_{method}.json"
-                    with open(artifact(name), "w") as fh:
-                        fh.write(routing_opt.split_to_json(result.split, result.problem))
-                    report["artifacts"][f"assignment_{method}"] = name
-            dwells = {m: v["mean_dwell_s"] for m, v in stage_out["methods"].items()}
-            if len(methods) >= 2:
-                base, other = methods[0], methods[1]
-                if dwells.get(base) and dwells.get(other):
-                    stage_out["dwell_ratio"] = dwells[other] / dwells[base]
-            report["stages"]["assign"] = stage_out
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("assign", exc) from exc
-
-    # ---- transfer ---------------------------------------------------------
-    if "transfer" in stages:
-        tcfg = stages["transfer"]
-        try:
-            scene = _scene_from_config(tcfg, seed)
-            traces = _build_traces(tcfg, scene, state, seed)
-            if tcfg.get("build_map", True):
-                scene.map = _crowdsense_map(scene, traces)
-            predictor = None
-            if tcfg.get("predictor", "formula") == "learned":
-                cal_policy = transfer.TransferPolicy(kind="periodic",
-                                                     periodic_interval_s=10.0)
-                rate = float(tcfg.get("sensor_rate_bytes_s", 10_000.0))
-                rows = []
-                for i, trace in enumerate(traces):
-                    _, log = transfer.simulate_drive(
-                        trace, scene, cal_policy, rate,
-                        substream_seed(seed, "transfer-calibration", i))
-                    rows.extend(r for r in log if r["decision"] == "transmit")
-                if rows:
-                    predictor = transfer.train_predictor(rows)
-            stage_out = {"policies": {}}
-            for kind in tcfg.get("policies", ["periodic", "ml_cat"]):
-                mean, log = run_transfer_policy(kind, tcfg, scene, traces, seed,
-                                                predictor=predictor)
-                stage_out["policies"][kind] = mean
-                if out_dir is not None:
-                    name = f"transfer_log_{kind}.csv"
-                    transfer.write_log_csv(artifact(name), log)
-                    report["artifacts"][f"transfer_log_{kind}"] = name
-            report["stages"]["transfer"] = stage_out
-            if out_dir is not None and scene.map is not None:
-                scene.map.to_csv(artifact("connectivity_map.csv"))
-                report["artifacts"]["connectivity_map"] = "connectivity_map.csv"
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("transfer", exc) from exc
-
+            raise StageError(name, exc) from exc
     rep = ExperimentReport(data=report)
     if out_dir is not None:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -398,30 +436,30 @@ def run_experiment(config: dict, seed: int | None = None,
     return rep
 
 
+def evaluate_assignment(config: dict, method: str, seed: int | None = None,
+                        base_dir=".") -> routing_opt.EvaluationResult:
+    """One assignment method, evaluated with the settings the assign stage uses."""
+    cfg = parse_config(config)
+    acfg = cfg["stages"]["assign"] or _section({}, ASSIGN, "config.stages.assign")
+    return _evaluate_method(_Run(cfg, seed, base_dir), acfg, method)
+
+
 def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
     """Per-policy mean and sample stddev of goodput/energy/dwell over seeds."""
+    cfg = parse_config(config)
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    stages = config.get("stages", {})
-    if "transfer" not in stages:
+    tcfg = cfg["stages"]["transfer"]
+    if tcfg is None:
         raise ConfigError("compare needs a transfer stage in the config")
-    tcfg = stages["transfer"]
     per_policy = {p: {"goodput": [], "energy": [], "dwell": []} for p in policies}
     for seed in seeds:
-        scene = _scene_from_config(tcfg, seed)
-        state = None
-        dwell = None
-        if tcfg.get("trace", {}).get("kind") == "from_traffic":
-            net = _resolve_network(config, base_dir)
-            classes, class_mix = _classes_from_config(config)
-            state = traffic_ca.init_scenario(net, config.get("demand", []), classes,
-                                             seed, class_mix=class_mix)
-            metrics = traffic_ca.run(state, int(config.get("duration_s", 600)),
-                                     trace_connected=True)
+        state = dwell = None
+        if tcfg["trace"]["kind"] == "from_traffic":
+            state, metrics = _simulate_traffic(_Run(cfg, seed, base_dir),
+                                              trace_connected=True)
             dwell = metrics.mean_dwell_s
-        traces = _build_traces(tcfg, scene, state, seed)
-        if tcfg.get("build_map", True):
-            scene.map = _crowdsense_map(scene, traces)
+        scene, traces = _scene_and_traces(tcfg, seed, state)
         for kind in policies:
             mean, _ = run_transfer_policy(kind, tcfg, scene, traces, seed)
             per_policy[kind]["goodput"].append(mean["mean_goodput_mbps"])

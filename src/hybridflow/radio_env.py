@@ -199,14 +199,6 @@ class ConnectivityMap:
         return cmap
 
 
-def record_measurement(cmap: ConnectivityMap, sample: RadioSample) -> None:
-    cmap.record_sample(sample)
-
-
-def query_map(cmap: ConnectivityMap, pos):
-    return cmap.query(pos)
-
-
 def forecast_along(cmap: ConnectivityMap, trajectory, horizon_s: float):
     """Map lookups along timed positions within the horizon.
 

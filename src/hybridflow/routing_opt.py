@@ -14,7 +14,6 @@ the CA simulator and measures mean dwell time under the resulting splits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -156,7 +155,6 @@ def _waterfill(q_crits, demand):
     order = sorted(range(len(q_crits)), key=lambda i: q_crits[i])
     total = sum(q_crits)
     active = len(q_crits)
-    prev_knot = None
     for idx in order:
         m_all_active = (total - demand) / active
         knot = q_crits[idx]
@@ -165,7 +163,6 @@ def _waterfill(q_crits, demand):
             break
         total -= knot
         active -= 1
-        prev_knot = knot
     else:
         m = (total - demand) / max(active, 1)
     flows = [max(qc - m, 0.0) for qc in q_crits]
@@ -427,7 +424,3 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
     metrics = traffic_ca.run(state, duration_s, window_s=window_s)
     return EvaluationResult(mean_dwell_s=metrics.mean_dwell_s, split=split,
                             problem=problem, metrics=metrics)
-
-
-def split_to_json(split: FlowSplit, problem: AssignmentProblem) -> str:
-    return json.dumps(split.to_dict(problem), sort_keys=True, indent=2)

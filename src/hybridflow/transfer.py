@@ -117,11 +117,6 @@ class RatePredictor:
         return self.formula_rate(sinr_db, payload_bytes, speed_mps)
 
 
-def predict_rate(predictor: RatePredictor, features: dict) -> float:
-    return predictor.predict(features["sinr_db"], features["payload_bytes"],
-                             features["speed_mps"])
-
-
 def train_predictor(log_rows, base: RatePredictor | None = None) -> RatePredictor:
     """Binned-mean table from observed transmissions.
 

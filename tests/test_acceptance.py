@@ -239,12 +239,10 @@ def test_criterion_6_routing_benefit():
 def test_criterion_7_transfer_benefit():
     t0 = time.time()
     config = harness.load_config(CONFIG_DIR / "transfer_two_phase.json")
-    tcfg = config["stages"]["transfer"]
+    tcfg = harness.parse_config(config)["stages"]["transfer"]
     results = {k: {"g": [], "e": []} for k in ("periodic", "ml_cat", "ml_pcat")}
     for seed in range(1, 11):
-        scene = harness._scene_from_config(tcfg, seed)
-        traces = harness._build_traces(tcfg, scene, None, seed)
-        scene.map = harness._crowdsense_map(scene, traces)
+        scene, traces = harness._scene_and_traces(tcfg, seed, None)
         for kind in results:
             mean, _ = harness.run_transfer_policy(kind, tcfg, scene, traces, seed)
             results[kind]["g"].append(mean["mean_goodput_mbps"])

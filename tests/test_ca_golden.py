@@ -1,9 +1,11 @@
-"""Golden fixtures for the CA kernel: pinned state hashes and report bytes.
+"""Golden fixtures for the CA kernel and the harness: state hashes, report bytes.
 
-The digests were recorded on the straightforward per-vehicle kernel (a
+The state digests were recorded on the straightforward per-vehicle kernel (a
 `_chain_scan` for every vehicle, `sorted(state.vehicles)` in every phase)
 before the lane-ordered rewrite, so any rewrite of the step phases must
-reproduce them exactly: same RNG draws, same trajectories.
+reproduce them exactly: same RNG draws, same trajectories. The report digests
+and comparison rows were recorded before the harness moved to one config
+parse and a stage table, so that rewrite must reproduce them byte for byte.
 """
 
 import hashlib
@@ -98,7 +100,26 @@ GOLDEN = {
         "820c667c2c132ce58c582f6ddb3b483d5e25613a2004bb0c936153f8911003f5",
     ],
 }
-DEMO_REPORT_SHA256 = "f9afcf60f4fb475d56f10203c273589e0660c2c3d05205960b427bdb5e1788fe"
+# sha256 of report.json for each file in configs/ at the config's own seed
+REPORT_SHA256 = {
+    "demo.json": "f9afcf60f4fb475d56f10203c273589e0660c2c3d05205960b427bdb5e1788fe",
+    "transfer_two_phase.json":
+        "022ad95a3a094252b53cb8429e1b8f1a5e9cae4ae6c8bca2b1df58a4f60c6490",
+    "two_route_congested.json":
+        "c3d5bb39c0ae3a317c62f438fef0e66bb66a0e87db494bcb3cdc638dc039c4d8",
+    "two_route_low.json": "e5f9a6dcce8647fb8fe2655fc09173e16af8eec2497390d66afa11c7e9433f8f",
+}
+# compare_policies on demo.json: traces of connected vehicles from the CA run
+DEMO_COMPARE_ROWS = [
+    {"policy": "periodic", "seeds": 2,
+     "dwell_s_mean": 49.24910714285714, "dwell_s_std": 0.08965103832901043,
+     "energy_j_mean": 2.5007322797236418, "energy_j_std": 0.09259887331369605,
+     "goodput_mbps_mean": 55.23285668263479, "goodput_mbps_std": 3.4287565722807303},
+    {"policy": "ml_cat", "seeds": 2,
+     "dwell_s_mean": 49.24910714285714, "dwell_s_std": 0.08965103832901043,
+     "energy_j_mean": 2.574548649434906, "energy_j_std": 0.11953276204001238,
+     "goodput_mbps_mean": 26.868869122778413, "goodput_mbps_std": 4.597616974932467},
+]
 
 
 def _ring(name):
@@ -142,9 +163,10 @@ def scenario_hashes(name):
     return hashes
 
 
-def demo_report_sha256(out_dir):
-    harness.run_experiment(harness.load_config(CONFIG_DIR / "demo.json"), seed=7,
-                           out_dir=out_dir)
+def report_sha256(name, out_dir):
+    config = harness.load_config(CONFIG_DIR / name)
+    harness.run_experiment(config, seed=config["seed"], out_dir=out_dir,
+                           base_dir=CONFIG_DIR)
     return hashlib.sha256((Path(out_dir) / "report.json").read_bytes()).hexdigest()
 
 
@@ -159,8 +181,15 @@ def test_mid_run_policy_changes_trajectory():
     assert GOLDEN["merge_policy_at_200"][2] != GOLDEN["merge"][2]
 
 
-def test_demo_report_bytes(tmp_path):
-    assert demo_report_sha256(tmp_path) == DEMO_REPORT_SHA256
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes(name, tmp_path):
+    assert report_sha256(name, tmp_path) == REPORT_SHA256[name]
+
+
+def test_demo_compare_rows():
+    rows = harness.compare_policies(harness.load_config(CONFIG_DIR / "demo.json"),
+                                    ["periodic", "ml_cat"], [1, 2], base_dir=CONFIG_DIR)
+    assert rows == DEMO_COMPARE_ROWS
 
 
 def test_vehicle_dict_order_stays_ascending():

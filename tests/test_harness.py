@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,71 @@ class TestRunExperiment:
         with pytest.raises(harness.StageError) as err:
             harness.run_experiment(config)
         assert err.value.stage == "transfer"
+
+
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+def _set(obj, key, value):
+    obj[key] = value
+
+
+def _unknown(where, key):
+    return f"{where}: unknown key(s) {key!r}"
+
+
+# case -> (config file, edit, expected ConfigError message)
+CONFIG_ERRORS = {
+    "stage_name": ("demo.json", lambda c: _rename(c["stages"], "traffic", "trafic"),
+                   _unknown("config.stages", "trafic")),
+    "transfer_policies": ("transfer_two_phase.json",
+                          lambda c: _rename(c["stages"]["transfer"], "policies", "polices"),
+                          _unknown("config.stages.transfer", "polices")),
+    "trace_max_vehicles": ("demo.json",
+                           lambda c: _rename(c["stages"]["transfer"]["trace"],
+                                             "max_vehicles", "max_vehicle"),
+                           _unknown("config.stages.transfer.trace", "max_vehicle")),
+    "shadowing_sigma": ("transfer_two_phase.json",
+                        lambda c: _rename(c["stages"]["transfer"]["shadowing"],
+                                          "sigma_db", "sigma"),
+                        _unknown("config.stages.transfer.shadowing", "sigma")),
+    "feed_truck_share": ("demo.json",
+                         lambda c: _rename(c["stages"]["fingerprint"]["feed_lane_policy"],
+                                           "truck_share_min", "truck_share"),
+                         _unknown("config.stages.fingerprint.feed_lane_policy",
+                                  "truck_share")),
+    "demand_rate": ("demo.json", lambda c: _rename(c["demand"][0], "rate_veh_h", "rate"),
+                    _unknown("config.demand[0]", "rate")),
+    "station_tx_power": ("transfer_two_phase.json",
+                         lambda c: _rename(c["stages"]["transfer"]["stations"][0],
+                                           "tx_power_dbm", "tx_power"),
+                         _unknown("config.stages.transfer.stations[0]", "tx_power")),
+    "station_missing_x": ("transfer_two_phase.json",
+                          lambda c: c["stages"]["transfer"]["stations"][0].pop("x"),
+                          "config.stages.transfer.stations[0]: missing key 'x'"),
+    "k_routes_type": ("two_route_low.json",
+                      lambda c: _set(c["stages"]["assign"], "k_routes", "two"),
+                      "config.stages.assign.k_routes: invalid literal for int()"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_typo_rejected(case, tmp_path):
+    name, edit, message = CONFIG_ERRORS[case]
+    config = json.loads((CONFIG_DIR / name).read_text())
+    edit(config)
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    with pytest.raises(harness.ConfigError, match=re.escape(message)):
+        harness.load_config(path)
+    with pytest.raises(harness.ConfigError, match=re.escape(message)):
+        harness.run_experiment(config)
+    res = CliRunner().invoke(main, ["run", "--config", str(path), "--out",
+                                    str(tmp_path / "out")])
+    assert res.exit_code != 0
+    assert message in res.output
+    assert not (tmp_path / "out").exists()
 
 
 class TestComparePolicies:
@@ -164,3 +230,14 @@ class TestCli:
         assert res.exit_code == 0, res.output
         data = json.loads((tmp_path / "assign.json").read_text())
         assert data["split"] is not None
+
+    def test_assign_matches_run(self, tmp_path):
+        # the assign command takes lambda and every other setting from the config
+        path = CONFIG_DIR / "two_route_low.json"
+        report = harness.run_experiment(harness.load_config(path), base_dir=CONFIG_DIR)
+        res = CliRunner().invoke(main, ["assign", "--config", str(path), "--method",
+                                        "combined", "--out", str(tmp_path / "a.json")])
+        assert res.exit_code == 0, res.output
+        data = json.loads((tmp_path / "a.json").read_text())
+        run_dwell = report.data["stages"]["assign"]["methods"]["combined"]["mean_dwell_s"]
+        assert data["mean_dwell_s"] == run_dwell

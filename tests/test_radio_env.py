@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
-                                  RadioSample, RadioScene, forecast_along, query_map,
-                                  record_measurement, rsrp_at, sinr_at)
+                                  RadioSample, RadioScene, forecast_along, rsrp_at,
+                                  sinr_at)
 
 
 def no_shadow():
@@ -87,7 +87,7 @@ class TestConnectivityMap:
 
     def test_empty_cell(self):
         cmap = ConnectivityMap()
-        mean, var, count = query_map(cmap, (999.0, 999.0))
+        mean, var, count = cmap.query((999.0, 999.0))
         assert mean is None and count == 0
 
     def test_welford_vs_batch(self):
@@ -120,7 +120,7 @@ class TestConnectivityMap:
 
     def test_record_sample_uses_metric(self):
         cmap = ConnectivityMap(metric="rsrp_dbm")
-        record_measurement(cmap, RadioSample((0.0, 0.0), -80.0, 12.0, 0.0))
+        cmap.record_sample(RadioSample((0.0, 0.0), -80.0, 12.0, 0.0))
         assert cmap.query((0.0, 0.0))[0] == -80.0
 
     def test_csv_roundtrip(self, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hybridflow.radio_env import BaseStation, ConnectivityMap, PropagationModel, RadioScene
 from hybridflow.transfer import (BufferState, EnergyModel, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferPolicy, decide, line_trace,
-                                 predict_rate, simulate_drive, sinr_policy,
-                                 train_predictor, transmission_probability)
+                                 simulate_drive, sinr_policy, train_predictor,
+                                 transmission_probability)
 
 
 class TestTransmissionProbability:
@@ -50,15 +50,15 @@ class TestTransmissionProbability:
 class TestPredictRate:
     def test_formula_at_zero_db(self):
         pred = RatePredictor()
-        got = predict_rate(pred, {"sinr_db": 0.0, "payload_bytes": 1e6, "speed_mps": 10.0})
+        got = pred.predict(0.0, 1e6, 10.0)
         assert got == pytest.approx(6.0, abs=1e-12)
 
     def test_empty_table_falls_back(self):
         learned = RatePredictor(kind="learned_table")
         formula = RatePredictor()
         for sinr, payload, speed in [(0.0, 1e6, 10.0), (13.0, 2e4, 3.0), (-4.0, 5e5, 25.0)]:
-            f = {"sinr_db": sinr, "payload_bytes": payload, "speed_mps": speed}
-            assert predict_rate(learned, f) == predict_rate(formula, f)
+            assert (learned.predict(sinr, payload, speed)
+                    == formula.predict(sinr, payload, speed))
 
     def test_payload_ramp(self):
         pred = RatePredictor(payload_ramp_bytes=100_000.0)
