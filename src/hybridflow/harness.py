@@ -6,7 +6,10 @@ draws. `parse_config` checks an experiment document against the schema
 tables below and fills in their defaults; `run_experiment`,
 `compare_policies` and `evaluate_assignment` all start from it. `STAGES` is
 the stage order: fingerprint (class shares can arm lane policies) ->
-traffic -> impute -> assign -> transfer. Every artifact lands in the output
+traffic -> impute -> assign -> transfer. `run_experiment` and, once per
+seed, `compare_policies` run it through one loop, so a policy comparison
+scores the same pipeline that `run` reports (compare leaves out impute and
+assign, which no transfer result reads). Every artifact lands in the output
 directory; report.json indexes them and is byte-identical for identical
 (config, seed).
 """
@@ -163,21 +166,6 @@ class _Run:
         return os.path.join(self.out_dir, name)
 
 
-def _simulate_traffic(run, trace_connected):
-    """Init the scenario, apply the lane policies, run the CA; (state, metrics)."""
-    if run.net is None:
-        raise ConfigError("no network configured")
-    cfg = run.config
-    state = traffic_ca.init_scenario(run.net, cfg["demand"], run.classes, run.seed,
-                                     class_mix=run.class_mix,
-                                     nasch_degenerate=cfg["nasch_degenerate"])
-    for eid, mask in run.lane_policies.items():
-        traffic_ca.apply_lane_policy(state, eid, mask)
-    metrics = traffic_ca.run(state, cfg["duration_s"], window_s=cfg["window_s"],
-                             trace_connected=trace_connected)
-    return state, metrics
-
-
 def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
     if run.net is None:
         raise ConfigError("no network configured")
@@ -187,29 +175,7 @@ def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
         class_mix=run.class_mix, k_routes=acfg["k_routes"], duration_s=cfg["duration_s"],
         probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
         sustain_s=acfg["sustain_s"], window_s=cfg["window_s"], lam=acfg["lambda"],
-        lane_policies=run.lane_policies)
-
-
-def _scene_and_traces(tcfg, master_seed, state):
-    """Radio scene and drive traces; the scene's map is crowdsensed along the traces."""
-    stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]),
-                                      tx_power_dbm=s["tx_power_dbm"])
-                for s in tcfg["stations"]]
-    if not stations:
-        raise ConfigError("transfer stage needs at least one base station")
-    shadow = tcfg["shadowing"]
-    model = radio_env.PropagationModel(
-        pl0_db=shadow["pl0_db"], exponent=shadow["exponent"],
-        shadowing_sigma_db=shadow["sigma_db"], shadowing_enabled=shadow["enabled"],
-        seed=substream_seed(master_seed, "shadowing"))
-    scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
-    traces = _build_traces(tcfg, state)
-    if tcfg["build_map"]:
-        scene.map = radio_env.ConnectivityMap(metric="sinr_db")
-        for _, x, y in (point for trace in traces for point in trace):
-            for _ in range(3):
-                scene.map.record((x, y), scene.sinr((x, y)))
-    return scene, traces
+        lane_policies=run.lane_policies, nasch_degenerate=cfg["nasch_degenerate"])
 
 
 def _build_traces(tcfg, state):
@@ -228,30 +194,6 @@ def _build_traces(tcfg, state):
             raise ConfigError(f"no connected trace of at least {min_len}s")
         return [tr for _, tr in usable[:trace_cfg["max_vehicles"]]]
     raise ConfigError(f"unknown trace kind {trace_cfg['kind']!r}")
-
-
-def run_transfer_policy(kind, tcfg, scene, traces, master_seed, predictor=None):
-    """One policy over all traces; returns (mean metrics dict, merged log)."""
-    make = transfer.sinr_policy if kind in ("cat", "pcat") else transfer.TransferPolicy
-    policy = make(kind=kind, **(tcfg["policy"] or {}))
-    rate = tcfg["sensor_rate_bytes_s"]
-    all_metrics = []
-    merged_log = []
-    for i, trace in enumerate(traces):
-        seed = substream_seed(master_seed, f"transfer-{kind}", i)
-        metrics, log = transfer.simulate_drive(trace, scene, policy, rate, seed,
-                                               predictor=predictor)
-        all_metrics.append(metrics)
-        merged_log.extend(log)
-    mean = {
-        "mean_goodput_mbps": float(np.mean([m.mean_goodput_mbps for m in all_metrics])),
-        "total_energy_j": float(np.mean([m.total_energy_j for m in all_metrics])),
-        "transmissions": float(np.mean([m.transmissions for m in all_metrics])),
-        "mean_buffer_age_s": float(np.mean([m.mean_buffer_age_s for m in all_metrics])),
-        "retransmissions": float(np.mean([m.retransmissions for m in all_metrics])),
-        "vehicles": len(all_metrics),
-    }
-    return mean, merged_log
 
 
 def _write_detector_csv(path, observations):
@@ -298,9 +240,18 @@ def _fingerprint_stage(run, fcfg):
 
 
 def _traffic_stage(run, _):
-    transfer_cfg = run.config["stages"]["transfer"]
-    want_traces = transfer_cfg is not None and transfer_cfg["trace"]["kind"] == "from_traffic"
-    run.state, run.traffic_metrics = _simulate_traffic(run, want_traces)
+    if run.net is None:
+        raise ConfigError("no network configured")
+    cfg = run.config
+    tcfg = cfg["stages"]["transfer"]
+    run.state = traffic_ca.init_scenario(run.net, cfg["demand"], run.classes, run.seed,
+                                         class_mix=run.class_mix,
+                                         nasch_degenerate=cfg["nasch_degenerate"])
+    for eid, mask in run.lane_policies.items():
+        traffic_ca.apply_lane_policy(run.state, eid, mask)
+    run.traffic_metrics = traffic_ca.run(
+        run.state, cfg["duration_s"], window_s=cfg["window_s"],
+        trace_connected=tcfg is not None and tcfg["trace"]["kind"] == "from_traffic")
     metrics = run.traffic_metrics.to_dict()
     if path := run.artifact("traffic_metrics", "traffic_metrics.json"):
         _write_json(path, metrics)
@@ -371,25 +322,51 @@ def _assign_stage(run, acfg):
 
 
 def _transfer_stage(run, tcfg):
-    scene, traces = _scene_and_traces(tcfg, run.seed, run.state)
+    stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]),
+                                      tx_power_dbm=s["tx_power_dbm"])
+                for s in tcfg["stations"]]
+    if not stations:
+        raise ConfigError("transfer stage needs at least one base station")
+    shadow = tcfg["shadowing"]
+    model = radio_env.PropagationModel(
+        pl0_db=shadow["pl0_db"], exponent=shadow["exponent"],
+        shadowing_sigma_db=shadow["sigma_db"], shadowing_enabled=shadow["enabled"],
+        seed=substream_seed(run.seed, "shadowing"))
+    scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
+    traces = _build_traces(tcfg, run.state)
+    if tcfg["build_map"]:
+        # crowdsensed along the traces before any policy drives them
+        scene.map = radio_env.ConnectivityMap(metric="sinr_db")
+        for _, x, y in (point for trace in traces for point in trace):
+            for _ in range(3):
+                scene.map.record((x, y), scene.sinr((x, y)))
+    rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":
         cal_policy = transfer.TransferPolicy(kind="periodic", periodic_interval_s=10.0)
         rows = []
         for i, trace in enumerate(traces):
             _, log = transfer.simulate_drive(
-                trace, scene, cal_policy, tcfg["sensor_rate_bytes_s"],
+                trace, scene, cal_policy, rate,
                 substream_seed(run.seed, "transfer-calibration", i))
             rows.extend(r for r in log if r["decision"] == "transmit")
         if rows:
             predictor = transfer.train_predictor(rows)
     stage_out = {"policies": {}}
     for kind in tcfg["policies"]:
-        mean, log = run_transfer_policy(kind, tcfg, scene, traces, run.seed,
-                                        predictor=predictor)
-        stage_out["policies"][kind] = mean
+        make = transfer.sinr_policy if kind in ("cat", "pcat") else transfer.TransferPolicy
+        policy = make(kind=kind, **(tcfg["policy"] or {}))
+        drives = [transfer.simulate_drive(trace, scene, policy, rate,
+                                          substream_seed(run.seed, f"transfer-{kind}", i),
+                                          predictor=predictor)
+                  for i, trace in enumerate(traces)]
+        stage_out["policies"][kind] = {
+            **{key: float(np.mean([getattr(m, key) for m, _ in drives]))
+               for key in ("mean_goodput_mbps", "total_energy_j", "transmissions",
+                           "mean_buffer_age_s", "retransmissions")},
+            "vehicles": len(drives)}
         if path := run.artifact(f"transfer_log_{kind}", f"transfer_log_{kind}.csv"):
-            transfer.write_log_csv(path, log)
+            transfer.write_log_csv(path, [row for _, log in drives for row in log])
     if scene.map is not None and (path := run.artifact("connectivity_map",
                                                        "connectivity_map.csv")):
         scene.map.to_csv(path)
@@ -399,6 +376,21 @@ def _transfer_stage(run, tcfg):
 STAGES = (("fingerprint", _fingerprint_stage), ("traffic", _traffic_stage),
           ("impute", _impute_stage), ("assign", _assign_stage),
           ("transfer", _transfer_stage))
+
+
+def _run_stages(run) -> dict:
+    """Stage name -> stage dict for each configured stage, run in STAGES order;
+    a failing stage raises StageError naming it."""
+    done = {}
+    for name, stage in STAGES:
+        section = run.config["stages"][name]
+        if section is None:
+            continue
+        try:
+            done[name] = stage(run, section)
+        except Exception as exc:
+            raise StageError(name, exc) from exc
+    return done
 
 
 @dataclass
@@ -417,19 +409,11 @@ def run_experiment(config: dict, seed: int | None = None,
     that completed earlier are left in place.
     """
     run = _Run(parse_config(config), seed, base_dir, out_dir)
-    report = {"toolkit_version": __version__, "seed": run.seed, "config": config,
-              "stages": {}, "artifacts": run.artifacts}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    for name, stage in STAGES:
-        section = run.config["stages"][name]
-        if section is None:
-            continue
-        try:
-            report["stages"][name] = stage(run, section)
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-    rep = ExperimentReport(data=report)
+    rep = ExperimentReport(data={"toolkit_version": __version__, "seed": run.seed,
+                                 "config": config, "stages": _run_stages(run),
+                                 "artifacts": run.artifacts})
     if out_dir is not None:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             fh.write(rep.to_json())
@@ -445,26 +429,29 @@ def evaluate_assignment(config: dict, method: str, seed: int | None = None,
 
 
 def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
-    """Per-policy mean and sample stddev of goodput/energy/dwell over seeds."""
+    """Per-policy mean and sample stddev of goodput/energy/dwell over seeds.
+
+    Each seed runs the configured stages as run_experiment does, with the
+    transfer stage's policies replaced by the given ones; impute and assign
+    are left out, as no transfer result reads them. Dwell is None without a
+    traffic stage.
+    """
     cfg = parse_config(config)
+    seeds = list(seeds)
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies")
-    tcfg = cfg["stages"]["transfer"]
-    if tcfg is None:
+    if not seeds:
+        raise ConfigError("compare needs at least one seed")
+    stages = cfg["stages"]
+    if stages["transfer"] is None:
         raise ConfigError("compare needs a transfer stage in the config")
-    per_policy = {p: {"goodput": [], "energy": [], "dwell": []} for p in policies}
+    cfg["stages"] = {**stages, "impute": None, "assign": None,
+                     "transfer": {**stages["transfer"], "policies": tuple(policies)}}
+    dwells, results = [], []
     for seed in seeds:
-        state = dwell = None
-        if tcfg["trace"]["kind"] == "from_traffic":
-            state, metrics = _simulate_traffic(_Run(cfg, seed, base_dir),
-                                              trace_connected=True)
-            dwell = metrics.mean_dwell_s
-        scene, traces = _scene_and_traces(tcfg, seed, state)
-        for kind in policies:
-            mean, _ = run_transfer_policy(kind, tcfg, scene, traces, seed)
-            per_policy[kind]["goodput"].append(mean["mean_goodput_mbps"])
-            per_policy[kind]["energy"].append(mean["total_energy_j"])
-            per_policy[kind]["dwell"].append(dwell)
+        done = _run_stages(_Run(cfg, seed, base_dir))
+        dwells.append(done["traffic"]["mean_dwell_s"] if "traffic" in done else None)
+        results.append(done["transfer"]["policies"])
 
     def stats(values):
         clean = [v for v in values if v is not None]
@@ -474,12 +461,12 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
         std = float(np.std(clean, ddof=1)) if len(clean) > 1 else 0.0
         return mean, std
 
+    d_mean, d_std = stats(dwells)
     rows = []
     for kind in policies:
-        g_mean, g_std = stats(per_policy[kind]["goodput"])
-        e_mean, e_std = stats(per_policy[kind]["energy"])
-        d_mean, d_std = stats(per_policy[kind]["dwell"])
-        rows.append({"policy": kind, "seeds": len(list(seeds)),
+        g_mean, g_std = stats([r[kind]["mean_goodput_mbps"] for r in results])
+        e_mean, e_std = stats([r[kind]["total_energy_j"] for r in results])
+        rows.append({"policy": kind, "seeds": len(seeds),
                      "goodput_mbps_mean": g_mean, "goodput_mbps_std": g_std,
                      "energy_j_mean": e_mean, "energy_j_std": e_std,
                      "dwell_s_mean": d_mean, "dwell_s_std": d_std})

@@ -330,7 +330,8 @@ class EvaluationResult:
 
 
 def _probe_and_calibrate(net, demand, classes, seed, k_routes, duration_s,
-                         probe_factor, density_crit, sustain_s, window_s, class_mix):
+                         probe_factor, density_crit, sustain_s, window_s, class_mix,
+                         nasch_degenerate):
     """High-demand probe run; per-route q_crit from detected bottlenecks."""
     probe_demand = []
     for entry in demand:
@@ -339,7 +340,7 @@ def _probe_and_calibrate(net, demand, classes, seed, k_routes, duration_s,
         boosted["splits"] = [1.0 / k_routes] * k_routes
         probe_demand.append(boosted)
     state = traffic_ca.init_scenario(net, probe_demand, classes, seed,
-                                     class_mix=class_mix)
+                                     class_mix=class_mix, nasch_degenerate=nasch_degenerate)
     metrics = traffic_ca.run(state, duration_s, window_s=window_s)
     flat = [o for series in metrics.observations.values() for o in series]
     det_edges = {d: det.edge for d, det in net.detectors.items()}
@@ -385,7 +386,7 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
                     probe_factor: float = 1.5, density_crit: float = 0.35,
                     sustain_s: float = 120.0, window_s: int = 60,
                     lam: float = 0.01, fixed_splits=None,
-                    lane_policies=None) -> EvaluationResult:
+                    lane_policies=None, nasch_degenerate: bool = False) -> EvaluationResult:
     """Dwell time of the CA under splits from the chosen assignment method.
 
     split_source: fixed | wardrop | bmp | combined. Latencies and critical
@@ -403,7 +404,7 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
     else:
         q_crit_by_edge, max_flow_by_edge, _ = _probe_and_calibrate(
             net, demand, classes, seed, k_routes, duration_s, probe_factor,
-            density_crit, sustain_s, window_s, class_mix)
+            density_crit, sustain_s, window_s, class_mix, nasch_degenerate)
         problem = build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge)
         if split_source == "wardrop":
             split = assign_wardrop(problem)
@@ -418,7 +419,7 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
         e["splits"] = props
         eval_demand.append(e)
     state = traffic_ca.init_scenario(net, eval_demand, classes, seed,
-                                     class_mix=class_mix)
+                                     class_mix=class_mix, nasch_degenerate=nasch_degenerate)
     for eid, mask in (lane_policies or {}).items():
         traffic_ca.apply_lane_policy(state, eid, mask)
     metrics = traffic_ca.run(state, duration_s, window_s=window_s)

@@ -239,19 +239,13 @@ def test_criterion_6_routing_benefit():
 def test_criterion_7_transfer_benefit():
     t0 = time.time()
     config = harness.load_config(CONFIG_DIR / "transfer_two_phase.json")
-    tcfg = harness.parse_config(config)["stages"]["transfer"]
-    results = {k: {"g": [], "e": []} for k in ("periodic", "ml_cat", "ml_pcat")}
-    for seed in range(1, 11):
-        scene, traces = harness._scene_and_traces(tcfg, seed, None)
-        for kind in results:
-            mean, _ = harness.run_transfer_policy(kind, tcfg, scene, traces, seed)
-            results[kind]["g"].append(mean["mean_goodput_mbps"])
-            results[kind]["e"].append(mean["total_energy_j"])
-    g_per = np.mean(results["periodic"]["g"])
-    g_cat = np.mean(results["ml_cat"]["g"])
-    g_pcat = np.mean(results["ml_pcat"]["g"])
-    e_per = np.mean(results["periodic"]["e"])
-    e_cat = np.mean(results["ml_cat"]["e"])
+    rows = {r["policy"]: r for r in harness.compare_policies(
+        config, ["periodic", "ml_cat", "ml_pcat"], range(1, 11))}
+    g_per = rows["periodic"]["goodput_mbps_mean"]
+    g_cat = rows["ml_cat"]["goodput_mbps_mean"]
+    g_pcat = rows["ml_pcat"]["goodput_mbps_mean"]
+    e_per = rows["periodic"]["energy_j_mean"]
+    e_cat = rows["ml_cat"]["energy_j_mean"]
     assert g_cat >= 1.5 * g_per
     assert e_cat <= e_per
     assert g_pcat >= g_cat

@@ -4,8 +4,9 @@ The state digests were recorded on the straightforward per-vehicle kernel (a
 `_chain_scan` for every vehicle, `sorted(state.vehicles)` in every phase)
 before the lane-ordered rewrite, so any rewrite of the step phases must
 reproduce them exactly: same RNG draws, same trajectories. The report digests
-and comparison rows were recorded before the harness moved to one config
-parse and a stage table, so that rewrite must reproduce them byte for byte.
+were recorded before the harness moved to one config parse and a stage table,
+so that rewrite must reproduce them byte for byte. The comparison rows were
+recorded when `compare_policies` began running the pipeline's own stages.
 """
 
 import hashlib
@@ -109,16 +110,17 @@ REPORT_SHA256 = {
         "c3d5bb39c0ae3a317c62f438fef0e66bb66a0e87db494bcb3cdc638dc039c4d8",
     "two_route_low.json": "e5f9a6dcce8647fb8fe2655fc09173e16af8eec2497390d66afa11c7e9433f8f",
 }
-# compare_policies on demo.json: traces of connected vehicles from the CA run
+# compare_policies on demo.json: traces of connected vehicles from the CA run,
+# after the fingerprint stage armed the lane policy on s1
 DEMO_COMPARE_ROWS = [
     {"policy": "periodic", "seeds": 2,
-     "dwell_s_mean": 49.24910714285714, "dwell_s_std": 0.08965103832901043,
-     "energy_j_mean": 2.5007322797236418, "energy_j_std": 0.09259887331369605,
-     "goodput_mbps_mean": 55.23285668263479, "goodput_mbps_std": 3.4287565722807303},
+     "dwell_s_mean": 50.32276785714286, "dwell_s_std": 1.0019450551277242,
+     "energy_j_mean": 2.6878807405960092, "energy_j_std": 0.35726676485664866,
+     "goodput_mbps_mean": 69.14951376899724, "goodput_mbps_std": 16.252368622148687},
     {"policy": "ml_cat", "seeds": 2,
-     "dwell_s_mean": 49.24910714285714, "dwell_s_std": 0.08965103832901043,
-     "energy_j_mean": 2.574548649434906, "energy_j_std": 0.11953276204001238,
-     "goodput_mbps_mean": 26.868869122778413, "goodput_mbps_std": 4.597616974932467},
+     "dwell_s_mean": 50.32276785714286, "dwell_s_std": 1.0019450551277242,
+     "energy_j_mean": 2.786350346306971, "energy_j_std": 0.4190655942901219,
+     "goodput_mbps_mean": 26.591519598832623, "goodput_mbps_std": 4.989848433214329},
 ]
 
 

@@ -56,6 +56,16 @@ class TestRunExperiment:
         assert (tmp_path / "confusion_l1.json").exists()
         assert not (tmp_path / "report.json").exists()
 
+    def test_assign_honours_nasch_degenerate(self):
+        # with the default demand split, the fixed method drives the traffic
+        # stage's scenario, so both must run the same CA rules
+        config = harness.load_config(CONFIG_DIR / "two_route_congested.json")
+        config["duration_s"] = 300
+        config["nasch_degenerate"] = True
+        stages = harness.run_experiment(config).data["stages"]
+        assert (stages["assign"]["methods"]["fixed"]["mean_dwell_s"]
+                == stages["traffic"]["mean_dwell_s"])
+
     def test_unknown_trace_kind(self):
         config = transfer_config()
         config["stages"]["transfer"]["trace"] = {"kind": "teleport"}
@@ -155,6 +165,39 @@ class TestComparePolicies:
         with pytest.raises(harness.ConfigError):
             harness.compare_policies(transfer_config(), ["periodic"], [1])
 
+    def test_needs_a_seed(self):
+        with pytest.raises(harness.ConfigError, match="at least one seed"):
+            harness.compare_policies(transfer_config(), ["periodic", "ml_cat"], [])
+
+    def test_seed_generator_counted(self):
+        config = transfer_config()
+        config["stages"]["transfer"]["trace"]["duration_s"] = 200
+        rows = harness.compare_policies(config, ["periodic", "ml_cat"],
+                                        (s for s in (1, 2)))
+        assert [r["seeds"] for r in rows] == [2, 2]
+        assert rows == harness.compare_policies(config, ["periodic", "ml_cat"], [1, 2])
+
+    def test_failing_stage_named(self):
+        config = transfer_config()
+        config["stages"]["transfer"]["stations"] = []
+        with pytest.raises(harness.StageError) as err:
+            harness.compare_policies(config, ["periodic", "ml_cat"], [1])
+        assert err.value.stage == "transfer"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_equal_run(self, seed):
+        # compare runs run's stages: fingerprint arms the lane policy and the
+        # learned predictor is calibrated, so its rows are what run reports
+        config = demo_config()
+        stages = harness.run_experiment(config, seed=seed, base_dir=CONFIG_DIR).data["stages"]
+        rows = harness.compare_policies(config, ["periodic", "ml_cat"], [seed],
+                                        base_dir=CONFIG_DIR)
+        for row in rows:
+            policy = stages["transfer"]["policies"][row["policy"]]
+            assert row["dwell_s_mean"] == stages["traffic"]["mean_dwell_s"]
+            assert row["goodput_mbps_mean"] == policy["mean_goodput_mbps"]
+            assert row["energy_j_mean"] == policy["total_energy_j"]
+
 
 class TestCli:
     def test_parse_seeds(self):
@@ -192,6 +235,13 @@ class TestCli:
         assert res.exit_code == 0, res.output
         rows = json.loads((tmp_path / "cmp.json").read_text())
         assert {r["policy"] for r in rows} == {"periodic", "ml_cat"}
+
+    def test_compare_without_seeds_fails(self):
+        res = CliRunner().invoke(main, ["compare", "--config",
+                                        str(CONFIG_DIR / "transfer_two_phase.json"),
+                                        "--policies", "periodic,ml_cat", "--seeds", ""])
+        assert res.exit_code != 0
+        assert "at least one seed" in res.output
 
     def test_gen_corpus_command(self, tmp_path):
         runner = CliRunner()
