@@ -274,14 +274,12 @@ def evaluate(model: LinearModel, records) -> ConfusionMatrix:
     return ConfusionMatrix(cc, ct, tc, tt)
 
 
-def class_shares(traces, model: LinearModel,
-                 threshold_db: float = DIP_THRESHOLD_DB) -> dict:
-    """Observed class mix of a trace stream; feeds lane-policy decisions."""
+def class_shares(records, model: LinearModel) -> dict:
+    """Observed class mix of a stream of feature records; feeds lane-policy decisions."""
     counts = {CAR_LIKE: 0, TRUCK_LIKE: 0}
     total = 0
-    for trace in traces:
-        pred = model.predict(extract_features(trace, threshold_db))
-        counts[pred] += 1
+    for record in records:
+        counts[model.predict(record)] += 1
         total += 1
     if total == 0:
         return {CAR_LIKE: 0.0, TRUCK_LIKE: 0.0}

@@ -230,7 +230,7 @@ def _fingerprint_stage(run, fcfg):
         stage_out["confusion"][reg] = cm.to_dict()
         if path := run.artifact(f"confusion_{reg}", f"confusion_{reg}.json"):
             _write_json(path, cm.to_dict())
-    shares = fingerprint.class_shares(holdout, model)
+    shares = fingerprint.class_shares(hold_records, model)
     stage_out["class_shares"] = {k: shares[k] for k in sorted(shares)}
     feed = fcfg["feed_lane_policy"]
     if feed and shares[fingerprint.TRUCK_LIKE] >= feed["truck_share_min"]:

@@ -24,6 +24,10 @@ move and kept sorted through injection and lane changes. A vehicle's leader is
 the next span in its lane; only a lane's last span scans on along the route.
 Ids are issued ascending and never re-inserted, so ``state.vehicles`` in dict
 order is ascending id order and the phases iterate it without sorting.
+
+Loop detectors are open-window accumulators that ``run`` owns and closes into a
+``FlowObservation`` at each window boundary; the move phase and the occupancy
+sample add to them. ``step`` outside ``run`` does no detector work.
 """
 
 from __future__ import annotations
@@ -131,6 +135,29 @@ class FlowObservation:
                 "occupancy": self.occupancy}
 
 
+class _OpenWindow:
+    """Running sums of one detector's open window."""
+
+    __slots__ = ("det", "count", "speed_sum", "per_class", "occ_sum")
+
+    def __init__(self, det):
+        self.det = det
+        self.reset()
+
+    def reset(self):
+        # int 0 starts, added to in event order: the floats sum() over the events gives
+        self.count = self.speed_sum = self.occ_sum = 0
+        self.per_class = {}
+
+    def close(self, t0, t1) -> FlowObservation:
+        """The observation of window (t0, t1]; the window starts again empty."""
+        obs = FlowObservation(detector=self.det.id, t0=t0, t1=t1, count=self.count,
+                              mean_speed_mps=self.speed_sum / self.count if self.count else None,
+                              per_class=self.per_class, occupancy=self.occ_sum / (t1 - t0))
+        self.reset()
+        return obs
+
+
 @dataclass
 class TrafficMetrics:
     mean_dwell_s: float | None
@@ -156,8 +183,6 @@ class TrafficMetrics:
 
 @dataclass
 class _DemandEntry:
-    origin: str
-    dest: str
     rate_veh_h: float
     routes: list
     splits: list
@@ -179,7 +204,6 @@ class SimState:
     lane_policies: dict = field(default_factory=dict)
     demand: list = field(default_factory=list)
     queues: list = field(default_factory=list)
-    arrival_log: list = field(default_factory=list)
     rng_traffic: object = None
     rng_injection: object = None
     vehicle_steps: int = 0
@@ -187,9 +211,7 @@ class SimState:
     _segs: dict = field(default_factory=dict, repr=False)
     # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
     _lane_memo: dict = field(default_factory=dict, repr=False)
-    _dets_by_edge: dict = field(default_factory=dict, repr=False)
-    _det_events: dict = field(default_factory=dict, repr=False)
-    _det_occ: dict = field(default_factory=dict, repr=False)
+    _dets_by_edge: dict = field(default_factory=dict, repr=False)  # edge -> open windows in run()
     _next_vid: int = 0
 
 
@@ -246,13 +268,9 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
             schedule = {}
             for t in spec["schedule"]:
                 schedule[int(t)] = schedule.get(int(t), 0) + 1
-        state.demand.append(_DemandEntry(spec["origin"], spec["dest"], rate, routes,
-                                         splits, mix, schedule, rate * step_s / 3600.0))
+        state.demand.append(_DemandEntry(rate, routes, splits, mix, schedule,
+                                         rate * step_s / 3600.0))
         state.queues.append(deque())
-    for det_id, det in net.detectors.items():
-        state._dets_by_edge.setdefault(det.edge, []).append(det)
-        state._det_events[det_id] = []
-        state._det_occ[det_id] = []
     for eid, e in net.edges.items():
         if e.lane_policy is not None:
             state.lane_policies[eid] = e.lane_policy
@@ -443,7 +461,6 @@ def _sample_arrivals(state):
                     cname = name
                     break
             queue.append((t, entry.routes[ridx], cname))
-            state.arrival_log.append((t, entry.origin, entry.dest, ridx, cname))
 
 
 def _try_inject(state):
@@ -674,10 +691,12 @@ def _move_phase(state):
             dets = state._dets_by_edge.get(veh.edge)
             if dets is not None and not veh.front_out:
                 hi_here = min(target, cc - 1)
-                for det in dets:
+                for w in dets:
+                    det = w.det
                     if c < det.cell <= hi_here and veh.lane in det.lanes:
-                        state._det_events[det.id].append(
-                            (t_new, veh.cls.name, veh._new_v * net.cell_length_m, vid))
+                        w.count += 1
+                        w.speed_sum += adv * net.cell_length_m
+                        w.per_class[veh.cls.name] = w.per_class.get(veh.cls.name, 0) + 1
             if target < cc or veh.front_out:
                 veh.cell = target
                 break
@@ -699,12 +718,6 @@ def _move_phase(state):
             c = -1
 
 
-def _sample_detector_occupancy(state):
-    for det_id, det in state.net.detectors.items():
-        occ = sum(1 for l in det.lanes if _occupied(state, det.edge, l, det.cell))
-        state._det_occ[det_id].append(occ / len(det.lanes))
-
-
 def step(state: SimState) -> SimState:
     """Advance the simulation by one second (total function on valid states)."""
     _sample_arrivals(state)
@@ -715,13 +728,16 @@ def step(state: SimState) -> SimState:
     _move_phase(state)
     state.clock_s += 1
     _rebuild_segments(state)
-    if state.net.detectors:
-        _sample_detector_occupancy(state)
+    for windows in state._dets_by_edge.values():  # detector occupancy samples
+        for w in windows:
+            det = w.det
+            occ = sum(1 for l in det.lanes if _occupied(state, det.edge, l, det.cell))
+            w.occ_sum += occ / len(det.lanes)
     return state
 
 
 # ---------------------------------------------------------------------------
-# policies, readout, runs
+# policies and runs
 
 def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
     """Restrict lanes of an edge to class subsets; None entries stay open.
@@ -740,28 +756,6 @@ def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
     return state
 
 
-def detector_readout(state: SimState, detector_id: str, window_s: int) -> FlowObservation:
-    """Flow observation over the trailing ``window_s`` seconds."""
-    if detector_id not in state.net.detectors:
-        raise ScenarioError(f"unknown detector {detector_id!r}")
-    if state.clock_s < window_s:
-        raise ScenarioError(f"window of {window_s}s has not elapsed yet")
-    return _observation(state, detector_id, state.clock_s - window_s, state.clock_s)
-
-
-def _observation(state, detector_id, t0, t1):
-    events = [ev for ev in state._det_events[detector_id] if t0 < ev[0] <= t1]
-    speeds = [ev[2] for ev in events]
-    per_class = {}
-    for _, cname, _, _ in events:
-        per_class[cname] = per_class.get(cname, 0) + 1
-    occ_samples = state._det_occ[detector_id][t0:t1]
-    occupancy = sum(occ_samples) / len(occ_samples) if occ_samples else 0.0
-    return FlowObservation(detector=detector_id, t0=t0, t1=t1, count=len(events),
-                           mean_speed_mps=sum(speeds) / len(speeds) if speeds else None,
-                           per_class=per_class, occupancy=occupancy)
-
-
 def run(state: SimState, duration_s: int, window_s: int = 60,
         trace_connected: bool = False) -> TrafficMetrics:
     """Repeated step(); aggregates logged trips and windowed detector readings.
@@ -774,7 +768,11 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     if trace_connected and state.connected_traces is None:
         state.connected_traces = {}
     traces = state.connected_traces
-    observations = {d: [] for d in state.net.detectors}
+    windows = {d: _OpenWindow(det) for d, det in state.net.detectors.items()}
+    state._dets_by_edge = {}
+    for w in windows.values():
+        state._dets_by_edge.setdefault(w.det.edge, []).append(w)
+    observations = {d: [] for d in windows}
     next_window = t_start + window_s
     for _ in range(duration_s):
         step(state)
@@ -785,10 +783,10 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
                     traces.setdefault(vid, []).append(
                         (state.clock_s,) + state.net.point_at(veh.edge, cell))
         if state.clock_s == next_window:
-            for det_id in state.net.detectors:
-                observations[det_id].append(
-                    _observation(state, det_id, next_window - window_s, next_window))
+            for det_id, w in windows.items():
+                observations[det_id].append(w.close(next_window - window_s, next_window))
             next_window += window_s
+    state._dets_by_edge = {}
     dwells = [trip[4] for trip in state.trips]
     per_class = {}
     for _, cname, _, _, _ in state.trips:

@@ -141,7 +141,6 @@ def train_predictor(log_rows, base: RatePredictor | None = None) -> RatePredicto
 class BufferState:
     queued_bytes: float = 0.0
     oldest_ts: float | None = None
-    accumulation_bytes_s: float = 0.0
 
     def age(self, now_s: float) -> float:
         return 0.0 if self.oldest_ts is None else now_s - self.oldest_ts
@@ -153,14 +152,13 @@ class PolicyRuntime:
 
     policy: TransferPolicy
     rng: object
-    predictor: RatePredictor = field(default_factory=RatePredictor)
     last_tx_s: float = 0.0
     last_probe_s: float | None = None
 
     @classmethod
-    def create(cls, policy, seed, predictor=None, start_s: float = 0.0):
+    def create(cls, policy, seed, start_s: float = 0.0):
         return cls(policy=policy, rng=substream(seed, f"transfer-{policy.kind}"),
-                   predictor=predictor or RatePredictor(), last_tx_s=start_s)
+                   last_tx_s=start_s)
 
 
 def decide(runtime: PolicyRuntime, now_s: float, buffer: BufferState,
@@ -255,10 +253,9 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         raise PolicyError("trace must span more than one second")
     energy = energy or EnergyModel()
     predictor = predictor or RatePredictor()
-    runtime = PolicyRuntime.create(policy, seed, predictor=predictor,
-                                   start_s=trace[0][0])
+    runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
-    buf = BufferState(accumulation_bytes_s=sensor_rate_bytes_s)
+    buf = BufferState()
     speeds = _speed_series(trace)
     log = []
     generated = transferred = 0.0
@@ -266,8 +263,11 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     ages = []
     n_tx = n_retx = 0
     probe_every = max(1.0, policy.t_min_s)
+    j = 0  # trace[i:j] is the look-ahead: the points within lookahead_s of t
     for i in range(1, len(trace)):
         t, x, y = trace[i]
+        if t < trace[i - 1][0]:
+            raise PolicyError(f"trace time goes backwards at index {i}: {t}")
         pos = (x, y)
         speed = speeds[i]
         buf.queued_bytes += sensor_rate_bytes_s
@@ -286,8 +286,10 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         if policy.predictive:
             if scene.map is None:
                 raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
-            future = [p for p in trace[i:] if p[0] - t <= policy.lookahead_s]
-            forecast = forecast_along(scene.map, future, policy.lookahead_s)
+            j = max(j, i)
+            while j < len(trace) and trace[j][0] - t <= policy.lookahead_s:
+                j += 1
+            forecast = forecast_along(scene.map, trace[i:j], policy.lookahead_s)
             if policy.metric_is_rate:
                 forecast = [(ft, predictor.predict(fv, buf.queued_bytes, speed))
                             for ft, fv in forecast]

@@ -196,7 +196,7 @@ class TestClassShares:
     def test_all_car_stream(self):
         model = self.model()
         stream = [synthesize_trace(CAR_LIKE, 20.0 + i, 0.0, seed=i) for i in range(10)]
-        shares = class_shares(stream, model)
+        shares = class_shares([extract_features(t) for t in stream], model)
         assert shares == {CAR_LIKE: 1.0, TRUCK_LIKE: 0.0}
 
     def test_alternating_stream(self):
@@ -205,14 +205,14 @@ class TestClassShares:
             (synthesize_trace(CAR_LIKE, 20.0, 0.0, seed=i),
              synthesize_trace(TRUCK_LIKE, 20.0, 0.0, seed=i + 1000))
             for i in range(5)))
-        shares = class_shares(stream, model)
+        shares = class_shares([extract_features(t) for t in stream], model)
         assert shares == {CAR_LIKE: 0.5, TRUCK_LIKE: 0.5}
 
     def test_mixed_stream_matches_generation_ratio(self):
         model = self.model()
         stream = generate_corpus(400, 2.0, 0.7, seed=77)
         true_car = sum(1 for t in stream if t.label == CAR_LIKE) / len(stream)
-        shares = class_shares(stream, model)
+        shares = class_shares([extract_features(t) for t in stream], model)
         assert abs(shares[CAR_LIKE] - true_car) <= 0.05
 
 

@@ -5,8 +5,8 @@ import pytest
 import nasch_oracle
 from hybridflow.road_net import build_network, place_detector, route_candidates
 from hybridflow.traffic_ca import (ScenarioError, VehicleClass, apply_lane_policy,
-                                   collision_check, default_classes, detector_readout,
-                                   init_ring, init_scenario, run, state_hash, step)
+                                   collision_check, default_classes, init_ring,
+                                   init_scenario, run, state_hash, step)
 
 
 def long_edge_net(length_m=1500.0, lanes=1, v_max_kmh=27.0):
@@ -94,13 +94,10 @@ class TestNaschDegenerate:
         state = init_ring(30, 5, cls, seed=9, positions=positions,
                           nasch_degenerate=True)
         place_detector(state.net, "ring", 0)
-        state._dets_by_edge = {"ring": list(state.net.detectors.values())}
-        state._det_events = {d: [] for d in state.net.detectors}
-        state._det_occ = {d: [] for d in state.net.detectors}
-        for _ in range(500):
+        for _ in range(200):
             step(state)
-        obs = detector_readout(state, "det0", 300)
-        assert obs.count == 100
+        obs = run(state, 300, window_s=300).observations["det0"]
+        assert [(o.t0, o.t1, o.count) for o in obs] == [(200, 500, 100)]
 
 
 class TestInjection:
@@ -121,14 +118,14 @@ class TestInjection:
     def test_same_seed_same_arrivals(self):
         net = long_edge_net()
         demand = [{"origin": "A", "dest": "B", "rate_veh_h": 600.0, "splits": [1.0]}]
-        logs = []
+        runs = []
         for _ in range(2):
             state = init_scenario(net, demand, {"car5": CAR5}, seed=77)
             for _ in range(10_000):
                 step(state)
-            logs.append(list(state.arrival_log))
-        assert logs[0] == logs[1]
-        assert len(logs[0]) > 0
+            runs.append((state_hash(state), state.injected))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
 
     def test_unnormalized_splits_rejected(self):
         net = long_edge_net()
@@ -226,27 +223,79 @@ class TestDetectorReadout:
         net = long_edge_net()
         place_detector(net, "ab", 50, detector_id="d")
         state = init_scenario(net, [], {"car5": CAR5}, seed=1)
-        for _ in range(60):
-            step(state)
-        obs = detector_readout(state, "d", 60)
-        assert obs.count == 0 and obs.mean_speed_mps is None
+        obs = run(state, 60, window_s=60).observations["d"]
+        assert len(obs) == 1
+        assert obs[0].count == 0 and obs[0].mean_speed_mps is None
+        assert obs[0].occupancy == 0.0
 
     def test_single_crossing_speed(self):
         net = long_edge_net(length_m=150.0)
         place_detector(net, "ab", 60, detector_id="d")
         state = single_vehicle_state(net, CAR5)
-        for _ in range(30):
-            step(state)
-        obs = detector_readout(state, "d", 30)
-        assert obs.count == 1
-        assert obs.mean_speed_mps == pytest.approx(7.5)  # 5 cells/s * 1.5 m
+        obs = run(state, 30, window_s=30).observations["d"]
+        assert [(o.t0, o.t1, o.count) for o in obs] == [(0, 30, 1)]
+        assert obs[0].mean_speed_mps == pytest.approx(7.5)  # 5 cells/s * 1.5 m
+        assert obs[0].per_class == {"car5": 1}
 
     def test_unknown_detector(self):
+        # only placed detectors report, and only windows the run completes
         net = long_edge_net()
+        place_detector(net, "ab", 50, detector_id="d")
         state = init_scenario(net, [], {"car5": CAR5}, seed=1)
-        step(state)
-        with pytest.raises(ScenarioError):
-            detector_readout(state, "nope", 1)
+        observations = run(state, 59, window_s=60).observations
+        assert observations == {"d": []}
+
+    def test_detector_placed_after_init(self):
+        net = long_edge_net(length_m=150.0)
+        state = single_vehicle_state(net, CAR5)
+        place_detector(net, "ab", 60, detector_id="late")
+        obs = run(state, 30, window_s=30).observations["late"]
+        assert [o.count for o in obs] == [1]
+
+    def test_windows_match_recount_from_positions(self):
+        # oracle: count crossings, speeds, classes and occupancy from vehicle
+        # positions before and after each step, on a two-lane edge with lane
+        # changes and two classes, and compare with run's windows
+        net = long_edge_net(length_m=450.0, lanes=2, v_max_kmh=108.0)
+        place_detector(net, "ab", 150, detector_id="both")
+        place_detector(net, "ab", 220, lanes=[1], detector_id="lane1")
+        demand = [{"origin": "A", "dest": "B", "rate_veh_h": 2400.0, "splits": [1.0],
+                   "class_mix": {"car": 0.7, "truck": 0.3}}]
+        window_s, n_windows = 20, 15
+        states = [init_scenario(net, demand, default_classes(), seed=5) for _ in range(2)]
+        got = run(states[0], window_s * n_windows, window_s=window_s).observations
+        state = states[1]
+        expected = {d: [] for d in net.detectors}
+        for k in range(n_windows):
+            acc = {d: ([], {}, []) for d in net.detectors}
+            for _ in range(window_s):
+                before = {vid: (veh.cell, veh.front_out) for vid, veh in state.vehicles.items()}
+                step(state)
+                for vid, (cell, out) in before.items():
+                    veh = state.vehicles.get(vid)  # lane changes come before the move
+                    if veh is None or out:
+                        continue
+                    for d, det in net.detectors.items():
+                        if veh.lane in det.lanes and cell < det.cell <= cell + veh.v:
+                            speeds, classes, _ = acc[d]
+                            speeds.append(veh.v * net.cell_length_m)
+                            classes[veh.cls.name] = classes.get(veh.cls.name, 0) + 1
+                for d, det in net.detectors.items():
+                    covered = sum(
+                        1 for lane in det.lanes
+                        if any(veh.lane == lane and veh.cell - veh.cls.length_cells
+                               < det.cell <= veh.cell
+                               for veh in state.vehicles.values()))
+                    acc[d][2].append(covered / len(det.lanes))
+            for d, (speeds, classes, occ) in acc.items():
+                expected[d].append((k * window_s, (k + 1) * window_s, len(speeds),
+                                    sum(speeds) / len(speeds) if speeds else None,
+                                    classes, sum(occ) / window_s))
+        assert {d: [(o.t0, o.t1, o.count, o.mean_speed_mps, o.per_class, o.occupancy)
+                    for o in obs] for d, obs in got.items()} == expected
+        assert sum(o.count for o in got["both"]) > 20
+        assert 0 < sum(o.count for o in got["lane1"]) < sum(o.count for o in got["both"])
+        assert any(o.occupancy > 0 for o in got["both"])
 
 
 class TestInvariants:
@@ -306,7 +355,7 @@ class TestInvariants:
         state = init_scenario(net, demand, {"car5": CAR5}, seed=60)
         for _ in range(600):
             step(state)
-        assert sum(len(q) for q in state.queues) > 0 or state.injected < len(state.arrival_log)
+        assert sum(len(q) for q in state.queues) > 0
         free_flow_dwell = 22
         late = [t for t in state.trips if t[2] > 100]
         assert late, "expected trips spawned after congestion built up"

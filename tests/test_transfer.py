@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridflow import transfer
 from hybridflow.radio_env import BaseStation, ConnectivityMap, PropagationModel, RadioScene
 from hybridflow.transfer import (BufferState, EnergyModel, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferPolicy, decide, line_trace,
@@ -226,3 +227,29 @@ class TestSimulateDrive:
         with pytest.raises(PolicyError):
             simulate_drive([(0, 0.0, 0.0)], scene, TransferPolicy(kind="periodic"),
                            1000.0, seed=1)
+
+    def test_backwards_trace_rejected(self):
+        scene = good_bad_scene()
+        trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (3, 30.0, 0.0), (2, 20.0, 0.0)]
+        with pytest.raises(PolicyError, match="backwards"):
+            simulate_drive(trace, scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
+
+    def test_lookahead_is_the_horizon_slice(self, monkeypatch):
+        # uneven spacing and repeated times: each forecast sees exactly the
+        # rest of the trace within lookahead_s of the probe
+        trace = [(t, 10.0 * t, 0.0) for t in (0, 1, 1, 2, 5, 9, 9, 10, 14, 30, 31, 33, 40, 41)]
+        seen = []
+        original = transfer.forecast_along
+
+        def recording(cmap, trajectory, horizon_s):
+            seen.append(list(trajectory))
+            return original(cmap, trajectory, horizon_s)
+
+        monkeypatch.setattr(transfer, "forecast_along", recording)
+        pol = TransferPolicy(kind="ml_pcat", t_min_s=1.0, lookahead_s=8.0)
+        _, log = simulate_drive(trace, good_bad_scene(with_map=True), pol, 1000.0, seed=3)
+        probes = [r["t"] for r in log]
+        assert len(seen) == len(probes) > 5
+        for t, got in zip(probes, seen):
+            i = next(k for k in range(1, len(trace)) if trace[k][0] == t)
+            assert got == [p for p in trace[i:] if p[0] - t <= 8.0]
