@@ -134,17 +134,16 @@ def extract_features(trace: FingerprintTrace,
     if head < 1:
         raise FingerprintError("trace shorter than the baseline window")
     dt = 1.0 / trace.sample_rate_hz
-    feats = np.empty(4 * N_LINKS)
-    for k in range(N_LINKS):
-        series = trace.rssi_dbm[k]
-        baseline = float(np.mean(series[:head]))
-        atten = baseline - series
-        dip = atten >= threshold_db
-        feats[4 * k] = max(float(np.max(atten)), 0.0)
-        feats[4 * k + 1] = float(np.mean(atten))
-        feats[4 * k + 2] = float(np.count_nonzero(dip)) * dt
-        feats[4 * k + 3] = float(np.sum(atten[dip])) * dt
-    return FeatureRecord(values=feats, label=trace.label)
+    rssi = trace.rssi_dbm
+    atten = rssi[:, :head].mean(axis=1)[:, None] - rssi
+    dip = atten >= threshold_db
+    peak = atten.max(axis=1)
+    # the area sums each row's dip samples alone: a masked sum over the whole
+    # row adds the zeros in and rounds differently
+    area = np.array([np.sum(a[d]) for a, d in zip(atten, dip)])
+    feats = np.column_stack((np.where(peak < 0.0, 0.0, peak), atten.mean(axis=1),
+                             np.count_nonzero(dip, axis=1) * dt, area * dt))
+    return FeatureRecord(values=feats.ravel(), label=trace.label)
 
 
 def _as_matrix(records):

@@ -9,9 +9,12 @@ the stage order: fingerprint (class shares can arm lane policies) ->
 traffic -> impute -> assign -> transfer. `run_experiment` and, once per
 seed, `compare_policies` run it through one loop, so a policy comparison
 scores the same pipeline that `run` reports (compare leaves out impute and
-assign, which no transfer result reads). Every artifact lands in the output
-directory; report.json indexes them and is byte-identical for identical
-(config, seed).
+assign, which no transfer result reads). One experiment simulates each
+distinct CA scenario once: the traffic stage, the assign stage's probe and its
+evaluations share one `traffic_ca.ScenarioRuns`, so a probe that two methods
+need, or an evaluation under the configured splits, reuses the earlier run.
+Every artifact lands in the output directory; report.json indexes them and is
+byte-identical for identical (config, seed).
 """
 
 from __future__ import annotations
@@ -154,6 +157,9 @@ class _Run:
         self.classes, self.class_mix = _classes_from_config(cfg["classes"])
         self.lane_policies = {k: [None if m is None else list(m) for m in v]
                               for k, v in (cfg["lane_policies"] or {}).items()}
+        self.runs = traffic_ca.ScenarioRuns(self.net, self.classes, self.seed,
+                                            cfg["duration_s"], cfg["window_s"],
+                                            self.class_mix, cfg["nasch_degenerate"])
         self.out_dir = out_dir
         self.artifacts = {}
         self.state = self.traffic_metrics = None
@@ -169,13 +175,10 @@ class _Run:
 def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
     if run.net is None:
         raise ConfigError("no network configured")
-    cfg = run.config
     return routing_opt.evaluate_policy(
-        run.net, cfg["demand"], method, run.seed, classes=run.classes,
-        class_mix=run.class_mix, k_routes=acfg["k_routes"], duration_s=cfg["duration_s"],
+        run.runs, run.config["demand"], method, k_routes=acfg["k_routes"],
         probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
-        sustain_s=acfg["sustain_s"], window_s=cfg["window_s"], lam=acfg["lambda"],
-        lane_policies=run.lane_policies, nasch_degenerate=cfg["nasch_degenerate"])
+        sustain_s=acfg["sustain_s"], lam=acfg["lambda"], lane_policies=run.lane_policies)
 
 
 def _build_traces(tcfg, state):
@@ -242,15 +245,9 @@ def _fingerprint_stage(run, fcfg):
 def _traffic_stage(run, _):
     if run.net is None:
         raise ConfigError("no network configured")
-    cfg = run.config
-    tcfg = cfg["stages"]["transfer"]
-    run.state = traffic_ca.init_scenario(run.net, cfg["demand"], run.classes, run.seed,
-                                         class_mix=run.class_mix,
-                                         nasch_degenerate=cfg["nasch_degenerate"])
-    for eid, mask in run.lane_policies.items():
-        traffic_ca.apply_lane_policy(run.state, eid, mask)
-    run.traffic_metrics = traffic_ca.run(
-        run.state, cfg["duration_s"], window_s=cfg["window_s"],
+    tcfg = run.config["stages"]["transfer"]
+    run.state, run.traffic_metrics = run.runs.run(
+        run.config["demand"], run.lane_policies,
         trace_connected=tcfg is not None and tcfg["trace"]["kind"] == "from_traffic")
     metrics = run.traffic_metrics.to_dict()
     if path := run.artifact("traffic_metrics", "traffic_metrics.json"):

@@ -9,7 +9,9 @@ Three assignment methods over per-OD candidate routes:
 
 Plus sustained-occupancy bottleneck detection on detector series and a
 closed evaluation loop that calibrates critical flows from a probe run of
-the CA simulator and measures mean dwell time under the resulting splits.
+the CA simulator and measures mean dwell time under the resulting splits;
+both runs go through a ``traffic_ca.ScenarioRuns``, which simulates each
+distinct scenario once.
 """
 
 from __future__ import annotations
@@ -329,9 +331,7 @@ class EvaluationResult:
                 "traffic": self.metrics.to_dict() if self.metrics else None}
 
 
-def _probe_and_calibrate(net, demand, classes, seed, k_routes, duration_s,
-                         probe_factor, density_crit, sustain_s, window_s, class_mix,
-                         nasch_degenerate):
+def _probe_and_calibrate(runs, demand, k_routes, probe_factor, density_crit, sustain_s):
     """High-demand probe run; per-route q_crit from detected bottlenecks."""
     probe_demand = []
     for entry in demand:
@@ -339,11 +339,9 @@ def _probe_and_calibrate(net, demand, classes, seed, k_routes, duration_s,
         boosted["rate_veh_h"] = entry["rate_veh_h"] * probe_factor
         boosted["splits"] = [1.0 / k_routes] * k_routes
         probe_demand.append(boosted)
-    state = traffic_ca.init_scenario(net, probe_demand, classes, seed,
-                                     class_mix=class_mix, nasch_degenerate=nasch_degenerate)
-    metrics = traffic_ca.run(state, duration_s, window_s=window_s)
+    _, metrics = runs.run(probe_demand)
     flat = [o for series in metrics.observations.values() for o in series]
-    det_edges = {d: det.edge for d, det in net.detectors.items()}
+    det_edges = {d: det.edge for d, det in runs.net.detectors.items()}
     report = detect_bottlenecks(flat, density_crit, sustain_s, detectors=det_edges)
     q_crit_by_edge = {e: qc for e, _, _, qc in report.entries}
     max_flow_by_edge = {}
@@ -381,19 +379,18 @@ def build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge):
     return AssignmentProblem(ods=ods)
 
 
-def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
-                    class_mix=None, k_routes: int = 2, duration_s: int = 900,
-                    probe_factor: float = 1.5, density_crit: float = 0.35,
-                    sustain_s: float = 120.0, window_s: int = 60,
+def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
+                    k_routes: int = 2, probe_factor: float = 1.5,
+                    density_crit: float = 0.35, sustain_s: float = 120.0,
                     lam: float = 0.01, fixed_splits=None,
-                    lane_policies=None, nasch_degenerate: bool = False) -> EvaluationResult:
+                    lane_policies=None) -> EvaluationResult:
     """Dwell time of the CA under splits from the chosen assignment method.
 
     split_source: fixed | wardrop | bmp | combined. Latencies and critical
-    flows are calibrated from a boosted-demand probe run with the same seed
-    family, mirroring a sensor-data calibration pipeline.
+    flows are calibrated from a boosted-demand probe run of the same scenario
+    family, mirroring a sensor-data calibration pipeline. Probe and evaluation
+    go through ``runs``, so a run another caller already made is not repeated.
     """
-    classes = classes or traffic_ca.default_classes()
     if split_source not in ("fixed", "wardrop", "bmp", "combined"):
         raise AssignmentError(f"unknown split source {split_source!r}")
     split = None
@@ -403,9 +400,8 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
                            for i in range(len(demand))]
     else:
         q_crit_by_edge, max_flow_by_edge, _ = _probe_and_calibrate(
-            net, demand, classes, seed, k_routes, duration_s, probe_factor,
-            density_crit, sustain_s, window_s, class_mix, nasch_degenerate)
-        problem = build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge)
+            runs, demand, k_routes, probe_factor, density_crit, sustain_s)
+        problem = build_problem(runs.net, demand, k_routes, q_crit_by_edge, max_flow_by_edge)
         if split_source == "wardrop":
             split = assign_wardrop(problem)
         elif split_source == "bmp":
@@ -418,10 +414,6 @@ def evaluate_policy(net, demand, split_source: str, seed: int, classes=None,
         e = dict(entry)
         e["splits"] = props
         eval_demand.append(e)
-    state = traffic_ca.init_scenario(net, eval_demand, classes, seed,
-                                     class_mix=class_mix, nasch_degenerate=nasch_degenerate)
-    for eid, mask in (lane_policies or {}).items():
-        traffic_ca.apply_lane_policy(state, eid, mask)
-    metrics = traffic_ca.run(state, duration_s, window_s=window_s)
+    _, metrics = runs.run(eval_demand, lane_policies)
     return EvaluationResult(mean_dwell_s=metrics.mean_dwell_s, split=split,
                             problem=problem, metrics=metrics)

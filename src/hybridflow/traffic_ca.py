@@ -798,6 +798,56 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
         queued_end=sum(len(q) for q in state.queues))
 
 
+@dataclass
+class ScenarioRuns:
+    """Runs of one experiment's scenarios, each distinct scenario simulated once.
+
+    The fields are fixed for the experiment. ``run`` takes what differs between
+    the traffic stage, the assignment probe and the evaluations (demand and
+    lane policies) and memoises ``(state, metrics)`` on their exact values.
+    Tracing draws no randoms, so a run recorded with connected traces answers
+    either request, but one recorded without them does not answer a request
+    that needs them. Callers share the returned state and metrics: read only.
+    """
+    net: RoadNetwork
+    classes: dict
+    seed: int
+    duration_s: int
+    window_s: int = 60
+    class_mix: dict | None = None
+    nasch_degenerate: bool = False
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    def run(self, demand: list, lane_policies: dict | None = None,
+            trace_connected: bool = False) -> tuple:
+        """init_scenario -> apply_lane_policy per edge -> run, or the memoised result."""
+        lane_policies = lane_policies or {}
+        key = (tuple(_demand_key(spec) for spec in demand),
+               tuple(sorted((eid, tuple(None if m is None else frozenset(m) for m in mask))
+                            for eid, mask in lane_policies.items())))
+        hit = self._memo.get(key)
+        if hit is not None and (hit[0].connected_traces is not None or not trace_connected):
+            return hit
+        state = init_scenario(self.net, demand, self.classes, self.seed,
+                              class_mix=self.class_mix,
+                              nasch_degenerate=self.nasch_degenerate)
+        for eid, mask in lane_policies.items():
+            apply_lane_policy(state, eid, mask)
+        metrics = run(state, self.duration_s, window_s=self.window_s,
+                      trace_connected=trace_connected)
+        self._memo[key] = (state, metrics)
+        return state, metrics
+
+
+def _demand_key(spec) -> tuple:
+    """The values of one demand entry that init_scenario reads, hashable."""
+    mix, schedule = spec.get("class_mix"), spec.get("schedule")
+    return (spec["origin"], spec["dest"], float(spec.get("rate_veh_h", 0.0)),
+            tuple(spec.get("splits", [1.0])),
+            None if mix is None else tuple(sorted(mix.items())),
+            None if schedule is None else tuple(schedule))
+
+
 def state_hash(state: SimState) -> str:
     """Digest of the microscopic state; equal hashes mean equal trajectories."""
     items = [(vid, v.edge, v.lane, v.cell, v.v, v.brake_light, v.route_pos, v.front_out)

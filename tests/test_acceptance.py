@@ -24,8 +24,8 @@ from hybridflow.road_net import build_network
 from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption,
                                     affine_latency, assign_bmp, assign_combined,
                                     assign_wardrop, bpr_latency, evaluate_policy)
-from hybridflow.traffic_ca import (VehicleClass, collision_check, default_classes,
-                                   init_ring, init_scenario, step)
+from hybridflow.traffic_ca import (ScenarioRuns, VehicleClass, collision_check,
+                                   default_classes, init_ring, init_scenario, step)
 from hybridflow.transfer import transmission_probability
 from hybridflow import radio_env, transfer
 from hybridflow.rng import substream_seed
@@ -199,35 +199,33 @@ def _net_from_config(config):
     return build_network(config["network"])
 
 
+def _assign_dwells(name, methods):
+    """Per method, the evaluated dwell over seeds 1..10; one network per config and
+    one scenario runner per seed, shared by the methods (so they share a probe)."""
+    config = harness.load_config(CONFIG_DIR / name)
+    acfg = config["stages"]["assign"]
+    net = _net_from_config(config)
+    dwells = {m: [] for m in methods}
+    for seed in range(1, 11):
+        runs = ScenarioRuns(net, default_classes(), seed, config["duration_s"],
+                            config["window_s"], class_mix={"car": 1.0})
+        for m in methods:
+            dwells[m].append(evaluate_policy(
+                runs, config["demand"], m, k_routes=acfg["k_routes"],
+                probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
+                sustain_s=acfg["sustain_s"], lam=acfg.get("lambda", 0.01)).mean_dwell_s)
+    return dwells
+
+
 def test_criterion_6_routing_benefit():
     t0 = time.time()
-    config = harness.load_config(CONFIG_DIR / "two_route_congested.json")
-    acfg = config["stages"]["assign"]
-    kwargs = dict(k_routes=acfg["k_routes"], duration_s=config["duration_s"],
-                  probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
-                  sustain_s=acfg["sustain_s"], window_s=config["window_s"],
-                  class_mix={"car": 1.0})
-    fixed_dwell, bmp_dwell = [], []
-    for seed in range(1, 11):
-        fixed_dwell.append(evaluate_policy(_net_from_config(config), config["demand"],
-                                           "fixed", seed, **kwargs).mean_dwell_s)
-        bmp_dwell.append(evaluate_policy(_net_from_config(config), config["demand"],
-                                         "bmp", seed, **kwargs).mean_dwell_s)
+    congested = _assign_dwells("two_route_congested.json", ("fixed", "bmp"))
+    fixed_dwell, bmp_dwell = congested["fixed"], congested["bmp"]
     reduction = 1.0 - np.mean(bmp_dwell) / np.mean(fixed_dwell)
     assert reduction >= 0.10
 
-    low = harness.load_config(CONFIG_DIR / "two_route_low.json")
-    lcfg = low["stages"]["assign"]
-    lkwargs = dict(k_routes=lcfg["k_routes"], duration_s=low["duration_s"],
-                   probe_factor=lcfg["probe_factor"], density_crit=lcfg["density_crit"],
-                   sustain_s=lcfg["sustain_s"], window_s=low["window_s"],
-                   class_mix={"car": 1.0})
-    bmp_low, comb_low = [], []
-    for seed in range(1, 11):
-        bmp_low.append(evaluate_policy(_net_from_config(low), low["demand"], "bmp",
-                                       seed, **lkwargs).mean_dwell_s)
-        comb_low.append(evaluate_policy(_net_from_config(low), low["demand"], "combined",
-                                        seed, lam=lcfg["lambda"], **lkwargs).mean_dwell_s)
+    low = _assign_dwells("two_route_low.json", ("bmp", "combined"))
+    bmp_low, comb_low = low["bmp"], low["combined"]
     assert np.mean(comb_low) <= np.mean(bmp_low)
     elapsed = time.time() - t0
     report(6, f"congested: fixed {np.mean(fixed_dwell):.1f}s vs bmp "

@@ -91,6 +91,32 @@ class TestExtractFeatures:
         with pytest.raises(FingerprintError):
             extract_features(flat_trace(n=8))
 
+    @staticmethod
+    def per_link_reference(trace, threshold_db=3.0):
+        """The per-link loop the array pass replaced, kept as the bit-level reference."""
+        head = trace.rssi_dbm.shape[1] // 10
+        dt = 1.0 / trace.sample_rate_hz
+        feats = np.empty(36)
+        for k in range(9):
+            series = trace.rssi_dbm[k]
+            atten = float(np.mean(series[:head])) - series
+            dip = atten >= threshold_db
+            feats[4 * k] = max(float(np.max(atten)), 0.0)
+            feats[4 * k + 1] = float(np.mean(atten))
+            feats[4 * k + 2] = float(np.count_nonzero(dip)) * dt
+            feats[4 * k + 3] = float(np.sum(atten[dip])) * dt
+        return feats
+
+    @pytest.mark.parametrize("noise_sigma_db", [0.0, 2.0, 6.0])
+    def test_bit_identical_to_per_link_loop(self, noise_sigma_db):
+        corpus = generate_corpus(60, noise_sigma_db, 0.5, seed=11)
+        assert {t.label for t in corpus} == {CAR_LIKE, TRUCK_LIKE}
+        for trace in corpus:
+            assert np.array_equal(extract_features(trace).values,
+                                  self.per_link_reference(trace))
+        flat = flat_trace()
+        assert np.array_equal(extract_features(flat).values, self.per_link_reference(flat))
+
 
 def toy_separable_dataset():
     """2-feature toy set; separability is oracle-verified below."""

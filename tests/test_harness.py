@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hybridflow import harness
+from hybridflow import harness, traffic_ca
 from hybridflow.cli import main, parse_seeds
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -65,6 +65,25 @@ class TestRunExperiment:
         stages = harness.run_experiment(config).data["stages"]
         assert (stages["assign"]["methods"]["fixed"]["mean_dwell_s"]
                 == stages["traffic"]["mean_dwell_s"])
+        # the two share one run, so check that the flag reached it
+        config["nasch_degenerate"] = False
+        assert (harness.run_experiment(config).data["stages"]["traffic"]["mean_dwell_s"]
+                != stages["traffic"]["mean_dwell_s"])
+
+    @pytest.mark.parametrize("name, ca_runs", [("two_route_low.json", 3),
+                                              ("two_route_congested.json", 3),
+                                              ("demo.json", 4)])
+    def test_each_scenario_simulated_once(self, name, ca_runs, monkeypatch):
+        # two_route_low: traffic, one probe shared by bmp and combined, and the
+        # combined evaluation (bmp evaluates the traffic stage's split);
+        # congested: fixed evaluates the traffic stage's split; demo: all distinct
+        calls = []
+        real = traffic_ca.run
+        monkeypatch.setattr(traffic_ca, "run",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        harness.run_experiment(harness.load_config(CONFIG_DIR / name),
+                               base_dir=str(CONFIG_DIR))
+        assert len(calls) == ca_runs
 
     def test_unknown_trace_kind(self):
         config = transfer_config()

@@ -6,7 +6,8 @@ from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption,
                                     affine_latency, assign_bmp, assign_combined,
                                     assign_wardrop, bpr_latency, detect_bottlenecks,
                                     evaluate_policy)
-from hybridflow.traffic_ca import FlowObservation, VehicleClass
+from hybridflow.traffic_ca import (FlowObservation, ScenarioRuns, VehicleClass,
+                                   default_classes)
 
 
 def two_route_problem(demand=30.0, t0s=(10.0, 20.0), q_crits=(1000.0, 1000.0)):
@@ -235,15 +236,15 @@ class TestCaCoupling:
     def test_evaluate_zero_demand(self):
         net = lane_drop_net()
         demand = [{"origin": "A", "dest": "C", "rate_veh_h": 0.0, "splits": [1.0]}]
-        result = evaluate_policy(net, demand, "fixed", seed=1, k_routes=1,
-                                 duration_s=120)
+        result = evaluate_policy(ScenarioRuns(net, default_classes(), 1, 120), demand,
+                                 "fixed", k_routes=1)
         assert result.mean_dwell_s is None
 
     def test_evaluate_deterministic(self):
         net = lane_drop_net()
         demand = [{"origin": "A", "dest": "C", "rate_veh_h": 1200.0, "splits": [1.0]}]
-        a = evaluate_policy(net, demand, "fixed", seed=9, k_routes=1, duration_s=300)
-        b = evaluate_policy(net, demand, "fixed", seed=9, k_routes=1, duration_s=300)
+        a, b = (evaluate_policy(ScenarioRuns(net, default_classes(), 9, 300), demand,
+                                "fixed", k_routes=1) for _ in range(2))
         assert a.mean_dwell_s == b.mean_dwell_s
 
 
@@ -269,9 +270,8 @@ def symmetric_two_route_net():
 def test_wardrop_beats_all_on_one_route_at_high_demand():
     net = symmetric_two_route_net()
     demand = [{"origin": "A", "dest": "B", "rate_veh_h": 1800.0, "splits": [0.5, 0.5]}]
-    fixed = evaluate_policy(net, demand, "fixed", seed=21, k_routes=2,
-                            duration_s=600, fixed_splits=[[1.0, 0.0]])
-    wardrop = evaluate_policy(net, demand, "wardrop", seed=21, k_routes=2,
-                              duration_s=600)
+    runs = ScenarioRuns(net, default_classes(), 21, 600)
+    fixed = evaluate_policy(runs, demand, "fixed", k_routes=2, fixed_splits=[[1.0, 0.0]])
+    wardrop = evaluate_policy(runs, demand, "wardrop", k_routes=2)
     assert wardrop.mean_dwell_s is not None and fixed.mean_dwell_s is not None
     assert wardrop.mean_dwell_s < fixed.mean_dwell_s

@@ -4,9 +4,10 @@ import pytest
 
 import nasch_oracle
 from hybridflow.road_net import build_network, place_detector, route_candidates
-from hybridflow.traffic_ca import (ScenarioError, VehicleClass, apply_lane_policy,
-                                   collision_check, default_classes, init_ring,
-                                   init_scenario, run, state_hash, step)
+from hybridflow import traffic_ca
+from hybridflow.traffic_ca import (ScenarioError, ScenarioRuns, VehicleClass,
+                                   apply_lane_policy, collision_check, default_classes,
+                                   init_ring, init_scenario, run, state_hash, step)
 
 
 def long_edge_net(length_m=1500.0, lanes=1, v_max_kmh=27.0):
@@ -216,6 +217,82 @@ class TestLanePolicy:
         net, state = self.two_lane_state()
         with pytest.raises(ScenarioError):
             apply_lane_policy(state, "ab", [set(), set()])
+
+
+class TestScenarioRuns:
+    DEMAND = {"origin": "A", "dest": "B", "rate_veh_h": 1800.0, "splits": [1.0, 0.0]}
+    TRUCKS_RIGHT = {"au": [{"car", "truck", "automated_car"}, {"car", "automated_car"}]}
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """A runner on a two-route network; ``runs.calls`` counts the CA runs it makes."""
+        net = build_network({
+            "version": 1, "cell_length_m": 1.5,
+            "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "U", "x": 150, "y": 50},
+                      {"id": "L", "x": 150, "y": -50}, {"id": "B", "x": 300, "y": 0}],
+            "edges": [
+                {"id": "au", "from": "A", "to": "U", "length_m": 150, "lanes": 2,
+                 "v_max_kmh": 108},
+                {"id": "ub", "from": "U", "to": "B", "length_m": 150, "lanes": 1,
+                 "v_max_kmh": 108},
+                {"id": "al", "from": "A", "to": "L", "length_m": 180, "lanes": 1,
+                 "v_max_kmh": 108},
+                {"id": "lb", "from": "L", "to": "B", "length_m": 180, "lanes": 1,
+                 "v_max_kmh": 108}],
+            "detectors": []})
+        runs = ScenarioRuns(net, default_classes(), 5, 90)
+        runs.calls = 0
+        real = traffic_ca.run
+
+        def counted(*args, **kwargs):
+            runs.calls += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(traffic_ca, "run", counted)
+        return runs
+
+    def demand(self, **changes):
+        return [{**self.DEMAND, **changes}]
+
+    def test_equal_request_served_once(self, runs):
+        first = runs.run(self.demand(), self.TRUCKS_RIGHT)
+        again = runs.run(self.demand(splits=(1.0, 0.0)),
+                         {"au": [["automated_car", "truck", "car"], ("car", "automated_car")]})
+        assert again[0] is first[0] and again[1] is first[1]
+        assert runs.calls == 1
+
+    def test_memoised_run_is_the_plain_run(self, runs):
+        state, metrics = runs.run(self.demand(), self.TRUCKS_RIGHT)
+        fresh = init_scenario(runs.net, self.demand(), default_classes(), 5)
+        apply_lane_policy(fresh, "au", self.TRUCKS_RIGHT["au"])
+        assert run(fresh, 90).to_dict() == metrics.to_dict()
+        assert state_hash(fresh) == state_hash(state)
+
+    @pytest.mark.parametrize("other", [
+        {"lane_policies": {"au": [None, None]}},
+        {"lane_policies": {}},
+        {"splits": [0.5, 0.5]},
+        {"splits": [1.0]},
+        {"rate_veh_h": 1200.0},
+        {"class_mix": {"car": 1.0}},
+        {"schedule": [0, 3]},
+    ])
+    def test_other_inputs_run_again(self, runs, other):
+        other = dict(other)
+        lane_policies = other.pop("lane_policies", self.TRUCKS_RIGHT)
+        runs.run(self.demand(), self.TRUCKS_RIGHT)
+        runs.run(self.demand(**other), lane_policies)
+        assert runs.calls == 2
+
+    def test_untraced_run_does_not_answer_a_traced_request(self, runs):
+        untraced, _ = runs.run(self.demand())
+        traced, _ = runs.run(self.demand(), trace_connected=True)
+        assert runs.calls == 2
+        assert untraced.connected_traces is None and traced.connected_traces
+        assert state_hash(traced) == state_hash(untraced)
+        # tracing draws no randoms, so the traced run answers both requests
+        assert runs.run(self.demand())[0] is traced
+        assert runs.run(self.demand(), trace_connected=True)[0] is traced
+        assert runs.calls == 2
 
 
 class TestDetectorReadout:
