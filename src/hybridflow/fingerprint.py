@@ -178,14 +178,12 @@ def _objective(w, b, X, y, reg, lam):
     return hinge + lam / 2.0 * float(w @ w)
 
 
-def train(records, reg: str = "l2", lam: float = 1e-3, epochs: int = 300,
-          seed: int = 0, step_c: float = 1.0) -> LinearModel:
-    """Hinge-loss subgradient descent, step c/sqrt(t), on normalized features.
+def train(records, reg: str = "l2", lam: float = 1e-3, epochs: int = 300) -> LinearModel:
+    """Hinge-loss subgradient descent, step 1/sqrt(t), on normalized features.
 
     L1 soft-thresholds the weights after each epoch, L2 decays them inside
     the step. Returns the best iterate by penalized objective, so the final
-    objective never exceeds the first epoch's. Deterministic (batch updates;
-    the seed is part of the signature for API stability).
+    objective never exceeds the first epoch's. Deterministic (batch updates).
     """
     if reg not in ("l1", "l2"):
         raise FingerprintError(f"regularization must be l1 or l2, got {reg!r}")
@@ -208,7 +206,7 @@ def train(records, reg: str = "l2", lam: float = 1e-3, epochs: int = 300,
         curve.append(obj)
         if obj < best[0]:
             best = (obj, w.copy(), b)
-        lr = step_c / math.sqrt(t)
+        lr = 1.0 / math.sqrt(t)
         margins = y * (X @ w + b)
         viol = margins < 1.0
         if np.any(viol):
@@ -288,14 +286,13 @@ def class_shares(records, model: LinearModel) -> dict:
 # ---------------------------------------------------------------------------
 # corpus generation and I/O
 
-def generate_corpus(count: int, noise_sigma_db: float, mix: float, seed: int,
-                    speed_range=(15.0, 35.0)):
-    """``count`` traces, ``mix`` fraction car-like, speeds uniform in range."""
+def generate_corpus(count: int, noise_sigma_db: float, mix: float, seed: int):
+    """``count`` traces, ``mix`` fraction car-like, speeds uniform in 15-35 m/s."""
     rng = substream(seed, "fingerprint-corpus")
     traces = []
     for i in range(count):
         label = CAR_LIKE if rng.random() < mix else TRUCK_LIKE
-        speed = float(rng.uniform(*speed_range))
+        speed = float(rng.uniform(15.0, 35.0))
         traces.append(synthesize_trace(label, speed, noise_sigma_db,
                                        seed=int(rng.integers(0, 2 ** 31))))
     return traces

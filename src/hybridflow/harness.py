@@ -144,7 +144,7 @@ def _classes_from_config(entries):
 
 
 class _Run:
-    """What the stages of one run share; the traffic stage adds its state and metrics."""
+    """What the stages of one run share; the traffic stage adds its metrics."""
 
     def __init__(self, cfg, seed, base_dir, out_dir=None):
         self.config = cfg
@@ -162,7 +162,7 @@ class _Run:
                                             self.class_mix, cfg["nasch_degenerate"])
         self.out_dir = out_dir
         self.artifacts = {}
-        self.state = self.traffic_metrics = None
+        self.traffic_metrics = None
 
     def artifact(self, key, name):
         """Path of an output file, indexed in the report; None without out_dir."""
@@ -181,17 +181,17 @@ def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
         sustain_s=acfg["sustain_s"], lam=acfg["lambda"], lane_policies=run.lane_policies)
 
 
-def _build_traces(tcfg, state):
+def _build_traces(tcfg, metrics):
     trace_cfg = tcfg["trace"]
     if trace_cfg["kind"] == "line":
         return [transfer.line_trace(trace_cfg["start"], trace_cfg["velocity_mps"],
                                     trace_cfg["duration_s"])]
     if trace_cfg["kind"] == "from_traffic":
-        if state is None or not state.connected_traces:
+        if metrics is None or not metrics.connected_traces:
             raise ConfigError("from_traffic trace needs a traffic stage with "
                               "connected vehicles")
         min_len = trace_cfg["min_duration_s"]
-        usable = sorted(((vid, tr) for vid, tr in state.connected_traces.items()
+        usable = sorted(((vid, tr) for vid, tr in metrics.connected_traces.items()
                          if len(tr) >= min_len), key=lambda kv: (-len(kv[1]), kv[0]))
         if not usable:
             raise ConfigError(f"no connected trace of at least {min_len}s")
@@ -227,8 +227,7 @@ def _fingerprint_stage(run, fcfg):
     stage_out = {"corpus_size": len(corpus), "holdout": len(holdout), "confusion": {}}
     model = None
     for reg in fcfg["regs"]:
-        model = fingerprint.train(train_records, reg=reg, lam=fcfg["lam"],
-                                  epochs=fcfg["epochs"], seed=corpus_seed)
+        model = fingerprint.train(train_records, reg=reg, lam=fcfg["lam"], epochs=fcfg["epochs"])
         cm = fingerprint.evaluate(model, hold_records)
         stage_out["confusion"][reg] = cm.to_dict()
         if path := run.artifact(f"confusion_{reg}", f"confusion_{reg}.json"):
@@ -246,7 +245,7 @@ def _traffic_stage(run, _):
     if run.net is None:
         raise ConfigError("no network configured")
     tcfg = run.config["stages"]["transfer"]
-    run.state, run.traffic_metrics = run.runs.run(
+    run.traffic_metrics = run.runs.run(
         run.config["demand"], run.lane_policies,
         trace_connected=tcfg is not None and tcfg["trace"]["kind"] == "from_traffic")
     metrics = run.traffic_metrics.to_dict()
@@ -330,7 +329,7 @@ def _transfer_stage(run, tcfg):
         shadowing_sigma_db=shadow["sigma_db"], shadowing_enabled=shadow["enabled"],
         seed=substream_seed(run.seed, "shadowing"))
     scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
-    traces = _build_traces(tcfg, run.state)
+    traces = _build_traces(tcfg, run.traffic_metrics)
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap(metric="sinr_db")

@@ -339,7 +339,7 @@ def _probe_and_calibrate(runs, demand, k_routes, probe_factor, density_crit, sus
         boosted["rate_veh_h"] = entry["rate_veh_h"] * probe_factor
         boosted["splits"] = [1.0 / k_routes] * k_routes
         probe_demand.append(boosted)
-    _, metrics = runs.run(probe_demand)
+    metrics = runs.run(probe_demand)
     flat = [o for series in metrics.observations.values() for o in series]
     det_edges = {d: det.edge for d, det in runs.net.detectors.items()}
     report = detect_bottlenecks(flat, density_crit, sustain_s, detectors=det_edges)
@@ -350,7 +350,7 @@ def _probe_and_calibrate(runs, demand, k_routes, probe_factor, density_crit, sus
             edge = det_edges[o.detector]
             flow = o.count / (o.t1 - o.t0) * 3600.0
             max_flow_by_edge[edge] = max(max_flow_by_edge.get(edge, 0.0), flow)
-    return q_crit_by_edge, max_flow_by_edge, report
+    return q_crit_by_edge, max_flow_by_edge
 
 
 def build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge):
@@ -382,24 +382,23 @@ def build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge):
 def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
                     k_routes: int = 2, probe_factor: float = 1.5,
                     density_crit: float = 0.35, sustain_s: float = 120.0,
-                    lam: float = 0.01, fixed_splits=None,
-                    lane_policies=None) -> EvaluationResult:
+                    lam: float = 0.01, lane_policies=None) -> EvaluationResult:
     """Dwell time of the CA under splits from the chosen assignment method.
 
-    split_source: fixed | wardrop | bmp | combined. Latencies and critical
-    flows are calibrated from a boosted-demand probe run of the same scenario
-    family, mirroring a sensor-data calibration pipeline. Probe and evaluation
-    go through ``runs``, so a run another caller already made is not repeated.
+    split_source: fixed (every entry on its fastest route) | wardrop | bmp |
+    combined. Latencies and critical flows are calibrated from a
+    boosted-demand probe run of the same scenario family, mirroring a
+    sensor-data calibration pipeline. Probe and evaluation go through
+    ``runs``, so a run another caller already made is not repeated.
     """
     if split_source not in ("fixed", "wardrop", "bmp", "combined"):
         raise AssignmentError(f"unknown split source {split_source!r}")
     split = None
     problem = None
     if split_source == "fixed":
-        splits_by_entry = [fixed_splits[i] if fixed_splits else [1.0] + [0.0] * (k_routes - 1)
-                           for i in range(len(demand))]
+        splits_by_entry = [[1.0] + [0.0] * (k_routes - 1) for _ in demand]
     else:
-        q_crit_by_edge, max_flow_by_edge, _ = _probe_and_calibrate(
+        q_crit_by_edge, max_flow_by_edge = _probe_and_calibrate(
             runs, demand, k_routes, probe_factor, density_crit, sustain_s)
         problem = build_problem(runs.net, demand, k_routes, q_crit_by_edge, max_flow_by_edge)
         if split_source == "wardrop":
@@ -414,6 +413,6 @@ def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
         e = dict(entry)
         e["splits"] = props
         eval_demand.append(e)
-    _, metrics = runs.run(eval_demand, lane_policies)
+    metrics = runs.run(eval_demand, lane_policies)
     return EvaluationResult(mean_dwell_s=metrics.mean_dwell_s, split=split,
                             problem=problem, metrics=metrics)

@@ -28,6 +28,11 @@ order is ascending id order and the phases iterate it without sorting.
 Loop detectors are open-window accumulators that ``run`` owns and closes into a
 ``FlowObservation`` at each window boundary; the move phase and the occupancy
 sample add to them. ``step`` outside ``run`` does no detector work.
+
+``run`` returns all that a call measured in its ``TrafficMetrics``: the trips
+that ended during the call, the closed detector windows and, on request, the
+connected vehicles' traces. The state keeps only bounded lifetime exit totals
+(dwell sum and per-class count), so its memory is flat in the horizon.
 """
 
 from __future__ import annotations
@@ -167,6 +172,7 @@ class TrafficMetrics:
     injected: int
     exited: int
     queued_end: int
+    connected_traces: dict | None = None  # vid -> [(t, x, y)]; not serialized
 
     def to_dict(self):
         return {
@@ -197,9 +203,10 @@ class SimState:
     classes: dict
     clock_s: int = 0
     vehicles: dict = field(default_factory=dict)
-    trips: list = field(default_factory=list)
     injected: int = 0
     exited: int = 0
+    dwell_s_total: int = 0  # summed over every exit so far
+    exited_by_class: dict = field(default_factory=dict)  # class name -> exits so far
     anticipation: bool = True
     lane_policies: dict = field(default_factory=dict)
     demand: list = field(default_factory=list)
@@ -207,7 +214,6 @@ class SimState:
     rng_traffic: object = None
     rng_injection: object = None
     vehicle_steps: int = 0
-    connected_traces: dict | None = None
     _segs: dict = field(default_factory=dict, repr=False)
     # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
     _lane_memo: dict = field(default_factory=dict, repr=False)
@@ -233,8 +239,7 @@ def _normalize_mix(mix: dict, classes: dict) -> list:
 
 
 def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
-                  class_mix: dict | None = None, nasch_degenerate: bool = False,
-                  step_s: float = 1.0) -> SimState:
+                  class_mix: dict | None = None, nasch_degenerate: bool = False) -> SimState:
     """Empty network plus queued stochastic arrival processes.
 
     Each demand entry is {origin, dest, rate_veh_h, splits} with optional
@@ -269,7 +274,7 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
             for t in spec["schedule"]:
                 schedule[int(t)] = schedule.get(int(t), 0) + 1
         state.demand.append(_DemandEntry(rate, routes, splits, mix, schedule,
-                                         rate * step_s / 3600.0))
+                                         rate / 3600.0))
         state.queues.append(deque())
     for eid, e in net.edges.items():
         if e.lane_policy is not None:
@@ -383,8 +388,9 @@ def _rebuild_segments(state):
     for vid in dead:
         veh = state.vehicles.pop(vid)
         state.exited += 1
-        state.trips.append((vid, veh.cls.name, veh.spawn_s, veh.exit_s,
-                            veh.exit_s - veh.spawn_s))
+        state.dwell_s_total += veh.exit_s - veh.spawn_s
+        name = veh.cls.name
+        state.exited_by_class[name] = state.exited_by_class.get(name, 0) + 1
 
 
 def _occupied(state, edge, lane, cell):
@@ -758,16 +764,16 @@ def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
 
 def run(state: SimState, duration_s: int, window_s: int = 60,
         trace_connected: bool = False) -> TrafficMetrics:
-    """Repeated step(); aggregates logged trips and windowed detector readings.
+    """Repeated step(); the trips that end during this call and windowed detector readings.
 
     With ``trace_connected`` the planar positions of connected-class vehicles
-    are recorded each second in ``state.connected_traces`` for the radio
-    co-simulation.
+    are recorded each second of this call in the result's ``connected_traces``
+    for the radio co-simulation.
     """
     t_start = state.clock_s
-    if trace_connected and state.connected_traces is None:
-        state.connected_traces = {}
-    traces = state.connected_traces
+    exited0, dwell0 = state.exited, state.dwell_s_total
+    by_class0 = dict(state.exited_by_class)
+    traces = {} if trace_connected else None
     windows = {d: _OpenWindow(det) for d, det in state.net.detectors.items()}
     state._dets_by_edge = {}
     for w in windows.values():
@@ -787,15 +793,14 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
                 observations[det_id].append(w.close(next_window - window_s, next_window))
             next_window += window_s
     state._dets_by_edge = {}
-    dwells = [trip[4] for trip in state.trips]
-    per_class = {}
-    for _, cname, _, _, _ in state.trips:
-        per_class[cname] = per_class.get(cname, 0) + 1
+    trips = state.exited - exited0
+    per_class = {c: n - by_class0.get(c, 0) for c, n in state.exited_by_class.items()
+                 if n > by_class0.get(c, 0)}
     return TrafficMetrics(
-        mean_dwell_s=sum(dwells) / len(dwells) if dwells else None,
-        trips=len(state.trips), per_class_trips=per_class, observations=observations,
+        mean_dwell_s=(state.dwell_s_total - dwell0) / trips if trips else None,
+        trips=trips, per_class_trips=per_class, observations=observations,
         injected=state.injected, exited=state.exited,
-        queued_end=sum(len(q) for q in state.queues))
+        queued_end=sum(len(q) for q in state.queues), connected_traces=traces)
 
 
 @dataclass
@@ -804,10 +809,10 @@ class ScenarioRuns:
 
     The fields are fixed for the experiment. ``run`` takes what differs between
     the traffic stage, the assignment probe and the evaluations (demand and
-    lane policies) and memoises ``(state, metrics)`` on their exact values.
-    Tracing draws no randoms, so a run recorded with connected traces answers
-    either request, but one recorded without them does not answer a request
-    that needs them. Callers share the returned state and metrics: read only.
+    lane policies) and memoises the metrics on their exact values. Tracing
+    draws no randoms, so a run recorded with connected traces answers either
+    request, but one recorded without them does not answer a request that
+    needs them. Callers share the returned metrics: read only.
     """
     net: RoadNetwork
     classes: dict
@@ -819,24 +824,23 @@ class ScenarioRuns:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def run(self, demand: list, lane_policies: dict | None = None,
-            trace_connected: bool = False) -> tuple:
-        """init_scenario -> apply_lane_policy per edge -> run, or the memoised result."""
+            trace_connected: bool = False) -> TrafficMetrics:
+        """init_scenario -> apply_lane_policy per edge -> run, or the memoised metrics."""
         lane_policies = lane_policies or {}
         key = (tuple(_demand_key(spec) for spec in demand),
                tuple(sorted((eid, tuple(None if m is None else frozenset(m) for m in mask))
                             for eid, mask in lane_policies.items())))
         hit = self._memo.get(key)
-        if hit is not None and (hit[0].connected_traces is not None or not trace_connected):
+        if hit is not None and (hit.connected_traces is not None or not trace_connected):
             return hit
         state = init_scenario(self.net, demand, self.classes, self.seed,
                               class_mix=self.class_mix,
                               nasch_degenerate=self.nasch_degenerate)
         for eid, mask in lane_policies.items():
             apply_lane_policy(state, eid, mask)
-        metrics = run(state, self.duration_s, window_s=self.window_s,
-                      trace_connected=trace_connected)
-        self._memo[key] = (state, metrics)
-        return state, metrics
+        metrics = self._memo[key] = run(state, self.duration_s, window_s=self.window_s,
+                                        trace_connected=trace_connected)
+        return metrics
 
 
 def _demand_key(spec) -> tuple:
@@ -855,15 +859,3 @@ def state_hash(state: SimState) -> str:
     queues = [tuple((s, r.edges, c) for s, r, c in q) for q in state.queues]
     blob = repr((state.clock_s, items, queues, state.injected, state.exited)).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def collision_check(state: SimState) -> None:
-    """Explicit disjointness check over all occupied cells (test hook)."""
-    seen = {}
-    for vid, veh in state.vehicles.items():
-        for e, lane, lo, hi in _body_segments(veh, state.net):
-            for c in range(lo, hi + 1):
-                key = (e, lane, c)
-                if key in seen and seen[key] != vid:
-                    raise CollisionError(f"{vid} and {seen[key]} share {key}")
-                seen[key] = vid

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .radio_env import RadioScene, forecast_along
 from .rng import substream
 
 POLICY_KINDS = ("periodic", "cat", "pcat", "ml_cat", "ml_pcat")
+RATE_NOISE_SIGMA = 0.15  # log-sd of the lognormal noise on each flush's achieved rate
 
 
 class PolicyError(ValueError):
@@ -117,7 +118,7 @@ class RatePredictor:
         return self.formula_rate(sinr_db, payload_bytes, speed_mps)
 
 
-def train_predictor(log_rows, base: RatePredictor | None = None) -> RatePredictor:
+def train_predictor(log_rows) -> RatePredictor:
     """Binned-mean table from observed transmissions.
 
     Rows need sinr_db, payload_bytes (the flushed amount), speed_mps and the
@@ -126,7 +127,6 @@ def train_predictor(log_rows, base: RatePredictor | None = None) -> RatePredicto
     rows = list(log_rows)
     if not rows:
         raise PolicyError("cannot train a rate predictor from an empty log")
-    base = base or RatePredictor()
     table = {}
     for row in rows:
         key = RatePredictor.bin_of(row["sinr_db"], row["payload_bytes"], row["speed_mps"])
@@ -134,7 +134,7 @@ def train_predictor(log_rows, base: RatePredictor | None = None) -> RatePredicto
         count += 1
         mean += (row["rate_mbps"] - mean) / count
         table[key] = (count, mean)
-    return replace(base, kind="learned_table", table=table)
+    return RatePredictor(kind="learned_table", table=table)
 
 
 @dataclass
@@ -240,8 +240,7 @@ def _speed_series(trace):
 def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                    sensor_rate_bytes_s: float, seed: int,
                    predictor: RatePredictor | None = None,
-                   energy: EnergyModel | None = None,
-                   rate_noise_sigma: float = 0.15):
+                   energy: EnergyModel | None = None):
     """Walk a timed trace at 1 s resolution under one transfer policy.
 
     Returns (TransferMetrics, decision log). Flushes drain the whole buffer
@@ -295,8 +294,8 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                             for ft, fv in forecast]
         if decide(runtime, t, buf, phi, forecast) and buf.queued_bytes > 0:
             payload = buf.queued_bytes
-            noise = math.exp(noise_rng.normal(0.0, rate_noise_sigma) -
-                             rate_noise_sigma ** 2 / 2.0)
+            noise = math.exp(noise_rng.normal(0.0, RATE_NOISE_SIGMA) -
+                             RATE_NOISE_SIGMA ** 2 / 2.0)
             actual_rate = max(predictor.formula_rate(sinr, payload, speed) * noise, 1e-6)
             attempts = 2 if noise_rng.random() < energy.loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts

@@ -150,7 +150,7 @@ class TestTrain:
     def test_separable_toy_set_perfect_training_accuracy(self):
         records = toy_separable_dataset()
         for reg in ("l1", "l2"):
-            model = train(records, reg=reg, lam=1e-4, epochs=400, seed=1)
+            model = train(records, reg=reg, lam=1e-4, epochs=400)
             assert evaluate(model, records).accuracy == 1.0
 
     def test_huge_l1_penalty_zeroes_weights(self):
@@ -158,7 +158,7 @@ class TestTrain:
             FeatureRecord(values=np.array([1.0, 1.0]), label=CAR_LIKE),
             FeatureRecord(values=np.array([1.2, 0.8]), label=CAR_LIKE),
         ]
-        model = train(records, reg="l1", lam=100.0, epochs=200, seed=1)
+        model = train(records, reg="l1", lam=100.0, epochs=200)
         assert np.allclose(model.weights, 0.0)
         cm = evaluate(model, records)
         majority = max(6, 4) / 10
@@ -166,8 +166,8 @@ class TestTrain:
 
     def test_deterministic_weights(self):
         records = toy_separable_dataset()
-        a = train(records, reg="l2", lam=1e-3, epochs=100, seed=5)
-        b = train(records, reg="l2", lam=1e-3, epochs=100, seed=5)
+        a = train(records, reg="l2", lam=1e-3, epochs=100)
+        b = train(records, reg="l2", lam=1e-3, epochs=100)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_single_class_rejected(self):
@@ -180,15 +180,15 @@ class TestTrain:
         corpus = generate_corpus(120, 2.0, 0.5, seed=31)
         records = [extract_features(t) for t in corpus]
         for reg in ("l1", "l2"):
-            model = train(records, reg=reg, lam=1e-3, epochs=150, seed=2)
+            model = train(records, reg=reg, lam=1e-3, epochs=150)
             assert model.objective_curve[-1] <= model.objective_curve[0] + 1e-12
 
     def test_scaling_invariance_of_decisions(self):
         corpus = generate_corpus(80, 2.0, 0.5, seed=17)
         records = [extract_features(t) for t in corpus]
-        model = train(records, reg="l2", lam=1e-3, epochs=200, seed=3)
+        model = train(records, reg="l2", lam=1e-3, epochs=200)
         scaled = [FeatureRecord(values=r.values * 3.0, label=r.label) for r in records]
-        model_s = train(scaled, reg="l2", lam=1e-3, epochs=200, seed=3)
+        model_s = train(scaled, reg="l2", lam=1e-3, epochs=200)
         preds = [model.predict(r) for r in records]
         preds_s = [model_s.predict(r) for r in scaled]
         assert preds == preds_s
@@ -198,7 +198,7 @@ class TestEvaluate:
     def test_always_car_model(self):
         records = ([FeatureRecord(values=np.zeros(2), label=CAR_LIKE)] * 6 +
                    [FeatureRecord(values=np.zeros(2), label=TRUCK_LIKE)] * 4)
-        model = train(toy_separable_dataset(), reg="l2", lam=1e-3, epochs=50, seed=1)
+        model = train(toy_separable_dataset(), reg="l2", lam=1e-3, epochs=50)
         model.weights = np.zeros(2)
         model.bias = 1.0
         cm = evaluate(model, records)
@@ -207,7 +207,7 @@ class TestEvaluate:
 
     def test_perfect_model_identity_confusion(self):
         records = toy_separable_dataset()
-        model = train(records, reg="l2", lam=1e-4, epochs=400, seed=1)
+        model = train(records, reg="l2", lam=1e-4, epochs=400)
         cm = evaluate(model, records)
         assert cm.ct == 0 and cm.tc == 0
         assert cm.cc == 4 and cm.tt == 4
@@ -217,7 +217,7 @@ class TestClassShares:
     def model(self):
         corpus = generate_corpus(300, 2.0, 0.5, seed=41)
         return train([extract_features(t) for t in corpus], reg="l2", lam=1e-3,
-                     epochs=200, seed=4)
+                     epochs=200)
 
     def test_all_car_stream(self):
         model = self.model()
@@ -248,7 +248,7 @@ def test_mini_corpus_pipeline_accuracy():
     records = [extract_features(t) for t in train_set]
     held = [extract_features(t) for t in holdout]
     for reg in ("l1", "l2"):
-        model = train(records, reg=reg, lam=1e-3, epochs=250, seed=8)
+        model = train(records, reg=reg, lam=1e-3, epochs=250)
         assert evaluate(model, held).accuracy >= 0.95
 
 
@@ -258,7 +258,7 @@ def test_full_pipeline_determinism():
         corpus = generate_corpus(100, 2.0, 0.5, seed=55)
         train_set, holdout = split_corpus(corpus, 0.2, seed=55)
         model = train([extract_features(t) for t in train_set], reg="l2",
-                      lam=1e-3, epochs=100, seed=55)
+                      lam=1e-3, epochs=100)
         cm = evaluate(model, [extract_features(t) for t in holdout])
         outs.append((tuple(model.weights), model.bias, cm.to_dict()))
     assert outs[0] == outs[1]

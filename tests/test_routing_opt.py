@@ -271,7 +271,7 @@ def test_wardrop_beats_all_on_one_route_at_high_demand():
     net = symmetric_two_route_net()
     demand = [{"origin": "A", "dest": "B", "rate_veh_h": 1800.0, "splits": [0.5, 0.5]}]
     runs = ScenarioRuns(net, default_classes(), 21, 600)
-    fixed = evaluate_policy(runs, demand, "fixed", k_routes=2, fixed_splits=[[1.0, 0.0]])
+    fixed = evaluate_policy(runs, demand, "fixed", k_routes=2)
     wardrop = evaluate_policy(runs, demand, "wardrop", k_routes=2)
     assert wardrop.mean_dwell_s is not None and fixed.mean_dwell_s is not None
     assert wardrop.mean_dwell_s < fixed.mean_dwell_s

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 import nasch_oracle
 from hybridflow.road_net import build_network, place_detector, route_candidates
 from hybridflow import traffic_ca
-from hybridflow.traffic_ca import (ScenarioError, ScenarioRuns, VehicleClass,
-                                   apply_lane_policy, collision_check, default_classes,
-                                   init_ring, init_scenario, run, state_hash, step)
+from hybridflow.traffic_ca import (CollisionError, ScenarioError, ScenarioRuns, VehicleClass,
+                                   apply_lane_policy, default_classes, init_ring,
+                                   init_scenario, run, state_hash, step)
 
 
 def long_edge_net(length_m=1500.0, lanes=1, v_max_kmh=27.0):
@@ -18,6 +19,30 @@ def long_edge_net(length_m=1500.0, lanes=1, v_max_kmh=27.0):
                    "lanes": lanes, "v_max_kmh": v_max_kmh}],
         "detectors": [],
     })
+
+
+def merge_state(seed=50):
+    """Two flows merging into one single-lane edge, with a lane drop from ab."""
+    net = build_network({
+        "version": 1, "cell_length_m": 1.5,
+        "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 300, "y": 0},
+                  {"id": "C", "x": 300, "y": 100}, {"id": "D", "x": 600, "y": 50}],
+        "edges": [
+            {"id": "ab", "from": "A", "to": "B", "length_m": 300, "lanes": 2,
+             "v_max_kmh": 108},
+            {"id": "cb", "from": "C", "to": "B", "length_m": 150, "lanes": 1,
+             "v_max_kmh": 54},
+            {"id": "bd", "from": "B", "to": "D", "length_m": 300, "lanes": 1,
+             "v_max_kmh": 108},
+        ],
+        "detectors": [],
+    })
+    demand = [
+        {"origin": "A", "dest": "D", "rate_veh_h": 1600.0, "splits": [1.0]},
+        {"origin": "C", "dest": "D", "rate_veh_h": 800.0, "splits": [1.0]},
+    ]
+    return init_scenario(net, demand, default_classes(), seed=seed,
+                         class_mix={"car": 0.6, "truck": 0.2, "automated_car": 0.2})
 
 
 def single_vehicle_state(net, cls, seed=1):
@@ -148,13 +173,9 @@ class TestDwell:
         # 1,2,3,4 then 5; front positions 1,3,6,10,15,20,... exits the 100-cell
         # edge when front >= 100, at t=22 (free-flow 20 s + acceleration phase)
         net = long_edge_net(length_m=150.0)  # 100 cells
-        state = single_vehicle_state(net, CAR5)
-        for _ in range(40):
-            step(state)
-        assert state.trips, "vehicle should have completed its trip"
-        dwell = state.trips[0][4]
-        assert dwell == 22
-        assert dwell <= 25
+        metrics = run(single_vehicle_state(net, CAR5), 40)
+        assert metrics.trips == 1, "vehicle should have completed its trip"
+        assert metrics.mean_dwell_s == 22
 
     def test_zero_demand_run(self):
         net = long_edge_net()
@@ -170,6 +191,21 @@ class TestDwell:
             state = init_scenario(net, demand, default_classes(), seed=13)
             blobs.append(json.dumps(run(state, 400).to_dict(), sort_keys=True))
         assert blobs[0] == blobs[1]
+
+    def test_consecutive_runs_count_their_own_trips(self):
+        state = merge_state()
+        a = run(state, 300)
+        b = run(state, 300)
+        assert a.trips > 0 and b.trips > 0
+        assert a.trips + b.trips == state.exited
+        assert sum(b.per_class_trips.values()) == b.trips
+        whole = run(merge_state(), 600)
+        assert a.trips + b.trips == whole.trips
+        assert {c: a.per_class_trips.get(c, 0) + b.per_class_trips.get(c, 0)
+                for c in whole.per_class_trips} == whole.per_class_trips
+        # dwells are whole seconds, so mean * trips recovers each call's dwell sum
+        assert (round(a.mean_dwell_s * a.trips) + round(b.mean_dwell_s * b.trips)
+                == round(whole.mean_dwell_s * whole.trips))
 
 
 class TestLanePolicy:
@@ -257,15 +293,15 @@ class TestScenarioRuns:
         first = runs.run(self.demand(), self.TRUCKS_RIGHT)
         again = runs.run(self.demand(splits=(1.0, 0.0)),
                          {"au": [["automated_car", "truck", "car"], ("car", "automated_car")]})
-        assert again[0] is first[0] and again[1] is first[1]
+        assert again is first
         assert runs.calls == 1
 
     def test_memoised_run_is_the_plain_run(self, runs):
-        state, metrics = runs.run(self.demand(), self.TRUCKS_RIGHT)
+        metrics = runs.run(self.demand(), self.TRUCKS_RIGHT)
         fresh = init_scenario(runs.net, self.demand(), default_classes(), 5)
         apply_lane_policy(fresh, "au", self.TRUCKS_RIGHT["au"])
         assert run(fresh, 90).to_dict() == metrics.to_dict()
-        assert state_hash(fresh) == state_hash(state)
+        assert metrics.connected_traces is None
 
     @pytest.mark.parametrize("other", [
         {"lane_policies": {"au": [None, None]}},
@@ -284,14 +320,14 @@ class TestScenarioRuns:
         assert runs.calls == 2
 
     def test_untraced_run_does_not_answer_a_traced_request(self, runs):
-        untraced, _ = runs.run(self.demand())
-        traced, _ = runs.run(self.demand(), trace_connected=True)
+        untraced = runs.run(self.demand())
+        traced = runs.run(self.demand(), trace_connected=True)
         assert runs.calls == 2
         assert untraced.connected_traces is None and traced.connected_traces
-        assert state_hash(traced) == state_hash(untraced)
+        assert traced.to_dict() == untraced.to_dict()
         # tracing draws no randoms, so the traced run answers both requests
-        assert runs.run(self.demand())[0] is traced
-        assert runs.run(self.demand(), trace_connected=True)[0] is traced
+        assert runs.run(self.demand()) is traced
+        assert runs.run(self.demand(), trace_connected=True) is traced
         assert runs.calls == 2
 
 
@@ -384,33 +420,25 @@ class TestInvariants:
             assert len(state.vehicles) == 24
 
     def test_collision_free_mixed_scenario(self):
-        net = build_network({
-            "version": 1, "cell_length_m": 1.5,
-            "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "B", "x": 300, "y": 0},
-                      {"id": "C", "x": 300, "y": 100}, {"id": "D", "x": 600, "y": 50}],
-            "edges": [
-                {"id": "ab", "from": "A", "to": "B", "length_m": 300, "lanes": 2,
-                 "v_max_kmh": 108},
-                {"id": "cb", "from": "C", "to": "B", "length_m": 150, "lanes": 1,
-                 "v_max_kmh": 54},
-                {"id": "bd", "from": "B", "to": "D", "length_m": 300, "lanes": 1,
-                 "v_max_kmh": 108},
-            ],
-            "detectors": [],
-        })
-        # two flows merging into one single-lane edge; lane drop from ab
-        demand = [
-            {"origin": "A", "dest": "D", "rate_veh_h": 1600.0, "splits": [1.0]},
-            {"origin": "C", "dest": "D", "rate_veh_h": 800.0, "splits": [1.0]},
-        ]
-        state = init_scenario(net, demand, default_classes(), seed=50,
-                              class_mix={"car": 0.6, "truck": 0.2, "automated_car": 0.2})
-        for t in range(600):
-            step(state)
-            if t % 25 == 0:
-                collision_check(state)
+        state = merge_state()
+        for _ in range(600):
+            step(state)  # the per-step segment sweep raises on any overlap
         assert state.injected > 50
         assert state.exited > 0
+
+    def test_overlapping_ring_positions_rejected(self):
+        car = default_classes()["car"]  # 5 cells long
+        with pytest.raises(CollisionError):
+            init_ring(100, 2, car, seed=1, positions=[10, 13])
+
+    def test_step_sweep_catches_overlap(self):
+        # stretch one vehicle's body by hand over its follower's cells; the
+        # segment sweep at the end of the next step must raise
+        auto = default_classes()["automated_car"]
+        state = init_ring(200, 2, auto, seed=1, positions=[0, 100])
+        state.vehicles[1].cls = dataclasses.replace(auto, length_cells=150)
+        with pytest.raises(CollisionError):
+            step(state)
 
     def test_determinism_state_hash(self):
         net = long_edge_net(lanes=2)
@@ -430,10 +458,9 @@ class TestInvariants:
         net = long_edge_net(length_m=150.0, v_max_kmh=27.0)
         demand = [{"origin": "A", "dest": "B", "rate_veh_h": 3600.0, "splits": [1.0]}]
         state = init_scenario(net, demand, {"car5": CAR5}, seed=60)
-        for _ in range(600):
-            step(state)
+        run(state, 200)
+        late = run(state, 400)
         assert sum(len(q) for q in state.queues) > 0
         free_flow_dwell = 22
-        late = [t for t in state.trips if t[2] > 100]
-        assert late, "expected trips spawned after congestion built up"
-        assert max(t[4] for t in late) > free_flow_dwell
+        assert late.trips, "expected trips once congestion built up"
+        assert late.mean_dwell_s > free_flow_dwell
