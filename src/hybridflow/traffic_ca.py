@@ -15,8 +15,17 @@ Update stages per step, applied to every vehicle against the previous state:
   4. move v cells along the route
 
 Exactly one uniform is drawn per vehicle per step, in ascending vehicle id,
-so a scenario flag can degrade the rule set to the classic single-p CA and be
-checked draw-for-draw against a brute-force reference.
+taken as one ``rng_traffic.random(n)`` call per step (the values of n scalar
+draws), so a scenario flag can degrade the rule set to the classic single-p CA
+and be checked draw-for-draw against a brute-force reference.
+
+Before the update stages, vehicles change lane and claim the next edge. One
+lane-ordered pass over the multi-lane edges marks the lane-change candidates
+(a vehicle in a lane its class may not use, or a blocked one with a safe gap
+in an adjacent lane); the lane-change rule then runs on them in ascending id,
+and on every later vehicle once one has moved. Entry arbitration walks each
+lane back from its end only as far as a front can reach the next edge in one
+step, the edge's v_max.
 
 The one occupancy index is ``SimState._segs``: per (edge, lane), the occupied
 (lo, hi, vid) spans sorted by position, rebuilt and overlap-checked after each
@@ -218,6 +227,7 @@ class SimState:
     # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
     _lane_memo: dict = field(default_factory=dict, repr=False)
     _dets_by_edge: dict = field(default_factory=dict, repr=False)  # edge -> open windows in run()
+    _walled: list = field(default_factory=list, repr=False)  # vehicles given a wall this step
     _next_vid: int = 0
 
 
@@ -498,50 +508,108 @@ def _try_inject(state):
 
 
 def _lane_change_phase(state):
+    """Lane changes in ascending id order, each decided against the spans as they stand.
+
+    One lane-ordered pass over the multi-lane edges marks the candidates: a
+    vehicle in a lane its class may not use, or a blocked one (gap <= v) with
+    an adjacent allowed lane whose span behind it neither overlaps its body nor
+    sits closer than that follower's v_max. Only candidates can pass the rule
+    while no vehicle has moved; a move changes the spans later decisions read,
+    so from the first move on every later vehicle is decided afresh.
+    """
     edges = state.net.edges
+    vehicles = state.vehicles
     segs_map = state._segs
-    for vid, veh in state.vehicles.items():
-        e = veh.edge
-        if edges[e].lanes < 2 or veh.front_out:
+    candidates = []
+    for (e, ln), segs in segs_map.items():
+        if edges[e].lanes < 2:
             continue
-        cell, lane = veh.cell, veh.lane
-        lo_me = cell - veh.cls.length_cells + 1
-        if lo_me < 0:
-            continue  # straddling an edge boundary: hold the lane
-        allowed = _allowed_lanes(state, e, veh.cls)
-        mandatory = lane not in allowed
-        need = veh.v + 2
-        probe = (cell, _INF, _INF)
-        own = segs_map[(e, lane)]
-        i = bisect_right(own, probe)
-        if i < len(own):  # the next span in the lane is the leader
-            gap_cur = min(own[i][0] - cell - 1, need)
-        else:
-            gap_cur, _ = _chain_scan(state, veh, e, lane, cell, veh.route_pos, need, None)
-        if not mandatory and gap_cur > veh.v:
-            continue  # not blocked ahead
-        if mandatory:
-            candidates = sorted((l for l in allowed if l != lane),
-                                key=lambda l: (abs(l - lane), l))
-        else:
-            candidates = [l for l in (lane - 1, lane + 1) if l in allowed]
-        for target in candidates:
-            segs = segs_map.get((e, target), [])
-            i = bisect_right(segs, probe)
-            if i >= 1:
-                behind = segs[i - 1]
-                if behind[1] >= lo_me:
-                    continue  # target cells occupied
-                if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
-                    continue  # would force the follower to brake hard
-            if not mandatory:
-                gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
-                if gap_t <= gap_cur:
+        last = len(segs) - 1
+        allowed_of = {}  # class name -> allowed lanes of this edge
+        for i, (lo, hi, vid) in enumerate(segs):
+            veh = vehicles[vid]
+            cls = veh.cls
+            if (veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out
+                    or lo != hi - cls.length_cells + 1):
+                continue  # a tail span, a front past the route's end, or a straddling body
+            allowed = allowed_of.get(cls.name)
+            if allowed is None:
+                allowed = allowed_of[cls.name] = _allowed_lanes(state, e, cls)
+            if ln not in allowed:
+                candidates.append(vid)
+                continue
+            v = veh.v
+            if i < last:
+                gap = segs[i + 1][0] - hi - 1
+            else:
+                gap, _ = _chain_scan(state, veh, e, ln, hi, veh.route_pos, v + 2, None)
+            if gap > v:
+                continue  # not blocked ahead
+            probe = (hi, _INF, _INF)
+            for target in (ln - 1, ln + 1):
+                if target not in allowed:
                     continue
-            own.remove((lo_me, cell, vid))
-            insort(segs_map.setdefault((e, target), []), (lo_me, cell, vid))
-            veh.lane = target
-            break
+                t_segs = segs_map.get((e, target))
+                j = bisect_right(t_segs, probe) if t_segs else 0
+                if j:
+                    _, b_hi, b_vid = t_segs[j - 1]
+                    if lo - b_hi - 1 < vehicles[b_vid].cls.v_max_cells:
+                        continue  # target cells occupied, or the follower too close
+                candidates.append(vid)
+                break
+    candidates.sort()
+    for vid in candidates:
+        if _change_lane(state, vehicles[vid]):
+            for veh in vehicles.values():
+                if veh.vid > vid:
+                    _change_lane(state, veh)
+            return
+
+
+def _change_lane(state, veh):
+    """The lane-change rule for one vehicle against the current spans; True if it moved."""
+    e = veh.edge
+    if state.net.edges[e].lanes < 2 or veh.front_out:
+        return False
+    cell, lane = veh.cell, veh.lane
+    lo_me = cell - veh.cls.length_cells + 1
+    if lo_me < 0:
+        return False  # straddling an edge boundary: hold the lane
+    segs_map = state._segs
+    allowed = _allowed_lanes(state, e, veh.cls)
+    mandatory = lane not in allowed
+    need = veh.v + 2
+    probe = (cell, _INF, _INF)
+    own = segs_map[(e, lane)]
+    i = bisect_right(own, probe)
+    if i < len(own):  # the next span in the lane is the leader
+        gap_cur = min(own[i][0] - cell - 1, need)
+    else:
+        gap_cur, _ = _chain_scan(state, veh, e, lane, cell, veh.route_pos, need, None)
+    if not mandatory and gap_cur > veh.v:
+        return False  # not blocked ahead
+    if mandatory:
+        targets = sorted((l for l in allowed if l != lane), key=lambda l: (abs(l - lane), l))
+    else:
+        targets = [l for l in (lane - 1, lane + 1) if l in allowed]
+    for target in targets:
+        segs = segs_map.get((e, target), [])
+        i = bisect_right(segs, probe)
+        if i >= 1:
+            behind = segs[i - 1]
+            if behind[1] >= lo_me:
+                continue  # target cells occupied
+            if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
+                continue  # would force the follower to brake hard
+        if not mandatory:
+            gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
+            if gap_t <= gap_cur:
+                continue
+        own.remove((lo_me, cell, veh.vid))
+        insort(segs_map.setdefault((e, target), []), (lo_me, cell, veh.vid))
+        veh.lane = target
+        return True
+    return False
 
 
 def _entry_arbitration(state):
@@ -552,41 +620,57 @@ def _entry_arbitration(state):
     distinct source lanes or edges are not, so all but the chain of the
     closest claimant see a wall one cell before the contested boundary. Walls
     carry no anticipation bonus, so a walled vehicle always stops in time.
+
+    A front can reach the next edge only from within the edge's v_max of the
+    lane end, so each lane is walked from its end down to that reach. Only the
+    vehicles walled in the previous step have a wall to clear.
     """
     net = state.net
-    claims = {}
-    for vid, veh in state.vehicles.items():
+    vehicles = state.vehicles
+    for veh in state._walled:
         veh._wall = None
-        if veh.front_out:
-            continue
-        edge = net.edges[veh.edge]
-        v_possible = min(veh.v + 1, veh.cls.v_max_cells, edge.v_max_cells)
-        dist = edge.cell_count - veh.cell  # advance needed to enter the next edge
-        if v_possible < dist:
-            continue
-        ln, rp = veh.lane, veh.route_pos
-        source = (veh.edge, veh.lane)
-        while v_possible >= dist:
-            nrp = _next_route_index(veh, rp)
-            if nrp is None:
+    walled = state._walled = []
+    claims = {}
+    for (e, ln), segs in state._segs.items():
+        edge = net.edges[e]
+        reach = edge.cell_count - edge.v_max_cells
+        for k in range(len(segs) - 1, -1, -1):
+            lo, hi, vid = segs[k]
+            if hi < reach:
                 break
-            ne = veh.route[nrp]
-            nlane = _mapped_lane(state, ne, ln, veh.cls)
-            if nlane is None:
-                break
-            claims.setdefault((ne, nlane), []).append((dist, vid, source))
-            ln, rp = nlane, nrp
-            source = (ne, nlane)
-            dist += net.edges[ne].cell_count
+            veh = vehicles[vid]
+            if veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out:
+                continue  # a tail span, or a front past the route's end
+            v_possible = min(veh.v + 1, veh.cls.v_max_cells, edge.v_max_cells)
+            dist = edge.cell_count - hi  # advance needed to enter the next edge
+            if v_possible < dist:
+                continue
+            lane, rp = ln, veh.route_pos
+            source = (e, ln)
+            while v_possible >= dist:
+                nrp = _next_route_index(veh, rp)
+                if nrp is None:
+                    break
+                ne = veh.route[nrp]
+                nlane = _mapped_lane(state, ne, lane, veh.cls)
+                if nlane is None:
+                    break
+                claims.setdefault((ne, nlane), []).append((dist, vid, source))
+                lane, rp = nlane, nrp
+                source = (ne, nlane)
+                dist += net.edges[ne].cell_count
     for lst in claims.values():
         lst.sort()
         winner_source = lst[0][2]
         for dist, vid, source in lst[1:]:
             if source == winner_source:
                 continue
-            veh = state.vehicles[vid]
+            veh = vehicles[vid]
             wall = dist - 1
-            if veh._wall is None or wall < veh._wall:
+            if veh._wall is None:
+                veh._wall = wall
+                walled.append(veh)
+            elif wall < veh._wall:
                 veh._wall = wall
 
 
@@ -630,8 +714,8 @@ def _velocity_phase(state):
     if seen != len(vehicles):
         raise RuntimeError(f"spans hold {seen} of {len(vehicles)} vehicles at t={state.clock_s}")
     # pass 2: the four update stages; one draw per vehicle, ascending id
-    rng_random = state.rng_traffic.random
-    for veh in vehicles.values():
+    draws = state.rng_traffic.random(len(vehicles)).tolist()
+    for veh, u in zip(vehicles.values(), draws):
         cls = veh.cls
         v0 = veh.v
         gap = veh._gap
@@ -672,7 +756,7 @@ def _velocity_phase(state):
         new_bl = v2 < v0
         # stage 3
         v3 = v2
-        if rng_random() < p:
+        if u < p:
             v3 = v2 - 1 if v2 > 0 else 0
             if pb_branch and v3 < v2:
                 new_bl = True
@@ -766,12 +850,13 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
         trace_connected: bool = False) -> TrafficMetrics:
     """Repeated step(); the trips that end during this call and windowed detector readings.
 
-    With ``trace_connected`` the planar positions of connected-class vehicles
-    are recorded each second of this call in the result's ``connected_traces``
-    for the radio co-simulation.
+    ``injected`` and ``exited`` count this call's injections and exits too, not
+    the state's lifetime totals. With ``trace_connected`` the planar positions
+    of connected-class vehicles are recorded each second of this call in the
+    result's ``connected_traces`` for the radio co-simulation.
     """
     t_start = state.clock_s
-    exited0, dwell0 = state.exited, state.dwell_s_total
+    injected0, exited0, dwell0 = state.injected, state.exited, state.dwell_s_total
     by_class0 = dict(state.exited_by_class)
     traces = {} if trace_connected else None
     windows = {d: _OpenWindow(det) for d, det in state.net.detectors.items()}
@@ -799,7 +884,7 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     return TrafficMetrics(
         mean_dwell_s=(state.dwell_s_total - dwell0) / trips if trips else None,
         trips=trips, per_class_trips=per_class, observations=observations,
-        injected=state.injected, exited=state.exited,
+        injected=state.injected - injected0, exited=trips,
         queued_end=sum(len(q) for q in state.queues), connected_traces=traces)
 
 

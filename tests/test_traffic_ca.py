@@ -1,7 +1,11 @@
 import dataclasses
 import json
+from bisect import bisect_right, insort
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nasch_oracle
 from hybridflow.road_net import build_network, place_detector, route_candidates
@@ -198,6 +202,8 @@ class TestDwell:
         b = run(state, 300)
         assert a.trips > 0 and b.trips > 0
         assert a.trips + b.trips == state.exited
+        assert a.injected + b.injected == state.injected
+        assert b.exited == b.trips
         assert sum(b.per_class_trips.values()) == b.trips
         whole = run(merge_state(), 600)
         assert a.trips + b.trips == whole.trips
@@ -464,3 +470,222 @@ class TestInvariants:
         free_flow_dwell = 22
         assert late.trips, "expected trips once congestion built up"
         assert late.mean_dwell_s > free_flow_dwell
+
+
+# ---------------------------------------------------------------------------
+# the lane-change and entry-arbitration phases against their per-vehicle forms
+
+_INF = float("inf")
+
+
+def reference_lane_change_phase(state):
+    """The per-vehicle lane-change loop that the candidate pass replaced."""
+    edges = state.net.edges
+    segs_map = state._segs
+    for vid, veh in state.vehicles.items():
+        e = veh.edge
+        if edges[e].lanes < 2 or veh.front_out:
+            continue
+        cell, lane = veh.cell, veh.lane
+        lo_me = cell - veh.cls.length_cells + 1
+        if lo_me < 0:
+            continue
+        allowed = traffic_ca._allowed_lanes(state, e, veh.cls)
+        mandatory = lane not in allowed
+        need = veh.v + 2
+        probe = (cell, _INF, _INF)
+        own = segs_map[(e, lane)]
+        i = bisect_right(own, probe)
+        if i < len(own):
+            gap_cur = min(own[i][0] - cell - 1, need)
+        else:
+            gap_cur, _ = traffic_ca._chain_scan(state, veh, e, lane, cell, veh.route_pos,
+                                                need, None)
+        if not mandatory and gap_cur > veh.v:
+            continue
+        if mandatory:
+            candidates = sorted((l for l in allowed if l != lane),
+                                key=lambda l: (abs(l - lane), l))
+        else:
+            candidates = [l for l in (lane - 1, lane + 1) if l in allowed]
+        for target in candidates:
+            segs = segs_map.get((e, target), [])
+            i = bisect_right(segs, probe)
+            if i >= 1:
+                behind = segs[i - 1]
+                if behind[1] >= lo_me:
+                    continue
+                if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
+                    continue
+            if not mandatory:
+                gap_t, _ = traffic_ca._chain_scan(state, veh, e, target, cell, veh.route_pos,
+                                                  need, None)
+                if gap_t <= gap_cur:
+                    continue
+            own.remove((lo_me, cell, vid))
+            insort(segs_map.setdefault((e, target), []), (lo_me, cell, vid))
+            veh.lane = target
+            break
+
+
+def reference_entry_arbitration(state):
+    """The per-vehicle arbitration loop that the lane-end walk replaced."""
+    net = state.net
+    claims = {}
+    for vid, veh in state.vehicles.items():
+        veh._wall = None
+        if veh.front_out:
+            continue
+        edge = net.edges[veh.edge]
+        v_possible = min(veh.v + 1, veh.cls.v_max_cells, edge.v_max_cells)
+        dist = edge.cell_count - veh.cell
+        if v_possible < dist:
+            continue
+        ln, rp = veh.lane, veh.route_pos
+        source = (veh.edge, veh.lane)
+        while v_possible >= dist:
+            nrp = traffic_ca._next_route_index(veh, rp)
+            if nrp is None:
+                break
+            ne = veh.route[nrp]
+            nlane = traffic_ca._mapped_lane(state, ne, ln, veh.cls)
+            if nlane is None:
+                break
+            claims.setdefault((ne, nlane), []).append((dist, vid, source))
+            ln, rp = nlane, nrp
+            source = (ne, nlane)
+            dist += net.edges[ne].cell_count
+    for lst in claims.values():
+        lst.sort()
+        winner_source = lst[0][2]
+        for dist, vid, source in lst[1:]:
+            if source == winner_source:
+                continue
+            veh = state.vehicles[vid]
+            wall = dist - 1
+            if veh._wall is None or wall < veh._wall:
+                veh._wall = wall
+
+
+def reference_step(state):
+    """step() with the per-vehicle lane-change and arbitration phases."""
+    with mock.patch.object(traffic_ca, "_lane_change_phase", reference_lane_change_phase), \
+            mock.patch.object(traffic_ca, "_entry_arbitration", reference_entry_arbitration):
+        step(state)
+
+
+def microscopic(state):
+    """Hash, lanes and entry walls: what the two phases decide."""
+    return (state_hash(state),
+            [(vid, v.lane, v._wall) for vid, v in state.vehicles.items()])
+
+
+ALL = {"car", "truck", "automated_car"}
+SLOW = VehicleClass("slow", v_max_cells=9, length_cells=5, dawdle_p_d=0.2)
+# per lane count: masks under which every class keeps a lane
+RING_MASKS = {2: [[None, {"car"}], [{"car"}, None], [{"slow"}, {"car"}], [None, set()]],
+              3: [[None, {"car"}, None], [{"slow"}, {"car", "slow"}, {"car"}],
+                  [set(), None, {"slow"}], [{"car"}, {"car"}, None]]}
+MERGE_MASKS = [[ALL, {"car", "automated_car"}, {"car", "automated_car"}],
+               [{"car", "automated_car"}, ALL, {"truck"}], [{"truck"}, None, None]]
+
+
+def mixed_ring(lanes, cells, n, slow_every, v_max, seed):
+    """A ring of cars in which every ``slow_every``-th vehicle is of the slower class."""
+    state = init_ring(cells, n, default_classes()["car"], seed=seed, lanes=lanes,
+                      v_max_cells=v_max)
+    state.classes["slow"] = SLOW
+    for vid in range(0, n, slow_every):
+        state.vehicles[vid].cls = SLOW
+    return state
+
+
+def merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed):
+    """The merge of acceptance criterion 2, 3 lanes and 2 lanes into a single lane,
+    at the given speed limits of the two feeders."""
+    net = build_network({
+        "version": 1, "cell_length_m": 1.5,
+        "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "C", "x": 0, "y": 300},
+                  {"id": "M", "x": 450, "y": 60}, {"id": "B", "x": 900, "y": 0}],
+        "edges": [
+            {"id": "am", "from": "A", "to": "M", "length_m": 450, "lanes": 3,
+             "v_max_kmh": kmh_am},
+            {"id": "cm", "from": "C", "to": "M", "length_m": 300, "lanes": 2,
+             "v_max_kmh": kmh_cm},
+            {"id": "mb", "from": "M", "to": "B", "length_m": 450, "lanes": 1, "v_max_kmh": 36}],
+        "detectors": []})
+    demand = [{"origin": "A", "dest": "B", "rate_veh_h": rate_a, "splits": [1.0]},
+              {"origin": "C", "dest": "B", "rate_veh_h": rate_c, "splits": [1.0]}]
+    return init_scenario(net, demand, default_classes(), seed=seed,
+                         class_mix={"car": 0.5, "truck": 0.25, "automated_car": 0.25})
+
+
+def assert_steps_match_reference(make, edge, mask, arm_at, steps):
+    """Step two copies, one with the reference phases; compare after every step."""
+    state, ref = make(), make()
+    for t in range(steps):
+        if t == arm_at:
+            apply_lane_policy(state, edge, mask)
+            apply_lane_policy(ref, edge, mask)
+        step(state)
+        reference_step(ref)
+        assert microscopic(state) == microscopic(ref), f"diverged at step {t + 1}"
+
+
+class TestPhasesMatchPerVehicleReference:
+    @settings(max_examples=12, deadline=None)
+    @given(lanes=st.sampled_from([2, 3]), cells=st.integers(150, 400),
+           fill=st.floats(0.15, 0.95), slow_every=st.integers(2, 6), v_max=st.integers(3, 20),
+           mask=st.integers(0, 3), arm_at=st.integers(0, 60), seed=st.integers(0, 10_000))
+    def test_rings(self, lanes, cells, fill, slow_every, v_max, mask, arm_at, seed):
+        n = max(2, int(fill * cells / 5))
+        assert_steps_match_reference(
+            lambda: mixed_ring(lanes, cells, n, slow_every, v_max, seed),
+            "ring", RING_MASKS[lanes][mask], arm_at, 120)
+
+    @settings(max_examples=10, deadline=None)
+    @given(rate_a=st.floats(1200.0, 3200.0), rate_c=st.floats(500.0, 1600.0),
+           kmh_am=st.sampled_from([27, 54, 108]), kmh_cm=st.sampled_from([18, 36, 72]),
+           mask=st.integers(0, 2), arm_at=st.integers(0, 200), seed=st.integers(0, 10_000))
+    def test_criterion_2_merge(self, rate_a, rate_c, kmh_am, kmh_cm, mask, arm_at, seed):
+        assert_steps_match_reference(
+            lambda: merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed),
+            "am", MERGE_MASKS[mask], arm_at, 300)
+
+
+class TestInteractingLaneChanges:
+    """A lower id's move in a step changes what a higher id may do in the same step."""
+
+    CAR = VehicleClass("car", v_max_cells=5, length_cells=1, dawdle_p_d=0.0, brake_p_b=0.0,
+                       standstill_p_0=0.0)
+    SLOW = dataclasses.replace(CAR, name="slow")
+
+    def ring(self, positions):
+        # vehicle i starts in lane i % 2; vehicle 0 is slow and may not use lane 0
+        state = init_ring(100, len(positions), self.CAR, seed=1, lanes=2, positions=positions)
+        state.classes["slow"] = self.SLOW
+        state.vehicles[0].cls = self.SLOW
+        apply_lane_policy(state, "ring", [{"car"}, None])
+        return state
+
+    def lanes_after_one_step(self, positions, stepper):
+        state = self.ring(positions)
+        stepper(state)
+        return [state.vehicles[vid].lane for vid in range(len(positions))]
+
+    def test_move_frees_a_later_target(self):
+        # 0 (lane 0, cell 10) must leave lane 0. 1 (lane 1, cell 12) is boxed in
+        # by 3 (lane 1, cell 13), and 0 sits too close behind it in lane 0; once
+        # 0 has moved out, lane 0 is free behind 1 and 1 changes in the same step
+        positions = [10, 12, 60, 13]
+        lanes = self.lanes_after_one_step(positions, step)
+        assert lanes[:2] == [1, 0]
+        assert lanes == self.lanes_after_one_step(positions, reference_step)
+
+    def test_move_blocks_a_later_target(self):
+        # 2 (lane 0, cell 12) is boxed in by 4 (lane 0, cell 13) with lane 1 free
+        # behind it, until 0 (lane 0, cell 10) changes into lane 1 first
+        positions = [10, 50, 12, 70, 13]
+        lanes = self.lanes_after_one_step(positions, step)
+        assert lanes[0] == 1 and lanes[2] == 0
+        assert lanes == self.lanes_after_one_step(positions, reference_step)
