@@ -334,8 +334,9 @@ def _transfer_stage(run, tcfg):
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap(metric="sinr_db")
         for _, x, y in (point for trace in traces for point in trace):
+            sinr = scene.sinr((x, y))
             for _ in range(3):
-                scene.map.record((x, y), scene.sinr((x, y)))
+                scene.map.record((x, y), sinr)
     rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":

@@ -5,6 +5,14 @@ shortest-path distance along the (undirected) road graph, plus k-nearest
 neighbor baselines, optionally weighted by temporal distance. Desk scale:
 direct Cholesky factorization, no sparse approximations.
 
+Distances and kernels are array passes: each point's geometry is computed
+once, and the fit, prediction and kNN read distances a row block at a time.
+Prediction takes queries in blocks of 64, stacks their kernel rows and solves
+them in one batched call that still makes one LAPACK ``dgesv`` per query,
+because one solve of the whole block rounds differently; the per-query
+factorizations bound it (0.57 s of 0.62 s for 1000 queries on 200 sensors,
+2-core VM).
+
 The squared-exponential kernel of network distance is not positive definite
 in general, on trees as well as on cyclic networks: on a comb tree (a 10-node
 spine of 300 m edges with a 300 m tooth at each node, 1 % noise) its Cholesky
@@ -24,6 +32,7 @@ import numpy as np
 from .road_net import RoadNetwork, node_distances
 
 _JITTER = 1e-8
+_BLOCK = 64  # queries per predict_gpr block: bounds the kernel rows held at once
 
 
 class ImputeError(ValueError):
@@ -48,54 +57,86 @@ class VolumeObservation:
             raise ImputeError(f"negative flow {self.flow_veh_day}")
 
 
+@dataclass(frozen=True)
+class _Points:
+    """Geometry of n points: planar positions (n, 2) under the Euclidean
+    metric; else edge indices (n,), end node indices (n, 2) and distances to
+    the from and to ends (n, 2)."""
+    n: int
+    xy: np.ndarray
+    edge: np.ndarray
+    node: np.ndarray
+    dist: np.ndarray
+
+
 class _DistanceOracle:
-    """Pairwise shortest-path distances between on-edge points (cached Dijkstra)."""
+    """Distances between on-edge points, a row block at a time.
+
+    ``points`` computes each point's geometry once. ``rows(a, b)`` is the
+    block d(a_i, b_j): ``math.hypot`` per pair (``np.hypot`` rounds some pairs
+    differently), or the shorter of the same-edge offset difference and the
+    paths through the four end-node pairs, read from Dijkstra rows cached per
+    row end node. Network distance is not bit-symmetric: d(a, b) and d(b, a)
+    can differ in the last bits.
+    """
 
     def __init__(self, net: RoadNetwork, euclidean: bool = False):
         self.net = net
         self.euclidean = euclidean
-        self._node_dist = {}
+        self._node_ids = list(net.nodes)
+        self._node_index = {nid: i for i, nid in enumerate(self._node_ids)}
+        self._edge_index = {eid: i for i, eid in enumerate(net.edges)}
+        self._node_rows = {}
 
-    def _from_node(self, node_id):
-        if node_id not in self._node_dist:
-            self._node_dist[node_id] = node_distances(self.net, node_id)
-        return self._node_dist[node_id]
+    def _node_row(self, i: int) -> np.ndarray:
+        row = self._node_rows.get(i)
+        if row is None:
+            dist = node_distances(self.net, self._node_ids[i])
+            row = self._node_rows[i] = np.array(
+                [dist.get(nid, math.inf) for nid in self._node_ids])
+        return row
 
-    def _check(self, p: NetPoint):
-        if p.edge not in self.net.edges:
-            raise ImputeError(f"unknown edge {p.edge!r}")
-        e = self.net.edges[p.edge]
-        if not 0.0 <= p.offset_m <= e.length_m:
-            raise ImputeError(f"offset {p.offset_m} outside edge {p.edge!r}")
-        return e
+    def points(self, locations) -> _Points:
+        xy, edge, node, dist = [], [], [], []
+        for p in locations:
+            if p.edge not in self.net.edges:
+                raise ImputeError(f"unknown edge {p.edge!r}")
+            e = self.net.edges[p.edge]
+            if not 0.0 <= p.offset_m <= e.length_m:
+                raise ImputeError(f"offset {p.offset_m} outside edge {p.edge!r}")
+            if self.euclidean:
+                a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
+                f = p.offset_m / e.length_m
+                xy.append((a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)))
+            else:
+                edge.append(self._edge_index[p.edge])
+                node.append((self._node_index[e.from_node], self._node_index[e.to_node]))
+                dist.append((p.offset_m, e.length_m - p.offset_m))
+        return _Points(len(xy) + len(edge), np.array(xy, dtype=float).reshape(-1, 2),
+                       np.array(edge, dtype=int), np.array(node, dtype=int).reshape(-1, 2),
+                       np.array(dist, dtype=float).reshape(-1, 2))
 
-    def _euclid_pos(self, p: NetPoint):
-        e = self.net.edges[p.edge]
-        a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
-        f = p.offset_m / e.length_m
-        return (a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
-
-    def distance(self, a: NetPoint, b: NetPoint) -> float:
-        ea, eb = self._check(a), self._check(b)
+    def rows(self, a: _Points, b: _Points) -> np.ndarray:
         if self.euclidean:
-            pa, pb = self._euclid_pos(a), self._euclid_pos(b)
-            return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-        best = math.inf
-        if a.edge == b.edge:
-            best = abs(a.offset_m - b.offset_m)
-        ends_a = ((ea.from_node, a.offset_m), (ea.to_node, ea.length_m - a.offset_m))
-        ends_b = ((eb.from_node, b.offset_m), (eb.to_node, eb.length_m - b.offset_m))
-        for na, da in ends_a:
-            dist_map = self._from_node(na)
-            for nb, db in ends_b:
-                via = dist_map.get(nb, math.inf)
-                best = min(best, da + via + db)
+            bx, by = b.xy.T
+            return np.array([np.fromiter(map(math.hypot, (ax - bx).tolist(),
+                                             (ay - by).tolist()), float, b.n)
+                             for ax, ay in a.xy.tolist()]).reshape(a.n, b.n)
+        best = np.where(a.edge[:, None] == b.edge,
+                        np.abs(a.dist[:, :1] - b.dist[:, 0]), math.inf)
+        for i in (0, 1):
+            reach = np.array([self._node_row(u) for u in a.node[:, i].tolist()]).reshape(
+                a.n, len(self._node_ids))
+            for j in (0, 1):
+                best = np.minimum(best, (a.dist[:, i, None] + reach[:, b.node[:, j]])
+                                  + b.dist[:, j])
         return best
 
 
 def network_distance(net: RoadNetwork, a: NetPoint, b: NetPoint) -> float:
     """Meters along the undirected road graph; inf when disconnected."""
-    return _DistanceOracle(net).distance(a, b)
+    oracle = _DistanceOracle(net)
+    return float(oracle.rows(oracle.points([a]), oracle.points([b]))[0, 0])
 
 
 @dataclass
@@ -128,18 +169,15 @@ class GprModel:
     prior_mean: float
     alpha: np.ndarray           # (K + sigma_n2 I)^-1 (y - prior)
     chol: np.ndarray
-    oracle: _DistanceOracle = field(repr=False, default=None)
+    oracle: _DistanceOracle = field(repr=False)
+    points: _Points = field(repr=False)   # geometry of ``locations``
 
-    def kernel_vec(self, loc: NetPoint) -> np.ndarray:
-        d = np.array([self.oracle.distance(loc, l) for l in self.locations])
-        return self._kernel_of(d)
 
-    def _kernel_of(self, d):
-        out = np.zeros_like(d, dtype=float)
-        finite = np.isfinite(d)
-        ell = self.params.length_scale_m
-        out[finite] = self.params.sigma_f2 * np.exp(-(d[finite] ** 2) / (2 * ell * ell))
-        return out  # disconnected pairs keep zero covariance
+def _kernel(params: GprParams, d: np.ndarray) -> np.ndarray:
+    ell = params.length_scale_m
+    # disconnected pairs get zero covariance
+    return np.where(np.isfinite(d),
+                    params.sigma_f2 * np.exp(-(d ** 2) / (2 * ell * ell)), 0.0)
 
 
 def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
@@ -162,15 +200,12 @@ def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
             seen.add(key)
     y = np.array([o.flow_veh_day for o in obs], dtype=float)
     oracle = _DistanceOracle(net, euclidean=params.euclidean)
+    points = oracle.points(locations)
     n = len(obs)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = oracle.distance(locations[i], locations[j])
-    ell = params.length_scale_m
-    K = np.where(np.isfinite(D),
-                 params.sigma_f2 * np.exp(-(D ** 2) / (2 * ell * ell)), 0.0)
-    A = K + (params.sigma_n2 + _JITTER) * np.eye(n)
+    # d(loc_i, loc_j) for i < j, mirrored: network distance is not bit-symmetric
+    D = np.triu(oracle.rows(points, points), 1)
+    D = D + D.T
+    A = _kernel(params, D) + (params.sigma_n2 + _JITTER) * np.eye(n)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
@@ -188,24 +223,34 @@ def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
             break
         alpha, best = cand, norm
     return GprModel(params=params, locations=locations, prior_mean=prior,
-                    alpha=alpha, chol=L, oracle=oracle)
+                    alpha=alpha, chol=L, oracle=oracle, points=points)
 
 
 def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     """Posterior (mean, variance) per query; variance clamped at zero.
+
+    Queries go in blocks of ``_BLOCK``: one distance block and its kernel rows,
+    then one batched solve whose gufunc makes one LAPACK ``dgesv`` call per
+    row, as a per-query solve would. Means and variances are per-row dots.
+    A single solve of all rows, or a ``K @ alpha`` product, would round
+    differently and change the output bits.
 
     The squared-exponential kernel of graph distance is not positive definite
     on every network, trees included, so where the fit succeeds raw variances
     can still dip negative; use the ``euclidean`` flag, or ``clamp=False`` to
     inspect raw values.
     """
+    locations = list(locations)
+    L, sigma_f2 = model.chol, model.params.sigma_f2
     out = []
-    for loc in locations:
-        k_star = model.kernel_vec(loc)
-        mean = model.prior_mean + float(k_star @ model.alpha)
-        v = np.linalg.solve(model.chol, k_star)
-        var = model.params.sigma_f2 - float(v @ v)
-        out.append((mean, max(var, 0.0) if clamp else var))
+    for start in range(0, len(locations), _BLOCK):
+        queries = model.oracle.points(locations[start:start + _BLOCK])
+        K = _kernel(model.params, model.oracle.rows(queries, model.points))
+        V = np.linalg.solve(np.broadcast_to(L, (queries.n,) + L.shape), K[:, :, None])
+        for k, v in zip(K, V[:, :, 0]):
+            var = sigma_f2 - float(v @ v)
+            out.append((model.prior_mean + float(k @ model.alpha),
+                        max(var, 0.0) if clamp else var))
     return out
 
 
@@ -223,9 +268,11 @@ def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork,
     if not 1 <= k <= len(obs):
         raise ImputeError(f"k={k} outside [1, {len(obs)}]")
     oracle = _DistanceOracle(net, euclidean=euclidean)
-    ranked = sorted(obs, key=lambda o: (oracle.distance(location, o.location),
-                                        o.location.edge, o.day))
-    chosen = ranked[:k]
+    dist = oracle.rows(oracle.points([location]),
+                       oracle.points([o.location for o in obs]))[0].tolist()
+    order = sorted(range(len(obs)), key=lambda i: (dist[i], obs[i].location.edge,
+                                                   obs[i].day))
+    chosen = [obs[i] for i in order[:k]]
     if tau_days is None:
         return sum(o.flow_veh_day for o in chosen) / k
     weights = [math.exp(-abs(o.day - at_day) / tau_days) for o in chosen]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hybridflow.impute import (GprParams, ImputeError, NetPoint, VolumeObservation,
-                               default_params, fit_gpr, knn_estimate,
+                               _DistanceOracle, default_params, fit_gpr, knn_estimate,
                                network_distance, predict_gpr)
-from hybridflow.road_net import build_network
+from hybridflow.road_net import build_network, node_distances
 
 
 def line_net(n_nodes=5, seg_len=500.0):
@@ -127,9 +127,28 @@ class TestGpr:
         queries = [NetPoint(f"e{i % 4}", float(rng.uniform(0, 500))) for i in range(7)]
         batch = predict_gpr(model, queries)
         single = [predict_gpr(model, [q])[0] for q in queries]
-        for (m1, v1), (m2, v2) in zip(batch, single):
-            assert m1 == pytest.approx(m2, abs=1e-9)
-            assert v1 == pytest.approx(v2, abs=1e-9)
+        assert batch == single
+
+    def test_no_queries(self):
+        net = line_net()
+        model = fit_gpr(net, [obs_at("e0", 100.0, 123.0)], GprParams(1e4, 500.0))
+        assert predict_gpr(model, []) == []
+        assert predict_gpr(model, iter([])) == []
+
+    def test_generator_consumed_once(self):
+        net = line_net()
+        model = fit_gpr(net, [obs_at("e0", 100.0, 123.0), obs_at("e2", 40.0, 80.0)],
+                        GprParams(1e4, 500.0, 1.0))
+        queries = [NetPoint(f"e{i % 4}", 7.0 * i) for i in range(70)]
+        pulled = []
+
+        def once():
+            for q in queries:
+                pulled.append(q)
+                yield q
+
+        assert predict_gpr(model, once()) == predict_gpr(model, queries)
+        assert pulled == queries
 
     def test_noise_free_interpolation_and_variance_bound(self):
         # spacing comparable to the length scale keeps the kernel well posed
@@ -243,3 +262,201 @@ class TestKnn:
             knn_estimate(self.observations(), NetPoint("e0", 0.0), 4, net)
         with pytest.raises(ImputeError):
             knn_estimate([], NetPoint("e0", 0.0), 1, net)
+
+
+# --- differential references -------------------------------------------------
+# The per-pair distance oracle and the per-query predictor that the row blocks
+# and batched solves replaced. The array passes must reproduce them bit for bit.
+
+class PairOracle:
+    def __init__(self, net, euclidean=False):
+        self.net = net
+        self.euclidean = euclidean
+        self._node_dist = {}
+
+    def _from_node(self, node_id):
+        if node_id not in self._node_dist:
+            self._node_dist[node_id] = node_distances(self.net, node_id)
+        return self._node_dist[node_id]
+
+    def _euclid_pos(self, p):
+        e = self.net.edges[p.edge]
+        a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
+        f = p.offset_m / e.length_m
+        return (a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+
+    def distance(self, a, b):
+        ea, eb = self.net.edges[a.edge], self.net.edges[b.edge]
+        if self.euclidean:
+            pa, pb = self._euclid_pos(a), self._euclid_pos(b)
+            return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+        best = math.inf
+        if a.edge == b.edge:
+            best = abs(a.offset_m - b.offset_m)
+        ends_a = ((ea.from_node, a.offset_m), (ea.to_node, ea.length_m - a.offset_m))
+        ends_b = ((eb.from_node, b.offset_m), (eb.to_node, eb.length_m - b.offset_m))
+        for na, da in ends_a:
+            dist_map = self._from_node(na)
+            for nb, db in ends_b:
+                via = dist_map.get(nb, math.inf)
+                best = min(best, da + via + db)
+        return best
+
+
+def pair_kernel(params, d):
+    out = np.zeros_like(d, dtype=float)
+    finite = np.isfinite(d)
+    ell = params.length_scale_m
+    out[finite] = params.sigma_f2 * np.exp(-(d[finite] ** 2) / (2 * ell * ell))
+    return out
+
+
+def pair_fit(net, obs, params):
+    """(oracle, locations, prior, alpha, chol) as the per-pair fit made them."""
+    oracle = PairOracle(net, params.euclidean)
+    locations = [o.location for o in obs]
+    y = np.array([o.flow_veh_day for o in obs], dtype=float)
+    n = len(obs)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = oracle.distance(locations[i], locations[j])
+    ell = params.length_scale_m
+    K = np.where(np.isfinite(D),
+                 params.sigma_f2 * np.exp(-(D ** 2) / (2 * ell * ell)), 0.0)
+    A = K + (params.sigma_n2 + 1e-8) * np.eye(n)
+    L = np.linalg.cholesky(A)
+    prior = float(np.mean(y))
+    resid = y - prior
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, resid))
+    best = float(np.linalg.norm(resid - A @ alpha))
+    for _ in range(4):
+        r = resid - A @ alpha
+        cand = alpha + np.linalg.solve(L.T, np.linalg.solve(L, r))
+        norm = float(np.linalg.norm(resid - A @ cand))
+        if norm >= best:
+            break
+        alpha, best = cand, norm
+    return oracle, locations, prior, alpha, L
+
+
+def pair_predict(fitted, params, queries, clamp=True):
+    oracle, locations, prior, alpha, L = fitted
+    out = []
+    for loc in queries:
+        k_star = pair_kernel(params, np.array([oracle.distance(loc, l) for l in locations]))
+        mean = prior + float(k_star @ alpha)
+        v = np.linalg.solve(L, k_star)
+        var = params.sigma_f2 - float(v @ v)
+        out.append((mean, max(var, 0.0) if clamp else var))
+    return out
+
+
+def city_net(seed, n=4, block=300.0):
+    """Jittered n x n grid with lengths rounded to 0.1 m, plus a far island edge."""
+    rng = np.random.default_rng(seed)
+    nodes, pos = [], {}
+    for i in range(n):
+        for j in range(n):
+            nid = f"n{i}_{j}"
+            pos[nid] = (round(i * block + rng.uniform(-50, 50), 2),
+                        round(j * block + rng.uniform(-50, 50), 2))
+            nodes.append({"id": nid, "x": pos[nid][0], "y": pos[nid][1]})
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            for di, dj in ((1, 0), (0, 1)):
+                if i + di < n and j + dj < n:
+                    a, b = f"n{i}_{j}", f"n{i + di}_{j + dj}"
+                    if (i + j) % 2:
+                        a, b = b, a
+                    edges.append({"id": f"{a}-{b}", "from": a, "to": b,
+                                  "length_m": round(math.dist(pos[a], pos[b]), 1),
+                                  "lanes": 1, "v_max_kmh": 50})
+    nodes += [{"id": "x0", "x": 5000.0, "y": 5000.0}, {"id": "x1", "x": 5120.0, "y": 5000.0}]
+    edges.append({"id": "x", "from": "x0", "to": "x1", "length_m": 120.0, "lanes": 1,
+                  "v_max_kmh": 50})
+    return build_network({"version": 1, "cell_length_m": 1.5, "nodes": nodes,
+                          "edges": edges, "detectors": []})
+
+
+def random_points(net, rng, count, integer=False):
+    ids = sorted(net.edges)
+    out = []
+    for _ in range(count):
+        e = net.edges[ids[int(rng.integers(0, len(ids)))]]
+        frac = float(rng.uniform(0.0, 1.0))
+        off = int(frac * e.length_m) if integer else round(frac * e.length_m, 3)
+        out.append(NetPoint(e.id, off))
+    return out
+
+
+def sensors(net, seed, count=40, integer=False):
+    rng = np.random.default_rng(seed)
+    points = random_points(net, rng, count, integer)
+    # no sensor on the island: its queries are uncorrelated with every sensor
+    return [VolumeObservation(p, i % 3, float(rng.uniform(100.0, 900.0)))
+            for i, p in enumerate(points) if p.edge != "x"]
+
+
+@pytest.mark.parametrize("euclidean", [False, True], ids=["network", "euclidean"])
+@pytest.mark.parametrize("integer", [False, True], ids=["float", "int"])
+class TestMatchesPairwise:
+    def test_distance_rows(self, euclidean, integer):
+        net = city_net(11)
+        rng = np.random.default_rng(12)
+        a = random_points(net, rng, 45, integer)
+        b = random_points(net, rng, 60, integer)
+        oracle, pairs = _DistanceOracle(net, euclidean), PairOracle(net, euclidean)
+        got = oracle.rows(oracle.points(a), oracle.points(b))
+        want = np.array([[pairs.distance(p, q) for q in b] for p in a])
+        assert np.isinf(want).any() != euclidean
+        assert np.array_equal(got, want)
+
+    def test_fit(self, euclidean, integer):
+        net = city_net(21)
+        obs = sensors(net, 22, integer=integer)
+        params = default_params([o.flow_veh_day for o in obs], 100.0)
+        params.euclidean = euclidean
+        model = fit_gpr(net, obs, params)
+        _, _, prior, alpha, chol = pair_fit(net, obs, params)
+        assert model.prior_mean == prior
+        assert np.array_equal(model.chol, chol)
+        assert np.array_equal(model.alpha, alpha)
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_predict(self, euclidean, integer, count, clamp):
+        net = city_net(31)
+        obs = sensors(net, 32, integer=integer)
+        params = default_params([o.flow_veh_day for o in obs], 100.0)
+        params.euclidean = euclidean
+        queries = random_points(net, np.random.default_rng(33 + count), count, integer)
+        got = predict_gpr(fit_gpr(net, obs, params), queries, clamp=clamp)
+        assert got == pair_predict(pair_fit(net, obs, params), params, queries, clamp)
+
+    def test_knn_rankings(self, euclidean, integer):
+        net = city_net(41)
+        obs = sensors(net, 42, count=25, integer=integer)
+        pairs = PairOracle(net, euclidean)
+        for q in random_points(net, np.random.default_rng(43), 8, integer):
+            ranked = sorted(obs, key=lambda o: (pairs.distance(q, o.location),
+                                                o.location.edge, o.day))
+            for k in range(1, len(obs) + 1):
+                got = knn_estimate(obs, q, k, net, euclidean=euclidean)
+                assert got == sum(o.flow_veh_day for o in ranked[:k]) / k
+                weights = [math.exp(-abs(o.day - 1) / 2.0) for o in ranked[:k]]
+                want = (sum(w * o.flow_veh_day for w, o in zip(weights, ranked[:k]))
+                        / sum(weights))
+                assert knn_estimate(obs, q, k, net, tau_days=2.0, at_day=1,
+                                    euclidean=euclidean) == want
+
+
+def test_disconnected_query_gets_prior():
+    net = city_net(51)
+    obs = sensors(net, 52)
+    params = default_params([o.flow_veh_day for o in obs], 100.0)
+    model = fit_gpr(net, obs, params)
+    mean, var = predict_gpr(model, [NetPoint("x", 60.0)])[0]
+    assert mean == model.prior_mean
+    assert var == params.sigma_f2
