@@ -102,7 +102,10 @@ def gen_corpus(out_dir, count, noise_sigma_db, mix, seed):
 @click.option("--length-scale", type=float, default=1000.0, show_default=True)
 @click.option("--knn", "knn_k", type=int, default=None,
               help="Also print kNN estimates with this k.")
-def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k):
+@click.option("--euclidean", is_flag=True,
+              help="Fit the GP over straight-line distance, as the config's "
+                   "impute.euclidean; kNN stays on network distance.")
+def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, euclidean):
     """Estimate traffic volumes at unobserved locations (GPR over the network)."""
     try:
         net = load_network(network_path)
@@ -113,6 +116,7 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k):
             locs.append(impute.NetPoint(edge, float(offset)))
         params = impute.default_params([o.flow_veh_day for o in observations],
                                        length_scale)
+        params.euclidean = euclidean
         model = impute.fit_gpr(net, observations, params)
         preds = impute.predict_gpr(model, locs)
         impute.write_predictions_csv(out_path, locs, preds)

@@ -3,7 +3,9 @@
 A log-distance path-loss model with lattice-hashed lognormal shadowing stands
 in for a measured network. The connectivity map keeps exact running
 statistics (Welford) per geographic grid cell and backs the trajectory
-forecasts used by the predictive transfer policies.
+forecasts used by the predictive transfer policies. A scene memoises the SINR
+of each position it is asked about, since the map build and every policy's
+drive ask about the same trace points.
 """
 
 from __future__ import annotations
@@ -85,18 +87,28 @@ def sinr_at(pos, stations, noise_dbm: float, model: PropagationModel) -> float:
 
 @dataclass
 class RadioScene:
-    """Stations + propagation + noise floor, with an optional prior map."""
+    """Stations + propagation + noise floor, with an optional prior map.
+
+    ``sinr`` memoises on the exact position, so the stations, noise floor and
+    model must not change after the first call.
+    """
 
     stations: list
     noise_dbm: float = -100.0
     model: PropagationModel = field(default_factory=PropagationModel)
     map: "ConnectivityMap | None" = None
+    _sinr_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def rsrp(self, pos) -> float:
         return max(rsrp_at(pos, s, self.model) for s in self.stations)
 
     def sinr(self, pos) -> float:
-        return sinr_at(pos, self.stations, self.noise_dbm, self.model)
+        key = (pos[0], pos[1])
+        val = self._sinr_memo.get(key)
+        if val is None:
+            val = self._sinr_memo[key] = sinr_at(pos, self.stations, self.noise_dbm,
+                                                 self.model)
+        return val
 
 
 class ConnectivityMap:

@@ -9,11 +9,14 @@ predicted data rate) through
 so transmissions concentrate where the metric is high; a maximum buffer age
 forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
-hysteresis factor.
+hysteresis factor. A drive never writes the connectivity map, so it reads the
+map at every trace point once, and each probe reads only the peak of its
+look-ahead window.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -94,12 +97,17 @@ class RatePredictor:
     payload_ramp_bytes: float = 100_000.0
     table: dict = field(default_factory=dict)
 
-    def formula_rate(self, sinr_db: float, payload_bytes: float, speed_mps: float) -> float:
+    def link_rate(self, sinr_db: float) -> float:
+        """Capped spectral-efficiency rate in Mbit/s, before the payload factor."""
         lin = 10.0 ** (sinr_db / 10.0)
         rate = self.efficiency * (self.bandwidth_hz / 1e6) * math.log2(1.0 + lin)
-        rate = min(self.rate_cap_mbps, rate)
-        s = min(1.0, payload_bytes / self.payload_ramp_bytes)  # small payloads underutilize
-        return rate * s
+        return min(self.rate_cap_mbps, rate)
+
+    def payload_factor(self, payload_bytes: float) -> float:
+        return min(1.0, payload_bytes / self.payload_ramp_bytes)  # small payloads underutilize
+
+    def formula_rate(self, sinr_db: float, payload_bytes: float, speed_mps: float) -> float:
+        return self.link_rate(sinr_db) * self.payload_factor(payload_bytes)
 
     @staticmethod
     def bin_of(sinr_db: float, payload_bytes: float, speed_mps: float) -> tuple:
@@ -116,6 +124,20 @@ class RatePredictor:
             if entry is not None:
                 return entry[1]
         return self.formula_rate(sinr_db, payload_bytes, speed_mps)
+
+    def peak_rate(self, sinrs, links, payload_bytes: float, speed_mps: float) -> float:
+        """Highest predicted rate over a window of finite SINRs; -inf if it is empty.
+
+        ``links`` holds ``link_rate`` of each SINR. The formula takes the peak
+        link rate times the payload factor: for a non-negative payload,
+        x -> fl(x * s) is monotone non-decreasing, so this equals the peak of
+        the products. A learned table is not monotone and predicts each SINR.
+        """
+        if not sinrs:
+            return -math.inf
+        if self.kind == "learned_table":
+            return max(self.predict(v, payload_bytes, speed_mps) for v in sinrs)
+        return max(links) * self.payload_factor(payload_bytes)
 
 
 def train_predictor(log_rows) -> RatePredictor:
@@ -162,9 +184,12 @@ class PolicyRuntime:
 
 
 def decide(runtime: PolicyRuntime, now_s: float, buffer: BufferState,
-           phi_now: float, forecast=None) -> bool:
+           phi_now: float, peak=None) -> bool:
     """True = transmit, False = defer.
 
+    ``peak`` is the highest forecast metric at the trace points after
+    ``now_s`` within the look-ahead (-inf when there is none); predictive
+    policies defer while it beats ``phi_now`` by the hysteresis factor.
     cat-family calls consume exactly one uniform regardless of the outcome so
     that runs with different alphas stay draw-aligned.
     """
@@ -176,10 +201,9 @@ def decide(runtime: PolicyRuntime, now_s: float, buffer: BufferState,
     if age >= pol.t_max_s:
         return True
     if pol.predictive:
-        if forecast is None:
+        if peak is None:
             raise PolicyError(f"{pol.kind} requires a forecast")
-        future = [v for t, v in forecast if t > now_s]
-        if future and max(future) > pol.gamma * phi_now:
+        if peak > pol.gamma * phi_now:
             return False
     p = transmission_probability(phi_now, pol.phi_min, pol.phi_max, pol.alpha)
     return u < p
@@ -246,7 +270,10 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     Returns (TransferMetrics, decision log). Flushes drain the whole buffer
     at the rate the formula yields on the true SINR, with multiplicative
     lognormal noise; deep-fade transmissions may need one retransmission,
-    doubling that payload's airtime and energy.
+    doubling that payload's airtime and energy. A predictive policy reads the
+    scene's map at every trace point once per drive (one ``forecast_along``
+    call), and each probe reads the peak of its look-ahead window: the later
+    points within ``lookahead_s``.
     """
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
@@ -262,7 +289,8 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     ages = []
     n_tx = n_retx = 0
     probe_every = max(1.0, policy.t_min_s)
-    j = 0  # trace[i:j] is the look-ahead: the points within lookahead_s of t
+    k = j = 0  # trace[k:j] is the look-ahead: the points after t within lookahead_s of it
+    ahead = links = nonfinite = None  # map value and link rate per trace point
     for i in range(1, len(trace)):
         t, x, y = trace[i]
         if t < trace[i - 1][0]:
@@ -281,18 +309,32 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             phi = predictor.predict(sinr, buf.queued_bytes, speed)
         else:
             phi = sinr
-        forecast = None
+        peak = None
         if policy.predictive:
-            if scene.map is None:
-                raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
+            if ahead is None:
+                if scene.map is None:
+                    raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
+                ahead = [v for _, v in forecast_along(scene.map, trace, math.inf)]
+                if len(ahead) < len(trace):
+                    raise PolicyError("trace times must be finite")
+                if policy.metric_is_rate:
+                    links = [predictor.link_rate(v) for v in ahead]
+                    nonfinite = [m for m, v in enumerate(ahead) if not math.isfinite(v)]
             j = max(j, i)
             while j < len(trace) and trace[j][0] - t <= policy.lookahead_s:
                 j += 1
-            forecast = forecast_along(scene.map, trace[i:j], policy.lookahead_s)
+            k = max(k, i)
+            while k < j and trace[k][0] <= t:
+                k += 1
             if policy.metric_is_rate:
-                forecast = [(ft, predictor.predict(fv, buf.queued_bytes, speed))
-                            for ft, fv in forecast]
-        if decide(runtime, t, buf, phi, forecast) and buf.queued_bytes > 0:
+                # predict used to see every point of trace[i:j], those at t too
+                b = bisect.bisect_left(nonfinite, i)
+                if b < len(nonfinite) and nonfinite[b] < j:
+                    raise PolicyError(f"non-finite feature {ahead[nonfinite[b]]}")
+                peak = predictor.peak_rate(ahead[k:j], links[k:j], buf.queued_bytes, speed)
+            else:
+                peak = max(ahead[k:j], default=-math.inf)
+        if decide(runtime, t, buf, phi, peak) and buf.queued_bytes > 0:
             payload = buf.queued_bytes
             noise = math.exp(noise_rng.normal(0.0, RATE_NOISE_SIGMA) -
                              RATE_NOISE_SIGMA ** 2 / 2.0)

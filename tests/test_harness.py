@@ -288,6 +288,31 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 predictions
 
+    def test_impute_euclidean_matches_config(self, tmp_path):
+        # --euclidean is the config's impute.euclidean: the CLI's predictions
+        # equal the impute stage's, and differ from the network-distance fit
+        cfg = demo_config()
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(cfg["network"]))
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("edge,offset_m,day,flow\n"
+                            "s1,420,0,9100\ns2,150,0,5200\nl2,300,0,7400\n")
+        args = ["impute", "--network", str(net_path), "--observations", str(obs_path),
+                "--targets", "l1:300,s2:30"]
+        for name, extra in (("network", []), ("euclidean", ["--euclidean"])):
+            res = CliRunner().invoke(main, args + ["--out", str(tmp_path / name)] + extra)
+            assert res.exit_code == 0, res.output
+        cfg["stages"] = {"impute": {
+            "observations": [{"edge": "s1", "offset_m": 420, "flow": 9100},
+                             {"edge": "s2", "offset_m": 150, "flow": 5200},
+                             {"edge": "l2", "offset_m": 300, "flow": 7400}],
+            "euclidean": True,
+            "targets": [{"edge": "l1", "offset_m": 300}, {"edge": "s2", "offset_m": 30}]}}
+        harness.run_experiment(cfg, out_dir=tmp_path / "run")
+        stage_csv = (tmp_path / "run" / "imputation.csv").read_text()
+        assert (tmp_path / "euclidean").read_text() == stage_csv
+        assert (tmp_path / "network").read_text() != stage_csv
+
     def test_assign_command(self, tmp_path):
         runner = CliRunner()
         cfg = harness.load_config(CONFIG_DIR / "two_route_congested.json")

@@ -186,3 +186,29 @@ class TestForecast:
 def test_scene_wraps_model():
     scene = RadioScene([BaseStation("s", (0.0, 0.0))], model=no_shadow())
     assert scene.sinr((10.0, 0.0)) > scene.sinr((500.0, 0.0))
+
+
+class TestSceneSinrMemo:
+    def scene(self):
+        return RadioScene([BaseStation("a", (0.0, 0.0)),
+                           BaseStation("b", (900.0, 300.0), tx_power_dbm=30.0)],
+                          model=PropagationModel(seed=3))
+
+    def test_bit_identical_to_sinr_at(self):
+        scene = self.scene()
+        rng = np.random.default_rng(12)
+        fresh = [(float(x), float(y)) for x, y in rng.uniform(-500, 1500, size=(200, 2))]
+        # repeated positions, and ones equal to others as keys: ints, -0.0
+        positions = fresh + fresh[::3] + [(0, 0), (0.0, 0.0), (-0.0, 0.0), (10, -5)] * 2
+        for pos in positions:
+            want = sinr_at(pos, scene.stations, scene.noise_dbm, scene.model)
+            assert scene.sinr(pos).hex() == want.hex()
+
+    def test_memo_not_part_of_equality(self):
+        # unshadowed, so that only the SINR memos differ
+        a, b = (RadioScene([BaseStation("a", (0.0, 0.0))], model=no_shadow()) for _ in "ab")
+        a.sinr((10.0, 20.0))
+        b.sinr((400.0, -30.0))
+        b.sinr((10.0, 20.0))
+        assert a == b
+        assert repr(a) == repr(b)

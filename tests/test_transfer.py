@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridflow import transfer
-from hybridflow.radio_env import BaseStation, ConnectivityMap, PropagationModel, RadioScene
+from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
+                                  forecast_along, sinr_at)
+from hybridflow.rng import substream
 from hybridflow.transfer import (BufferState, EnergyModel, PolicyError, PolicyRuntime,
-                                 RatePredictor, TransferPolicy, decide, line_trace,
-                                 simulate_drive, sinr_policy, train_predictor,
+                                 RatePredictor, TransferMetrics, TransferPolicy, decide,
+                                 line_trace, simulate_drive, sinr_policy, train_predictor,
                                  transmission_probability)
 
 
@@ -106,8 +108,7 @@ class TestDecide:
         pol = TransferPolicy(kind="ml_pcat", gamma=1.2, t_max_s=600.0)
         rt = PolicyRuntime.create(pol, seed=1)
         buf = BufferState(queued_bytes=100.0, oldest_ts=0.0)
-        forecast = [(11.0, 20.0), (12.0, 20.0)]
-        assert decide(rt, 10.0, buf, phi_now=10.0, forecast=forecast) is False
+        assert decide(rt, 10.0, buf, phi_now=10.0, peak=20.0) is False
 
     def test_phi_max_transmits_surely(self):
         pol = sinr_policy("cat")
@@ -234,22 +235,281 @@ class TestSimulateDrive:
         with pytest.raises(PolicyError, match="backwards"):
             simulate_drive(trace, scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
 
+    def test_non_finite_time_rejected_by_predictive_policy(self):
+        # the once-per-drive map read would drop the point and shift every window
+        trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (math.nan, 20.0, 0.0), (3, 30.0, 0.0)]
+        with pytest.raises(PolicyError, match="finite"):
+            simulate_drive(trace, good_bad_scene(with_map=True), TransferPolicy(kind="pcat"),
+                           1000.0, seed=1)
+
     def test_lookahead_is_the_horizon_slice(self, monkeypatch):
-        # uneven spacing and repeated times: each forecast sees exactly the
-        # rest of the trace within lookahead_s of the probe
+        # uneven spacing and repeated times: the map is read once, along the
+        # whole trace, and each probe's peak covers exactly the later points
+        # within lookahead_s, the ones the per-probe forecast kept
         trace = [(t, 10.0 * t, 0.0) for t in (0, 1, 1, 2, 5, 9, 9, 10, 14, 30, 31, 33, 40, 41)]
-        seen = []
-        original = transfer.forecast_along
+        scene = good_bad_scene(with_map=True)
+        reads, windows = [], []
+        original_forecast, original_peak = transfer.forecast_along, RatePredictor.peak_rate
 
-        def recording(cmap, trajectory, horizon_s):
-            seen.append(list(trajectory))
-            return original(cmap, trajectory, horizon_s)
+        def recording_forecast(cmap, trajectory, horizon_s):
+            reads.append((list(trajectory), horizon_s))
+            return original_forecast(cmap, trajectory, horizon_s)
 
-        monkeypatch.setattr(transfer, "forecast_along", recording)
-        pol = TransferPolicy(kind="ml_pcat", t_min_s=1.0, lookahead_s=8.0)
-        _, log = simulate_drive(trace, good_bad_scene(with_map=True), pol, 1000.0, seed=3)
-        probes = [r["t"] for r in log]
-        assert len(seen) == len(probes) > 5
-        for t, got in zip(probes, seen):
-            i = next(k for k in range(1, len(trace)) if trace[k][0] == t)
-            assert got == [p for p in trace[i:] if p[0] - t <= 8.0]
+        def recording_peak(self, sinrs, links, payload_bytes, speed_mps):
+            windows.append(list(sinrs))
+            return original_peak(self, sinrs, links, payload_bytes, speed_mps)
+
+        monkeypatch.setattr(transfer, "forecast_along", recording_forecast)
+        monkeypatch.setattr(RatePredictor, "peak_rate", recording_peak)
+        for lookahead in (0.0, 1.0, 8.0, 30.0):
+            for t_min in (1.0, 5.0):
+                reads.clear()
+                windows.clear()
+                want = []
+                pol = TransferPolicy(kind="ml_pcat", t_min_s=t_min, lookahead_s=lookahead)
+                _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3)
+                reference_drive(trace, scene, pol, 1000.0, 3, windows=want)
+                assert reads == [(trace, math.inf)]
+                assert len(windows) == len(want) == len(log) > 3
+                for r, points, got in zip(log, want, windows):
+                    assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
+                    assert got == [scene.map.lookup((x, y)) for _, x, y in points]
+
+
+
+def reference_decide(runtime, now_s, buffer, phi_now, forecast=None):
+    """``decide`` as it was with a per-probe forecast list of (t, value)."""
+    pol = runtime.policy
+    if pol.kind == "periodic":
+        return now_s - runtime.last_tx_s >= pol.periodic_interval_s
+    age = buffer.age(now_s)
+    u = runtime.rng.random()
+    if age >= pol.t_max_s:
+        return True
+    if pol.predictive:
+        if forecast is None:
+            raise PolicyError(f"{pol.kind} requires a forecast")
+        future = [v for t, v in forecast if t > now_s]
+        if future and max(future) > pol.gamma * phi_now:
+            return False
+    p = transmission_probability(phi_now, pol.phi_min, pol.phi_max, pol.alpha)
+    return u < p
+
+
+def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=None,
+                    windows=None):
+    """``simulate_drive`` as it was: each probe looks the window up on the map
+    and predicts every value in it; SINR straight from ``sinr_at``. Appends
+    each probe's later points (the ones ``decide`` kept) to ``windows``."""
+    if len(trace) < 2:
+        raise PolicyError("trace must span more than one second")
+    energy = EnergyModel()
+    predictor = predictor or RatePredictor()
+    runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
+    noise_rng = substream(seed, "transfer-noise")
+    buf = BufferState()
+    speeds = transfer._speed_series(trace)
+    log = []
+    generated = transferred = 0.0
+    tx_time = tx_energy = 0.0
+    ages = []
+    n_tx = n_retx = 0
+    probe_every = max(1.0, policy.t_min_s)
+    j = 0
+    for i in range(1, len(trace)):
+        t, x, y = trace[i]
+        if t < trace[i - 1][0]:
+            raise PolicyError(f"trace time goes backwards at index {i}: {t}")
+        pos = (x, y)
+        speed = speeds[i]
+        buf.queued_bytes += sensor_rate_bytes_s
+        generated += sensor_rate_bytes_s
+        if buf.oldest_ts is None:
+            buf.oldest_ts = t
+        if runtime.last_probe_s is not None and t - runtime.last_probe_s < probe_every:
+            continue
+        runtime.last_probe_s = t
+        sinr = sinr_at(pos, scene.stations, scene.noise_dbm, scene.model)
+        if policy.metric_is_rate:
+            phi = predictor.predict(sinr, buf.queued_bytes, speed)
+        else:
+            phi = sinr
+        forecast = None
+        if policy.predictive:
+            if scene.map is None:
+                raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
+            j = max(j, i)
+            while j < len(trace) and trace[j][0] - t <= policy.lookahead_s:
+                j += 1
+            forecast = forecast_along(scene.map, trace[i:j], policy.lookahead_s)
+            if windows is not None:
+                windows.append([p for p in trace[i:j] if p[0] > t])
+            if policy.metric_is_rate:
+                forecast = [(ft, predictor.predict(fv, buf.queued_bytes, speed))
+                            for ft, fv in forecast]
+        if reference_decide(runtime, t, buf, phi, forecast) and buf.queued_bytes > 0:
+            payload = buf.queued_bytes
+            noise = math.exp(noise_rng.normal(0.0, transfer.RATE_NOISE_SIGMA) -
+                             transfer.RATE_NOISE_SIGMA ** 2 / 2.0)
+            actual_rate = max(predictor.formula_rate(sinr, payload, speed) * noise, 1e-6)
+            attempts = 2 if noise_rng.random() < energy.loss_probability(sinr) else 1
+            duration = payload * 8.0 / (actual_rate * 1e6) * attempts
+            pathloss = max(s.tx_power_dbm for s in scene.stations) - scene.rsrp(pos)
+            e_tx = duration * energy.p_tx(pathloss)
+            ages.append(buf.age(t))
+            n_tx += 1
+            n_retx += attempts - 1
+            transferred += payload
+            tx_time += duration
+            tx_energy += e_tx
+            buf.queued_bytes = 0.0
+            buf.oldest_ts = None
+            runtime.last_tx_s = t
+            log.append({"t": t, "phi_metric": phi, "decision": "transmit",
+                        "bytes": payload, "duration_s": duration, "energy_j": e_tx,
+                        "sinr_db": sinr, "rate_mbps": actual_rate,
+                        "payload_bytes": payload, "speed_mps": speed,
+                        "attempts": attempts})
+        else:
+            log.append({"t": t, "phi_metric": phi, "decision": "defer", "bytes": 0.0,
+                        "duration_s": 0.0, "energy_j": 0.0, "sinr_db": sinr,
+                        "rate_mbps": 0.0, "payload_bytes": buf.queued_bytes,
+                        "speed_mps": speed, "attempts": 0})
+    wall = trace[-1][0] - trace[0][0]
+    idle_time = max(wall - tx_time, 0.0)
+    metrics = TransferMetrics(
+        mean_goodput_mbps=(transferred * 8.0 / tx_time / 1e6) if tx_time > 0 else 0.0,
+        total_energy_j=tx_energy + idle_time * energy.p_idle_w,
+        transmissions=n_tx,
+        mean_buffer_age_s=sum(ages) / len(ages) if ages else 0.0,
+        retransmissions=n_retx,
+        bytes_generated=generated,
+        bytes_transferred=transferred,
+        bytes_buffered_end=buf.queued_bytes,
+    )
+    return metrics, log
+
+
+def two_station_scene():
+    """Shadowed scene with a crowdsensed map: noisy, uneven sample counts, so
+    lookups take every rung of the fallback chain."""
+    scene = RadioScene([BaseStation("a", (6000.0, 0.0)),
+                        BaseStation("b", (1500.0, 400.0), tx_power_dbm=30.0)],
+                       model=PropagationModel(seed=4))
+    rng = np.random.default_rng(5)
+    cmap = ConnectivityMap(metric="sinr_db")
+    for _, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
+        sinr = sinr_at((x, y), scene.stations, scene.noise_dbm, scene.model)
+        for _ in range(int(rng.integers(0, 4))):
+            cmap.record((x, y), sinr + float(rng.normal(0.0, 3.0)))
+    scene.map = cmap
+    return scene
+
+
+def uneven_trace():
+    """Irregular gaps, repeated times (at one position) and a detour in y."""
+    rng = np.random.default_rng(6)
+    t = 0
+    trace = [(0, 0.0, 0.0)]
+    for _ in range(300):
+        t += int(rng.choice([0, 0, 1, 1, 1, 2, 3, 6, 11]))
+        trace.append((t, 10.0 * t, 40.0 * math.sin(t / 20.0)))
+    return trace
+
+
+def half_filled_table():
+    """Learned table over the bins the drives probe, half of them filled with
+    rates unrelated to SINR, so the table is far from monotone."""
+    rng = np.random.default_rng(9)
+    table = {(s, p, v): (1, float(rng.uniform(0.5, 40.0)))
+             for s in range(-15, 35) for p in range(10, 24) for v in range(0, 6)
+             if rng.random() < 0.5}
+    return RatePredictor(kind="learned_table", table=table)
+
+
+def make_policy(kind, **kwargs):
+    make = sinr_policy if kind in ("cat", "pcat") else TransferPolicy
+    return make(kind=kind, **kwargs)
+
+
+TRACES = {"line": lambda: line_trace((0.0, 0.0), (10.0, 0.0), 300), "uneven": uneven_trace}
+PREDICTORS = {"formula": RatePredictor, "learned": half_filled_table}
+
+
+def outcome(drive, *args, **kwargs):
+    """(metrics, log), or the PolicyError message."""
+    try:
+        return drive(*args, **kwargs)
+    except PolicyError as exc:
+        return f"PolicyError: {exc}"
+
+
+class TestForecastAgainstReference:
+    @pytest.mark.parametrize("trace_name", sorted(TRACES))
+    @pytest.mark.parametrize("pred_name", sorted(PREDICTORS))
+    @pytest.mark.parametrize("kind", transfer.POLICY_KINDS)
+    def test_equal_to_per_probe_forecast(self, kind, pred_name, trace_name):
+        scene, trace = two_station_scene(), TRACES[trace_name]()
+        predictor = PREDICTORS[pred_name]()
+        for lookahead in (0.0, 1.0, 8.0, 30.0):
+            for t_min in (1.0, 5.0):
+                pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
+                args = (trace, scene, pol, 10_000.0, 21)
+                want = reference_drive(*args, predictor=predictor)
+                assert simulate_drive(*args, predictor=predictor) == want
+                if pred_name == "learned" and pol.metric_is_rate:
+                    assert any(predictor.bin_of(r["sinr_db"], r["payload_bytes"],
+                                                r["speed_mps"]) in predictor.table
+                               for r in want[1])
+
+    @pytest.mark.parametrize("kind", ["pcat", "ml_pcat"])
+    def test_nan_prior_empty_map(self, kind):
+        scene = two_station_scene()
+        scene.map = ConnectivityMap(prior=math.nan)
+        pol = make_policy(kind)
+        for trace in (TRACES["line"](), uneven_trace()):
+            want = outcome(reference_drive, trace, scene, pol, 10_000.0, 3)
+            assert outcome(simulate_drive, trace, scene, pol, 10_000.0, 3) == want
+            if kind == "ml_pcat":
+                assert want == "PolicyError: non-finite feature nan"
+            else:
+                assert want[0].transmissions > 0
+
+    def test_non_finite_cell_raises_where_it_did(self):
+        # a non-finite cell under the trace's first point only is never in a probe's
+        # window; one under a later point is, from the first probe that reaches it
+        trace = [(0, -500.0, 0.0)] + line_trace((0.0, 0.0), (10.0, 0.0), 200, t0=1.0)
+        for x, raises in ((-500.0, False), (1200.0, True)):
+            scene = two_station_scene()
+            scene.map.cells[scene.map.cell_of((x, 0.0))] = (5, math.inf, 0.0)
+            for kind in ("pcat", "ml_pcat"):
+                for lookahead in (0.0, 8.0):
+                    pol = make_policy(kind, lookahead_s=lookahead, t_min_s=5.0)
+                    want = outcome(reference_drive, trace, scene, pol, 10_000.0, 4)
+                    assert outcome(simulate_drive, trace, scene, pol, 10_000.0, 4) == want
+                    assert isinstance(want, str) == (raises and kind == "ml_pcat")
+
+
+class TestDriveInvariants:
+    @pytest.mark.parametrize("kind", transfer.POLICY_KINDS)
+    def test_map_unchanged(self, kind):
+        scene = two_station_scene()
+        before = (dict(scene.map.cells), scene.map._global_count, scene.map._global_mean)
+        for trace in (TRACES["line"](), uneven_trace()):
+            simulate_drive(trace, scene, make_policy(kind), 10_000.0, seed=8,
+                           predictor=half_filled_table())
+        assert (scene.map.cells, scene.map._global_count, scene.map._global_mean) == before
+
+    def test_formula_rate_keeps_its_bits(self):
+        def old_formula(pred, sinr_db, payload_bytes):
+            lin = 10.0 ** (sinr_db / 10.0)
+            rate = pred.efficiency * (pred.bandwidth_hz / 1e6) * math.log2(1.0 + lin)
+            rate = min(pred.rate_cap_mbps, rate)
+            s = min(1.0, payload_bytes / pred.payload_ramp_bytes)
+            return rate * s
+
+        rng = np.random.default_rng(10)
+        for pred in (RatePredictor(), RatePredictor(efficiency=0.7, rate_cap_mbps=40.0)):
+            for sinr, payload in rng.uniform([-30.0, 0.0], [60.0, 3e5], size=(2000, 2)):
+                got = pred.formula_rate(float(sinr), float(payload), 10.0)
+                assert got.hex() == old_formula(pred, float(sinr), float(payload)).hex()
