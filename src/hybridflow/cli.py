@@ -99,7 +99,8 @@ def gen_corpus(out_dir, count, noise_sigma_db, mix, seed):
 @click.option("--targets", required=True,
               help="Comma-separated edge:offset pairs, e.g. 'e1:100,e2:50'.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--length-scale", type=float, default=1000.0, show_default=True)
+@click.option("--length-scale", type=float, default=harness.IMPUTE["length_scale_m"],
+              show_default=True)
 @click.option("--knn", "knn_k", type=int, default=None,
               help="Also print kNN estimates with this k.")
 @click.option("--euclidean", is_flag=True,

@@ -117,16 +117,11 @@ class FeatureRecord:
     label: str | None = None
 
 
-FEATURE_NAMES = [f"link{k}_{name}" for k in range(N_LINKS)
-                 for name in ("depth_db", "mean_db", "width_s", "area_dbs")]
-
-
-def extract_features(trace: FingerprintTrace,
-                     threshold_db: float = DIP_THRESHOLD_DB) -> FeatureRecord:
+def extract_features(trace: FingerprintTrace) -> FeatureRecord:
     """Per-link depth/mean/width/area against the leading baseline.
 
     Baseline = mean of the first 10 % of samples. Width counts samples whose
-    attenuation meets the threshold; area integrates attenuation over those
+    attenuation meets DIP_THRESHOLD_DB; area integrates attenuation over those
     samples only.
     """
     n = trace.rssi_dbm.shape[1]
@@ -136,7 +131,7 @@ def extract_features(trace: FingerprintTrace,
     dt = 1.0 / trace.sample_rate_hz
     rssi = trace.rssi_dbm
     atten = rssi[:, :head].mean(axis=1)[:, None] - rssi
-    dip = atten >= threshold_db
+    dip = atten >= DIP_THRESHOLD_DB
     peak = atten.max(axis=1)
     # the area sums each row's dip samples alone: a masked sum over the whole
     # row adds the zeros in and rounds differently
@@ -178,7 +173,7 @@ def _objective(w, b, X, y, reg, lam):
     return hinge + lam / 2.0 * float(w @ w)
 
 
-def train(records, reg: str = "l2", lam: float = 1e-3, epochs: int = 300) -> LinearModel:
+def train(records, reg: str, lam: float, epochs: int) -> LinearModel:
     """Hinge-loss subgradient descent, step 1/sqrt(t), on normalized features.
 
     L1 soft-thresholds the weights after each epoch, L2 decays them inside

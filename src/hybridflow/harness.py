@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -104,10 +105,24 @@ def _section(obj, schema, where):
         elif key not in obj or default is None:
             out[key] = obj[key] if key in obj else default
         else:
-            try:
-                out[key] = (default if isinstance(default, type) else type(default))(obj[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+            kind = default if isinstance(default, type) else type(default)
+            out[key] = _convert(obj[key], kind, path)
+    return out
+
+
+def _convert(value, kind, path):
+    """value as kind; a bool passes only as a bool, an int only when integral
+    and a float only when finite."""
+    if isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path}: {value!r} is not an integer")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{path}: {value!r} is not finite")
     return out
 
 
@@ -332,7 +347,7 @@ def _transfer_stage(run, tcfg):
     traces = _build_traces(tcfg, run.traffic_metrics)
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
-        scene.map = radio_env.ConnectivityMap(metric="sinr_db")
+        scene.map = radio_env.ConnectivityMap()
         for _, x, y in (point for trace in traces for point in trace):
             sinr = scene.sinr((x, y))
             for _ in range(3):

@@ -1,9 +1,9 @@
 """Traffic-volume estimation at unobserved locations.
 
 Gaussian-process regression with a squared-exponential kernel over
-shortest-path distance along the (undirected) road graph, plus k-nearest
-neighbor baselines, optionally weighted by temporal distance. Desk scale:
-direct Cholesky factorization, no sparse approximations.
+shortest-path distance along the (undirected) road graph, plus a
+k-nearest-neighbor baseline over the same distance. Desk scale: direct
+Cholesky factorization, no sparse approximations.
 
 Distances and kernels are array passes: each point's geometry is computed
 once, and the fit, prediction and kNN read distances a row block at a time.
@@ -133,12 +133,6 @@ class _DistanceOracle:
         return best
 
 
-def network_distance(net: RoadNetwork, a: NetPoint, b: NetPoint) -> float:
-    """Meters along the undirected road graph; inf when disconnected."""
-    oracle = _DistanceOracle(net)
-    return float(oracle.rows(oracle.points([a]), oracle.points([b]))[0, 0])
-
-
 @dataclass
 class GprParams:
     sigma_f2: float
@@ -155,7 +149,7 @@ class GprParams:
             raise ImputeError("noise variance must be non-negative")
 
 
-def default_params(values, length_scale_m: float = 1000.0) -> GprParams:
+def default_params(values, length_scale_m: float) -> GprParams:
     """Spec'd defaults: signal variance from the data, 1 % noise."""
     var = float(np.var(values))
     var = var if var > 0 else 1.0
@@ -254,12 +248,9 @@ def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     return out
 
 
-def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork,
-                 tau_days: float | None = None, at_day: int = 0,
-                 euclidean: bool = False) -> float:
+def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork) -> float:
     """Mean of the k network-nearest observations.
 
-    With ``tau_days`` each neighbor is weighted by exp(-|day - at_day|/tau).
     Distance ties break on the lower edge id, then the day index.
     """
     obs = list(observations)
@@ -267,16 +258,12 @@ def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork,
         raise ImputeError("no observations")
     if not 1 <= k <= len(obs):
         raise ImputeError(f"k={k} outside [1, {len(obs)}]")
-    oracle = _DistanceOracle(net, euclidean=euclidean)
+    oracle = _DistanceOracle(net)
     dist = oracle.rows(oracle.points([location]),
                        oracle.points([o.location for o in obs]))[0].tolist()
     order = sorted(range(len(obs)), key=lambda i: (dist[i], obs[i].location.edge,
                                                    obs[i].day))
-    chosen = [obs[i] for i in order[:k]]
-    if tau_days is None:
-        return sum(o.flow_veh_day for o in chosen) / k
-    weights = [math.exp(-abs(o.day - at_day) / tau_days) for o in chosen]
-    return sum(w * o.flow_veh_day for w, o in zip(weights, chosen)) / sum(weights)
+    return sum(obs[i].flow_veh_day for i in order[:k]) / k
 
 
 def read_observations_csv(path) -> list:

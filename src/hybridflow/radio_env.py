@@ -16,25 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+D0_M = 10.0                  # path-loss reference distance
+SHADOWING_LATTICE_M = 25.0   # side of the square on which shadowing is constant
+CELL_SIZE_M = 25.0           # side of a connectivity-map cell
+FALLBACK_RADIUS_CELLS = 2    # how far a thin cell's lookup searches for a populated one
+
 
 @dataclass(frozen=True)
 class BaseStation:
     id: str
     position: tuple
     tx_power_dbm: float = 43.0
-    bandwidth_hz: float = 20e6
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"station {self.id}: bandwidth must be positive")
-
-
-@dataclass(frozen=True)
-class RadioSample:
-    position: tuple
-    rsrp_dbm: float
-    sinr_db: float
-    timestamp_s: float
 
 
 @dataclass
@@ -43,18 +35,16 @@ class PropagationModel:
 
     pl0_db: float = 70.0
     exponent: float = 3.0
-    d0_m: float = 10.0
     shadowing_sigma_db: float = 6.0
-    shadowing_lattice_m: float = 25.0
     shadowing_enabled: bool = True
     seed: int = 0
-    _shadow_cache: dict = field(default_factory=dict, repr=False)
+    _shadow_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def shadowing_db(self, pos) -> float:
         if not self.shadowing_enabled or self.shadowing_sigma_db <= 0:
             return 0.0
-        key = (math.floor(pos[0] / self.shadowing_lattice_m),
-               math.floor(pos[1] / self.shadowing_lattice_m))
+        key = (math.floor(pos[0] / SHADOWING_LATTICE_M),
+               math.floor(pos[1] / SHADOWING_LATTICE_M))
         val = self._shadow_cache.get(key)
         if val is None:
             gen = np.random.default_rng(
@@ -67,10 +57,10 @@ class PropagationModel:
 
 
 def rsrp_at(pos, station: BaseStation, model: PropagationModel) -> float:
-    """Received power in dBm; distance clamps at the reference d0."""
+    """Received power in dBm; distance clamps at the reference D0_M."""
     d = math.hypot(pos[0] - station.position[0], pos[1] - station.position[1])
-    d = max(d, model.d0_m)
-    pl = model.pl0_db + 10.0 * model.exponent * math.log10(d / model.d0_m)
+    d = max(d, D0_M)
+    pl = model.pl0_db + 10.0 * model.exponent * math.log10(d / D0_M)
     return station.tx_power_dbm - pl - model.shadowing_db(pos)
 
 
@@ -112,30 +102,24 @@ class RadioScene:
 
 
 class ConnectivityMap:
-    """Geographic grid of exact running statistics of one radio metric.
+    """Geographic grid of exact running statistics of the SINR in dB.
 
-    Cells hold (count, mean, M2); variance is the sample variance. The grid
-    auto-extends: any position maps to a cell. Queries on thin cells fall
-    back to the nearest populated neighbor, then to the global mean, then to
-    the prior, so lookups are total.
+    ``cells`` maps a cell to (count, mean, M2) (Welford); the sample variance
+    is M2 / (count - 1). The grid auto-extends: any position maps to a cell.
+    Lookups on thin cells (fewer than ``k_min`` values) fall back to the
+    nearest populated neighbor, then to the cell's own values, then to the
+    global mean, then to the prior, so lookups are total.
     """
 
-    def __init__(self, cell_size_m: float = 25.0, metric: str = "sinr_db",
-                 k_min: int = 3, fallback_radius_cells: int = 2, prior: float = 0.0):
-        if cell_size_m <= 0:
-            raise ValueError("cell size must be positive")
-        self.cell_size_m = cell_size_m
-        self.metric = metric
+    def __init__(self, k_min: int = 3, prior: float = 0.0):
         self.k_min = k_min
-        self.fallback_radius_cells = fallback_radius_cells
         self.prior = prior
         self.cells = {}
         self._global_count = 0
         self._global_mean = 0.0
 
     def cell_of(self, pos):
-        return (math.floor(pos[0] / self.cell_size_m),
-                math.floor(pos[1] / self.cell_size_m))
+        return (math.floor(pos[0] / CELL_SIZE_M), math.floor(pos[1] / CELL_SIZE_M))
 
     def record(self, pos, value: float) -> None:
         if not math.isfinite(value):
@@ -150,17 +134,6 @@ class ConnectivityMap:
         self._global_count += 1
         self._global_mean += (value - self._global_mean) / self._global_count
 
-    def record_sample(self, sample: RadioSample) -> None:
-        self.record(sample.position, getattr(sample, self.metric))
-
-    def query(self, pos):
-        """(mean, variance, count) of the cell at pos; empty cell -> (None, 0.0, 0)."""
-        count, mean, m2 = self.cells.get(self.cell_of(pos), (0, 0.0, 0.0))
-        if count == 0:
-            return None, 0.0, 0
-        var = m2 / (count - 1) if count > 1 else 0.0
-        return mean, var, count
-
     def global_mean(self):
         return self._global_mean if self._global_count else None
 
@@ -171,7 +144,7 @@ class ConnectivityMap:
         if entry is not None and entry[0] >= self.k_min:
             return entry[1]
         best = None
-        r = self.fallback_radius_cells
+        r = FALLBACK_RADIUS_CELLS
         for dx in range(-r, r + 1):
             for dy in range(-r, r + 1):
                 if dx == 0 and dy == 0:
@@ -197,28 +170,8 @@ class ConnectivityMap:
                 count, mean, m2 = self.cells[(cx, cy)]
                 writer.writerow([cx, cy, count, repr(mean), repr(m2)])
 
-    @classmethod
-    def from_csv(cls, path, cell_size_m: float = 25.0, **kwargs) -> "ConnectivityMap":
-        cmap = cls(cell_size_m=cell_size_m, **kwargs)
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (int(row["cell_x"]), int(row["cell_y"]))
-                count = int(row["count"])
-                mean = float(row["mean"])
-                cmap.cells[key] = (count, mean, float(row["m2"]))
-                cmap._global_count += count
-                cmap._global_mean += (mean - cmap._global_mean) * count / cmap._global_count
-        return cmap
 
-
-def forecast_along(cmap: ConnectivityMap, trajectory, horizon_s: float):
-    """Map lookups along timed positions within the horizon.
-
-    ``trajectory`` is a sequence of (t, x, y); entries later than the first
-    timestamp plus horizon are ignored. The fallback chain keeps the output
-    total even on an empty map.
-    """
-    if not trajectory:
-        return []
-    t0 = trajectory[0][0]
-    return [(t, cmap.lookup((x, y))) for t, x, y in trajectory if t - t0 <= horizon_s]
+def forecast_along(cmap: ConnectivityMap, trajectory) -> list:
+    """Map lookup at each (t, x, y) of a trajectory; the fallback chain keeps
+    every value defined even on an empty map."""
+    return [cmap.lookup((x, y)) for _, x, y in trajectory]

@@ -55,11 +55,10 @@ class Detector:
 
 @dataclass(frozen=True)
 class Route:
-    """Ordered edge-id sequence; ``circular`` routes wrap from last to first edge."""
+    """Ordered edge-id sequence from origin to destination."""
 
     edges: tuple
     free_flow_time_s: float
-    circular: bool = False
 
 
 @dataclass
@@ -187,7 +186,7 @@ def place_detector(net: RoadNetwork, edge_id: str, cell: int, lanes=None, detect
     return detector_id
 
 
-def _simple_paths(net: RoadNetwork, origin: str, dest: str, limit: int = MAX_ENUMERATED_PATHS):
+def _simple_paths(net: RoadNetwork, origin: str, dest: str):
     """All node-simple edge sequences origin->dest (desk-scale exhaustive DFS)."""
     paths = []
     stack = [(origin, (), frozenset((origin,)))]
@@ -198,9 +197,9 @@ def _simple_paths(net: RoadNetwork, origin: str, dest: str, limit: int = MAX_ENU
             nxt = e.to_node
             if nxt == dest:
                 paths.append(edges_so_far + (eid,))
-                if len(paths) > limit:
-                    raise NetworkError(
-                        f"more than {limit} simple paths between {origin!r} and {dest!r}")
+                if len(paths) > MAX_ENUMERATED_PATHS:
+                    raise NetworkError(f"more than {MAX_ENUMERATED_PATHS} simple paths "
+                                       f"between {origin!r} and {dest!r}")
             elif nxt not in visited:
                 stack.append((nxt, edges_so_far + (eid,), visited | {nxt}))
     return paths
@@ -243,10 +242,9 @@ def node_distances(net: RoadNetwork, source: str) -> dict:
     return dist
 
 
-def ring_network(n_cells: int, lanes: int = 1, cell_length_m: float = DEFAULT_CELL_LENGTH_M,
-                 v_max_cells: int = 20) -> RoadNetwork:
+def ring_network(n_cells: int, lanes: int = 1, v_max_cells: int = 20) -> RoadNetwork:
     """Single self-loop edge with periodic boundary; the CA test substrate."""
     node = Node("ring", 0.0, 0.0)
-    edge = Edge("ring", "ring", "ring", n_cells * cell_length_m, lanes, v_max_cells, n_cells)
-    return RoadNetwork(nodes={"ring": node}, edges={"ring": edge}, detectors={},
-                       cell_length_m=cell_length_m)
+    edge = Edge("ring", "ring", "ring", n_cells * DEFAULT_CELL_LENGTH_M, lanes, v_max_cells,
+                n_cells)
+    return RoadNetwork(nodes={"ring": node}, edges={"ring": edge}, detectors={})

@@ -16,29 +16,24 @@ distinct scenario once.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import traffic_ca
 from .road_net import route_candidates
+
+BPR_A, BPR_B = 0.15, 4.0   # the standard BPR curve coefficients
+MSA_ITERS, MSA_TOL = 500, 0.01  # user-equilibrium iteration cap and gap tolerance
+BECKMANN_GRID = 64  # trapezoid intervals of each route's flow integral
 
 
 class AssignmentError(ValueError):
     """Malformed assignment problem."""
 
 
-def bpr_latency(t0: float, q_crit: float, a: float = 0.15, b: float = 4.0):
+def bpr_latency(t0: float, q_crit: float):
     """Standard polynomial congestion curve anchored at the critical flow."""
     def latency(q):
-        return t0 * (1.0 + a * (q / q_crit) ** b)
-    latency.t0 = t0
-    return latency
-
-
-def affine_latency(t0: float, slope: float):
-    def latency(q):
-        return t0 + slope * q
-    latency.t0 = t0
+        return t0 * (1.0 + BPR_A * (q / q_crit) ** BPR_B)
     return latency
 
 
@@ -119,13 +114,12 @@ def _equilibrium_gap(od: ODProblem, flows):
     return max(used) - min(lat)
 
 
-def assign_wardrop(problem: AssignmentProblem, iters: int = 500,
-                   tol: float = 0.01) -> FlowSplit:
+def assign_wardrop(problem: AssignmentProblem) -> FlowSplit:
     """User equilibrium by the method of successive averages.
 
     Convergence certificate per OD: max latency over used routes minus min
-    latency over all routes below tol. Non-convergence returns the best
-    iterate with the flag cleared.
+    latency over all routes below MSA_TOL. Non-convergence after MSA_ITERS
+    returns the last iterate with the flag cleared.
     """
     flows = {}
     for od in problem.ods:
@@ -133,10 +127,10 @@ def assign_wardrop(problem: AssignmentProblem, iters: int = 500,
         flows[od.od_id] = _aon(od, lat0)
     converged = False
     n_done = 0
-    for n in range(1, iters + 1):
+    for n in range(1, MSA_ITERS + 1):
         n_done = n
         worst = max(_equilibrium_gap(od, flows[od.od_id]) for od in problem.ods)
-        if worst < tol:
+        if worst < MSA_TOL:
             converged = True
             break
         step = 1.0 / (n + 1)
@@ -196,15 +190,16 @@ def assign_bmp(problem: AssignmentProblem) -> FlowSplit:
                      objective=min(margins), infeasible=infeasible)
 
 
-def _beckmann(od: ODProblem, flows, n_grid: int = 64):
+def _beckmann(od: ODProblem, flows):
     """Flow integral of the route latencies (trapezoid; exact for affine)."""
     total = 0.0
     for r, q in zip(od.routes, flows):
         if q <= 0:
             continue
-        xs = [q * k / n_grid for k in range(n_grid + 1)]
+        xs = [q * k / BECKMANN_GRID for k in range(BECKMANN_GRID + 1)]
         ys = [r.latency(x) for x in xs]
-        total += sum((ys[k] + ys[k + 1]) * 0.5 for k in range(n_grid)) * (q / n_grid)
+        total += sum((ys[k] + ys[k + 1]) * 0.5
+                     for k in range(BECKMANN_GRID)) * (q / BECKMANN_GRID)
     return total
 
 
@@ -216,7 +211,7 @@ def _combined_objective(od: ODProblem, flows, lam: float):
     return margin - lam * _beckmann(od, flows) / demand
 
 
-def assign_combined(problem: AssignmentProblem, lam: float = 0.01) -> FlowSplit:
+def assign_combined(problem: AssignmentProblem, lam: float) -> FlowSplit:
     """Margin objective tempered by travel times.
 
     Maximizes min-margin minus lam times the per-vehicle flow integral of the
@@ -265,19 +260,10 @@ def assign_combined(problem: AssignmentProblem, lam: float = 0.01) -> FlowSplit:
                      objective=min(objectives), infeasible=False)
 
 
-@dataclass
-class BottleneckReport:
-    entries: list  # (edge, onset_t, measured_flow_veh_h, estimated_q_crit_veh_h)
-
-    def to_dict(self):
-        return {"bottlenecks": [
-            {"edge": e, "onset_s": t, "flow_veh_h": f, "q_crit_veh_h": qc}
-            for e, t, f, qc in self.entries]}
-
-
 def detect_bottlenecks(observations, density_crit: float, sustain_s: float,
-                       detectors=None) -> BottleneckReport:
-    """Edges whose occupancy stays above density_crit for at least sustain_s.
+                       detectors=None) -> list:
+    """(edge, onset_s, flow_veh_h, q_crit_veh_h) of each edge whose occupancy
+    stays above density_crit for at least sustain_s.
 
     The critical flow of a flagged edge is estimated as the highest flow seen
     before the onset. ``observations`` is a flat iterable of FlowObservation;
@@ -309,7 +295,7 @@ def detect_bottlenecks(observations, density_crit: float, sustain_s: float,
         q_crit = max(flows) if flows else measured
         edge = detectors.get(det_id, det_id) if detectors else det_id
         entries.append((edge, onset, measured, q_crit))
-    return BottleneckReport(entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +328,8 @@ def _probe_and_calibrate(runs, demand, k_routes, probe_factor, density_crit, sus
     metrics = runs.run(probe_demand)
     flat = [o for series in metrics.observations.values() for o in series]
     det_edges = {d: det.edge for d, det in runs.net.detectors.items()}
-    report = detect_bottlenecks(flat, density_crit, sustain_s, detectors=det_edges)
-    q_crit_by_edge = {e: qc for e, _, _, qc in report.entries}
+    bottlenecks = detect_bottlenecks(flat, density_crit, sustain_s, detectors=det_edges)
+    q_crit_by_edge = {e: qc for e, _, _, qc in bottlenecks}
     max_flow_by_edge = {}
     for series in metrics.observations.values():
         for o in series:
@@ -380,9 +366,8 @@ def build_problem(net, demand, k_routes, q_crit_by_edge, max_flow_by_edge):
 
 
 def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
-                    k_routes: int = 2, probe_factor: float = 1.5,
-                    density_crit: float = 0.35, sustain_s: float = 120.0,
-                    lam: float = 0.01, lane_policies=None) -> EvaluationResult:
+                    k_routes: int, probe_factor: float, density_crit: float,
+                    sustain_s: float, lam: float, lane_policies) -> EvaluationResult:
     """Dwell time of the CA under splits from the chosen assignment method.
 
     split_source: fixed (every entry on its fastest route) | wardrop | bmp |

@@ -499,7 +499,7 @@ def _try_inject(state):
                 vid = state._next_vid
                 state._next_vid += 1
                 state.vehicles[vid] = Vehicle(vid, cls, eid, lane, length - 1, route.edges,
-                                              0, route.circular, spawn_s)
+                                              0, False, spawn_s)
                 state.injected += 1
                 insort(state._segs.setdefault((eid, lane), []), (0, length - 1, vid))
                 break

@@ -26,6 +26,16 @@ from .rng import substream
 
 POLICY_KINDS = ("periodic", "cat", "pcat", "ml_cat", "ml_pcat")
 RATE_NOISE_SIGMA = 0.15  # log-sd of the lognormal noise on each flush's achieved rate
+# rate formula: efficiency x bandwidth x log2(1 + SINR), capped, and scaled down
+# for payloads below the ramp, which underutilize the link
+EFFICIENCY, BANDWIDTH_MHZ, RATE_CAP_MBPS = 0.3, 20.0, 100.0
+PAYLOAD_RAMP_BYTES = 100_000.0
+# energy: an affine open-loop power map (higher path loss, higher transmit
+# power) and a loss probability that ramps up below an SINR floor
+P_TX_MIN_W, P_TX_MAX_W = 0.1, 2.0
+PATHLOSS_LO_DB, PATHLOSS_HI_DB = 90.0, 150.0
+P_IDLE_W = 0.05
+LOSS_FLOOR_DB, LOSS_RAMP_DB, LOSS_P_MAX = 0.0, 10.0, 0.9
 
 
 class PolicyError(ValueError):
@@ -91,22 +101,20 @@ class RatePredictor:
     """
 
     kind: str = "sinr_formula"
-    efficiency: float = 0.3
-    bandwidth_hz: float = 20e6
-    rate_cap_mbps: float = 100.0
-    payload_ramp_bytes: float = 100_000.0
     table: dict = field(default_factory=dict)
 
     def link_rate(self, sinr_db: float) -> float:
         """Capped spectral-efficiency rate in Mbit/s, before the payload factor."""
-        lin = 10.0 ** (sinr_db / 10.0)
-        rate = self.efficiency * (self.bandwidth_hz / 1e6) * math.log2(1.0 + lin)
-        return min(self.rate_cap_mbps, rate)
+        try:
+            lin = 10.0 ** (sinr_db / 10.0)
+        except OverflowError:
+            raise PolicyError(f"SINR {sinr_db} dB overflows the rate formula") from None
+        return min(RATE_CAP_MBPS, EFFICIENCY * BANDWIDTH_MHZ * math.log2(1.0 + lin))
 
     def payload_factor(self, payload_bytes: float) -> float:
-        return min(1.0, payload_bytes / self.payload_ramp_bytes)  # small payloads underutilize
+        return min(1.0, payload_bytes / PAYLOAD_RAMP_BYTES)
 
-    def formula_rate(self, sinr_db: float, payload_bytes: float, speed_mps: float) -> float:
+    def formula_rate(self, sinr_db: float, payload_bytes: float) -> float:
         return self.link_rate(sinr_db) * self.payload_factor(payload_bytes)
 
     @staticmethod
@@ -123,7 +131,7 @@ class RatePredictor:
             entry = self.table.get(self.bin_of(sinr_db, payload_bytes, speed_mps))
             if entry is not None:
                 return entry[1]
-        return self.formula_rate(sinr_db, payload_bytes, speed_mps)
+        return self.formula_rate(sinr_db, payload_bytes)
 
     def peak_rate(self, sinrs, links, payload_bytes: float, speed_mps: float) -> float:
         """Highest predicted rate over a window of finite SINRs; -inf if it is empty.
@@ -209,28 +217,15 @@ def decide(runtime: PolicyRuntime, now_s: float, buffer: BufferState,
     return u < p
 
 
-@dataclass
-class EnergyModel:
-    """Affine open-loop power map: higher path loss, higher transmit power."""
+def _tx_power_w(pathloss_db: float) -> float:
+    frac = (pathloss_db - PATHLOSS_LO_DB) / (PATHLOSS_HI_DB - PATHLOSS_LO_DB)
+    return P_TX_MIN_W + (P_TX_MAX_W - P_TX_MIN_W) * min(max(frac, 0.0), 1.0)
 
-    p_tx_min_w: float = 0.1
-    p_tx_max_w: float = 2.0
-    pathloss_lo_db: float = 90.0
-    pathloss_hi_db: float = 150.0
-    p_idle_w: float = 0.05
-    sinr_loss_floor_db: float = 0.0
-    loss_ramp_db: float = 10.0
-    loss_p_max: float = 0.9
 
-    def p_tx(self, pathloss_db: float) -> float:
-        frac = (pathloss_db - self.pathloss_lo_db) / (self.pathloss_hi_db - self.pathloss_lo_db)
-        return self.p_tx_min_w + (self.p_tx_max_w - self.p_tx_min_w) * min(max(frac, 0.0), 1.0)
-
-    def loss_probability(self, sinr_db: float) -> float:
-        if sinr_db >= self.sinr_loss_floor_db:
-            return 0.0
-        frac = min((self.sinr_loss_floor_db - sinr_db) / self.loss_ramp_db, 1.0)
-        return frac * self.loss_p_max
+def _loss_probability(sinr_db: float) -> float:
+    if sinr_db >= LOSS_FLOOR_DB:
+        return 0.0
+    return min((LOSS_FLOOR_DB - sinr_db) / LOSS_RAMP_DB, 1.0) * LOSS_P_MAX
 
 
 @dataclass
@@ -263,8 +258,7 @@ def _speed_series(trace):
 
 def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                    sensor_rate_bytes_s: float, seed: int,
-                   predictor: RatePredictor | None = None,
-                   energy: EnergyModel | None = None):
+                   predictor: RatePredictor | None = None):
     """Walk a timed trace at 1 s resolution under one transfer policy.
 
     Returns (TransferMetrics, decision log). Flushes drain the whole buffer
@@ -273,11 +267,10 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     doubling that payload's airtime and energy. A predictive policy reads the
     scene's map at every trace point once per drive (one ``forecast_along``
     call), and each probe reads the peak of its look-ahead window: the later
-    points within ``lookahead_s``.
+    points within ``lookahead_s``; its trace times must be finite.
     """
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
-    energy = energy or EnergyModel()
     predictor = predictor or RatePredictor()
     runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
@@ -314,9 +307,9 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             if ahead is None:
                 if scene.map is None:
                     raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
-                ahead = [v for _, v in forecast_along(scene.map, trace, math.inf)]
-                if len(ahead) < len(trace):
+                if not all(math.isfinite(p[0]) for p in trace):
                     raise PolicyError("trace times must be finite")
+                ahead = forecast_along(scene.map, trace)
                 if policy.metric_is_rate:
                     links = [predictor.link_rate(v) for v in ahead]
                     nonfinite = [m for m, v in enumerate(ahead) if not math.isfinite(v)]
@@ -338,11 +331,11 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             payload = buf.queued_bytes
             noise = math.exp(noise_rng.normal(0.0, RATE_NOISE_SIGMA) -
                              RATE_NOISE_SIGMA ** 2 / 2.0)
-            actual_rate = max(predictor.formula_rate(sinr, payload, speed) * noise, 1e-6)
-            attempts = 2 if noise_rng.random() < energy.loss_probability(sinr) else 1
+            actual_rate = max(predictor.formula_rate(sinr, payload) * noise, 1e-6)
+            attempts = 2 if noise_rng.random() < _loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts
             pathloss = max(s.tx_power_dbm for s in scene.stations) - scene.rsrp(pos)
-            e_tx = duration * energy.p_tx(pathloss)
+            e_tx = duration * _tx_power_w(pathloss)
             ages.append(buf.age(t))
             n_tx += 1
             n_retx += attempts - 1
@@ -366,7 +359,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     idle_time = max(wall - tx_time, 0.0)
     metrics = TransferMetrics(
         mean_goodput_mbps=(transferred * 8.0 / tx_time / 1e6) if tx_time > 0 else 0.0,
-        total_energy_j=tx_energy + idle_time * energy.p_idle_w,
+        total_energy_j=tx_energy + idle_time * P_IDLE_W,
         transmissions=n_tx,
         mean_buffer_age_s=sum(ages) / len(ages) if ages else 0.0,
         retransmissions=n_retx,

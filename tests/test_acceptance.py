@@ -21,9 +21,9 @@ from hybridflow.fingerprint import (evaluate, extract_features, generate_corpus,
 from hybridflow.impute import (GprParams, NetPoint, VolumeObservation, fit_gpr,
                                predict_gpr)
 from hybridflow.road_net import build_network
-from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption,
-                                    affine_latency, assign_bmp, assign_combined,
-                                    assign_wardrop, bpr_latency, evaluate_policy)
+from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption, assign_bmp,
+                                    assign_combined, assign_wardrop, bpr_latency,
+                                    evaluate_policy)
 from hybridflow.traffic_ca import (ScenarioRuns, VehicleClass, default_classes, init_ring,
                                    init_scenario, step)
 from hybridflow.transfer import transmission_probability
@@ -144,9 +144,9 @@ def test_criterion_3_classic_ca_equivalence():
 def test_criterion_4_wardrop_analytic():
     t0 = time.time()
     problem = AssignmentProblem([ODProblem("od", 30.0, [
-        RouteOption("r1", affine_latency(10.0, 1.0), 1000.0),
-        RouteOption("r2", affine_latency(20.0, 1.0), 1000.0)])])
-    split = assign_wardrop(problem, iters=500, tol=0.01)
+        RouteOption("r1", lambda q: 10.0 + q, 1000.0),
+        RouteOption("r2", lambda q: 20.0 + q, 1000.0)])])
+    split = assign_wardrop(problem)  # at most 500 iterations, gap tolerance 0.01
     x = split.flows["od"]
     assert abs(x[0] - 20.0) <= 0.1
     assert abs(x[1] - 10.0) <= 0.1
@@ -199,7 +199,7 @@ def _assign_dwells(name, methods):
     """Per method, the evaluated dwell over seeds 1..10; one network per config and
     one scenario runner per seed, shared by the methods (so they share a probe)."""
     config = harness.load_config(CONFIG_DIR / name)
-    acfg = config["stages"]["assign"]
+    acfg = harness.parse_config(config)["stages"]["assign"]
     net = _net_from_config(config)
     dwells = {m: [] for m in methods}
     for seed in range(1, 11):
@@ -209,7 +209,7 @@ def _assign_dwells(name, methods):
             dwells[m].append(evaluate_policy(
                 runs, config["demand"], m, k_routes=acfg["k_routes"],
                 probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
-                sustain_s=acfg["sustain_s"], lam=acfg.get("lambda", 0.01)).mean_dwell_s)
+                sustain_s=acfg["sustain_s"], lam=acfg["lambda"], lane_policies=None).mean_dwell_s)
     return dwells
 
 

@@ -48,7 +48,7 @@ class TestExtractFeatures:
         rssi[:, 40:50] = -56.0
         trace = FingerprintTrace(rssi_dbm=rssi, sample_rate_hz=10.0, label=CAR_LIKE,
                                  speed_mps=20.0, dip_width_s=1.0, seed=0)
-        feats = extract_features(trace, threshold_db=3.0)
+        feats = extract_features(trace)
         for k in range(9):
             depth, mean, width, area = feats.values[4 * k: 4 * k + 4]
             assert depth == pytest.approx(6.0)
@@ -58,7 +58,7 @@ class TestExtractFeatures:
     def test_matches_independent_reimplementation(self):
         # plain-python second pass over the same definition
         trace = synthesize_trace(CAR_LIKE, 24.0, 1.5, seed=7)
-        feats = extract_features(trace, threshold_db=3.0)
+        feats = extract_features(trace)
         n = trace.rssi_dbm.shape[1]
         head = n // 10
         dt = 0.1
@@ -174,7 +174,7 @@ class TestTrain:
         from hybridflow.fingerprint import FingerprintError
         records = [FeatureRecord(values=np.array([1.0, 2.0]), label=CAR_LIKE)] * 4
         with pytest.raises(FingerprintError):
-            train(records, reg="l2")
+            train(records, reg="l2", lam=1e-3, epochs=100)
 
     def test_objective_never_worse_than_first_epoch(self):
         corpus = generate_corpus(120, 2.0, 0.5, seed=31)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -137,6 +138,20 @@ CONFIG_ERRORS = {
     "k_routes_type": ("two_route_low.json",
                       lambda c: _set(c["stages"]["assign"], "k_routes", "two"),
                       "config.stages.assign.k_routes: invalid literal for int()"),
+    "k_routes_fraction": ("two_route_low.json",
+                          lambda c: _set(c["stages"]["assign"], "k_routes", 2.7),
+                          "config.stages.assign.k_routes: 2.7 is not an integer"),
+    "k_routes_bool": ("two_route_low.json",
+                      lambda c: _set(c["stages"]["assign"], "k_routes", True),
+                      "config.stages.assign.k_routes: expected int, got True"),
+    "k_routes_infinite": ("two_route_low.json",
+                          lambda c: _set(c["stages"]["assign"], "k_routes", math.inf),
+                          "config.stages.assign.k_routes: inf is not an integer"),
+    "probe_factor_nan": ("two_route_low.json",
+                         lambda c: _set(c["stages"]["assign"], "probe_factor", math.nan),
+                         "config.stages.assign.probe_factor: nan is not finite"),
+    "demand_rate_nan": ("demo.json", lambda c: _set(c["demand"][0], "rate_veh_h", math.nan),
+                        "config.demand[0].rate_veh_h: nan is not finite"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from hybridflow.impute import (GprParams, ImputeError, NetPoint, VolumeObservation,
                                _DistanceOracle, default_params, fit_gpr, knn_estimate,
-                               network_distance, predict_gpr)
+                               predict_gpr)
 from hybridflow.road_net import build_network, node_distances
 
 
@@ -39,6 +39,12 @@ def branched_net():
         ],
         "detectors": [],
     })
+
+
+def network_distance(net, a, b):
+    """d(a, b) along the undirected road graph, as the fit and kNN read it."""
+    oracle = _DistanceOracle(net)
+    return float(oracle.rows(oracle.points([a]), oracle.points([b]))[0, 0])
 
 
 class TestNetworkDistance:
@@ -123,7 +129,7 @@ class TestGpr:
         rng = np.random.default_rng(3)
         obs = [obs_at(f"e{i % 4}", float(rng.uniform(0, 500)), float(rng.uniform(50, 150)))
                for i in range(12)]
-        model = fit_gpr(net, obs, default_params([o.flow_veh_day for o in obs]))
+        model = fit_gpr(net, obs, default_params([o.flow_veh_day for o in obs], 1000.0))
         queries = [NetPoint(f"e{i % 4}", float(rng.uniform(0, 500))) for i in range(7)]
         batch = predict_gpr(model, queries)
         single = [predict_gpr(model, [q])[0] for q in queries]
@@ -183,7 +189,7 @@ class TestGpr:
             if key not in seen:
                 seen.add(key)
                 uniq.append(o)
-        model = fit_gpr(net, uniq, default_params([o.flow_veh_day for o in uniq]))
+        model = fit_gpr(net, uniq, default_params([o.flow_veh_day for o in uniq], 1000.0))
         queries = [NetPoint(f"e{int(rng.integers(0, 5))}", float(rng.uniform(0, 500)))
                    for _ in range(2000)]
         for _, var in predict_gpr(model, queries):
@@ -229,16 +235,6 @@ class TestKnn:
         net = line_net()
         got = knn_estimate(self.observations(), NetPoint("e1", 120.0), 1, net)
         assert got == 20.0
-
-    def test_temporal_weighting_oracle(self):
-        # hand evaluation of (10 + 20 e^-1 + 30 e^-2) / (1 + e^-1 + e^-2)
-        net = line_net()
-        expect = ((10.0 + 20.0 * math.exp(-1) + 30.0 * math.exp(-2))
-                  / (1.0 + math.exp(-1) + math.exp(-2)))
-        got = knn_estimate(self.observations(), NetPoint("e0", 0.0), 3, net,
-                           tau_days=1.0, at_day=0)
-        assert got == pytest.approx(expect, abs=1e-12)
-        assert got == pytest.approx(14.2479, abs=1e-4)
 
     def test_permutation_invariance(self):
         net = line_net()
@@ -399,9 +395,13 @@ def sensors(net, seed, count=40, integer=False):
             for i, p in enumerate(points) if p.edge != "x"]
 
 
-@pytest.mark.parametrize("euclidean", [False, True], ids=["network", "euclidean"])
-@pytest.mark.parametrize("integer", [False, True], ids=["float", "int"])
+METRICS = pytest.mark.parametrize("euclidean", [False, True], ids=["network", "euclidean"])
+INTEGER = pytest.mark.parametrize("integer", [False, True], ids=["float", "int"])
+
+
 class TestMatchesPairwise:
+    @METRICS
+    @INTEGER
     def test_distance_rows(self, euclidean, integer):
         net = city_net(11)
         rng = np.random.default_rng(12)
@@ -413,6 +413,8 @@ class TestMatchesPairwise:
         assert np.isinf(want).any() != euclidean
         assert np.array_equal(got, want)
 
+    @METRICS
+    @INTEGER
     def test_fit(self, euclidean, integer):
         net = city_net(21)
         obs = sensors(net, 22, integer=integer)
@@ -424,6 +426,8 @@ class TestMatchesPairwise:
         assert np.array_equal(model.chol, chol)
         assert np.array_equal(model.alpha, alpha)
 
+    @METRICS
+    @INTEGER
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
     @pytest.mark.parametrize("clamp", [True, False])
     def test_predict(self, euclidean, integer, count, clamp):
@@ -435,6 +439,8 @@ class TestMatchesPairwise:
         got = predict_gpr(fit_gpr(net, obs, params), queries, clamp=clamp)
         assert got == pair_predict(pair_fit(net, obs, params), params, queries, clamp)
 
+    @pytest.mark.parametrize("euclidean", [False], ids=["network"])  # kNN is network-only
+    @INTEGER
     def test_knn_rankings(self, euclidean, integer):
         net = city_net(41)
         obs = sensors(net, 42, count=25, integer=integer)
@@ -443,13 +449,8 @@ class TestMatchesPairwise:
             ranked = sorted(obs, key=lambda o: (pairs.distance(q, o.location),
                                                 o.location.edge, o.day))
             for k in range(1, len(obs) + 1):
-                got = knn_estimate(obs, q, k, net, euclidean=euclidean)
+                got = knn_estimate(obs, q, k, net)
                 assert got == sum(o.flow_veh_day for o in ranked[:k]) / k
-                weights = [math.exp(-abs(o.day - 1) / 2.0) for o in ranked[:k]]
-                want = (sum(w * o.flow_veh_day for w, o in zip(weights, ranked[:k]))
-                        / sum(weights))
-                assert knn_estimate(obs, q, k, net, tau_days=2.0, at_day=1,
-                                    euclidean=euclidean) == want
 
 
 def test_disconnected_query_gets_prior():

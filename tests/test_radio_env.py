@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
-                                  RadioSample, RadioScene, forecast_along, rsrp_at,
-                                  sinr_at)
+                                  RadioScene, forecast_along, rsrp_at, sinr_at)
 
 
 def no_shadow():
     return PropagationModel(shadowing_enabled=False)
+
+
+def cell_stats(cmap, pos):
+    """(mean, sample variance, count) of the map cell at pos; (None, 0.0, 0) if empty."""
+    count, mean, m2 = cmap.cells.get(cmap.cell_of(pos), (0, None, 0.0))
+    return mean, m2 / (count - 1) if count > 1 else 0.0, count
 
 
 class TestRsrp:
@@ -38,6 +44,12 @@ class TestRsrp:
         assert rsrp_at(pos, st_, m1) == rsrp_at(pos, st_, m2)
         m3 = PropagationModel(seed=6)
         assert rsrp_at(pos, st_, m1) != rsrp_at(pos, st_, m3)
+
+    def test_shadow_cache_not_part_of_equality(self):
+        m = PropagationModel(seed=3)
+        m.shadowing_db((0.0, 0.0))
+        assert m == PropagationModel(seed=3)
+        assert repr(m) == repr(PropagationModel(seed=3))
 
 
 class TestSinr:
@@ -82,12 +94,12 @@ class TestConnectivityMap:
         cmap = ConnectivityMap()
         cmap.record((1.0, 1.0), 10.0)
         cmap.record((2.0, 2.0), 20.0)  # same 25 m cell
-        mean, var, count = cmap.query((0.5, 0.5))
+        mean, var, count = cell_stats(cmap, (0.5, 0.5))
         assert (mean, count) == (15.0, 2)
 
     def test_empty_cell(self):
         cmap = ConnectivityMap()
-        mean, var, count = cmap.query((999.0, 999.0))
+        mean, var, count = cell_stats(cmap, (999.0, 999.0))
         assert mean is None and count == 0
 
     def test_welford_vs_batch(self):
@@ -96,7 +108,7 @@ class TestConnectivityMap:
         cmap = ConnectivityMap()
         for v in values:
             cmap.record((3.0, 3.0), float(v))
-        mean, var, count = cmap.query((3.0, 3.0))
+        mean, var, count = cell_stats(cmap, (3.0, 3.0))
         assert count == 10_000
         assert mean == pytest.approx(float(np.mean(values)), rel=1e-9)
         assert var == pytest.approx(float(np.var(values, ddof=1)), rel=1e-9)
@@ -112,16 +124,11 @@ class TestConnectivityMap:
             a.record((0.0, 0.0), v)
         for v in shuffled:
             b.record((0.0, 0.0), v)
-        ma, va, ca = a.query((0.0, 0.0))
-        mb, vb, cb = b.query((0.0, 0.0))
+        ma, va, ca = cell_stats(a, (0.0, 0.0))
+        mb, vb, cb = cell_stats(b, (0.0, 0.0))
         assert ca == cb
         assert ma == pytest.approx(mb, abs=1e-9)
         assert va == pytest.approx(vb, abs=1e-9, rel=1e-9)
-
-    def test_record_sample_uses_metric(self):
-        cmap = ConnectivityMap(metric="rsrp_dbm")
-        cmap.record_sample(RadioSample((0.0, 0.0), -80.0, 12.0, 0.0))
-        assert cmap.query((0.0, 0.0))[0] == -80.0
 
     def test_csv_roundtrip(self, tmp_path):
         cmap = ConnectivityMap()
@@ -131,8 +138,13 @@ class TestConnectivityMap:
                         float(rng.normal(0, 10)))
         path = tmp_path / "map.csv"
         cmap.to_csv(path)
-        back = ConnectivityMap.from_csv(path)
-        assert back.cells == cmap.cells
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["cell_x", "cell_y", "count", "mean", "m2"]
+        back = {(int(r["cell_x"]), int(r["cell_y"])):
+                (int(r["count"]), float(r["mean"]), float(r["m2"])) for r in rows}
+        assert back == cmap.cells
+        assert list(back) == sorted(cmap.cells)
 
 
 class TestForecast:
@@ -146,30 +158,21 @@ class TestForecast:
     def test_stationary_trajectory(self):
         cmap = self.populated_map()
         traj = [(t, 10.0, 10.0) for t in range(5)]
-        vals = [v for _, v in forecast_along(cmap, traj, 10)]
-        assert vals == [5.0] * 5
+        assert forecast_along(cmap, traj) == [5.0] * 5
 
     def test_two_cell_stepwise(self):
         cmap = self.populated_map()
         traj = [(0, 10.0, 10.0), (1, 12.0, 10.0), (2, 60.0, 10.0), (3, 62.0, 10.0)]
-        vals = [v for _, v in forecast_along(cmap, traj, 10)]
-        assert vals == [5.0, 5.0, 15.0, 15.0]
+        assert forecast_along(cmap, traj) == [5.0, 5.0, 15.0, 15.0]
 
     def test_fallback_to_populated_neighbor(self):
         cmap = self.populated_map()
         # (35, 10) lies in the empty cell between the two populated ones
-        vals = forecast_along(cmap, [(0, 35.0, 10.0)], 10)
-        assert vals[0][1] in (5.0, 15.0)
+        assert forecast_along(cmap, [(0, 35.0, 10.0)])[0] in (5.0, 15.0)
 
     def test_empty_map_prior(self):
         cmap = ConnectivityMap(prior=-3.0)
-        vals = forecast_along(cmap, [(0, 0.0, 0.0), (1, 10.0, 0.0)], 10)
-        assert [v for _, v in vals] == [-3.0, -3.0]
-
-    def test_horizon_clipping(self):
-        cmap = self.populated_map()
-        traj = [(t, 10.0, 10.0) for t in range(100)]
-        assert len(forecast_along(cmap, traj, 30)) == 31
+        assert forecast_along(cmap, [(0, 0.0, 0.0), (1, 10.0, 0.0)]) == [-3.0, -3.0]
 
     def test_forecast_total_on_random_maps(self):
         rng = np.random.default_rng(9)
@@ -179,7 +182,7 @@ class TestForecast:
                         float(rng.normal(0, 5)))
         traj = [(t, float(rng.uniform(-200, 700)), float(rng.uniform(-200, 700)))
                 for t in range(50)]
-        for _, v in forecast_along(cmap, traj, 100):
+        for v in forecast_along(cmap, traj):
             assert v is not None and math.isfinite(v)
 
 
@@ -205,8 +208,9 @@ class TestSceneSinrMemo:
             assert scene.sinr(pos).hex() == want.hex()
 
     def test_memo_not_part_of_equality(self):
-        # unshadowed, so that only the SINR memos differ
-        a, b = (RadioScene([BaseStation("a", (0.0, 0.0))], model=no_shadow()) for _ in "ab")
+        # shadowed, so that the models' shadow caches differ as well
+        a, b = (RadioScene([BaseStation("a", (0.0, 0.0))], model=PropagationModel(seed=3))
+                for _ in "ab")
         a.sinr((10.0, 20.0))
         b.sinr((400.0, -30.0))
         b.sinr((10.0, 20.0))

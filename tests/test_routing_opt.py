@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
+from hybridflow.harness import ASSIGN
 from hybridflow.road_net import build_network, place_detector
-from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption,
-                                    affine_latency, assign_bmp, assign_combined,
-                                    assign_wardrop, bpr_latency, detect_bottlenecks,
-                                    evaluate_policy)
+from hybridflow.routing_opt import (MSA_ITERS, MSA_TOL, AssignmentProblem, ODProblem,
+                                    RouteOption, assign_bmp, assign_combined, assign_wardrop,
+                                    bpr_latency, detect_bottlenecks, evaluate_policy)
 from hybridflow.traffic_ca import (FlowObservation, ScenarioRuns, VehicleClass,
                                    default_classes)
+
+
+def affine_latency(t0, slope):
+    return lambda q: t0 + slope * q
+
+
+def evaluate(runs, demand, method, k_routes):
+    """evaluate_policy with the assign stage's default settings."""
+    return evaluate_policy(runs, demand, method, k_routes, ASSIGN["probe_factor"],
+                           ASSIGN["density_crit"], ASSIGN["sustain_s"], ASSIGN["lambda"], None)
 
 
 def two_route_problem(demand=30.0, t0s=(10.0, 20.0), q_crits=(1000.0, 1000.0)):
@@ -20,13 +30,13 @@ class TestWardrop:
     def test_analytic_two_route_instance(self):
         # t1 = 10 + x1, t2 = 20 + x2, demand 30: solving 10+x1 = 20+(30-x1)
         # gives x = (20, 10), common latency 30
-        split = assign_wardrop(two_route_problem(), iters=500, tol=0.01)
+        split = assign_wardrop(two_route_problem())
         x = split.flows["od"]
         assert x[0] == pytest.approx(20.0, abs=0.1)
         assert x[1] == pytest.approx(10.0, abs=0.1)
         assert split.converged
-        assert split.objective < 0.01
-        assert split.iterations <= 500
+        assert split.objective < MSA_TOL == 0.01
+        assert split.iterations <= MSA_ITERS == 500
 
     def test_identical_routes_split_evenly(self):
         p = two_route_problem(demand=100.0, t0s=(10.0, 10.0))
@@ -48,12 +58,12 @@ class TestWardrop:
                                   float(rng.uniform(500, 2500))) for i in range(n)]
             demand = float(rng.uniform(100, 2000))
             p = AssignmentProblem([ODProblem("od", demand, routes)])
-            split = assign_wardrop(p, iters=2000, tol=0.05)
+            split = assign_wardrop(p)
             x = split.flows["od"]
             assert sum(x) == pytest.approx(demand, abs=1e-6)
             lat = [r.latency(q) for r, q in zip(routes, x)]
             used = [l for l, q in zip(lat, x) if q > 1e-9]
-            assert max(used) - min(lat) < 0.05 or not split.converged
+            assert max(used) - min(lat) < MSA_TOL or not split.converged
 
 
 def grid_search_margin(q_crits, demand, step=1.0):
@@ -179,15 +189,15 @@ class TestBottlenecks:
     def test_free_flow_empty_report(self):
         series = [obs("d", t, t + 60, 20, 0.1) for t in range(0, 600, 60)]
         report = detect_bottlenecks(series, density_crit=0.35, sustain_s=60)
-        assert report.entries == []
+        assert report == []
 
     def test_sustained_saturation_flagged(self):
         series = [obs("d", t, t + 60, 30, 0.1) for t in range(0, 300, 60)]
         series += [obs("d", t, t + 60, 12, 0.8) for t in range(300, 420, 60)]  # 120 s
         series += [obs("d", t, t + 60, 25, 0.2) for t in range(420, 600, 60)]
         report = detect_bottlenecks(series, density_crit=0.35, sustain_s=60)
-        assert len(report.entries) == 1
-        edge, onset, measured, q_crit = report.entries[0]
+        assert len(report) == 1
+        edge, onset, measured, q_crit = report[0]
         assert onset == 300
         assert q_crit == pytest.approx(30 / 60 * 3600)
 
@@ -196,7 +206,7 @@ class TestBottlenecks:
         series += [obs("d", 300, 360, 12, 0.8)]  # only 60 s < sustain 120
         series += [obs("d", t, t + 60, 25, 0.2) for t in range(360, 600, 60)]
         report = detect_bottlenecks(series, density_crit=0.35, sustain_s=120)
-        assert report.entries == []
+        assert report == []
 
 
 def lane_drop_net():
@@ -228,7 +238,7 @@ class TestCaCoupling:
         det_edges = {d: det.edge for d, det in net.detectors.items()}
         report = detect_bottlenecks(flat, density_crit=0.3, sustain_s=120,
                                     detectors=det_edges)
-        flagged = {e for e, *_ in report.entries}
+        flagged = {e for e, *_ in report}
         # the density field confirms the jam sits at the lane-drop entrance:
         # the wide edge upstream saturates while the narrow edge flows
         assert "wide" in flagged
@@ -236,15 +246,14 @@ class TestCaCoupling:
     def test_evaluate_zero_demand(self):
         net = lane_drop_net()
         demand = [{"origin": "A", "dest": "C", "rate_veh_h": 0.0, "splits": [1.0]}]
-        result = evaluate_policy(ScenarioRuns(net, default_classes(), 1, 120), demand,
-                                 "fixed", k_routes=1)
+        result = evaluate(ScenarioRuns(net, default_classes(), 1, 120), demand, "fixed", 1)
         assert result.mean_dwell_s is None
 
     def test_evaluate_deterministic(self):
         net = lane_drop_net()
         demand = [{"origin": "A", "dest": "C", "rate_veh_h": 1200.0, "splits": [1.0]}]
-        a, b = (evaluate_policy(ScenarioRuns(net, default_classes(), 9, 300), demand,
-                                "fixed", k_routes=1) for _ in range(2))
+        a, b = (evaluate(ScenarioRuns(net, default_classes(), 9, 300), demand, "fixed", 1)
+                for _ in range(2))
         assert a.mean_dwell_s == b.mean_dwell_s
 
 
@@ -271,7 +280,7 @@ def test_wardrop_beats_all_on_one_route_at_high_demand():
     net = symmetric_two_route_net()
     demand = [{"origin": "A", "dest": "B", "rate_veh_h": 1800.0, "splits": [0.5, 0.5]}]
     runs = ScenarioRuns(net, default_classes(), 21, 600)
-    fixed = evaluate_policy(runs, demand, "fixed", k_routes=2)
-    wardrop = evaluate_policy(runs, demand, "wardrop", k_routes=2)
+    fixed = evaluate(runs, demand, "fixed", 2)
+    wardrop = evaluate(runs, demand, "wardrop", 2)
     assert wardrop.mean_dwell_s is not None and fixed.mean_dwell_s is not None
     assert wardrop.mean_dwell_s < fixed.mean_dwell_s

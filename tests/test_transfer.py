@@ -9,7 +9,7 @@ from hybridflow import transfer
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
                                   forecast_along, sinr_at)
 from hybridflow.rng import substream
-from hybridflow.transfer import (BufferState, EnergyModel, PolicyError, PolicyRuntime,
+from hybridflow.transfer import (BufferState, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferMetrics, TransferPolicy, decide,
                                  line_trace, simulate_drive, sinr_policy, train_predictor,
                                  transmission_probability)
@@ -56,6 +56,12 @@ class TestPredictRate:
         got = pred.predict(0.0, 1e6, 10.0)
         assert got == pytest.approx(6.0, abs=1e-12)
 
+    def test_overflowing_sinr_rejected(self):
+        # 10 ** (sinr / 10) leaves the float range above about 3083 dB
+        assert RatePredictor().predict(3000.0, 1e5, 1.0) == 100.0
+        with pytest.raises(PolicyError, match="SINR 4000.0 dB"):
+            RatePredictor().predict(4000.0, 1e5, 1.0)
+
     def test_empty_table_falls_back(self):
         learned = RatePredictor(kind="learned_table")
         formula = RatePredictor()
@@ -64,7 +70,8 @@ class TestPredictRate:
                     == formula.predict(sinr, payload, speed))
 
     def test_payload_ramp(self):
-        pred = RatePredictor(payload_ramp_bytes=100_000.0)
+        pred = RatePredictor()
+        assert transfer.PAYLOAD_RAMP_BYTES == 100_000.0
         full = pred.predict(10.0, 100_000.0, 5.0)
         half = pred.predict(10.0, 50_000.0, 5.0)
         assert half == pytest.approx(full / 2)
@@ -143,7 +150,7 @@ def good_bad_scene(with_map=False):
                        noise_dbm=-100.0,
                        model=PropagationModel(shadowing_enabled=False))
     if with_map:
-        cmap = ConnectivityMap(metric="sinr_db")
+        cmap = ConnectivityMap()
         for t, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
             for _ in range(3):
                 cmap.record((x, y), scene.sinr((x, y)))
@@ -186,10 +193,10 @@ class TestSimulateDrive:
         scene = good_bad_scene()
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         pol = TransferPolicy(kind="ml_cat", t_max_s=90.0)
-        em = EnergyModel()
-        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=13, energy=em)
+        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=13)
         tx_time = sum(r["duration_s"] for r in log)
-        recomputed = sum(r["energy_j"] for r in log) + max(600.0 - tx_time, 0.0) * em.p_idle_w
+        recomputed = (sum(r["energy_j"] for r in log)
+                      + max(600.0 - tx_time, 0.0) * transfer.P_IDLE_W)
         assert metrics.total_energy_j == pytest.approx(recomputed, abs=1e-9)
 
     def test_byte_conservation(self):
@@ -236,11 +243,21 @@ class TestSimulateDrive:
             simulate_drive(trace, scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
 
     def test_non_finite_time_rejected_by_predictive_policy(self):
-        # the once-per-drive map read would drop the point and shift every window
-        trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (math.nan, 20.0, 0.0), (3, 30.0, 0.0)]
-        with pytest.raises(PolicyError, match="finite"):
-            simulate_drive(trace, good_bad_scene(with_map=True), TransferPolicy(kind="pcat"),
-                           1000.0, seed=1)
+        # a non-finite time has no look-ahead window; a last one is not seen going backwards
+        for bad in (math.nan, math.inf):
+            trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (2, 20.0, 0.0), (bad, 30.0, 0.0)]
+            with pytest.raises(PolicyError, match="finite"):
+                simulate_drive(trace, good_bad_scene(with_map=True),
+                               TransferPolicy(kind="pcat"), 1000.0, seed=1)
+
+    def test_overflowing_map_value_rejected(self):
+        # a rate policy turns the map value into a rate: 4000 dB overflows it
+        scene = good_bad_scene()
+        scene.map = ConnectivityMap()
+        scene.map.record((2000.0, 0.0), 4000.0)
+        trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
+        with pytest.raises(PolicyError, match="SINR 4000.0 dB"):
+            simulate_drive(trace, scene, TransferPolicy(kind="ml_pcat"), 1000.0, seed=1)
 
     def test_lookahead_is_the_horizon_slice(self, monkeypatch):
         # uneven spacing and repeated times: the map is read once, along the
@@ -251,9 +268,9 @@ class TestSimulateDrive:
         reads, windows = [], []
         original_forecast, original_peak = transfer.forecast_along, RatePredictor.peak_rate
 
-        def recording_forecast(cmap, trajectory, horizon_s):
-            reads.append((list(trajectory), horizon_s))
-            return original_forecast(cmap, trajectory, horizon_s)
+        def recording_forecast(cmap, trajectory):
+            reads.append(list(trajectory))
+            return original_forecast(cmap, trajectory)
 
         def recording_peak(self, sinrs, links, payload_bytes, speed_mps):
             windows.append(list(sinrs))
@@ -269,7 +286,7 @@ class TestSimulateDrive:
                 pol = TransferPolicy(kind="ml_pcat", t_min_s=t_min, lookahead_s=lookahead)
                 _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3)
                 reference_drive(trace, scene, pol, 1000.0, 3, windows=want)
-                assert reads == [(trace, math.inf)]
+                assert reads == [trace]
                 assert len(windows) == len(want) == len(log) > 3
                 for r, points, got in zip(log, want, windows):
                     assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
@@ -303,7 +320,6 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
     each probe's later points (the ones ``decide`` kept) to ``windows``."""
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
-    energy = EnergyModel()
     predictor = predictor or RatePredictor()
     runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
@@ -341,7 +357,8 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
             j = max(j, i)
             while j < len(trace) and trace[j][0] - t <= policy.lookahead_s:
                 j += 1
-            forecast = forecast_along(scene.map, trace[i:j], policy.lookahead_s)
+            forecast = list(zip([p[0] for p in trace[i:j]],
+                                forecast_along(scene.map, trace[i:j])))
             if windows is not None:
                 windows.append([p for p in trace[i:j] if p[0] > t])
             if policy.metric_is_rate:
@@ -351,11 +368,11 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
             payload = buf.queued_bytes
             noise = math.exp(noise_rng.normal(0.0, transfer.RATE_NOISE_SIGMA) -
                              transfer.RATE_NOISE_SIGMA ** 2 / 2.0)
-            actual_rate = max(predictor.formula_rate(sinr, payload, speed) * noise, 1e-6)
-            attempts = 2 if noise_rng.random() < energy.loss_probability(sinr) else 1
+            actual_rate = max(predictor.formula_rate(sinr, payload) * noise, 1e-6)
+            attempts = 2 if noise_rng.random() < transfer._loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts
             pathloss = max(s.tx_power_dbm for s in scene.stations) - scene.rsrp(pos)
-            e_tx = duration * energy.p_tx(pathloss)
+            e_tx = duration * transfer._tx_power_w(pathloss)
             ages.append(buf.age(t))
             n_tx += 1
             n_retx += attempts - 1
@@ -379,7 +396,7 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
     idle_time = max(wall - tx_time, 0.0)
     metrics = TransferMetrics(
         mean_goodput_mbps=(transferred * 8.0 / tx_time / 1e6) if tx_time > 0 else 0.0,
-        total_energy_j=tx_energy + idle_time * energy.p_idle_w,
+        total_energy_j=tx_energy + idle_time * transfer.P_IDLE_W,
         transmissions=n_tx,
         mean_buffer_age_s=sum(ages) / len(ages) if ages else 0.0,
         retransmissions=n_retx,
@@ -397,7 +414,7 @@ def two_station_scene():
                         BaseStation("b", (1500.0, 400.0), tx_power_dbm=30.0)],
                        model=PropagationModel(seed=4))
     rng = np.random.default_rng(5)
-    cmap = ConnectivityMap(metric="sinr_db")
+    cmap = ConnectivityMap()
     for _, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
         sinr = sinr_at((x, y), scene.stations, scene.noise_dbm, scene.model)
         for _ in range(int(rng.integers(0, 4))):
@@ -501,15 +518,17 @@ class TestDriveInvariants:
         assert (scene.map.cells, scene.map._global_count, scene.map._global_mean) == before
 
     def test_formula_rate_keeps_its_bits(self):
-        def old_formula(pred, sinr_db, payload_bytes):
+        def old_formula(sinr_db, payload_bytes):
+            # efficiency 0.3, 20 MHz, 100 Mbit/s cap, 100 kB payload ramp
             lin = 10.0 ** (sinr_db / 10.0)
-            rate = pred.efficiency * (pred.bandwidth_hz / 1e6) * math.log2(1.0 + lin)
-            rate = min(pred.rate_cap_mbps, rate)
-            s = min(1.0, payload_bytes / pred.payload_ramp_bytes)
+            rate = 0.3 * (20e6 / 1e6) * math.log2(1.0 + lin)
+            rate = min(100.0, rate)
+            s = min(1.0, payload_bytes / 100_000.0)
             return rate * s
 
         rng = np.random.default_rng(10)
-        for pred in (RatePredictor(), RatePredictor(efficiency=0.7, rate_cap_mbps=40.0)):
-            for sinr, payload in rng.uniform([-30.0, 0.0], [60.0, 3e5], size=(2000, 2)):
-                got = pred.formula_rate(float(sinr), float(payload), 10.0)
-                assert got.hex() == old_formula(pred, float(sinr), float(payload)).hex()
+        pred = RatePredictor()
+        # up to 60 dB: the cap binds from about 50 dB
+        for sinr, payload in rng.uniform([-30.0, 0.0], [60.0, 3e5], size=(4000, 2)):
+            got = pred.formula_rate(float(sinr), float(payload))
+            assert got.hex() == old_formula(float(sinr), float(payload)).hex()
