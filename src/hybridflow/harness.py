@@ -52,8 +52,8 @@ class _Optional(dict):
 # Each schema maps a key to its default. A nested schema is a nested object, a
 # one-element list holding a schema is a list of such objects, a type marks a
 # required value converted by that type, None passes the value through
-# unchecked, and any other default (number, string, bool, tuple) also converts
-# a given value to its type.
+# unchecked, and any other default (number, string, bool, tuple) also checks
+# and converts a given value as ``_convert`` does.
 DEMAND = {"origin": str, "dest": str, "rate_veh_h": float, "splits": (1.0,),
           "class_mix": None, "schedule": None}
 STATION = {"id": str, "x": float, "y": float, "tx_power_dbm": 43.0}
@@ -105,15 +105,20 @@ def _section(obj, schema, where):
         elif key not in obj or default is None:
             out[key] = obj[key] if key in obj else default
         else:
-            kind = default if isinstance(default, type) else type(default)
-            out[key] = _convert(obj[key], kind, path)
+            out[key] = _convert(obj[key], default, path)
     return out
 
 
-def _convert(value, kind, path):
-    """value as kind; a bool passes only as a bool, an int only when integral
-    and a float only when finite."""
-    if isinstance(value, bool) and kind is not bool:
+def _convert(value, default, path):
+    """value as the type of default, or as default when it is a type. A bool or
+    a str passes only as itself, an int only when integral, a float only when
+    finite, and a tuple only as a list whose elements convert as default[0]."""
+    kind = default if isinstance(default, type) else type(default)
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return tuple(_convert(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path}: {value!r} is not an integer")

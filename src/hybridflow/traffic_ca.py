@@ -19,13 +19,14 @@ taken as one ``rng_traffic.random(n)`` call per step (the values of n scalar
 draws), so a scenario flag can degrade the rule set to the classic single-p CA
 and be checked draw-for-draw against a brute-force reference.
 
-Before the update stages, vehicles change lane and claim the next edge. One
-lane-ordered pass over the multi-lane edges marks the lane-change candidates
-(a vehicle in a lane its class may not use, or a blocked one with a safe gap
-in an adjacent lane); the lane-change rule then runs on them in ascending id,
-and on every later vehicle once one has moved. Entry arbitration walks each
-lane back from its end only as far as a front can reach the next edge in one
-step, the edge's v_max.
+Before the update stages, vehicles change lane and claim the next edge. The
+lane-change candidates are the vehicles in a lane their class may not use, and
+the blocked ones whose body lies in a window of an adjacent lane, a free
+stretch that its follower there permits; each adjacent lane's spans drive the
+walk, so vehicles beside a full lane are not looked at. The lane-change rule
+then runs on the candidates in ascending id, and on every later vehicle once
+one has moved. Entry arbitration walks each lane back from its end only as far
+as a front can reach the next edge in one step, the edge's v_max.
 
 The one occupancy index is ``SimState._segs``: per (edge, lane), the occupied
 (lo, hi, vid) spans sorted by position, rebuilt and overlap-checked after each
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -56,6 +57,7 @@ from .rng import substream
 from .road_net import RoadNetwork, ring_network, route_candidates
 
 _INF = math.inf
+_LANE_END = [(_INF, _INF, None)]  # a span past every lane's end
 
 
 class ScenarioError(ValueError):
@@ -268,7 +270,7 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
         if rate < 0:
             raise ScenarioError(f"negative inflow rate {rate}")
         splits = list(spec.get("splits", [1.0]))
-        if abs(sum(splits) - 1.0) > 1e-9:
+        if not abs(sum(splits) - 1.0) <= 1e-9:  # a NaN split fails here too
             raise ScenarioError(f"route splits {splits} do not sum to 1")
         if any(s < -1e-12 for s in splits):
             raise ScenarioError(f"negative route split in {splits}")
@@ -403,12 +405,6 @@ def _rebuild_segments(state):
         state.exited_by_class[name] = state.exited_by_class.get(name, 0) + 1
 
 
-def _occupied(state, edge, lane, cell):
-    segs = state._segs.get((edge, lane), ())
-    i = bisect_right(segs, (cell, _INF, _INF))
-    return i >= 1 and segs[i - 1][1] >= cell
-
-
 def _chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
     """Distance to the next occupied cell ahead along the route chain.
 
@@ -510,53 +506,74 @@ def _try_inject(state):
 def _lane_change_phase(state):
     """Lane changes in ascending id order, each decided against the spans as they stand.
 
-    One lane-ordered pass over the multi-lane edges marks the candidates: a
-    vehicle in a lane its class may not use, or a blocked one (gap <= v) with
-    an adjacent allowed lane whose span behind it neither overlaps its body nor
-    sits closer than that follower's v_max. Only candidates can pass the rule
+    The candidates are the vehicles in a lane that excludes their class, and
+    the blocked ones (gap <= v) whose body lies in a window of an adjacent
+    lane open to their class. A lane's windows are its free stretches that a
+    follower permits: from the lane's start to its first span, and from each
+    span's end plus its owner's v_max to the next span or the lane's end. The
+    target lane's spans drive the walk, so a lane's vehicles are looked at only
+    where the lane beside them has room. Only candidates can pass the rule
     while no vehicle has moved; a move changes the spans later decisions read,
     so from the first move on every later vehicle is decided afresh.
     """
     edges = state.net.edges
     vehicles = state.vehicles
     segs_map = state._segs
-    candidates = []
-    for (e, ln), segs in segs_map.items():
-        if edges[e].lanes < 2:
+    policies = state.lane_policies
+    candidates = []  # a vehicle may come twice: the rule holds it again
+    for (e, ln), own in segs_map.items():
+        edge = edges[e]
+        lanes = edge.lanes
+        if lanes < 2:
             continue
-        last = len(segs) - 1
-        allowed_of = {}  # class name -> allowed lanes of this edge
-        for i, (lo, hi, vid) in enumerate(segs):
-            veh = vehicles[vid]
-            cls = veh.cls
-            if (veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out
-                    or lo != hi - cls.length_cells + 1):
-                continue  # a tail span, a front past the route's end, or a straddling body
-            allowed = allowed_of.get(cls.name)
-            if allowed is None:
-                allowed = allowed_of[cls.name] = _allowed_lanes(state, e, cls)
-            if ln not in allowed:
-                candidates.append(vid)
+        mask = policies.get(e)
+        admits = None if mask is None else mask[ln]
+        if admits is not None and not state.classes.keys() <= admits:
+            for _, _, vid in own:  # the lane excludes a class: its vehicles must leave
+                if vehicles[vid].cls.name not in admits:
+                    candidates.append(vid)  # a tail or a straddler too: the rule holds it
+        last = len(own) - 1
+        for target in (ln - 1, ln + 1):
+            if not 0 <= target < lanes:
                 continue
-            v = veh.v
-            if i < last:
-                gap = segs[i + 1][0] - hi - 1
-            else:
-                gap, _ = _chain_scan(state, veh, e, ln, hi, veh.route_pos, v + 2, None)
-            if gap > v:
-                continue  # not blocked ahead
-            probe = (hi, _INF, _INF)
-            for target in (ln - 1, ln + 1):
-                if target not in allowed:
-                    continue
-                t_segs = segs_map.get((e, target))
-                j = bisect_right(t_segs, probe) if t_segs else 0
-                if j:
-                    _, b_hi, b_vid = t_segs[j - 1]
-                    if lo - b_hi - 1 < vehicles[b_vid].cls.v_max_cells:
-                        continue  # target cells occupied, or the follower too close
-                candidates.append(vid)
-                break
+            t_admits = None if mask is None else mask[target]
+            p = 0
+            own_hi = own[0][1]
+            behind = None  # the target span behind the window
+            t_segs = segs_map.get((e, target))
+            for span in t_segs + _LANE_END if t_segs else _LANE_END:
+                end = span[0]
+                if own_hi < end:  # the next own body ends before this span
+                    # ahead of the first span the window starts at cell 0: no
+                    # follower on an upstream edge or across a ring's seam is seen
+                    start = 0 if behind is None else (
+                        behind[1] + 1 + vehicles[behind[2]].cls.v_max_cells)
+                    if own[p][0] < start:
+                        # pass the bodies that start before the window, but none past
+                        # the span: the next window starts earlier if its follower is slower
+                        p = bisect_left(own, (start if start < end else end,), p + 1)
+                    while p <= last and own[p][1] < end:  # the body lies in the window
+                        lo, hi, vid = own[p]
+                        p += 1
+                        veh = vehicles[vid]
+                        v = veh.v
+                        # the gap reaches at least the next span, or else the lane's end
+                        gap = (own[p][0] if p <= last else edge.cell_count) - hi - 1
+                        if gap > v:
+                            continue  # not blocked
+                        cls = veh.cls
+                        if (veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out
+                                or lo != hi - cls.length_cells + 1
+                                or (t_admits is not None and cls.name not in t_admits)):
+                            continue  # a tail, past the route's end, straddling, or barred
+                        if p > last:
+                            gap, _ = _chain_scan(state, veh, e, ln, hi, veh.route_pos, v + 2, None)
+                        if gap <= v:
+                            candidates.append(vid)
+                    if p > last:
+                        break
+                    own_hi = own[p][1]
+                behind = span
     candidates.sort()
     for vid in candidates:
         if _change_lane(state, vehicles[vid]):
@@ -818,10 +835,17 @@ def step(state: SimState) -> SimState:
     _move_phase(state)
     state.clock_s += 1
     _rebuild_segments(state)
+    segs_map = state._segs
     for windows in state._dets_by_edge.values():  # detector occupancy samples
         for w in windows:
             det = w.det
-            occ = sum(1 for l in det.lanes if _occupied(state, det.edge, l, det.cell))
+            probe = (det.cell, _INF, _INF)
+            occ = 0
+            for l in det.lanes:
+                segs = segs_map.get((det.edge, l), ())
+                i = bisect_right(segs, probe)
+                if i and segs[i - 1][1] >= det.cell:
+                    occ += 1
             w.occ_sum += occ / len(det.lanes)
     return state
 

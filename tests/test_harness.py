@@ -152,6 +152,41 @@ CONFIG_ERRORS = {
                          "config.stages.assign.probe_factor: nan is not finite"),
     "demand_rate_nan": ("demo.json", lambda c: _set(c["demand"][0], "rate_veh_h", math.nan),
                         "config.demand[0].rate_veh_h: nan is not finite"),
+    # a bool key takes only a JSON boolean
+    "build_map_string": ("transfer_two_phase.json",
+                         lambda c: _set(c["stages"]["transfer"], "build_map", "no"),
+                         "config.stages.transfer.build_map: expected bool, got 'no'"),
+    "shadowing_enabled_string": ("transfer_two_phase.json",
+                                 lambda c: _set(c["stages"]["transfer"]["shadowing"],
+                                                "enabled", "false"),
+                                 "config.stages.transfer.shadowing.enabled: expected bool, "
+                                 "got 'false'"),
+    "euclidean_int": ("demo.json", lambda c: _set(c["stages"]["impute"], "euclidean", 1),
+                      "config.stages.impute.euclidean: expected bool, got 1"),
+    "nasch_degenerate_string": ("two_route_low.json",
+                                lambda c: _set(c, "nasch_degenerate", "yes"),
+                                "config.nasch_degenerate: expected bool, got 'yes'"),
+    # a tuple key takes only a list, and each element as the default's elements
+    "splits_nan": ("two_route_low.json",
+                   lambda c: _set(c["demand"][0], "splits", [math.nan, 1.0]),
+                   "config.demand[0].splits[0]: nan is not finite"),
+    "trace_start_nan": ("transfer_two_phase.json",
+                        lambda c: _set(c["stages"]["transfer"].setdefault("trace", {}),
+                                       "start", [math.nan, 0.0]),
+                        "config.stages.transfer.trace.start[0]: nan is not finite"),
+    "trace_velocity_string": ("transfer_two_phase.json",
+                              lambda c: _set(c["stages"]["transfer"].setdefault("trace", {}),
+                                             "velocity_mps", "10,0"),
+                              "config.stages.transfer.trace.velocity_mps: expected a list, "
+                              "got str"),
+    "regs_number": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "regs", ["l1", 2]),
+                    "config.stages.fingerprint.regs[1]: expected str, got 2"),
+    "methods_string": ("two_route_low.json",
+                       lambda c: _set(c["stages"]["assign"], "methods", "bmp"),
+                       "config.stages.assign.methods: expected a list, got str"),
+    "policies_bool": ("transfer_two_phase.json",
+                      lambda c: _set(c["stages"]["transfer"], "policies", ["periodic", True]),
+                      "config.stages.transfer.policies[1]: expected str, got True"),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from bisect import bisect_right, insort
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,8 @@ from hybridflow import traffic_ca
 from hybridflow.traffic_ca import (CollisionError, ScenarioError, ScenarioRuns, VehicleClass,
                                    apply_lane_policy, default_classes, init_ring,
                                    init_scenario, run, state_hash, step)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def long_edge_net(length_m=1500.0, lanes=1, v_max_kmh=27.0):
@@ -162,6 +165,15 @@ class TestInjection:
         with pytest.raises(ScenarioError):
             init_scenario(net, [{"origin": "A", "dest": "B", "rate_veh_h": 100.0,
                                  "splits": [0.6, 0.6]}], {"car5": CAR5}, seed=1)
+
+    def test_nan_split_rejected(self):
+        # NaN passes a plain "sum differs from 1" test; on two routes it would send
+        # every vehicle down the first
+        config = json.loads((CONFIG_DIR / "two_route_low.json").read_text())
+        net = build_network(config["network"])
+        with pytest.raises(ScenarioError, match="do not sum to 1"):
+            init_scenario(net, [{"origin": "A", "dest": "B", "rate_veh_h": 100.0,
+                                 "splits": [float("nan"), 1.0]}], default_classes(), seed=1)
 
     def test_unknown_class_rejected(self):
         net = long_edge_net()
@@ -689,3 +701,126 @@ class TestInteractingLaneChanges:
         lanes = self.lanes_after_one_step(positions, step)
         assert lanes[0] == 1 and lanes[2] == 0
         assert lanes == self.lanes_after_one_step(positions, reference_step)
+
+
+class TestLaneChangeWindows:
+    """Where the candidate pass looks, on hand-built 100-cell rings of 2-cell cars at rest.
+
+    A blocked vehicle is tried only when its body lies in a window of an adjacent
+    lane: from the lane's start to its first span, or from a span's end plus its
+    owner's v_max to the next span. Vehicle 0 is the subject and vehicle 1 boxes it
+    in from just ahead, unless a case says otherwise. Every step is checked against
+    the per-vehicle reference; the ids the rule was tried on show the candidates.
+    """
+
+    CAR = VehicleClass("car", v_max_cells=5, length_cells=2, dawdle_p_d=0.0, brake_p_b=0.0,
+                       standstill_p_0=0.0)
+    TRUCK = dataclasses.replace(CAR, name="truck")
+    FAST = dataclasses.replace(CAR, name="fast", v_max_cells=9)
+
+    def ring(self, lanes, cars, mask):
+        state = init_ring(100, 0, self.CAR, seed=1, lanes=lanes)
+        state.classes.update(truck=self.TRUCK, fast=self.FAST)
+        for vid, (cls, lane, front) in enumerate(cars):
+            state.vehicles[vid] = traffic_ca.Vehicle(vid, cls, "ring", lane, front, ("ring",),
+                                                     0, True, 0)
+        state._next_vid = state.injected = len(cars)
+        traffic_ca._rebuild_segments(state)
+        if mask is not None:
+            apply_lane_policy(state, "ring", mask)
+        return state
+
+    def step_both(self, lanes, cars, mask=None):
+        """Lanes after one step and the ids the lane-change rule was tried on."""
+        state, ref = self.ring(lanes, cars, mask), self.ring(lanes, cars, mask)
+        change_lane, tried = traffic_ca._change_lane, []
+
+        def spy(st, veh):
+            tried.append(veh.vid)
+            return change_lane(st, veh)
+
+        with mock.patch.object(traffic_ca, "_change_lane", spy):
+            step(state)
+        reference_step(ref)
+        assert microscopic(state) == microscopic(ref)
+        return [veh.lane for veh in state.vehicles.values()], tried
+
+    @pytest.mark.parametrize("lanes, target", [(2, 0), (3, 2)])
+    @pytest.mark.parametrize("behind, moves", [(5, True), (4, False)])
+    def test_follower_v_max_behind(self, lanes, target, behind, moves):
+        # the subject's body is 19-20 in lane 1; the follower in the target lane ends
+        # ``behind`` free cells back; on 3 lanes, a car beside it closes lane 0
+        cars = [(self.CAR, 1, 20), (self.CAR, 1, 22), (self.CAR, target, 18 - behind)]
+        if lanes == 3:
+            cars.append((self.CAR, 0, 20))
+        lanes_after, tried = self.step_both(lanes, cars)
+        assert lanes_after[0] == (target if moves else 1)
+        assert (0 in tried) == moves
+
+    @pytest.mark.parametrize("span_front, tried_subject", [(22, True), (21, False)])
+    @pytest.mark.parametrize("first_window", [True, False])
+    def test_body_ends_before_the_next_target_span(self, span_front, tried_subject,
+                                                   first_window):
+        # the subject (body 19-20) is tried when the target span starts at 21, one cell
+        # past its front, and not when it starts at 20, beside it; it never moves, as
+        # the target lane is no freer ahead. Outside the first window, a follower at
+        # 8-9 opens the window at 15 and a car at 12-13 lies behind that start
+        cars = [(self.CAR, 1, 20), (self.CAR, 1, 22), (self.CAR, 0, span_front)]
+        if not first_window:
+            cars += [(self.CAR, 0, 9), (self.CAR, 1, 13)]
+        lanes_after, tried = self.step_both(2, cars)
+        assert lanes_after[0] == 1
+        assert (0 in tried) == tried_subject
+
+    @pytest.mark.parametrize("lanes, subject_lane, target", [(2, 0, 1), (2, 1, 0), (3, 1, 0)])
+    @pytest.mark.parametrize("front", [1, 40, 99])
+    def test_empty_target_lane(self, lanes, subject_lane, target, front):
+        # front 1 puts the body on the lane's first cell, front 99 on its last, boxed in
+        # across the seam; on 3 lanes, a car beside the subject closes lane 2
+        cars = [(self.CAR, subject_lane, front), (self.CAR, subject_lane, (front + 2) % 100)]
+        if lanes == 3:
+            cars.append((self.CAR, 2, front))
+        lanes_after, tried = self.step_both(lanes, cars)
+        assert lanes_after[0] == target and tried[0] == 0
+
+    def test_first_window_starts_at_cell_zero(self):
+        # the target lane's first span lies ahead, so the window from cell 0 holds the
+        # subject's body (0-1), and nothing behind it on this edge is seen
+        lanes_after, tried = self.step_both(
+            2, [(self.CAR, 1, 1), (self.CAR, 1, 3), (self.CAR, 0, 11)])
+        assert lanes_after[0] == 0 and tried[0] == 0
+
+    def test_window_starts_before_the_previous_one(self):
+        # in lane 0 a fast car (v_max 9, body 8-9) opens a window at 19 that ends at 9,
+        # and a car (v_max 5, body 10-11) right ahead of it one at 17; passing over the
+        # car at 7-8 in lane 1 must not pass over the subject at 17-18
+        cars = [(self.CAR, 1, 18), (self.CAR, 1, 20), (self.CAR, 1, 8),
+                (self.FAST, 0, 9), (self.CAR, 0, 11)]
+        lanes_after, tried = self.step_both(2, cars)
+        assert lanes_after[0] == 0 and tried[0] == 0
+
+    @pytest.mark.parametrize("front, moves", [(7, True), (6, False)])
+    def test_target_holds_only_a_seam_straddler(self, front, moves):
+        # vehicle 2 straddles the ring's seam in lane 0 (cells 99 and 0); its window
+        # starts at cell 0 + 1 + v_max = 6, and the tail at cell 99 ends the lane
+        lanes_after, tried = self.step_both(
+            2, [(self.CAR, 1, front), (self.CAR, 1, front + 2), (self.CAR, 0, 0)])
+        assert lanes_after[0] == (0 if moves else 1)
+        assert (0 in tried) == moves
+
+    @pytest.mark.parametrize("lanes, mask, moves", [
+        (2, [{"car", "truck", "fast"}, None], False),
+        (2, [{"car"}, None], True),
+        (3, [None, {"car", "truck", "fast"}, None], False),
+        (3, [None, {"car"}, None], True)])
+    def test_policy_lane(self, lanes, mask, moves):
+        # a truck with the road ahead free: it is tried only when its lane excludes trucks
+        subject_lane = lanes - 2
+        lanes_after, tried = self.step_both(lanes, [(self.TRUCK, subject_lane, 40)], mask)
+        assert (lanes_after[0] != subject_lane) == moves
+        assert tried == ([0] if moves else [])
+
+    def test_blocked_vehicle_not_tried_for_a_lane_that_bars_it(self):
+        lanes_after, tried = self.step_both(2, [(self.TRUCK, 0, 40), (self.CAR, 0, 42)],
+                                            [None, {"car"}])
+        assert lanes_after[0] == 0 and tried == []
