@@ -133,11 +133,36 @@ def _convert(value, default, path):
 
 def parse_config(config: dict) -> dict:
     """The experiment document with every default filled in; ConfigError names
-    the dotted path of an unknown or missing key or of a value of the wrong type."""
+    the dotted path of an unknown or missing key, of a value of the wrong type,
+    or of a class share or schedule entry that is negative or not finite."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"unsupported config version {parsed['version']!r}")
+    for i, entry in enumerate(parsed["classes"] or ()):
+        if isinstance(entry, dict) and entry.get("share") is not None:
+            _non_negative(entry["share"], 0.0, f"config.classes[{i}].share")
+    for i, spec in enumerate(parsed["demand"]):
+        path = f"config.demand[{i}]"
+        mix, schedule = spec["class_mix"], spec["schedule"]
+        if mix is not None:
+            if not isinstance(mix, dict):
+                raise ConfigError(f"{path}.class_mix: expected an object, "
+                                  f"got {type(mix).__name__}")
+            for name, share in mix.items():
+                _non_negative(share, 0.0, f"{path}.class_mix.{name}")
+        if schedule is not None:
+            if not isinstance(schedule, list):
+                raise ConfigError(f"{path}.schedule: expected a list, "
+                                  f"got {type(schedule).__name__}")
+            for j, t in enumerate(schedule):
+                _non_negative(t, 0, f"{path}.schedule[{j}]")
     return parsed
+
+
+def _non_negative(value, default, path):
+    """value converted as _convert does (a float finite, an int integral), and >= 0."""
+    if _convert(value, default, path) < 0:
+        raise ConfigError(f"{path}: {value!r} is negative")
 
 
 def load_config(path) -> dict:

@@ -28,10 +28,15 @@ then runs on the candidates in ascending id, and on every later vehicle once
 one has moved. Entry arbitration walks each lane back from its end only as far
 as a front can reach the next edge in one step, the edge's v_max.
 
-The one occupancy index is ``SimState._segs``: per (edge, lane), the occupied
-(lo, hi, vid) spans sorted by position, rebuilt and overlap-checked after each
-move and kept sorted through injection and lane changes. A vehicle's leader is
-the next span in its lane; only a lane's last span scans on along the route.
+The one occupancy index is ``SimState._segs``: per (edge, lane), the spans
+``[lo, hi, vid, vehicle]`` sorted by position; each vehicle lists its own. Built
+from scratch only by ``init_ring``, it is kept by the phases: injection and lane
+changes place spans, and the move shifts a body's span in place while it stays
+on its edge and lane (no vehicle overtakes in its lane). Only the spans of a
+vehicle that crosses or straddles an edge boundary or runs off its route are
+re-placed; with none left, it exits. Every lane is overlap-checked after each
+move. A vehicle's leader is the next span in its lane; only a lane's last span
+scans on along the route.
 Ids are issued ascending and never re-inserted, so ``state.vehicles`` in dict
 order is ascending id order and the phases iterate it without sorting.
 
@@ -57,7 +62,7 @@ from .rng import substream
 from .road_net import RoadNetwork, ring_network, route_candidates
 
 _INF = math.inf
-_LANE_END = [(_INF, _INF, None)]  # a span past every lane's end
+_LANE_END = [[_INF, _INF, None, None]]  # a span past every lane's end
 
 
 class ScenarioError(ValueError):
@@ -111,7 +116,8 @@ def _degenerate(cls: VehicleClass) -> VehicleClass:
 class Vehicle:
     __slots__ = ("vid", "cls", "edge", "lane", "cell", "v", "brake_light", "route",
                  "route_pos", "circular", "spawn_s", "exit_s", "front_out",
-                 "prev_lanes", "_gap", "_leader", "_vmax", "_new_v", "_new_bl", "_wall")
+                 "prev_lanes", "_spans", "_gap", "_leader", "_vmax", "_new_v", "_new_bl",
+                 "_wall")
 
     def __init__(self, vid, cls, edge, lane, cell, route, route_pos, circular, spawn_s):
         self.vid = vid
@@ -128,6 +134,7 @@ class Vehicle:
         self.exit_s = None
         self.front_out = False
         self.prev_lanes = {}  # edge -> lane held when the front left it
+        self._spans = []  # ((edge, lane), span) of each span in SimState._segs, front first
         # per-step scratch, written by the step phases before it is read
         self._gap = self._vmax = self._new_v = 0
         self._leader = self._wall = None
@@ -225,7 +232,7 @@ class SimState:
     rng_traffic: object = None
     rng_injection: object = None
     vehicle_steps: int = 0
-    _segs: dict = field(default_factory=dict, repr=False)
+    _segs: dict = field(default_factory=dict, repr=False)  # (edge, lane) -> sorted spans
     # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
     _lane_memo: dict = field(default_factory=dict, repr=False)
     _dets_by_edge: dict = field(default_factory=dict, repr=False)  # edge -> open windows in run()
@@ -237,6 +244,8 @@ class SimState:
 # scenario construction
 
 def _normalize_mix(mix: dict, classes: dict) -> list:
+    if not all(math.isfinite(share) and share >= 0 for share in mix.values()):
+        raise ScenarioError(f"class mix {mix} has a non-finite or negative share")
     total = sum(mix.values())
     if total <= 0:
         raise ScenarioError("class mix has no positive share")
@@ -315,7 +324,7 @@ def init_ring(n_cells: int, n_vehicles: int, cls: VehicleClass, seed: int,
         state.vehicles[i] = veh
         state.injected += 1
     state._next_vid = n_vehicles
-    _rebuild_segments(state)
+    _build_segments(state)
     return state
 
 
@@ -375,40 +384,48 @@ def _body_segments(veh, net):
     return segs
 
 
-def _rebuild_segments(state):
-    """Recompute per-(edge,lane) occupancy spans; overlap here is a collision."""
-    segs = {}
-    dead = []
-    for vid, veh in state.vehicles.items():
-        lo = veh.cell - veh.cls.length_cells + 1
-        if lo >= 0 and not veh.front_out:
-            # the body lies wholly on the current edge: one span, no tail to trace
-            segs.setdefault((veh.edge, veh.lane), []).append((lo, veh.cell, vid))
-            continue
-        body = _body_segments(veh, state.net)
-        if not body:
-            dead.append(vid)
-        for e, lane, lo, hi in body:
-            segs.setdefault((e, lane), []).append((lo, hi, vid))
-    for key, lst in segs.items():
-        lst.sort()
-        for i in range(1, len(lst)):
-            if lst[i - 1][1] >= lst[i][0]:
-                raise CollisionError(
-                    f"overlap on {key}: {lst[i - 1]} vs {lst[i]} at t={state.clock_s}")
-    state._segs = segs
-    for vid in dead:
-        veh = state.vehicles.pop(vid)
-        state.exited += 1
-        state.dwell_s_total += veh.exit_s - veh.spawn_s
-        name = veh.cls.name
-        state.exited_by_class[name] = state.exited_by_class.get(name, 0) + 1
+def _build_segments(state):
+    """The occupancy index from scratch, for a state set up by hand (``init_ring``, tests)."""
+    state._segs = {}
+    for veh in state.vehicles.values():
+        _place(state._segs, veh, state.net)
+    _check_overlaps(state)
+
+
+def _place(segs_map, veh, net):
+    """Insert the spans of the vehicle's body into the index and list them on it."""
+    veh._spans = []
+    for e, lane, lo, hi in _body_segments(veh, net):
+        span = [lo, hi, veh.vid, veh]
+        insort(segs_map.setdefault((e, lane), []), span)
+        veh._spans.append(((e, lane), span))
+
+
+def _drop(segs_map, veh):
+    """Remove the vehicle's spans from the index; a lane left empty goes too."""
+    for key, span in veh._spans:
+        lst = segs_map[key]
+        lst.remove(span)
+        if not lst:
+            del segs_map[key]
+
+
+def _check_overlaps(state):
+    """Raise CollisionError unless every lane's spans are disjoint and in order."""
+    for key, lst in state._segs.items():
+        hi = -1
+        for span in lst:
+            if span[0] <= hi:
+                before = lst[lst.index(span) - 1]
+                raise CollisionError(f"overlap on {key}: {tuple(before[:3])} vs "
+                                     f"{tuple(span[:3])} at t={state.clock_s}")
+            hi = span[1]
 
 
 def _chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
     """Distance to the next occupied cell ahead along the route chain.
 
-    Returns (gap, leader_vid). gap is capped at need_far when the road is
+    Returns (gap, leader). gap is capped at need_far when the road is
     free that far, and at wall_gap where edge-entry arbitration or a lane
     policy blocks the chain.
     """
@@ -420,12 +437,12 @@ def _chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
     while True:
         segs = segs_map.get((e, ln))
         if segs:
-            i = bisect_right(segs, (c, _INF, _INF))
+            i = bisect_right(segs, [c, _INF, _INF])
             if i < len(segs):
                 gap = base + segs[i][0] - c - 1
                 if wall_gap is not None and wall_gap < gap:
                     return wall_gap, None
-                return min(gap, need_far), segs[i][2] if gap <= need_far else None
+                return min(gap, need_far), segs[i][3] if gap <= need_far else None
         cc = net.edges[e].cell_count
         end_gap = base + (cc - 1 - c)
         if wall_gap is not None and wall_gap <= end_gap:
@@ -489,15 +506,15 @@ def _try_inject(state):
                     f"entry edge {eid!r} shorter than vehicle class {cname!r}")
             for lane in _allowed_lanes(state, eid, cls):
                 segs = state._segs.get((eid, lane))
-                if segs and bisect_right(segs, (length - 1, _INF, _INF)) >= 1:
+                if segs and bisect_right(segs, [length - 1, _INF, _INF]) >= 1:
                     continue
                 queue.popleft()
                 vid = state._next_vid
                 state._next_vid += 1
-                state.vehicles[vid] = Vehicle(vid, cls, eid, lane, length - 1, route.edges,
-                                              0, False, spawn_s)
+                veh = state.vehicles[vid] = Vehicle(vid, cls, eid, lane, length - 1,
+                                                    route.edges, 0, False, spawn_s)
                 state.injected += 1
-                insort(state._segs.setdefault((eid, lane), []), (0, length - 1, vid))
+                _place(state._segs, veh, net)
                 break
             else:
                 break  # every allowed entry lane is blocked: the queue waits
@@ -529,8 +546,8 @@ def _lane_change_phase(state):
         mask = policies.get(e)
         admits = None if mask is None else mask[ln]
         if admits is not None and not state.classes.keys() <= admits:
-            for _, _, vid in own:  # the lane excludes a class: its vehicles must leave
-                if vehicles[vid].cls.name not in admits:
+            for _, _, vid, veh in own:  # the lane excludes a class: its vehicles must leave
+                if veh.cls.name not in admits:
                     candidates.append(vid)  # a tail or a straddler too: the rule holds it
         last = len(own) - 1
         for target in (ln - 1, ln + 1):
@@ -546,16 +563,14 @@ def _lane_change_phase(state):
                 if own_hi < end:  # the next own body ends before this span
                     # ahead of the first span the window starts at cell 0: no
                     # follower on an upstream edge or across a ring's seam is seen
-                    start = 0 if behind is None else (
-                        behind[1] + 1 + vehicles[behind[2]].cls.v_max_cells)
+                    start = 0 if behind is None else behind[1] + 1 + behind[3].cls.v_max_cells
                     if own[p][0] < start:
                         # pass the bodies that start before the window, but none past
                         # the span: the next window starts earlier if its follower is slower
-                        p = bisect_left(own, (start if start < end else end,), p + 1)
+                        p = bisect_left(own, [start if start < end else end], p + 1)
                     while p <= last and own[p][1] < end:  # the body lies in the window
-                        lo, hi, vid = own[p]
+                        lo, hi, vid, veh = own[p]
                         p += 1
-                        veh = vehicles[vid]
                         v = veh.v
                         # the gap reaches at least the next span, or else the lane's end
                         gap = (own[p][0] if p <= last else edge.cell_count) - hi - 1
@@ -596,7 +611,7 @@ def _change_lane(state, veh):
     allowed = _allowed_lanes(state, e, veh.cls)
     mandatory = lane not in allowed
     need = veh.v + 2
-    probe = (cell, _INF, _INF)
+    probe = [cell, _INF, _INF]
     own = segs_map[(e, lane)]
     i = bisect_right(own, probe)
     if i < len(own):  # the next span in the lane is the leader
@@ -616,15 +631,15 @@ def _change_lane(state, veh):
             behind = segs[i - 1]
             if behind[1] >= lo_me:
                 continue  # target cells occupied
-            if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
+            if lo_me - behind[1] - 1 < behind[3].cls.v_max_cells:
                 continue  # would force the follower to brake hard
         if not mandatory:
             gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
             if gap_t <= gap_cur:
                 continue
-        own.remove((lo_me, cell, veh.vid))
-        insort(segs_map.setdefault((e, target), []), (lo_me, cell, veh.vid))
+        _drop(segs_map, veh)
         veh.lane = target
+        _place(segs_map, veh, state.net)
         return True
     return False
 
@@ -652,10 +667,9 @@ def _entry_arbitration(state):
         edge = net.edges[e]
         reach = edge.cell_count - edge.v_max_cells
         for k in range(len(segs) - 1, -1, -1):
-            lo, hi, vid = segs[k]
+            lo, hi, vid, veh = segs[k]
             if hi < reach:
                 break
-            veh = vehicles[vid]
             if veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out:
                 continue  # a tail span, or a front past the route's end
             v_possible = min(veh.v + 1, veh.cls.v_max_cells, edge.v_max_cells)
@@ -701,8 +715,7 @@ def _velocity_phase(state):
     for (e, ln), segs in state._segs.items():
         edge_vmax = edges[e].v_max_cells
         last = len(segs) - 1
-        for i, (lo, hi, vid) in enumerate(segs):
-            veh = vehicles[vid]
+        for i, (lo, hi, _, veh) in enumerate(segs):
             if veh.edge != e or veh.lane != ln or (hi != veh.cell and not veh.front_out):
                 continue  # a tail span: on an earlier edge or lane, or the ring's wrap
             seen += 1
@@ -718,7 +731,7 @@ def _velocity_phase(state):
             need = (v_next if v_next > ts_product else ts_product) + 1
             wall = veh._wall
             if i < last:
-                lo_next, _, leader = segs[i + 1]
+                lo_next, _, _, leader = segs[i + 1]
                 gap = lo_next - hi - 1
                 if wall is not None and wall < gap:
                     gap, leader = wall, None
@@ -727,7 +740,7 @@ def _velocity_phase(state):
             else:
                 gap, leader = _chain_scan(state, veh, e, ln, hi, veh.route_pos, need, wall)
             veh._gap = gap
-            veh._leader = None if leader is None else vehicles[leader]
+            veh._leader = leader
     if seen != len(vehicles):
         raise RuntimeError(f"spans hold {seen} of {len(vehicles)} vehicles at t={state.clock_s}")
     # pass 2: the four update stages; one draw per vehicle, ascending id
@@ -782,20 +795,30 @@ def _velocity_phase(state):
 
 
 def _move_phase(state):
+    """Advance every vehicle by its new velocity, keeping the index; count the exits.
+
+    The spans to re-place are all dropped before any is placed, since a
+    follower's shifted span may have passed a stale one.
+    """
     net = state.net
+    edges = net.edges
+    dets_by_edge = state._dets_by_edge
     t_new = state.clock_s + 1
     state.vehicle_steps += len(state.vehicles)
+    replaced = []
     for vid, veh in state.vehicles.items():
         adv = veh._new_v
         veh.v = adv
         veh.brake_light = veh._new_bl
         if adv == 0:
-            continue
+            continue  # a stopped body keeps its spans
         c = veh.cell
         target = c + adv
+        # the body lies wholly on its edge: one span, which shifts unless the front crosses
+        in_place = c >= veh.cls.length_cells - 1 and not veh.front_out
         while True:
-            cc = net.edges[veh.edge].cell_count
-            dets = state._dets_by_edge.get(veh.edge)
+            cc = edges[veh.edge].cell_count
+            dets = dets_by_edge.get(veh.edge) if dets_by_edge else None
             if dets is not None and not veh.front_out:
                 hi_here = min(target, cc - 1)
                 for w in dets:
@@ -807,6 +830,7 @@ def _move_phase(state):
             if target < cc or veh.front_out:
                 veh.cell = target
                 break
+            in_place = False
             nrp = _next_route_index(veh, veh.route_pos)
             if nrp is None:
                 veh.cell = target
@@ -823,6 +847,22 @@ def _move_phase(state):
             veh.lane = nlane
             target -= cc
             c = -1
+        if in_place:
+            span = veh._spans[0][1]
+            span[0] = target - veh.cls.length_cells + 1
+            span[1] = target
+        else:
+            replaced.append(veh)
+    for veh in replaced:
+        _drop(state._segs, veh)
+    for veh in replaced:
+        _place(state._segs, veh, net)
+        if not veh._spans:
+            del state.vehicles[veh.vid]
+            state.exited += 1
+            state.dwell_s_total += veh.exit_s - veh.spawn_s
+            name = veh.cls.name
+            state.exited_by_class[name] = state.exited_by_class.get(name, 0) + 1
 
 
 def step(state: SimState) -> SimState:
@@ -834,12 +874,12 @@ def step(state: SimState) -> SimState:
     _velocity_phase(state)
     _move_phase(state)
     state.clock_s += 1
-    _rebuild_segments(state)
+    _check_overlaps(state)
     segs_map = state._segs
     for windows in state._dets_by_edge.values():  # detector occupancy samples
         for w in windows:
             det = w.det
-            probe = (det.cell, _INF, _INF)
+            probe = [det.cell, _INF, _INF]
             occ = 0
             for l in det.lanes:
                 segs = segs_map.get((det.edge, l), ())

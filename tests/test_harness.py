@@ -184,6 +184,28 @@ CONFIG_ERRORS = {
     "methods_string": ("two_route_low.json",
                        lambda c: _set(c["stages"]["assign"], "methods", "bmp"),
                        "config.stages.assign.methods: expected a list, got str"),
+    # class shares and schedule entries, which the schema passes through unconverted
+    "class_share_nan": ("demo.json", lambda c: _set(c["classes"][0], "share", math.nan),
+                        "config.classes[0].share: nan is not finite"),
+    "class_mix_nan": ("demo.json",
+                      lambda c: _set(c["demand"][0], "class_mix", {"car": math.nan, "truck": 1.0}),
+                      "config.demand[0].class_mix.car: nan is not finite"),
+    "class_mix_negative": ("demo.json",
+                           lambda c: _set(c["demand"][0], "class_mix",
+                                          {"car": -0.5, "truck": 1.0}),
+                           "config.demand[0].class_mix.car: -0.5 is negative"),
+    "schedule_nan": ("two_route_low.json",
+                     lambda c: _set(c["demand"][0], "schedule", [0, math.nan]),
+                     "config.demand[0].schedule[1]: nan is not an integer"),
+    "schedule_fraction": ("two_route_low.json",
+                          lambda c: _set(c["demand"][0], "schedule", [0, 2.5]),
+                          "config.demand[0].schedule[1]: 2.5 is not an integer"),
+    "schedule_negative": ("two_route_low.json",
+                          lambda c: _set(c["demand"][0], "schedule", [0, -3]),
+                          "config.demand[0].schedule[1]: -3 is negative"),
+    "schedule_string": ("two_route_low.json",
+                        lambda c: _set(c["demand"][0], "schedule", "0,3"),
+                        "config.demand[0].schedule: expected a list, got str"),
     "policies_bool": ("transfer_two_phase.json",
                       lambda c: _set(c["stages"]["transfer"], "policies", ["periodic", True]),
                       "config.stages.transfer.policies[1]: expected str, got True"),

@@ -1,11 +1,11 @@
 import dataclasses
 import json
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nasch_oracle
@@ -174,6 +174,18 @@ class TestInjection:
         with pytest.raises(ScenarioError, match="do not sum to 1"):
             init_scenario(net, [{"origin": "A", "dest": "B", "rate_veh_h": 100.0,
                                  "splits": [float("nan"), 1.0]}], default_classes(), seed=1)
+
+    @pytest.mark.parametrize("mix", [{"car": float("nan"), "truck": 1.0},
+                                     {"car": -1.0, "truck": 2.0},
+                                     {"car": float("inf"), "truck": 1.0}])
+    def test_non_finite_or_negative_class_share_rejected(self, mix):
+        # a NaN share passes a plain "total <= 0" test and sends every vehicle to the
+        # last class by name; a negative one passes it while the total stays positive
+        config = json.loads((CONFIG_DIR / "demo.json").read_text())
+        net = build_network(config["network"])
+        with pytest.raises(ScenarioError, match="non-finite or negative share"):
+            init_scenario(net, [{"origin": "A", "dest": "B", "rate_veh_h": 700.0,
+                                 "splits": [1.0], "class_mix": mix}], default_classes(), seed=7)
 
     def test_unknown_class_rejected(self):
         net = long_edge_net()
@@ -491,10 +503,14 @@ _INF = float("inf")
 
 
 def reference_lane_change_phase(state):
-    """The per-vehicle lane-change loop that the candidate pass replaced."""
+    """The per-vehicle lane-change loop that the candidate pass replaced.
+
+    A move sets the vehicle's lane and builds the occupancy index afresh, so the
+    index the later vehicles read does not depend on how the CA keeps it.
+    """
     edges = state.net.edges
-    segs_map = state._segs
     for vid, veh in state.vehicles.items():
+        segs_map = state._segs
         e = veh.edge
         if edges[e].lanes < 2 or veh.front_out:
             continue
@@ -505,7 +521,7 @@ def reference_lane_change_phase(state):
         allowed = traffic_ca._allowed_lanes(state, e, veh.cls)
         mandatory = lane not in allowed
         need = veh.v + 2
-        probe = (cell, _INF, _INF)
+        probe = [cell, _INF, _INF]
         own = segs_map[(e, lane)]
         i = bisect_right(own, probe)
         if i < len(own):
@@ -534,9 +550,8 @@ def reference_lane_change_phase(state):
                                                   need, None)
                 if gap_t <= gap_cur:
                     continue
-            own.remove((lo_me, cell, vid))
-            insort(segs_map.setdefault((e, target), []), (lo_me, cell, vid))
             veh.lane = target
+            traffic_ca._build_segments(state)
             break
 
 
@@ -644,25 +659,124 @@ def assert_steps_match_reference(make, edge, mask, arm_at, steps):
         assert microscopic(state) == microscopic(ref), f"diverged at step {t + 1}"
 
 
+RING_CASES = dict(lanes=st.sampled_from([2, 3]), cells=st.integers(150, 400),
+                  fill=st.floats(0.15, 0.95), slow_every=st.integers(2, 6),
+                  v_max=st.integers(3, 20), mask=st.integers(0, 3), arm_at=st.integers(0, 60),
+                  seed=st.integers(0, 10_000))
+MERGE_CASES = dict(rate_a=st.floats(1200.0, 3200.0), rate_c=st.floats(500.0, 1600.0),
+                   kmh_am=st.sampled_from([27, 54, 108]), kmh_cm=st.sampled_from([18, 36, 72]),
+                   mask=st.integers(0, 2), arm_at=st.integers(0, 200),
+                   seed=st.integers(0, 10_000))
+
+
 class TestPhasesMatchPerVehicleReference:
-    @settings(max_examples=12, deadline=None)
-    @given(lanes=st.sampled_from([2, 3]), cells=st.integers(150, 400),
-           fill=st.floats(0.15, 0.95), slow_every=st.integers(2, 6), v_max=st.integers(3, 20),
-           mask=st.integers(0, 3), arm_at=st.integers(0, 60), seed=st.integers(0, 10_000))
+    """Example counts come from the hypothesis profile (tests/conftest.py)."""
+
+    @given(**RING_CASES)
+    # 3 lanes, the slow class and a mask armed mid-run: a window order that needs
+    # two v_max values, which the single-class bench rings never show
+    @example(lanes=3, cells=150, fill=0.6, slow_every=3, v_max=10, mask=2, arm_at=48,
+             seed=4393)
     def test_rings(self, lanes, cells, fill, slow_every, v_max, mask, arm_at, seed):
         n = max(2, int(fill * cells / 5))
         assert_steps_match_reference(
             lambda: mixed_ring(lanes, cells, n, slow_every, v_max, seed),
             "ring", RING_MASKS[lanes][mask], arm_at, 120)
 
-    @settings(max_examples=10, deadline=None)
-    @given(rate_a=st.floats(1200.0, 3200.0), rate_c=st.floats(500.0, 1600.0),
-           kmh_am=st.sampled_from([27, 54, 108]), kmh_cm=st.sampled_from([18, 36, 72]),
-           mask=st.integers(0, 2), arm_at=st.integers(0, 200), seed=st.integers(0, 10_000))
+    @given(**MERGE_CASES)
     def test_criterion_2_merge(self, rate_a, rate_c, kmh_am, kmh_cm, mask, arm_at, seed):
         assert_steps_match_reference(
             lambda: merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed),
             "am", MERGE_MASKS[mask], arm_at, 300)
+
+
+# ---------------------------------------------------------------------------
+# the occupancy index that the step phases keep, against one built from scratch
+
+def kept_index(state):
+    """The kept index as {(edge, lane): [(lo, hi, vid), ...]} in its stored order.
+
+    Also checks that every span carries its vehicle, that each vehicle lists
+    exactly its own spans under their lanes, and that no lane is kept empty.
+    """
+    listed = {}
+    for vid, veh in state.vehicles.items():
+        assert veh._spans, f"vehicle {vid} holds no span"
+        for key, span in veh._spans:
+            assert span[2] == vid and span[3] is veh
+            listed[id(span)] = key
+    kept = {}
+    for key, lst in state._segs.items():
+        assert lst, f"empty lane {key} kept"
+        for span in lst:
+            assert listed.pop(id(span)) == key
+        kept[key] = [tuple(span[:3]) for span in lst]
+    assert not listed, "a vehicle lists a span that the index lacks"
+    return kept
+
+
+def scratch_index(state):
+    """Every vehicle's spans derived from its state, each lane sorted by position."""
+    spans = {}
+    for vid, veh in state.vehicles.items():
+        for e, lane, lo, hi in traffic_ca._body_segments(veh, state.net):
+            spans.setdefault((e, lane), []).append((lo, hi, vid))
+    return {key: sorted(lst) for key, lst in spans.items()}
+
+
+def assert_index_kept(state, edge, mask, arm_at, steps):
+    for t in range(steps):
+        if t == arm_at:
+            apply_lane_policy(state, edge, mask)
+        step(state)
+        assert kept_index(state) == scratch_index(state), f"index differs at step {t + 1}"
+
+
+class TestIndexMatchesScratchBuild:
+    """After every step the kept index equals a from-scratch build, span for span."""
+
+    @given(**RING_CASES)
+    def test_mixed_rings(self, lanes, cells, fill, slow_every, v_max, mask, arm_at, seed):
+        n = max(2, int(fill * cells / 5))
+        assert_index_kept(mixed_ring(lanes, cells, n, slow_every, v_max, seed), "ring",
+                          RING_MASKS[lanes][mask], arm_at, 120)
+
+    @given(**MERGE_CASES)
+    def test_criterion_2_merge(self, rate_a, rate_c, kmh_am, kmh_cm, mask, arm_at, seed):
+        assert_index_kept(merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed), "am",
+                          MERGE_MASKS[mask], arm_at, 300)
+
+    def test_trucks_straddling_the_seam(self):
+        # 8-cell trucks on a 2-lane 160-cell ring, two of them across the seam at the start
+        truck = default_classes()["truck"]
+        positions = [156, 157, 20, 21, 45, 46, 70, 71, 95, 96, 120, 121]
+        state = init_ring(160, len(positions), truck, seed=4, lanes=2, positions=positions)
+        straddling = 0
+        for t in range(300):
+            straddling += any(len(veh._spans) == 2 for veh in state.vehicles.values())
+            step(state)
+            assert kept_index(state) == scratch_index(state), f"index differs at step {t + 1}"
+        assert straddling > 30
+
+    def test_demo_network_with_detectors(self):
+        # run() arms the demo network's three detectors; vehicles run off their routes
+        config = json.loads((CONFIG_DIR / "demo.json").read_text())
+        net = build_network(config["network"])
+        state = init_scenario(net, config["demand"], default_classes(), seed=7,
+                              class_mix={"car": 0.55, "truck": 0.15, "automated_car": 0.3})
+        real_step, front_out = traffic_ca.step, []
+
+        def checked_step(st):
+            real_step(st)
+            front_out.append(sum(veh.front_out for veh in st.vehicles.values()))
+            assert kept_index(st) == scratch_index(st), f"index differs at t={st.clock_s}"
+            return st
+
+        with mock.patch.object(traffic_ca, "step", checked_step):
+            metrics = run(state, 900, window_s=60)
+        assert len(front_out) == 900 and sum(front_out) > 0
+        assert metrics.trips > 20
+        assert all(sum(o.count for o in obs) > 0 for obs in metrics.observations.values())
 
 
 class TestInteractingLaneChanges:
@@ -725,7 +839,7 @@ class TestLaneChangeWindows:
             state.vehicles[vid] = traffic_ca.Vehicle(vid, cls, "ring", lane, front, ("ring",),
                                                      0, True, 0)
         state._next_vid = state.injected = len(cars)
-        traffic_ca._rebuild_segments(state)
+        traffic_ca._build_segments(state)
         if mask is not None:
             apply_lane_policy(state, "ring", mask)
         return state
