@@ -9,11 +9,22 @@ link row is shadowed, and the attenuation window lasts length/speed seconds.
 Classification uses four analytic features per link (36 total) and a linear
 max-margin model trained by hinge-loss subgradient descent with an L1 or L2
 penalty.
+
+Synthesis and features run as array passes over blocks of ``_BLOCK`` traces,
+and training computes ``X @ w`` once per epoch for both the objective and
+the subgradient; each gives the same bits as one numpy call chain per trace.
+Each trace still draws its noise from its own substream. Two steps stay per
+row or per record because a fused form rounds differently: the dip area is
+one pairwise sum per link row, since a segmented sum (``np.add.reduceat``)
+adds left to right; and ``evaluate`` and ``class_shares`` take each record's
+decision as its own dot product, since a matrix-vector product can round a
+decision near zero to the other class.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,10 +48,32 @@ CLASS_SHAPES = {
     TRUCK_LIKE: (3.8, 12.0, 17.0),
 }
 _EDGE_SMOOTH_S = 0.08
+# traces per array pass; a block's largest array (16 x 9 x 80 doubles, 90 KiB) stays
+# small, as blocks of 64 raised the peak RSS of a demo run by about 1.5 MB
+_BLOCK = 16
+
+# setting -> (test of a value, the rule it states); a NaN fails every test
+_SETTINGS = {
+    "count": (lambda v: v >= 1, "at least 1"),
+    "noise_sigma_db": (lambda v: v >= 0.0, "non-negative"),
+    "mix": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "holdout_fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "reg": (lambda v: v in ("l1", "l2"), "l1 or l2"),
+    "lam": (lambda v: v >= 0.0, "non-negative"),
+    "epochs": (lambda v: v >= 1, "at least 1"),
+}
 
 
 class FingerprintError(ValueError):
-    """Bad trace or dataset."""
+    """Bad trace, dataset or setting."""
+
+
+def check_setting(name: str, value) -> None:
+    """FingerprintError unless ``value`` is in the range of the setting ``name``
+    (one of count, noise_sigma_db, mix, holdout_fraction, reg, lam, epochs)."""
+    test, rule = _SETTINGS[name]
+    if not test(value):
+        raise FingerprintError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -76,39 +109,49 @@ def _link_depths(label: str) -> np.ndarray:
     return np.array(depths)
 
 
-def synthesize_trace(label: str, speed_mps: float, noise_sigma_db: float,
-                     seed: int) -> FingerprintTrace:
-    """One synthetic pass of a vehicle of the given class.
+def synthesize(labels, speeds, noise_sigma_db: float, seeds) -> list:
+    """One synthetic pass of a vehicle per (label, speed, seed), in blocks of traces.
 
     The attenuation window is centered in the trace and lasts length/speed
     seconds with raised-cosine edges; depth per link follows the class height
-    profile; Gaussian noise is added per sample. Deterministic under seed.
+    profile; Gaussian noise is added per sample, drawn from the trace's own
+    substream of its seed. Deterministic under the seeds.
     """
-    if label not in CLASS_SHAPES:
-        raise FingerprintError(f"unknown label {label!r}")
-    if speed_mps <= 0:
-        raise FingerprintError("speed must be positive")
-    rng = substream(seed, f"fingerprint-{label}")
+    labels, speeds, seeds = list(labels), list(speeds), list(seeds)
+    if not len(labels) == len(speeds) == len(seeds):
+        raise FingerprintError("labels, speeds and seeds differ in length")
+    for label, speed in zip(labels, speeds):
+        if label not in CLASS_SHAPES:
+            raise FingerprintError(f"unknown label {label!r}")
+        if not speed > 0:
+            raise FingerprintError("speed must be positive")
+    check_setting("noise_sigma_db", noise_sigma_db)
     n = int(TRACE_SECONDS * SAMPLE_RATE_HZ)
     t = np.arange(n) / SAMPLE_RATE_HZ
-    _, length_m, _ = CLASS_SHAPES[label]
-    width = length_m / speed_mps
     mid = TRACE_SECONDS / 2.0
-    lo, hi = mid - width / 2.0, mid + width / 2.0
-    window = np.ones(n)
-    window[t < lo] = 0.0
-    window[t > hi] = 0.0
-    ramp_in = (t >= lo - _EDGE_SMOOTH_S) & (t < lo)
-    ramp_out = (t > hi) & (t <= hi + _EDGE_SMOOTH_S)
-    window[ramp_in] = 0.5 * (1 + np.cos(math.pi * (lo - t[ramp_in]) / _EDGE_SMOOTH_S))
-    window[ramp_out] = 0.5 * (1 + np.cos(math.pi * (t[ramp_out] - hi) / _EDGE_SMOOTH_S))
-    depths = _link_depths(label)
+    depths = {label: _link_depths(label) for label in CLASS_SHAPES}
     baselines = -45.0 - 1.2 * np.arange(N_LINKS)
-    rssi = baselines[:, None] - depths[:, None] * window[None, :]
-    if noise_sigma_db > 0:
-        rssi = rssi + rng.normal(0.0, noise_sigma_db, size=rssi.shape)
-    return FingerprintTrace(rssi_dbm=rssi, sample_rate_hz=SAMPLE_RATE_HZ, label=label,
-                            speed_mps=speed_mps, dip_width_s=width, seed=seed)
+    traces = []
+    for start in range(0, len(labels), _BLOCK):
+        block = range(start, min(start + _BLOCK, len(labels)))
+        widths = [CLASS_SHAPES[labels[i]][1] / speeds[i] for i in block]
+        width = np.array(widths)[:, None]
+        lo, hi = mid - width / 2.0, mid + width / 2.0
+        window = ((t >= lo) & (t <= hi)).astype(float)
+        ramp_in = (t >= lo - _EDGE_SMOOTH_S) & (t < lo)
+        ramp_out = (t > hi) & (t <= hi + _EDGE_SMOOTH_S)
+        window[ramp_in] = 0.5 * (1 + np.cos(math.pi * (lo - t)[ramp_in] / _EDGE_SMOOTH_S))
+        window[ramp_out] = 0.5 * (1 + np.cos(math.pi * (t - hi)[ramp_out] / _EDGE_SMOOTH_S))
+        depth = np.array([depths[labels[i]] for i in block])
+        rssi = baselines[:, None] - depth[:, :, None] * window[:, None, :]
+        for row, i in zip(rssi, block):
+            if noise_sigma_db > 0:
+                row += substream(seeds[i], f"fingerprint-{labels[i]}").normal(
+                    0.0, noise_sigma_db, size=row.shape)
+            traces.append(FingerprintTrace(rssi_dbm=row, sample_rate_hz=SAMPLE_RATE_HZ,
+                                           label=labels[i], speed_mps=speeds[i],
+                                           dip_width_s=widths[i - start], seed=seeds[i]))
+    return traces
 
 
 @dataclass
@@ -117,28 +160,42 @@ class FeatureRecord:
     label: str | None = None
 
 
-def extract_features(trace: FingerprintTrace) -> FeatureRecord:
+def extract_features(traces):
     """Per-link depth/mean/width/area against the leading baseline.
 
-    Baseline = mean of the first 10 % of samples. Width counts samples whose
-    attenuation meets DIP_THRESHOLD_DB; area integrates attenuation over those
-    samples only.
+    Takes one FingerprintTrace and gives its FeatureRecord, or a sequence of
+    traces and gives their records in order, computed in blocks of traces of
+    one length and sample rate. Baseline = mean of the first 10 % of samples.
+    Width counts samples whose attenuation meets DIP_THRESHOLD_DB; area
+    integrates attenuation over those samples only.
     """
-    n = trace.rssi_dbm.shape[1]
-    head = n // 10
-    if head < 1:
-        raise FingerprintError("trace shorter than the baseline window")
-    dt = 1.0 / trace.sample_rate_hz
-    rssi = trace.rssi_dbm
-    atten = rssi[:, :head].mean(axis=1)[:, None] - rssi
-    dip = atten >= DIP_THRESHOLD_DB
-    peak = atten.max(axis=1)
-    # the area sums each row's dip samples alone: a masked sum over the whole
-    # row adds the zeros in and rounds differently
-    area = np.array([np.sum(a[d]) for a, d in zip(atten, dip)])
-    feats = np.column_stack((np.where(peak < 0.0, 0.0, peak), atten.mean(axis=1),
-                             np.count_nonzero(dip, axis=1) * dt, area * dt))
-    return FeatureRecord(values=feats.ravel(), label=trace.label)
+    if isinstance(traces, FingerprintTrace):
+        return extract_features([traces])[0]
+    records = []
+    for (n, rate), group in itertools.groupby(
+            traces, key=lambda tr: (tr.rssi_dbm.shape[1], tr.sample_rate_hz)):
+        head = n // 10
+        if head < 1:
+            raise FingerprintError("trace shorter than the baseline window")
+        dt = 1.0 / rate
+        group = list(group)
+        for start in range(0, len(group), _BLOCK):
+            block = group[start:start + _BLOCK]
+            atten = np.stack([tr.rssi_dbm for tr in block])
+            np.subtract(atten[:, :, :head].mean(axis=2)[:, :, None], atten, out=atten)
+            dip = atten >= DIP_THRESHOLD_DB
+            peak = atten.max(axis=2)
+            counts = np.count_nonzero(dip, axis=2)
+            # the area sums each row's dip samples alone: a masked sum over the
+            # whole row adds the zeros in and rounds differently
+            dips = atten[dip]
+            ends = np.cumsum(counts).tolist()
+            area = np.array([dips[a:e].sum() for a, e in zip([0] + ends[:-1], ends)])
+            feats = np.stack((np.where(peak < 0.0, 0.0, peak), atten.mean(axis=2),
+                              counts * dt, area.reshape(counts.shape) * dt), axis=2)
+            records.extend(FeatureRecord(values=row, label=tr.label)
+                           for row, tr in zip(feats.reshape(len(block), -1), block))
+    return records
 
 
 def _as_matrix(records):
@@ -165,8 +222,7 @@ class LinearModel:
         return CAR_LIKE if self.decision(record.values) >= 0 else TRUCK_LIKE
 
 
-def _objective(w, b, X, y, reg, lam):
-    margins = y * (X @ w + b)
+def _objective(margins, w, reg, lam):
     hinge = np.mean(np.maximum(0.0, 1.0 - margins))
     if reg == "l1":
         return hinge + lam * np.sum(np.abs(w))
@@ -180,8 +236,9 @@ def train(records, reg: str, lam: float, epochs: int) -> LinearModel:
     the step. Returns the best iterate by penalized objective, so the final
     objective never exceeds the first epoch's. Deterministic (batch updates).
     """
-    if reg not in ("l1", "l2"):
-        raise FingerprintError(f"regularization must be l1 or l2, got {reg!r}")
+    check_setting("reg", reg)
+    check_setting("lam", lam)
+    check_setting("epochs", epochs)
     records = list(records)
     labels = {r.label for r in records}
     if len(labels) < 2:
@@ -194,19 +251,24 @@ def train(records, reg: str, lam: float, epochs: int) -> LinearModel:
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    best = (math.inf, w.copy(), b)
+    best = (math.inf, w, b)
     curve = []
-    for t in range(1, epochs + 1):
-        obj = _objective(w, b, X, y, reg, lam)
+    # the objective is taken before each step and after the last; every step makes
+    # a new w, so the best iterate is kept without a copy
+    for t in range(1, epochs + 2):
+        margins = y * (X @ w + b)
+        obj = _objective(margins, w, reg, lam)
         curve.append(obj)
         if obj < best[0]:
-            best = (obj, w.copy(), b)
+            best = (obj, w, b)
+        if t > epochs:
+            break
         lr = 1.0 / math.sqrt(t)
-        margins = y * (X @ w + b)
         viol = margins < 1.0
-        if np.any(viol):
-            g_w = -(y[viol] @ X[viol]) / n
-            g_b = -float(np.sum(y[viol])) / n
+        if viol.any():
+            y_viol = y[viol]
+            g_w = -(y_viol @ X[viol]) / n
+            g_b = -float(np.sum(y_viol)) / n
         else:
             g_w = np.zeros(d)
             g_b = 0.0
@@ -217,10 +279,6 @@ def train(records, reg: str, lam: float, epochs: int) -> LinearModel:
             w = w - lr * g_w
             b = b - lr * g_b
             w = np.sign(w) * np.maximum(np.abs(w) - lr * lam, 0.0)
-    obj = _objective(w, b, X, y, reg, lam)
-    curve.append(obj)
-    if obj < best[0]:
-        best = (obj, w.copy(), b)
     return LinearModel(weights=best[1], bias=best[2], reg=reg, lam=lam,
                        feature_mean=mean, feature_scale=scale, objective_curve=curve)
 
@@ -283,17 +341,20 @@ def class_shares(records, model: LinearModel) -> dict:
 
 def generate_corpus(count: int, noise_sigma_db: float, mix: float, seed: int):
     """``count`` traces, ``mix`` fraction car-like, speeds uniform in 15-35 m/s."""
+    check_setting("count", count)
+    check_setting("noise_sigma_db", noise_sigma_db)
+    check_setting("mix", mix)
     rng = substream(seed, "fingerprint-corpus")
-    traces = []
-    for i in range(count):
-        label = CAR_LIKE if rng.random() < mix else TRUCK_LIKE
-        speed = float(rng.uniform(15.0, 35.0))
-        traces.append(synthesize_trace(label, speed, noise_sigma_db,
-                                       seed=int(rng.integers(0, 2 ** 31))))
-    return traces
+    labels, speeds, seeds = [], [], []
+    for _ in range(count):
+        labels.append(CAR_LIKE if rng.random() < mix else TRUCK_LIKE)
+        speeds.append(float(rng.uniform(15.0, 35.0)))
+        seeds.append(int(rng.integers(0, 2 ** 31)))
+    return synthesize(labels, speeds, noise_sigma_db, seeds)
 
 
 def split_corpus(traces, holdout_fraction: float, seed: int):
+    check_setting("holdout_fraction", holdout_fraction)
     rng = substream(seed, "fingerprint-split")
     idx = rng.permutation(len(traces))
     n_hold = int(len(traces) * holdout_fraction)

@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -72,8 +72,11 @@ TRANSFER = {"stations": [STATION], "noise_dbm": -100.0,
                       "duration_s": 600, "min_duration_s": 60, "max_vehicles": 3},
             "sensor_rate_bytes_s": 10_000.0, "policies": ("periodic", "ml_cat"),
             "policy": None, "build_map": True, "predictor": "formula"}
-# network: road_net validates it; classes: VehicleClass(**entry); policy: TransferPolicy(**)
-CONFIG = {"version": None, "seed": 0, "network": None, "classes": None, "demand": [DEMAND],
+# a class entry is a traffic_ca.VehicleClass with its defaults, plus an optional share
+CLASS = {f.name: str if f.default is MISSING else f.default
+         for f in fields(traffic_ca.VehicleClass)} | {"share": None}
+# network: road_net validates it; policy: TransferPolicy(**)
+CONFIG = {"version": None, "seed": 0, "network": None, "classes": [CLASS], "demand": [DEMAND],
           "duration_s": 600, "window_s": 60, "nasch_degenerate": False,
           "lane_policies": None,
           "stages": {"fingerprint": _Optional(FINGERPRINT), "traffic": _Optional(),
@@ -134,13 +137,25 @@ def _convert(value, default, path):
 def parse_config(config: dict) -> dict:
     """The experiment document with every default filled in; ConfigError names
     the dotted path of an unknown or missing key, of a value of the wrong type,
-    or of a class share or schedule entry that is negative or not finite."""
+    of a class share or schedule entry that is negative or not finite, of a
+    class entry that VehicleClass rejects or that repeats a name, of a class
+    mix entry naming no class, or of a fingerprint setting out of range."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"unsupported config version {parsed['version']!r}")
-    for i, entry in enumerate(parsed["classes"] or ()):
-        if isinstance(entry, dict) and entry.get("share") is not None:
-            _non_negative(entry["share"], 0.0, f"config.classes[{i}].share")
+    class_names = set()
+    for i, entry in enumerate(parsed["classes"]):
+        path = f"config.classes[{i}]"
+        if entry["share"] is not None:
+            _non_negative(entry["share"], 0.0, f"{path}.share")
+        if entry["name"] in class_names:
+            raise ConfigError(f"{path}.name: class {entry['name']!r} is named twice")
+        class_names.add(entry["name"])
+        try:
+            traffic_ca.VehicleClass(**{k: v for k, v in entry.items() if k != "share"})
+        except traffic_ca.ScenarioError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    class_names = class_names or set(traffic_ca.default_classes())
     for i, spec in enumerate(parsed["demand"]):
         path = f"config.demand[{i}]"
         mix, schedule = spec["class_mix"], spec["schedule"]
@@ -149,6 +164,8 @@ def parse_config(config: dict) -> dict:
                 raise ConfigError(f"{path}.class_mix: expected an object, "
                                   f"got {type(mix).__name__}")
             for name, share in mix.items():
+                if name not in class_names:
+                    raise ConfigError(f"{path}.class_mix.{name}: unknown class {name!r}")
                 _non_negative(share, 0.0, f"{path}.class_mix.{name}")
         if schedule is not None:
             if not isinstance(schedule, list):
@@ -156,7 +173,25 @@ def parse_config(config: dict) -> dict:
                                   f"got {type(schedule).__name__}")
             for j, t in enumerate(schedule):
                 _non_negative(t, 0, f"{path}.schedule[{j}]")
+    if fcfg := parsed["stages"]["fingerprint"]:
+        _check_fingerprint(fcfg, "config.stages.fingerprint")
     return parsed
+
+
+def _check_fingerprint(fcfg, where):
+    """ConfigError naming the first fingerprint setting that fingerprint rejects."""
+    if not fcfg["regs"]:
+        raise ConfigError(f"{where}.regs: expected at least one regularization")
+    checks = [(key, fcfg[key], f"{where}.{key}")
+              for key in ("count", "noise_sigma_db", "mix", "holdout_fraction", "lam", "epochs")]
+    checks += [("reg", reg, f"{where}.regs[{i}]") for i, reg in enumerate(fcfg["regs"])]
+    for name, value, path in checks:
+        try:
+            fingerprint.check_setting(name, value)
+        except fingerprint.FingerprintError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if int(fcfg["count"] * fcfg["holdout_fraction"]) < 1:
+        raise ConfigError(f"{where}.holdout_fraction: holds out none of {fcfg['count']} traces")
 
 
 def _non_negative(value, default, path):
@@ -180,7 +215,7 @@ def _classes_from_config(entries):
     mix = {}
     for entry in entries:
         entry = dict(entry)
-        share = entry.pop("share", None)
+        share = entry.pop("share")
         name = entry["name"]
         classes[name] = traffic_ca.VehicleClass(**entry)
         if share is not None:
@@ -265,12 +300,9 @@ def _fingerprint_stage(run, fcfg):
     corpus_seed = substream_seed(run.seed, "corpus")
     corpus = fingerprint.generate_corpus(fcfg["count"], fcfg["noise_sigma_db"], fcfg["mix"],
                                          corpus_seed)
-    train_set, holdout = fingerprint.split_corpus(corpus, fcfg["holdout_fraction"],
-                                                  corpus_seed)
-    train_records = [fingerprint.extract_features(t) for t in train_set]
-    hold_records = [fingerprint.extract_features(t) for t in holdout]
-    stage_out = {"corpus_size": len(corpus), "holdout": len(holdout), "confusion": {}}
-    model = None
+    train_records, hold_records = fingerprint.split_corpus(
+        fingerprint.extract_features(corpus), fcfg["holdout_fraction"], corpus_seed)
+    stage_out = {"corpus_size": len(corpus), "holdout": len(hold_records), "confusion": {}}
     for reg in fcfg["regs"]:
         model = fingerprint.train(train_records, reg=reg, lam=fcfg["lam"], epochs=fcfg["epochs"])
         cm = fingerprint.evaluate(model, hold_records)

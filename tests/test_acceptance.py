@@ -253,8 +253,8 @@ def test_criterion_8_classifier_accuracy(tmp_path):
     t0 = time.time()
     corpus = generate_corpus(2500, 2.0, 0.5, seed=42)
     train_set, holdout = split_corpus(corpus, 0.2, seed=42)
-    train_records = [extract_features(t) for t in train_set]
-    hold_records = [extract_features(t) for t in holdout]
+    train_records = extract_features(train_set)
+    hold_records = extract_features(holdout)
     accuracies = {}
     for reg in ("l1", "l2"):
         model = train(train_records, reg=reg, lam=1e-3, epochs=300)

@@ -1,17 +1,46 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from hybridflow.fingerprint import (CAR_LIKE, TRUCK_LIKE, FeatureRecord,
-                                    FingerprintTrace, class_shares, evaluate,
+from hybridflow.fingerprint import (_BLOCK, _EDGE_SMOOTH_S, CAR_LIKE, CLASS_SHAPES, N_LINKS,
+                                    SAMPLE_RATE_HZ, TRACE_SECONDS, TRUCK_LIKE, FeatureRecord,
+                                    FingerprintTrace, _link_depths, class_shares, evaluate,
                                     extract_features, generate_corpus, link_heights,
-                                    split_corpus, synthesize_trace, train)
+                                    split_corpus, synthesize, train)
+from hybridflow.rng import substream
 
 
 def flat_trace(level=-50.0, n=80):
     return FingerprintTrace(rssi_dbm=np.full((9, n), level), sample_rate_hz=10.0,
                             label=CAR_LIKE, speed_mps=20.0, dip_width_s=0.0, seed=0)
+
+
+def synthesize_trace(label, speed_mps, noise_sigma_db, seed):
+    return synthesize([label], [speed_mps], noise_sigma_db, [seed])[0]
+
+
+def synthesize_reference(label, speed_mps, noise_sigma_db, seed):
+    """The per-trace synthesis the block pass replaced, kept as the bit-level reference."""
+    rng = substream(seed, f"fingerprint-{label}")
+    n = int(TRACE_SECONDS * SAMPLE_RATE_HZ)
+    t = np.arange(n) / SAMPLE_RATE_HZ
+    width = CLASS_SHAPES[label][1] / speed_mps
+    mid = TRACE_SECONDS / 2.0
+    lo, hi = mid - width / 2.0, mid + width / 2.0
+    window = np.ones(n)
+    window[t < lo] = 0.0
+    window[t > hi] = 0.0
+    ramp_in = (t >= lo - _EDGE_SMOOTH_S) & (t < lo)
+    ramp_out = (t > hi) & (t <= hi + _EDGE_SMOOTH_S)
+    window[ramp_in] = 0.5 * (1 + np.cos(math.pi * (lo - t[ramp_in]) / _EDGE_SMOOTH_S))
+    window[ramp_out] = 0.5 * (1 + np.cos(math.pi * (t[ramp_out] - hi) / _EDGE_SMOOTH_S))
+    baselines = -45.0 - 1.2 * np.arange(N_LINKS)
+    rssi = baselines[:, None] - _link_depths(label)[:, None] * window[None, :]
+    if noise_sigma_db > 0:
+        rssi = rssi + rng.normal(0.0, noise_sigma_db, size=rssi.shape)
+    return rssi, width
 
 
 class TestSynthesize:
@@ -35,6 +64,28 @@ class TestSynthesize:
         assert np.array_equal(a.rssi_dbm, b.rssi_dbm)
         c = synthesize_trace(CAR_LIKE, 23.0, 2.0, seed=100)
         assert not np.array_equal(a.rssi_dbm, c.rssi_dbm)
+
+    def test_rejects_bad_inputs(self):
+        from hybridflow.fingerprint import FingerprintError
+        for args in (([CAR_LIKE], [20.0], 2.0, []), (["bus"], [20.0], 2.0, [1]),
+                     ([CAR_LIKE], [0.0], 2.0, [1]), ([CAR_LIKE], [20.0], -1.0, [1])):
+            with pytest.raises(FingerprintError):
+                synthesize(*args)
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("noise_sigma_db", [0.0, 2.0])
+def test_blocks_bit_identical_to_per_trace_references(count, noise_sigma_db):
+    # a block boundary must not change a bit of a trace or of its features
+    corpus = generate_corpus(count, noise_sigma_db, 0.5, seed=count)
+    records = extract_features(corpus)
+    assert len(corpus) == len(records) == count
+    for trace, record in zip(corpus, records):
+        rssi, width = synthesize_reference(trace.label, trace.speed_mps, noise_sigma_db,
+                                           trace.seed)
+        assert np.array_equal(trace.rssi_dbm, rssi) and trace.dip_width_s == width
+        assert np.array_equal(record.values, TestExtractFeatures.per_link_reference(trace))
+        assert record.label == trace.label
 
 
 class TestExtractFeatures:
@@ -90,6 +141,16 @@ class TestExtractFeatures:
         from hybridflow.fingerprint import FingerprintError
         with pytest.raises(FingerprintError):
             extract_features(flat_trace(n=8))
+        with pytest.raises(FingerprintError):
+            extract_features([flat_trace(), flat_trace(n=8)])
+
+    def test_mixed_lengths_keep_their_order(self):
+        traces = [flat_trace(n=80), synthesize_trace(TRUCK_LIKE, 18.0, 2.0, seed=3),
+                  flat_trace(n=40), flat_trace(n=80)]
+        traces[2].rssi_dbm[:, 20:25] -= 6.0
+        records = extract_features(traces)
+        assert [r.values.tolist() for r in records] == [
+            self.per_link_reference(t).tolist() for t in traces]
 
     @staticmethod
     def per_link_reference(trace, threshold_db=3.0):
@@ -111,9 +172,8 @@ class TestExtractFeatures:
     def test_bit_identical_to_per_link_loop(self, noise_sigma_db):
         corpus = generate_corpus(60, noise_sigma_db, 0.5, seed=11)
         assert {t.label for t in corpus} == {CAR_LIKE, TRUCK_LIKE}
-        for trace in corpus:
-            assert np.array_equal(extract_features(trace).values,
-                                  self.per_link_reference(trace))
+        for trace, record in zip(corpus, extract_features(corpus)):
+            assert np.array_equal(record.values, self.per_link_reference(trace))
         flat = flat_trace()
         assert np.array_equal(extract_features(flat).values, self.per_link_reference(flat))
 
@@ -240,6 +300,30 @@ class TestClassShares:
         true_car = sum(1 for t in stream if t.label == CAR_LIKE) / len(stream)
         shares = class_shares([extract_features(t) for t in stream], model)
         assert abs(shares[CAR_LIKE] - true_car) <= 0.05
+
+
+class TestSettingsChecked:
+    def test_generate_corpus(self):
+        from hybridflow.fingerprint import FingerprintError
+        for count, noise, mix in ((-5, 2.0, 0.5), (0, 2.0, 0.5), (10, -2.0, 0.5),
+                                  (10, math.nan, 0.5), (10, 2.0, 1.5), (10, 2.0, -0.1)):
+            with pytest.raises(FingerprintError):
+                generate_corpus(count, noise, mix, seed=1)
+
+    def test_split_corpus(self):
+        from hybridflow.fingerprint import FingerprintError
+        corpus = generate_corpus(10, 0.0, 0.5, seed=1)
+        for fraction in (-0.2, 1.0, 1.5, math.nan):
+            with pytest.raises(FingerprintError, match="holdout_fraction"):
+                split_corpus(corpus, fraction, seed=1)
+        assert [len(part) for part in split_corpus(corpus, 0.0, seed=1)] == [10, 0]
+
+    def test_train(self):
+        from hybridflow.fingerprint import FingerprintError
+        records = toy_separable_dataset()
+        for reg, lam, epochs in (("l3", 1e-3, 10), ("l2", -1.0, 10), ("l1", 1e-3, 0)):
+            with pytest.raises(FingerprintError):
+                train(records, reg=reg, lam=lam, epochs=epochs)
 
 
 def test_mini_corpus_pipeline_accuracy():

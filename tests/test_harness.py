@@ -209,7 +209,65 @@ CONFIG_ERRORS = {
     "policies_bool": ("transfer_two_phase.json",
                       lambda c: _set(c["stages"]["transfer"], "policies", ["periodic", True]),
                       "config.stages.transfer.policies[1]: expected str, got True"),
+    # fingerprint settings out of the range that fingerprint accepts
+    "holdout_negative": ("demo.json",
+                         lambda c: _set(c["stages"]["fingerprint"], "holdout_fraction", -0.2),
+                         "config.stages.fingerprint.holdout_fraction: holdout_fraction must "
+                         "be in [0, 1), got -0.2"),
+    "holdout_above_one": ("demo.json",
+                          lambda c: _set(c["stages"]["fingerprint"], "holdout_fraction", 1.5),
+                          "config.stages.fingerprint.holdout_fraction: holdout_fraction must "
+                          "be in [0, 1), got 1.5"),
+    "noise_negative": ("demo.json",
+                       lambda c: _set(c["stages"]["fingerprint"], "noise_sigma_db", -2),
+                       "config.stages.fingerprint.noise_sigma_db: noise_sigma_db must be "
+                       "non-negative, got -2.0"),
+    "lam_negative": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "lam", -1),
+                     "config.stages.fingerprint.lam: lam must be non-negative, got -1.0"),
+    "epochs_zero": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "epochs", 0),
+                    "config.stages.fingerprint.epochs: epochs must be at least 1, got 0"),
+    "mix_above_one": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "mix", 1.5),
+                      "config.stages.fingerprint.mix: mix must be in [0, 1], got 1.5"),
+    "count_negative": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "count", -5),
+                       "config.stages.fingerprint.count: count must be at least 1, got -5"),
+    "regs_unknown": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "regs", ["l3"]),
+                     "config.stages.fingerprint.regs[0]: reg must be l1 or l2, got 'l3'"),
+    "regs_empty": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "regs", []),
+                   "config.stages.fingerprint.regs: expected at least one regularization"),
+    # class entries take the VehicleClass fields and a share; a class mix names a class
+    "class_number": ("demo.json", lambda c: _set(c, "classes", [5]),
+                     "config.classes[0]: expected an object, got int"),
+    "class_field_typo": ("demo.json", lambda c: _rename(c["classes"][1], "v_max_cells", "v_max"),
+                         _unknown("config.classes[1]", "v_max")),
+    "class_missing_name": ("two_route_low.json", lambda c: c["classes"][0].pop("name"),
+                           "config.classes[0]: missing key 'name'"),
+    "class_v_max_fraction": ("two_route_low.json",
+                             lambda c: _set(c["classes"][0], "v_max_cells", 2.5),
+                             "config.classes[0].v_max_cells: 2.5 is not an integer"),
+    "class_probability": ("demo.json", lambda c: _set(c["classes"][0], "dawdle_p_d", 1.5),
+                          "config.classes[0]: class car: probability 1.5 outside [0,1]"),
+    "class_named_twice": ("demo.json", lambda c: _set(c["classes"][1], "name", "car"),
+                          "config.classes[1].name: class 'car' is named twice"),
+    "holdout_none": ("demo.json",
+                     lambda c: _set(c["stages"]["fingerprint"], "holdout_fraction", 0.004),
+                     "config.stages.fingerprint.holdout_fraction: holds out none of 240 traces"),
+    "class_mix_unknown": ("demo.json",
+                          lambda c: _set(c["demand"][0], "class_mix", {"ghost": 1.0}),
+                          "config.demand[0].class_mix.ghost: unknown class 'ghost'"),
+    "class_mix_not_configured": ("two_route_low.json",
+                                 lambda c: _set(c["demand"][0], "class_mix", {"truck": 1.0}),
+                                 "config.demand[0].class_mix.truck: unknown class 'truck'"),
 }
+
+
+def test_class_mix_names_default_classes_when_none_configured():
+    config = json.loads((CONFIG_DIR / "two_route_low.json").read_text())
+    del config["classes"]
+    config["demand"][0]["class_mix"] = {"truck": 1.0}
+    assert harness.parse_config(config)["demand"][0]["class_mix"] == {"truck": 1.0}
+    config["demand"][0]["class_mix"] = {"bus": 1.0}
+    with pytest.raises(harness.ConfigError, match=r"class_mix\.bus: unknown class 'bus'"):
+        harness.parse_config(config)
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
@@ -342,6 +400,17 @@ class TestCli:
         manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
         assert len(manifest) == 6
         assert all((tmp_path / "corpus" / m["file"]).exists() for m in manifest)
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--count", "-5", "count must be at least 1, got -5"),
+        ("--noise-sigma-db", "-2", "noise_sigma_db must be non-negative, got -2.0"),
+        ("--mix", "1.5", "mix must be in [0, 1], got 1.5")])
+    def test_gen_corpus_rejects_out_of_range(self, tmp_path, option, value, message):
+        res = CliRunner().invoke(main, ["gen-corpus", "--out", str(tmp_path / "corpus"),
+                                        option, value])
+        assert res.exit_code != 0
+        assert message in res.output
+        assert not (tmp_path / "corpus").exists()
 
     def test_impute_command(self, tmp_path):
         net_spec = demo_config()["network"]
