@@ -113,8 +113,11 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, e
         observations = impute.read_observations_csv(obs_path)
         locs = []
         for part in targets.split(","):
-            edge, offset = part.strip().rsplit(":", 1)
-            locs.append(impute.NetPoint(edge, float(offset)))
+            edge, _, offset = part.strip().rpartition(":")
+            try:
+                locs.append(impute.NetPoint(edge, float(offset)))
+            except ValueError:
+                raise ValueError(f"--targets: {part.strip()!r} is not edge:offset") from None
         params = impute.default_params([o.flow_veh_day for o in observations],
                                        length_scale)
         params.euclidean = euclidean

@@ -2,9 +2,11 @@
 
 A single master seed fans out into named substreams (traffic, injection,
 shadowing, transfer, corpus) so enabling one stage never perturbs another's
-draws. `parse_config` checks an experiment document against the schema
-tables below and fills in their defaults; `run_experiment`,
-`compare_policies` and `evaluate_assignment` all start from it. `STAGES` is
+draws. `parse_config` parses an experiment document and its network with
+the one schema walker (`hybridflow.schema`), against the tables below and
+`road_net.NETWORK`, and checks every lane mask, so a bad input fails by path
+before any stage; `run_experiment`, `compare_policies` and
+`evaluate_assignment` all start from it. `STAGES` is
 the stage order: fingerprint (class shares can arm lane policies) ->
 traffic -> impute -> assign -> transfer. `run_experiment` and, once per
 seed, `compare_policies` run it through one loop, so a policy comparison
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
@@ -29,11 +30,8 @@ import numpy as np
 
 from . import __version__, fingerprint, impute, radio_env, routing_opt, traffic_ca, transfer
 from .rng import substream_seed
-from .road_net import build_network, load_network
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+from .road_net import NetworkError, build_network, load_network
+from .schema import ConfigError, _convert, _Optional, _section
 
 
 class StageError(RuntimeError):
@@ -45,15 +43,6 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-class _Optional(dict):
-    """Schema of a nested object that may be left out; it then parses to None."""
-
-
-# Each schema maps a key to its default. A nested schema is a nested object, a
-# one-element list holding a schema is a list of such objects, a type marks a
-# required value converted by that type, None passes the value through
-# unchecked, and any other default (number, string, bool, tuple) also checks
-# and converts a given value as ``_convert`` does.
 DEMAND = {"origin": str, "dest": str, "rate_veh_h": float, "splits": (1.0,),
           "class_mix": None, "schedule": None}
 STATION = {"id": str, "x": float, "y": float, "tx_power_dbm": 43.0}
@@ -75,8 +64,8 @@ TRANSFER = {"stations": [STATION], "noise_dbm": -100.0,
 # a class entry is a traffic_ca.VehicleClass with its defaults, plus an optional share
 CLASS = {f.name: str if f.default is MISSING else f.default
          for f in fields(traffic_ca.VehicleClass)} | {"share": None}
-# network: road_net validates it; policy: TransferPolicy(**)
-CONFIG = {"version": None, "seed": 0, "network": None, "classes": [CLASS], "demand": [DEMAND],
+# network: a file name or a road_net.NETWORK document; policy: TransferPolicy(**)
+CONFIG = {"version": int, "seed": 0, "network": None, "classes": [CLASS], "demand": [DEMAND],
           "duration_s": 600, "window_s": 60, "nasch_degenerate": False,
           "lane_policies": None,
           "stages": {"fingerprint": _Optional(FINGERPRINT), "traffic": _Optional(),
@@ -84,70 +73,29 @@ CONFIG = {"version": None, "seed": 0, "network": None, "classes": [CLASS], "dema
                      "transfer": _Optional(TRANSFER)}}
 
 
-def _section(obj, schema, where):
-    """Check obj's keys against schema, fill in the defaults, convert the values."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(schema))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-    out = {}
-    for key, default in schema.items():
-        path = f"{where}.{key}"
-        if key not in obj and isinstance(default, (type, _Optional)):
-            if isinstance(default, type):
-                raise ConfigError(f"{where}: missing key {key!r}")
-            out[key] = None
-        elif isinstance(default, dict):
-            out[key] = _section(obj[key] if key in obj else {}, default, path)
-        elif isinstance(default, list):
-            items = obj[key] if key in obj else []
-            if not isinstance(items, list):
-                raise ConfigError(f"{path}: expected a list, got {type(items).__name__}")
-            out[key] = [_section(v, default[0], f"{path}[{i}]") for i, v in enumerate(items)]
-        elif key not in obj or default is None:
-            out[key] = obj[key] if key in obj else default
-        else:
-            out[key] = _convert(obj[key], default, path)
-    return out
-
-
-def _convert(value, default, path):
-    """value as the type of default, or as default when it is a type. A bool or
-    a str passes only as itself, an int only when integral, a float only when
-    finite, and a tuple only as a list whose elements convert as default[0]."""
-    kind = default if isinstance(default, type) else type(default)
-    if kind is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
-        return tuple(_convert(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool) != (kind is bool) or (kind is str and not isinstance(value, str)):
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{path}: {value!r} is not an integer")
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if kind is float and not math.isfinite(out):
-        raise ConfigError(f"{path}: {value!r} is not finite")
-    return out
-
-
-def parse_config(config: dict) -> dict:
-    """The experiment document with every default filled in; ConfigError names
-    the dotted path of an unknown or missing key, of a value of the wrong type,
-    of a class share or schedule entry that is negative or not finite, of a
-    class entry that VehicleClass rejects or that repeats a name, of a class
-    mix entry naming no class, or of a fingerprint setting out of range."""
+def parse_config(config: dict, base_dir=".") -> dict:
+    """The experiment document with every default filled in and its network
+    built (a file name read relative to base_dir; its NetworkError names the
+    file). ConfigError names the dotted path of an unknown or missing key, of a
+    value of the wrong type or out of range, of an inline network value that
+    build_network rejects, of a class entry that VehicleClass rejects or that
+    repeats a name, of a class mix entry naming no class, or of a lane mask that
+    names no edge or that traffic_ca.lane_mask rejects."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
-        raise ConfigError(f"unsupported config version {parsed['version']!r}")
+        raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
+    if isinstance(net := parsed["network"], str):
+        parsed["network"] = load_network(os.path.join(base_dir, net))
+    elif net is not None:
+        try:
+            parsed["network"] = build_network(net)
+        except NetworkError as exc:
+            raise ConfigError(f"config.{exc}") from None
     class_names = set()
     for i, entry in enumerate(parsed["classes"]):
         path = f"config.classes[{i}]"
         if entry["share"] is not None:
-            _non_negative(entry["share"], 0.0, f"{path}.share")
+            _at_least(entry["share"], 0.0, f"{path}.share")
         if entry["name"] in class_names:
             raise ConfigError(f"{path}.name: class {entry['name']!r} is named twice")
         class_names.add(entry["name"])
@@ -166,16 +114,46 @@ def parse_config(config: dict) -> dict:
             for name, share in mix.items():
                 if name not in class_names:
                     raise ConfigError(f"{path}.class_mix.{name}: unknown class {name!r}")
-                _non_negative(share, 0.0, f"{path}.class_mix.{name}")
+                _at_least(share, 0.0, f"{path}.class_mix.{name}")
         if schedule is not None:
             if not isinstance(schedule, list):
                 raise ConfigError(f"{path}.schedule: expected a list, "
                                   f"got {type(schedule).__name__}")
             for j, t in enumerate(schedule):
-                _non_negative(t, 0, f"{path}.schedule[{j}]")
+                _at_least(t, 0, f"{path}.schedule[{j}]")
+    _at_least(parsed["duration_s"], 0, "config.duration_s")
+    _at_least(parsed["window_s"], 1, "config.window_s")
+    if acfg := parsed["stages"]["assign"]:
+        _at_least(acfg["k_routes"], 1, "config.stages.assign.k_routes")
     if fcfg := parsed["stages"]["fingerprint"]:
         _check_fingerprint(fcfg, "config.stages.fingerprint")
+    if net is not None:
+        _check_lane_masks(parsed, class_names)
     return parsed
+
+
+def _check_lane_masks(parsed, class_names):
+    """ConfigError naming the first lane mask, of the network (inline or a file)
+    or the config, whose edge is not in the network or that lane_mask rejects."""
+    net, policies = parsed["network"], parsed["lane_policies"] or {}
+    if not isinstance(policies, dict):
+        raise ConfigError(f"config.lane_policies: expected an object, "
+                          f"got {type(policies).__name__}")
+    masks = [(f"config.network.edges[{i}].lane_policy", e.id, e.lane_policy)
+             for i, e in enumerate(net.edges.values()) if e.lane_policy is not None]
+    masks += [(f"config.lane_policies.{eid}", eid, mask) for eid, mask in policies.items()]
+    if feed := (parsed["stages"]["fingerprint"] or {}).get("feed_lane_policy"):
+        where = "config.stages.fingerprint.feed_lane_policy"
+        if feed["edge"] not in net.edges:
+            raise ConfigError(f"{where}.edge: unknown edge {feed['edge']!r}")
+        masks.append((f"{where}.mask", feed["edge"], feed["mask"]))
+    for where, eid, mask in masks:
+        if eid not in net.edges:
+            raise ConfigError(f"{where}: unknown edge {eid!r}")
+        try:
+            traffic_ca.lane_mask(mask, net.edges[eid].lanes, class_names, where)
+        except traffic_ca.ScenarioError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _check_fingerprint(fcfg, where):
@@ -194,17 +172,19 @@ def _check_fingerprint(fcfg, where):
         raise ConfigError(f"{where}.holdout_fraction: holds out none of {fcfg['count']} traces")
 
 
-def _non_negative(value, default, path):
-    """value converted as _convert does (a float finite, an int integral), and >= 0."""
-    if _convert(value, default, path) < 0:
-        raise ConfigError(f"{path}: {value!r} is negative")
+def _at_least(value, low, path):
+    """value converted as _convert converts it to the type of low (a float
+    finite, an int integral), and >= low."""
+    if _convert(value, low, path) < low:
+        raise ConfigError(f"{path}: {value!r} is "
+                          + ("negative" if low == 0 else f"less than {low}"))
 
 
 def load_config(path) -> dict:
     """The raw experiment document at path, checked by parse_config."""
     with open(path) as fh:
         config = json.load(fh)
-    parse_config(config)
+    parse_config(config, os.path.dirname(path))
     return config
 
 
@@ -226,17 +206,12 @@ def _classes_from_config(entries):
 class _Run:
     """What the stages of one run share; the traffic stage adds its metrics."""
 
-    def __init__(self, cfg, seed, base_dir, out_dir=None):
+    def __init__(self, cfg, seed, out_dir=None):
         self.config = cfg
         self.seed = int(cfg["seed"] if seed is None else seed)
         self.net = cfg["network"]
-        if isinstance(self.net, str):
-            self.net = load_network(os.path.join(base_dir, self.net))
-        elif self.net is not None:
-            self.net = build_network(self.net)
         self.classes, self.class_mix = _classes_from_config(cfg["classes"])
-        self.lane_policies = {k: [None if m is None else list(m) for m in v]
-                              for k, v in (cfg["lane_policies"] or {}).items()}
+        self.lane_policies = dict(cfg["lane_policies"] or {})
         self.runs = traffic_ca.ScenarioRuns(self.net, self.classes, self.seed,
                                             cfg["duration_s"], cfg["window_s"],
                                             self.class_mix, cfg["nasch_degenerate"])
@@ -482,7 +457,7 @@ def run_experiment(config: dict, seed: int | None = None,
     A failing stage raises StageError naming the stage; artifacts of stages
     that completed earlier are left in place.
     """
-    run = _Run(parse_config(config), seed, base_dir, out_dir)
+    run = _Run(parse_config(config, base_dir), seed, out_dir)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     rep = ExperimentReport(data={"toolkit_version": __version__, "seed": run.seed,
@@ -497,9 +472,9 @@ def run_experiment(config: dict, seed: int | None = None,
 def evaluate_assignment(config: dict, method: str, seed: int | None = None,
                         base_dir=".") -> routing_opt.EvaluationResult:
     """One assignment method, evaluated with the settings the assign stage uses."""
-    cfg = parse_config(config)
+    cfg = parse_config(config, base_dir)
     acfg = cfg["stages"]["assign"] or _section({}, ASSIGN, "config.stages.assign")
-    return _evaluate_method(_Run(cfg, seed, base_dir), acfg, method)
+    return _evaluate_method(_Run(cfg, seed), acfg, method)
 
 
 def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
@@ -510,7 +485,7 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
     are left out, as no transfer result reads them. Dwell is None without a
     traffic stage.
     """
-    cfg = parse_config(config)
+    cfg = parse_config(config, base_dir)
     seeds = list(seeds)
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies")
@@ -523,7 +498,7 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
                      "transfer": {**stages["transfer"], "policies": tuple(policies)}}
     dwells, results = [], []
     for seed in seeds:
-        done = _run_stages(_Run(cfg, seed, base_dir))
+        done = _run_stages(_Run(cfg, seed))
         dwells.append(done["traffic"]["mean_dwell_s"] if "traffic" in done else None)
         results.append(done["transfer"]["policies"])
 

@@ -53,8 +53,8 @@ class VolumeObservation:
     flow_veh_day: float
 
     def __post_init__(self):
-        if self.flow_veh_day < 0:
-            raise ImputeError(f"negative flow {self.flow_veh_day}")
+        if not 0 <= self.flow_veh_day < math.inf:
+            raise ImputeError(f"flow {self.flow_veh_day} is negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,26 @@ def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork) -> 
 
 
 def read_observations_csv(path) -> list:
-    """CSV columns: edge, offset_m, day, flow."""
+    """CSV columns: edge, offset_m, day, flow. ImputeError names the line and
+    column of a missing or unreadable value and of a negative or non-finite flow."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(VolumeObservation(NetPoint(row["edge"], float(row["offset_m"])),
-                                         int(row["day"]), float(row["flow"])))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}, line {reader.line_num}, column"
+            values = []
+            for column, kind in (("edge", str), ("offset_m", float), ("day", int),
+                                 ("flow", float)):
+                try:
+                    values.append(kind(row[column]))
+                except (KeyError, TypeError, ValueError):
+                    raise ImputeError(f"{where} {column}: {row.get(column)!r} is not "
+                                      f"{kind.__name__}") from None
+            edge, offset, day, flow = values
+            try:
+                out.append(VolumeObservation(NetPoint(edge, offset), day, flow))
+            except ImputeError as exc:
+                raise ImputeError(f"{where} flow: {exc}") from None
     return out
 
 

@@ -1,6 +1,7 @@
 """Road network substrate: directed multi-lane edges discretized into CA cells.
 
-Networks are built from a versioned JSON document, are immutable during
+Networks are built from a versioned JSON document, walked against the schema
+tables below so that a bad value fails by its path, are immutable during
 simulation (detector placement happens at setup time), and provide route
 enumeration plus the graph-distance helpers the imputation module relies on.
 """
@@ -12,13 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .schema import ConfigError, _convert, _section
+
 DEFAULT_CELL_LENGTH_M = 1.5
 MAX_ENUMERATED_PATHS = 10_000
-
-_NETWORK_FIELDS = {"version", "cell_length_m", "nodes", "edges", "detectors"}
-_NODE_FIELDS = {"id", "x", "y"}
-_EDGE_FIELDS = {"id", "from", "to", "length_m", "lanes", "v_max_kmh", "lane_policy"}
-_DETECTOR_FIELDS = {"id", "edge", "cell", "lanes"}
 
 
 class NetworkError(ValueError):
@@ -41,8 +39,8 @@ class Edge:
     lanes: int
     v_max_cells: int
     cell_count: int
-    # per-lane set of allowed class names; None entry = lane open to all
-    lane_policy: tuple | None = None
+    # as in the document: per lane, class names allowed (None: all); see traffic_ca.lane_mask
+    lane_policy: list | None
 
 
 @dataclass
@@ -51,6 +49,15 @@ class Detector:
     edge: str
     cell: int
     lanes: tuple
+
+
+# the JSON document (see hybridflow.schema); lane_policy and detector lanes are checked later
+NODE = {"id": str, "x": float, "y": float}
+EDGE = {"id": str, "from": str, "to": str, "length_m": float, "lanes": int,
+        "v_max_kmh": 108.0, "lane_policy": None}
+DETECTOR = {"id": str, "edge": str, "cell": int, "lanes": None}
+NETWORK = {"version": int, "cell_length_m": DEFAULT_CELL_LENGTH_M, "nodes": [NODE],
+           "edges": [EDGE], "detectors": [DETECTOR]}
 
 
 @dataclass(frozen=True)
@@ -91,75 +98,59 @@ class RoadNetwork:
         return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
 
 
-def _require_fields(obj: dict, allowed: set, kind: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise NetworkError(f"unknown field(s) {sorted(unknown)} in {kind}")
-
-
-def _parse_lane_policy(raw, lanes: int, edge_id: str):
-    if raw is None:
-        return None
-    if len(raw) != lanes:
-        raise NetworkError(f"edge {edge_id}: lane_policy length {len(raw)} != lanes {lanes}")
-    return tuple(None if entry is None else frozenset(entry) for entry in raw)
-
-
 def build_network(spec: dict) -> RoadNetwork:
-    """Build a validated, cell-discretized network from its JSON description.
-
-    Rejects unknown fields, dangling node references, non-positive lengths and
-    zero-lane edges; every error names the offending element.
-    """
-    _require_fields(spec, _NETWORK_FIELDS, "network spec")
-    if spec.get("version") != 1:
-        raise NetworkError(f"unsupported network spec version {spec.get('version')!r}")
-    cell_len = float(spec.get("cell_length_m", DEFAULT_CELL_LENGTH_M))
+    """Build a cell-discretized network from its JSON description. NetworkError
+    names the path of what the NETWORK schema rejects and of what it cannot
+    state: a version other than 1, a repeated id, an unknown node, a length,
+    lane count, speed or cell length that is not positive, and a detector
+    outside its edge's cells or lanes."""
+    try:
+        spec = _section(spec, NETWORK, "network")
+        det_lanes = [None if dd["lanes"] is None
+                     else _convert(dd["lanes"], (0,), f"network.detectors[{i}].lanes")
+                     for i, dd in enumerate(spec["detectors"])]
+    except ConfigError as exc:
+        raise NetworkError(str(exc)) from None
+    if spec["version"] != 1:
+        raise NetworkError(f"network.version: unsupported version {spec['version']!r}")
+    cell_len = spec["cell_length_m"]
     if cell_len <= 0:
-        raise NetworkError("cell_length_m must be positive")
-
+        raise NetworkError(f"network.cell_length_m: {cell_len!r} is not positive")
     nodes = {}
-    for nd in spec.get("nodes", []):
-        _require_fields(nd, _NODE_FIELDS, f"node {nd.get('id')!r}")
-        nid = str(nd["id"])
-        if nid in nodes:
-            raise NetworkError(f"duplicate node id {nid!r}")
-        nodes[nid] = Node(nid, float(nd["x"]), float(nd["y"]))
-
+    for i, nd in enumerate(spec["nodes"]):
+        if nd["id"] in nodes:
+            raise NetworkError(f"network.nodes[{i}].id: duplicate node id {nd['id']!r}")
+        nodes[nd["id"]] = Node(nd["id"], nd["x"], nd["y"])
     edges = {}
-    for ed in spec.get("edges", []):
-        _require_fields(ed, _EDGE_FIELDS, f"edge {ed.get('id')!r}")
-        eid = str(ed["id"])
+    for i, ed in enumerate(spec["edges"]):
+        where, eid = f"network.edges[{i}]", ed["id"]
         if eid in edges:
-            raise NetworkError(f"duplicate edge id {eid!r}")
-        frm, to = str(ed["from"]), str(ed["to"])
-        for ref in (frm, to):
-            if ref not in nodes:
-                raise NetworkError(f"edge {eid!r} references unknown node {ref!r}")
-        length = float(ed["length_m"])
-        if length <= 0:
-            raise NetworkError(f"edge {eid!r} has non-positive length {length}")
-        lanes = int(ed["lanes"])
-        if lanes < 1:
-            raise NetworkError(f"edge {eid!r} has zero lanes")
-        v_kmh = float(ed.get("v_max_kmh", 108.0))
-        if v_kmh <= 0:
-            raise NetworkError(f"edge {eid!r} has non-positive v_max_kmh")
-        v_cells = max(1, round(v_kmh / 3.6 / cell_len))
-        cells = max(1, math.ceil(length / cell_len))
-        edges[eid] = Edge(eid, frm, to, length, lanes, v_cells, cells,
-                          _parse_lane_policy(ed.get("lane_policy"), lanes, eid))
-
+            raise NetworkError(f"{where}.id: duplicate edge id {eid!r}")
+        for key in ("from", "to"):
+            if ed[key] not in nodes:
+                raise NetworkError(f"{where}.{key}: edge {eid!r} has unknown node {ed[key]!r}")
+        for key in ("length_m", "lanes", "v_max_kmh"):
+            if ed[key] <= 0:
+                raise NetworkError(f"{where}.{key}: edge {eid!r} has non-positive {ed[key]!r}")
+        edges[eid] = Edge(eid, ed["from"], ed["to"], ed["length_m"], ed["lanes"],
+                          max(1, round(ed["v_max_kmh"] / 3.6 / cell_len)),
+                          max(1, math.ceil(ed["length_m"] / cell_len)), ed["lane_policy"])
     net = RoadNetwork(nodes=nodes, edges=edges, detectors={}, cell_length_m=cell_len)
-    for dd in spec.get("detectors", []):
-        _require_fields(dd, _DETECTOR_FIELDS, f"detector {dd.get('id')!r}")
-        place_detector(net, dd["edge"], int(dd["cell"]), dd.get("lanes"), detector_id=str(dd["id"]))
+    for i, (dd, lanes) in enumerate(zip(spec["detectors"], det_lanes)):
+        try:
+            place_detector(net, dd["edge"], dd["cell"], lanes, detector_id=dd["id"])
+        except NetworkError as exc:
+            raise NetworkError(f"network.detectors[{i}]: {exc}") from None
     return net
 
 
 def load_network(path) -> RoadNetwork:
-    with open(path) as fh:
-        return build_network(json.load(fh))
+    """The network described by the JSON file at path; a NetworkError names the file."""
+    try:
+        with open(path) as fh:
+            return build_network(json.load(fh))
+    except (json.JSONDecodeError, NetworkError) as exc:
+        raise NetworkError(f"{path}: {exc}") from None
 
 
 def place_detector(net: RoadNetwork, edge_id: str, cell: int, lanes=None, detector_id=None) -> str:
@@ -174,7 +165,9 @@ def place_detector(net: RoadNetwork, edge_id: str, cell: int, lanes=None, detect
     if not 0 <= cell < e.cell_count:
         raise NetworkError(
             f"detector cell {cell} out of range [0, {e.cell_count}) on edge {edge_id!r}")
-    lane_set = tuple(range(e.lanes)) if lanes is None else tuple(sorted(int(l) for l in lanes))
+    lane_set = tuple(range(e.lanes)) if lanes is None else tuple(sorted(lanes))
+    if not lane_set:
+        raise NetworkError(f"detector on edge {edge_id!r} has no lanes")
     for l in lane_set:
         if not 0 <= l < e.lanes:
             raise NetworkError(f"detector lane {l} out of range on edge {edge_id!r}")
@@ -246,5 +239,5 @@ def ring_network(n_cells: int, lanes: int = 1, v_max_cells: int = 20) -> RoadNet
     """Single self-loop edge with periodic boundary; the CA test substrate."""
     node = Node("ring", 0.0, 0.0)
     edge = Edge("ring", "ring", "ring", n_cells * DEFAULT_CELL_LENGTH_M, lanes, v_max_cells,
-                n_cells)
+                n_cells, None)
     return RoadNetwork(nodes={"ring": node}, edges={"ring": edge}, detectors={})

@@ -378,6 +378,8 @@ def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
     """
     if split_source not in ("fixed", "wardrop", "bmp", "combined"):
         raise AssignmentError(f"unknown split source {split_source!r}")
+    if k_routes < 1:
+        raise AssignmentError(f"k_routes must be at least 1, got {k_routes}")
     split = None
     problem = None
     if split_source == "fixed":

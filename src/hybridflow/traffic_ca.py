@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 
 from .rng import substream
 from .road_net import RoadNetwork, ring_network, route_candidates
+from .schema import ConfigError, _convert
 
 _INF = math.inf
 _LANE_END = [[_INF, _INF, None, None]]  # a span past every lane's end
@@ -297,9 +298,10 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
         state.demand.append(_DemandEntry(rate, routes, splits, mix, schedule,
                                          rate / 3600.0))
         state.queues.append(deque())
-    for eid, e in net.edges.items():
+    for i, e in enumerate(net.edges.values()):
         if e.lane_policy is not None:
-            state.lane_policies[eid] = e.lane_policy
+            state.lane_policies[e.id] = lane_mask(e.lane_policy, e.lanes, classes,
+                                                  f"network.edges[{i}].lane_policy")
     return state
 
 
@@ -893,19 +895,43 @@ def step(state: SimState) -> SimState:
 # ---------------------------------------------------------------------------
 # policies and runs
 
+def lane_mask(mask, lanes: int, classes, where: str) -> tuple:
+    """A lane policy as one entry per lane: None (open to every class) or the
+    frozenset of class names the lane admits.
+
+    ScenarioError naming ``where`` unless the mask has ``lanes`` entries, each
+    None or a list (or set) of names of ``classes``, and some lane admits some
+    class.
+    """
+    if not isinstance(mask, (list, tuple)) or len(mask) != lanes:
+        raise ScenarioError(f"{where}: expected a list of {lanes} lane entries, got {mask!r}")
+    norm = []
+    for lane, names in enumerate(mask):
+        if names is not None:
+            path = f"{where}[{lane}]"
+            try:
+                names = _convert(list(names) if isinstance(names, (tuple, set, frozenset))
+                                 else names, ("",), path)
+            except ConfigError as exc:
+                raise ScenarioError(str(exc)) from None
+            if unknown := sorted(set(names) - set(classes)):
+                raise ScenarioError(f"{path}: unknown class {unknown[0]!r}")
+            names = frozenset(names)
+        norm.append(names)
+    if not any(names is None or names for names in norm):
+        raise ScenarioError(f"{where}: mask excludes every class from every lane")
+    return tuple(norm)
+
+
 def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
-    """Restrict lanes of an edge to class subsets; None entries stay open.
+    """Restrict lanes of an edge to class subsets (see ``lane_mask``); None
+    entries stay open.
 
     Vehicles already in a newly forbidden lane change out as soon as the
     symmetric safety rule allows.
     """
-    e = state.net.edges[edge_id]
-    if len(mask) != e.lanes:
-        raise ScenarioError(f"mask length {len(mask)} != lane count {e.lanes}")
-    norm = tuple(None if m is None else frozenset(m) for m in mask)
-    if all(m is not None and not (set(state.classes) & m) for m in norm):
-        raise ScenarioError("mask excludes every class from every lane")
-    state.lane_policies[edge_id] = norm
+    state.lane_policies[edge_id] = lane_mask(mask, state.net.edges[edge_id].lanes,
+                                             state.classes, f"lane_policies.{edge_id}")
     state._lane_memo.clear()
     return state
 
@@ -919,6 +945,9 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     of connected-class vehicles are recorded each second of this call in the
     result's ``connected_traces`` for the radio co-simulation.
     """
+    if duration_s < 0 or window_s < 1:
+        raise ScenarioError(f"run needs duration_s >= 0 and window_s >= 1, "
+                            f"got {duration_s} and {window_s}")
     t_start = state.clock_s
     injected0, exited0, dwell0 = state.injected, state.exited, state.dwell_s_total
     by_class0 = dict(state.exited_by_class)
@@ -975,10 +1004,10 @@ class ScenarioRuns:
     def run(self, demand: list, lane_policies: dict | None = None,
             trace_connected: bool = False) -> TrafficMetrics:
         """init_scenario -> apply_lane_policy per edge -> run, or the memoised metrics."""
-        lane_policies = lane_policies or {}
-        key = (tuple(_demand_key(spec) for spec in demand),
-               tuple(sorted((eid, tuple(None if m is None else frozenset(m) for m in mask))
-                            for eid, mask in lane_policies.items())))
+        lane_policies = {eid: lane_mask(mask, self.net.edges[eid].lanes, self.classes,
+                                        f"lane_policies.{eid}")
+                         for eid, mask in (lane_policies or {}).items()}
+        key = (tuple(_demand_key(spec) for spec in demand), tuple(sorted(lane_policies.items())))
         hit = self._memo.get(key)
         if hit is not None and (hit.connected_traces is not None or not trace_connected):
             return hit

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from hybridflow import harness, traffic_ca
 from hybridflow.cli import main, parse_seeds
+from hybridflow.road_net import NetworkError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -137,7 +138,7 @@ CONFIG_ERRORS = {
                           "config.stages.transfer.stations[0]: missing key 'x'"),
     "k_routes_type": ("two_route_low.json",
                       lambda c: _set(c["stages"]["assign"], "k_routes", "two"),
-                      "config.stages.assign.k_routes: invalid literal for int()"),
+                      "config.stages.assign.k_routes: expected int, got 'two'"),
     "k_routes_fraction": ("two_route_low.json",
                           lambda c: _set(c["stages"]["assign"], "k_routes", 2.7),
                           "config.stages.assign.k_routes: 2.7 is not an integer"),
@@ -257,6 +258,110 @@ CONFIG_ERRORS = {
     "class_mix_not_configured": ("two_route_low.json",
                                  lambda c: _set(c["demand"][0], "class_mix", {"truck": 1.0}),
                                  "config.demand[0].class_mix.truck: unknown class 'truck'"),
+    # a string is not a number, nor a bool a version
+    "version_bool": ("demo.json", lambda c: _set(c, "version", True),
+                     "config.version: expected int, got True"),
+    "demand_rate_string": ("two_route_low.json",
+                           lambda c: _set(c["demand"][0], "rate_veh_h", "700"),
+                           "config.demand[0].rate_veh_h: expected float, got '700'"),
+    "duration_string": ("demo.json", lambda c: _set(c, "duration_s", "420"),
+                        "config.duration_s: expected int, got '420'"),
+    # ranges that would fail unnamed or run silently
+    "k_routes_zero": ("two_route_low.json", lambda c: _set(c["stages"]["assign"], "k_routes", 0),
+                      "config.stages.assign.k_routes: 0 is less than 1"),
+    "window_zero": ("two_route_low.json", lambda c: _set(c, "window_s", 0),
+                    "config.window_s: 0 is less than 1"),
+    "window_negative": ("two_route_low.json", lambda c: _set(c, "window_s", -60),
+                        "config.window_s: -60 is less than 1"),
+    "duration_negative": ("two_route_low.json", lambda c: _set(c, "duration_s", -5),
+                          "config.duration_s: -5 is negative"),
+    # an inline network parses through the schema walker: road_net.NETWORK
+    "network_lanes_fraction": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", 2.7),
+                               "config.network.edges[0].lanes: 2.7 is not an integer"),
+    "network_lanes_bool": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", True),
+                           "config.network.edges[0].lanes: expected int, got True"),
+    "network_lanes_string": ("demo.json", lambda c: _set(c["network"]["edges"][1], "lanes", "2"),
+                             "config.network.edges[1].lanes: expected int, got '2'"),
+    "network_node_missing_x": ("demo.json", lambda c: c["network"]["nodes"][0].pop("x"),
+                               "config.network.nodes[0]: missing key 'x'"),
+    "network_edge_missing_from": ("demo.json", lambda c: c["network"]["edges"][2].pop("from"),
+                                  "config.network.edges[2]: missing key 'from'"),
+    "network_node_x_nan": ("demo.json", lambda c: _set(c["network"]["nodes"][1], "x", math.nan),
+                           "config.network.nodes[1].x: nan is not finite"),
+    "network_nodes_object": ("demo.json",
+                             lambda c: _set(c["network"], "nodes",
+                                            {n["id"]: n for n in c["network"]["nodes"]}),
+                             "config.network.nodes: expected a list, got dict"),
+    "network_length_inf": ("demo.json",
+                           lambda c: _set(c["network"]["edges"][0], "length_m", math.inf),
+                           "config.network.edges[0].length_m: inf is not finite"),
+    "network_v_max_nan": ("demo.json",
+                          lambda c: _set(c["network"]["edges"][3], "v_max_kmh", math.nan),
+                          "config.network.edges[3].v_max_kmh: nan is not finite"),
+    "network_cell_length_nan": ("demo.json",
+                                lambda c: _set(c["network"], "cell_length_m", math.nan),
+                                "config.network.cell_length_m: nan is not finite"),
+    "network_cell_length_string": ("demo.json",
+                                   lambda c: _set(c["network"], "cell_length_m", "1.5"),
+                                   "config.network.cell_length_m: expected float, got '1.5'"),
+    "network_detector_cell_fraction": ("demo.json",
+                                       lambda c: _set(c["network"]["detectors"][0], "cell", 2.5),
+                                       "config.network.detectors[0].cell: 2.5 is not an integer"),
+    "network_edge_id_int": ("demo.json", lambda c: _set(c["network"]["edges"][0], "id", 1),
+                            "config.network.edges[0].id: expected str, got 1"),
+    "network_detector_lanes_string": ("demo.json",
+                                      lambda c: _set(c["network"]["detectors"][0], "lanes", "01"),
+                                      "config.network.detectors[0].lanes: expected a list, "
+                                      "got str"),
+    "network_detector_lanes_fraction": ("demo.json",
+                                        lambda c: _set(c["network"]["detectors"][1], "lanes",
+                                                       [0.5]),
+                                        "config.network.detectors[1].lanes[0]: 0.5 is not an "
+                                        "integer"),
+    "network_unknown_key": ("demo.json",
+                            lambda c: _rename(c["network"]["edges"][0], "lanes", "lane"),
+                            _unknown("config.network.edges[0]", "lane")),
+    # every lane mask of a run, on the network or in the config, goes through traffic_ca.lane_mask
+    "network_lane_policy_ghost": ("two_route_low.json",
+                                  lambda c: _set(c["network"]["edges"][0], "lane_policy",
+                                                 [["ghost"], ["ghost"]]),
+                                  "config.network.edges[0].lane_policy[0]: unknown class 'ghost'"),
+    "network_lane_policy_none_admitted": ("demo.json",
+                                          lambda c: _set(c["network"]["edges"][0], "lane_policy",
+                                                         [[], []]),
+                                          "config.network.edges[0].lane_policy: mask excludes "
+                                          "every class from every lane"),
+    "network_lane_policy_length": ("demo.json",
+                                   lambda c: _set(c["network"]["edges"][1], "lane_policy",
+                                                  [None, None]),
+                                   "config.network.edges[1].lane_policy: expected a list of 1 "
+                                   "lane entries, got [None, None]"),
+    "lane_policies_unknown_edge": ("demo.json",
+                                   lambda c: _set(c, "lane_policies", {"nope": [None, None]}),
+                                   "config.lane_policies.nope: unknown edge 'nope'"),
+    "lane_policies_unknown_class": ("demo.json",
+                                    lambda c: _set(c, "lane_policies",
+                                                   {"s1": [["ghost"], ["car"]]}),
+                                    "config.lane_policies.s1[0]: unknown class 'ghost'"),
+    "lane_policies_number_entry": ("demo.json",
+                                   lambda c: _set(c, "lane_policies", {"s1": [5, None]}),
+                                   "config.lane_policies.s1[0]: expected a list, got int"),
+    "lane_policies_list": ("demo.json", lambda c: _set(c, "lane_policies", [None, None]),
+                           "config.lane_policies: expected an object, got list"),
+    "feed_edge_unknown": ("demo.json",
+                          lambda c: _set(c["stages"]["fingerprint"]["feed_lane_policy"], "edge",
+                                         "nope"),
+                          "config.stages.fingerprint.feed_lane_policy.edge: unknown edge 'nope'"),
+    "feed_mask_unknown_class": ("demo.json",
+                                lambda c: _set(c["stages"]["fingerprint"]["feed_lane_policy"],
+                                               "mask", [["ghost"], ["car"]]),
+                                "config.stages.fingerprint.feed_lane_policy.mask[0]: unknown "
+                                "class 'ghost'"),
+    "feed_mask_name_number": ("demo.json",
+                              lambda c: _set(c["stages"]["fingerprint"]["feed_lane_policy"],
+                                             "mask", [["car", 5], None]),
+                              "config.stages.fingerprint.feed_lane_policy.mask[0][1]: expected "
+                              "str, got 5"),
 }
 
 
@@ -428,6 +533,45 @@ class TestCli:
         assert res.exit_code == 0, res.output
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 predictions
+
+    @pytest.mark.parametrize("case, message", [
+        ("targets", "--targets: 'l1' is not edge:offset"),
+        ("nan_flow", "obs.csv, line 3, column flow: flow nan is negative or not finite"),
+        ("no_flow_column", "obs.csv, line 2, column flow: None is not float"),
+        ("network_file", "net.json: network.edges[0].lanes: 2.7 is not an integer"),
+    ])
+    def test_impute_bad_input_named(self, tmp_path, case, message):
+        net_spec = demo_config()["network"]
+        if case == "network_file":
+            net_spec["edges"][0]["lanes"] = 2.7
+        (tmp_path / "net.json").write_text(json.dumps(net_spec))
+        (tmp_path / "obs.csv").write_text({
+            "nan_flow": "edge,offset_m,day,flow\ns1,420,0,9100\ns2,150,0,nan\n",
+            "no_flow_column": "edge,offset_m,day\ns1,420,0\n",
+        }.get(case, "edge,offset_m,day,flow\ns1,420,0,9100\ns2,150,0,5200\n"))
+        res = CliRunner().invoke(main, [
+            "impute", "--network", str(tmp_path / "net.json"), "--observations",
+            str(tmp_path / "obs.csv"), "--targets", "l1" if case == "targets" else "l1:300",
+            "--out", str(tmp_path / "pred.csv")])
+        assert res.exit_code != 0
+        assert message in res.output
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_network_file_named(self, tmp_path):
+        config = demo_config()
+        config["network"]["detectors"][2]["cell"] = 1e9
+        (tmp_path / "net.json").write_text(json.dumps(config["network"]))
+        config["network"] = "net.json"
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        message = (f"{tmp_path / 'net.json'}: network.detectors[2]: detector cell 1000000000 "
+                   f"out of range [0, 400) on edge 'l2'")
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            harness.load_config(tmp_path / "cfg.json")
+        res = CliRunner().invoke(main, ["run", "--config", str(tmp_path / "cfg.json"),
+                                        "--out", str(tmp_path / "out")])
+        assert res.exit_code != 0
+        assert message in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_impute_euclidean_matches_config(self, tmp_path):
         # --euclidean is the config's impute.euclidean: the CLI's predictions

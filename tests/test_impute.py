@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hybridflow.impute import (GprParams, ImputeError, NetPoint, VolumeObservation,
                                _DistanceOracle, default_params, fit_gpr, knn_estimate,
-                               predict_gpr)
+                               predict_gpr, read_observations_csv)
 from hybridflow.road_net import build_network, node_distances
 
 
@@ -249,6 +250,24 @@ class TestKnn:
         # both are 100 m from the e1/e0 and e1/e2 boundaries -> equidistant
         got = knn_estimate(obs, NetPoint("e1", 250.0), 1, net)
         assert got == 222.0  # e0 < e2
+
+    @pytest.mark.parametrize("flow", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_flow_rejected(self, flow):
+        with pytest.raises(ImputeError, match="is negative or not finite"):
+            VolumeObservation(NetPoint("e0", 0.0), 0, flow)
+
+    @pytest.mark.parametrize("text, message", [
+        ("edge,offset_m,day,flow\ne0,1,0,5\ne1,2,0,nan\n",
+         "line 3, column flow: flow nan is negative or not finite"),
+        ("edge,offset_m,day,flow\ne0,x,0,5\n", "line 2, column offset_m: 'x' is not float"),
+        ("edge,offset_m,day,flow\ne0,1,0.5,5\n", "line 2, column day: '0.5' is not int"),
+        ("edge,offset_m,day\ne0,1,0\n", "line 2, column flow: None is not float"),
+    ])
+    def test_csv_names_line_and_column(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ImputeError, match=re.escape(f"{path}, {message}")):
+            read_observations_csv(path)
 
     def test_bad_k_rejected(self):
         net = line_net()

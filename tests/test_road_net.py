@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
-from hybridflow.road_net import (NetworkError, build_network, place_detector,
-                                 ring_network, route_candidates)
+from hybridflow.road_net import (NETWORK, NetworkError, build_network, load_network,
+                                 place_detector, ring_network, route_candidates)
 
 
 def simple_spec(**overrides):
@@ -81,6 +82,105 @@ class TestBuildNetwork:
         b = build_network(json.loads(json.dumps(spec)))
         assert a.nodes == b.nodes
         assert a.edges == b.edges
+
+
+_DROP = object()  # a case value: leave the key out
+
+
+def _schema_cases():
+    """(element kind or None, key, value, message) for every key of the NETWORK
+    tables that the schema types: left out when required, of the wrong type, a
+    bool, NaN, +-inf and, for an int, a fraction."""
+    cases = []
+    tables = [(None, NETWORK)] + [(kind, NETWORK[kind][0])
+                                  for kind in ("nodes", "edges", "detectors")]
+    for kind, table in tables:
+        where = "network" if kind is None else f"network.{kind}[0]"
+        for key, default in table.items():
+            if default is None or isinstance(default, list):
+                continue
+            typ = default if isinstance(default, type) else type(default)
+            path = f"{where}.{key}"
+            if isinstance(default, type):
+                cases.append((kind, key, _DROP, f"{where}: missing key {key!r}"))
+            if typ is str:
+                cases.append((kind, key, 5, f"{path}: expected str, got 5"))
+                continue
+            cases += [(kind, key, value, f"{path}: expected {typ.__name__}, got {value!r}")
+                      for value in ("1", True)]
+            rule = "is not an integer" if typ is int else "is not finite"
+            cases += [(kind, key, value, f"{path}: {value!r} {rule}")
+                      for value in (math.nan, math.inf, -math.inf)]
+            if typ is int:
+                cases.append((kind, key, 2.5, f"{path}: 2.5 is not an integer"))
+    return cases
+
+
+def detector_spec(**detector):
+    spec = simple_spec()
+    spec["detectors"] = [{"id": "d", "edge": "ab", "cell": 50, "lanes": [0], **detector}]
+    return spec
+
+
+class TestSchema:
+    @pytest.mark.parametrize("kind, key, value, message", [
+        pytest.param(*case, id=f"{case[0] or 'network'}.{case[1]}={case[2]!r}".replace(
+            repr(_DROP), "missing")) for case in _schema_cases()])
+    def test_bad_value_named_by_path(self, kind, key, value, message):
+        spec = detector_spec()
+        element = spec if kind is None else spec[kind][0]
+        if value is _DROP:
+            del element[key]
+        else:
+            element[key] = value
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            build_network(spec)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.update(nodes={"A": [0, 0]}), "network.nodes: expected a list, got dict"),
+        (lambda s: s["nodes"].append({"id": "A", "x": 1, "y": 1}),
+         "network.nodes[2].id: duplicate node id 'A'"),
+        (lambda s: s["edges"].append(dict(s["edges"][0])),
+         "network.edges[1].id: duplicate edge id 'ab'"),
+        (lambda s: s["edges"][0].update(v_max_kmh=0),
+         "network.edges[0].v_max_kmh: edge 'ab' has non-positive 0.0"),
+        (lambda s: s.update(cell_length_m=0), "network.cell_length_m: 0.0 is not positive"),
+        (lambda s: s.update(version=2), "network.version: unsupported version 2"),
+        (lambda s: s["detectors"][0].update(lanes="01"),
+         "network.detectors[0].lanes: expected a list, got str"),
+        (lambda s: s["detectors"][0].update(lanes=[0.5]),
+         "network.detectors[0].lanes[0]: 0.5 is not an integer"),
+        (lambda s: s["detectors"][0].update(lanes=[]),
+         "network.detectors[0]: detector on edge 'ab' has no lanes"),
+        (lambda s: s["detectors"][0].update(cell=100),
+         "network.detectors[0]: detector cell 100 out of range [0, 100) on edge 'ab'"),
+        (lambda s: s["detectors"][0].update(edge="s1"),
+         "network.detectors[0]: detector references unknown edge 's1'"),
+    ])
+    def test_check_beyond_the_schema_named_by_path(self, edit, message):
+        spec = detector_spec()
+        edit(spec)
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            build_network(spec)
+
+    def test_file_named(self, tmp_path):
+        spec = detector_spec(cell=2.5)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(NetworkError, match=re.escape(
+                f"{path}: network.detectors[0].cell: 2.5 is not an integer")):
+            load_network(path)
+
+    def test_malformed_file_named(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"version": 1, "nodes": ')
+        with pytest.raises(NetworkError, match=re.escape(f"{path}: Expecting value: line 1")):
+            load_network(path)
+
+    def test_defaults(self):
+        spec = simple_spec()
+        del spec["cell_length_m"], spec["edges"][0]["v_max_kmh"]
+        assert build_network(spec).edges == build_network(simple_spec()).edges
 
 
 class TestRouteCandidates:

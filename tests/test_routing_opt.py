@@ -3,9 +3,10 @@ import pytest
 
 from hybridflow.harness import ASSIGN
 from hybridflow.road_net import build_network, place_detector
-from hybridflow.routing_opt import (MSA_ITERS, MSA_TOL, AssignmentProblem, ODProblem,
-                                    RouteOption, assign_bmp, assign_combined, assign_wardrop,
-                                    bpr_latency, detect_bottlenecks, evaluate_policy)
+from hybridflow.routing_opt import (MSA_ITERS, MSA_TOL, AssignmentError, AssignmentProblem,
+                                    ODProblem, RouteOption, assign_bmp, assign_combined,
+                                    assign_wardrop, bpr_latency, detect_bottlenecks,
+                                    evaluate_policy)
 from hybridflow.traffic_ca import (FlowObservation, ScenarioRuns, VehicleClass,
                                    default_classes)
 
@@ -248,6 +249,12 @@ class TestCaCoupling:
         demand = [{"origin": "A", "dest": "C", "rate_veh_h": 0.0, "splits": [1.0]}]
         result = evaluate(ScenarioRuns(net, default_classes(), 1, 120), demand, "fixed", 1)
         assert result.mean_dwell_s is None
+
+    def test_evaluate_rejects_no_routes(self):
+        net = lane_drop_net()
+        demand = [{"origin": "A", "dest": "C", "rate_veh_h": 1200.0, "splits": [1.0]}]
+        with pytest.raises(AssignmentError, match="k_routes must be at least 1, got 0"):
+            evaluate(ScenarioRuns(net, default_classes(), 9, 60), demand, "bmp", 0)
 
     def test_evaluate_deterministic(self):
         net = lane_drop_net()

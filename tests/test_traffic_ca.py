@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from bisect import bisect_right
 from pathlib import Path
 from unittest import mock
@@ -283,6 +284,45 @@ class TestLanePolicy:
         net, state = self.two_lane_state()
         with pytest.raises(ScenarioError):
             apply_lane_policy(state, "ab", [set(), set()])
+
+    @pytest.mark.parametrize("mask, message", [
+        ([5, None], "lane_policies.ab[0]: expected a list, got int"),
+        ([["car", None], None], "lane_policies.ab[0][1]: expected str, got None"),
+        ([["ghost"], ["car"]], "lane_policies.ab[0]: unknown class 'ghost'"),
+        ([None], "lane_policies.ab: expected a list of 2 lane entries, got [None]"),
+        ("car", "lane_policies.ab: expected a list of 2 lane entries, got 'car'"),
+    ])
+    def test_bad_mask_named(self, mask, message):
+        net, state = self.two_lane_state()
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            apply_lane_policy(state, "ab", mask)
+
+    @pytest.mark.parametrize("policy, message", [
+        ([["ghost"], ["ghost"]], "network.edges[0].lane_policy[0]: unknown class 'ghost'"),
+        ([[], []], "network.edges[0].lane_policy: mask excludes every class from every lane"),
+        ([["car"]], "network.edges[0].lane_policy: expected a list of 2 lane entries"),
+    ])
+    def test_network_policy_checked(self, policy, message):
+        # init_scenario applies a network's lane policies through the same check
+        config = json.loads((CONFIG_DIR / "demo.json").read_text())
+        config["network"]["edges"][0]["lane_policy"] = policy
+        net = build_network(config["network"])
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            init_scenario(net, config["demand"], default_classes(), seed=7)
+
+    def test_network_policy_applied(self):
+        config = json.loads((CONFIG_DIR / "demo.json").read_text())
+        config["network"]["edges"][0]["lane_policy"] = [None, ["car", "automated_car"]]
+        state = init_scenario(build_network(config["network"]), config["demand"],
+                              default_classes(), seed=7)
+        assert state.lane_policies == {"s1": (None, frozenset({"car", "automated_car"}))}
+
+
+@pytest.mark.parametrize("duration_s, window_s", [(-5, 60), (60, 0), (60, -60)])
+def test_run_rejects_ranges(duration_s, window_s):
+    state = init_ring(100, 5, default_classes()["car"], seed=1)
+    with pytest.raises(ScenarioError, match="run needs duration_s >= 0 and window_s >= 1"):
+        run(state, duration_s, window_s=window_s)
 
 
 class TestScenarioRuns:
