@@ -181,9 +181,13 @@ def _at_least(value, low, path):
 
 
 def load_config(path) -> dict:
-    """The raw experiment document at path, checked by parse_config."""
+    """The raw experiment document at path, checked by parse_config; a ConfigError
+    names the file of malformed JSON."""
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     parse_config(config, os.path.dirname(path))
     return config
 

@@ -14,10 +14,10 @@ Update stages per step, applied to every vehicle against the previous state:
   3. with probability p, v <- max(v-1, 0); the p_b branch also sets the light
   4. move v cells along the route
 
-Exactly one uniform is drawn per vehicle per step, in ascending vehicle id,
-taken as one ``rng_traffic.random(n)`` call per step (the values of n scalar
-draws), so a scenario flag can degrade the rule set to the classic single-p CA
-and be checked draw-for-draw against a brute-force reference.
+Exactly one uniform is drawn per vehicle per step, in ascending vehicle id, so
+a scenario flag can degrade the rule set to the classic single-p CA and be
+checked draw-for-draw against a brute-force reference. The draws are read in
+blocks (``rng.Uniforms``) and have the values of the scalar draws.
 
 Before the update stages, vehicles change lane and claim the next edge. The
 lane-change candidates are the vehicles in a lane their class may not use, and
@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from .rng import substream
+from .rng import Uniforms, substream
 from .road_net import RoadNetwork, ring_network, route_candidates
 from .schema import ConfigError, _convert
 
@@ -230,13 +230,13 @@ class SimState:
     lane_policies: dict = field(default_factory=dict)
     demand: list = field(default_factory=list)
     queues: list = field(default_factory=list)
-    rng_traffic: object = None
-    rng_injection: object = None
+    rng_traffic: Uniforms = None
+    rng_injection: Uniforms = None
     vehicle_steps: int = 0
     _segs: dict = field(default_factory=dict, repr=False)  # (edge, lane) -> sorted spans
     # (edge, class) -> allowed lanes, (edge, lane, class) -> mapped lane
     _lane_memo: dict = field(default_factory=dict, repr=False)
-    _dets_by_edge: dict = field(default_factory=dict, repr=False)  # edge -> open windows in run()
+    _dets_by_edge: dict = field(default_factory=dict, repr=False)  # edge -> its detectors in run()
     _walled: list = field(default_factory=list, repr=False)  # vehicles given a wall this step
     _next_vid: int = 0
 
@@ -273,8 +273,8 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
         classes = {k: _degenerate(c) for k, c in classes.items()}
     mix_default = class_mix or {name: 1.0 for name in classes}
     state = SimState(net=net, classes=classes, anticipation=not nasch_degenerate,
-                     rng_traffic=substream(seed, "traffic"),
-                     rng_injection=substream(seed, "injection"))
+                     rng_traffic=Uniforms(substream(seed, "traffic")),
+                     rng_injection=Uniforms(substream(seed, "injection")))
     for spec in demand:
         rate = float(spec.get("rate_veh_h", 0.0))
         if rate < 0:
@@ -316,8 +316,8 @@ def init_ring(n_cells: int, n_vehicles: int, cls: VehicleClass, seed: int,
     if nasch_degenerate:
         cls = _degenerate(cls)
     state = SimState(net=net, classes={cls.name: cls}, anticipation=not nasch_degenerate,
-                     rng_traffic=substream(seed, "traffic"),
-                     rng_injection=substream(seed, "injection"))
+                     rng_traffic=Uniforms(substream(seed, "traffic")),
+                     rng_injection=Uniforms(substream(seed, "injection")))
     if positions is None:
         positions = [int(i * n_cells / n_vehicles) for i in range(n_vehicles)]
     for i, pos in enumerate(positions):
@@ -525,15 +525,15 @@ def _try_inject(state):
 def _lane_change_phase(state):
     """Lane changes in ascending id order, each decided against the spans as they stand.
 
-    The candidates are the vehicles in a lane that excludes their class, and
-    the blocked ones (gap <= v) whose body lies in a window of an adjacent
-    lane open to their class. A lane's windows are its free stretches that a
-    follower permits: from the lane's start to its first span, and from each
-    span's end plus its owner's v_max to the next span or the lane's end. The
-    target lane's spans drive the walk, so a lane's vehicles are looked at only
-    where the lane beside them has room. Only candidates can pass the rule
-    while no vehicle has moved; a move changes the spans later decisions read,
-    so from the first move on every later vehicle is decided afresh.
+    The candidates are the vehicles in a lane that excludes their class, and the
+    blocked ones (gap <= v) whose body lies in a window of an adjacent lane open
+    to their class. A lane's windows are its free stretches that a follower
+    permits: from the lane's start to its first span, and from each span's end
+    plus its owner's v_max to the next span or the lane's end. The target lane's
+    spans drive the walk of a lane with a blocked body, so its vehicles are
+    looked at only where the lane beside them has room. Only candidates can pass
+    the rule while no vehicle has moved; a move changes the spans later decisions
+    read, so from the first move on every later vehicle is decided afresh.
     """
     edges = state.net.edges
     vehicles = state.vehicles
@@ -551,6 +551,13 @@ def _lane_change_phase(state):
             for _, _, vid, veh in own:  # the lane excludes a class: its vehicles must leave
                 if veh.cls.name not in admits:
                     candidates.append(vid)  # a tail or a straddler too: the rule holds it
+        ahead = edge.cell_count
+        for lo, hi, _, veh in reversed(own):
+            if ahead - hi - 1 <= veh.v:
+                break  # a body is blocked in its lane: walk the windows
+            ahead = lo
+        else:
+            continue
         last = len(own) - 1
         for target in (ln - 1, ln + 1):
             if not 0 <= target < lanes:
@@ -668,8 +675,7 @@ def _entry_arbitration(state):
     for (e, ln), segs in state._segs.items():
         edge = net.edges[e]
         reach = edge.cell_count - edge.v_max_cells
-        for k in range(len(segs) - 1, -1, -1):
-            lo, hi, vid, veh = segs[k]
+        for lo, hi, vid, veh in reversed(segs):
             if hi < reach:
                 break
             if veh.edge != e or veh.lane != ln or hi != veh.cell or veh.front_out:
@@ -715,7 +721,7 @@ def _velocity_phase(state):
     # walking each lane's spans: the leader is the next span in the lane
     seen = 0
     for (e, ln), segs in state._segs.items():
-        edge_vmax = edges[e].v_max_cells
+        edge_vmax, end = edges[e].v_max_cells, edges[e].cell_count - 1
         last = len(segs) - 1
         for i, (lo, hi, _, veh) in enumerate(segs):
             if veh.edge != e or veh.lane != ln or (hi != veh.cell and not veh.front_out):
@@ -739,6 +745,8 @@ def _velocity_phase(state):
                     gap, leader = wall, None
                 elif gap > need:
                     gap, leader = need, None
+            elif wall is None and end - hi >= need:  # free road to the lane's end
+                gap, leader = need, None
             else:
                 gap, leader = _chain_scan(state, veh, e, ln, hi, veh.route_pos, need, wall)
             veh._gap = gap
@@ -746,7 +754,7 @@ def _velocity_phase(state):
     if seen != len(vehicles):
         raise RuntimeError(f"spans hold {seen} of {len(vehicles)} vehicles at t={state.clock_s}")
     # pass 2: the four update stages; one draw per vehicle, ascending id
-    draws = state.rng_traffic.random(len(vehicles)).tolist()
+    draws = state.rng_traffic.take(len(vehicles))
     for veh, u in zip(vehicles.values(), draws):
         cls = veh.cls
         v0 = veh.v
@@ -819,16 +827,14 @@ def _move_phase(state):
         # the body lies wholly on its edge: one span, which shifts unless the front crosses
         in_place = c >= veh.cls.length_cells - 1 and not veh.front_out
         while True:
-            cc = edges[veh.edge].cell_count
-            dets = dets_by_edge.get(veh.edge) if dets_by_edge else None
+            dets = dets_by_edge.get(veh.edge)
             if dets is not None and not veh.front_out:
-                hi_here = min(target, cc - 1)
-                for w in dets:
-                    det = w.det
-                    if c < det.cell <= hi_here and veh.lane in det.lanes:
+                for w, cell, lanes, _, _ in dets:  # a detector's cell lies on its edge
+                    if c < cell <= target and veh.lane in lanes:
                         w.count += 1
                         w.speed_sum += adv * net.cell_length_m
                         w.per_class[veh.cls.name] = w.per_class.get(veh.cls.name, 0) + 1
+            cc = edges[veh.edge].cell_count
             if target < cc or veh.front_out:
                 veh.cell = target
                 break
@@ -878,17 +884,15 @@ def step(state: SimState) -> SimState:
     state.clock_s += 1
     _check_overlaps(state)
     segs_map = state._segs
-    for windows in state._dets_by_edge.values():  # detector occupancy samples
-        for w in windows:
-            det = w.det
-            probe = [det.cell, _INF, _INF]
+    for dets in state._dets_by_edge.values():  # detector occupancy samples
+        for w, cell, _, probe, keys in dets:
             occ = 0
-            for l in det.lanes:
-                segs = segs_map.get((det.edge, l), ())
+            for key in keys:
+                segs = segs_map.get(key, ())
                 i = bisect_right(segs, probe)
-                if i and segs[i - 1][1] >= det.cell:
+                if i and segs[i - 1][1] >= cell:
                     occ += 1
-            w.occ_sum += occ / len(det.lanes)
+            w.occ_sum += occ / len(keys)
     return state
 
 
@@ -955,7 +959,9 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     windows = {d: _OpenWindow(det) for d, det in state.net.detectors.items()}
     state._dets_by_edge = {}
     for w in windows.values():
-        state._dets_by_edge.setdefault(w.det.edge, []).append(w)
+        det = w.det  # with its bisect probe and lane keys, built once per call
+        state._dets_by_edge.setdefault(det.edge, []).append(
+            (w, det.cell, det.lanes, [det.cell, _INF, _INF], [(det.edge, l) for l in det.lanes]))
     observations = {d: [] for d in windows}
     next_window = t_start + window_s
     for _ in range(duration_s):
@@ -1018,6 +1024,8 @@ class ScenarioRuns:
             apply_lane_policy(state, eid, mask)
         metrics = self._memo[key] = run(state, self.duration_s, window_s=self.window_s,
                                         trace_connected=trace_connected)
+        for veh in state.vehicles.values():
+            veh._spans = []  # vehicle and span refer to each other: free the dropped state now
         return metrics
 
 

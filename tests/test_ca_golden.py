@@ -10,6 +10,7 @@ recorded when `compare_policies` began running the pipeline's own stages.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from hybridflow import harness
 from hybridflow.road_net import build_network
 from hybridflow.traffic_ca import (apply_lane_policy, default_classes, init_ring,
-                                   init_scenario, state_hash, step)
+                                   init_scenario, run, state_hash, step)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CHECK_STEPS = (50, 200, 400)
@@ -101,6 +102,30 @@ GOLDEN = {
         "820c667c2c132ce58c582f6ddb3b483d5e25613a2004bb0c936153f8911003f5",
     ],
 }
+# The sparse regime the configs run: demo.json's network, demand and classes, with and
+# without its s1 lane policy; multi-edge routes, lane-end scans and detectors. Per
+# (seed, policy): state_hash after run() calls of 60, 150 and 210 s (clock 60, 210,
+# 420) and the sha256 of the three calls' metrics, detector windows of 30 s included.
+# Recorded on the kernel that drew its uniforms with one numpy call per step.
+SPARSE_STEPS = (60, 150, 210)
+SPARSE_GOLDEN = {
+    (7, False): (["c462a0767dbfc693482e8c8fe3738610577ad557fd814b0d0d585823f9c61228",
+                  "0ab562216f761f52399c00d7e17a6b95be5135152283283e8f1e0f2c118783af",
+                  "373616196a8d668a27b6d54095217e98de77f6fb18849f4193bf66f05e8a3f98"],
+                 "e4422d1db13311635aa667c7ecd8cd1bb0ef92c1c618dd52012a29c17459a3fa"),
+    (7, True): (["61c6b2830484af15796e1d0ef31094923380a8e1d4d9fdfa97ed8331e2fffd3f",
+                 "a3fb594844706133dc9a5f0c728d9418a707ab1e52a7c4dc84049fb8314f87b5",
+                 "e4c7776728dbf50e77ed05b1e9d57510986794145ee25f3484b0e07c25b33411"],
+                "0c9190b8441486910dde3a0546ae938c2f3d9ed671bf63ec52fbea70e065e603"),
+    (2, False): (["5e363f0698cc264232cb0961bf555e099593f837ac5d33662855484fb566f82d",
+                  "1d381154498d1e134d77d4ff119ffb066cf74d7a9a4bc13e82cf3fab1664cf4a",
+                  "887bcc474b8a71703ff8f353b951b6de324e05f2e775ecfcfd32943344724bf3"],
+                 "d55717067067e9d01a3efb1dcfa1113db7aa7a9e2b4340a7ac71a9516b992fb3"),
+    (2, True): (["5e363f0698cc264232cb0961bf555e099593f837ac5d33662855484fb566f82d",
+                 "700e79e0e83bf374651dea498a6ef812d6e387a7a2cf9aef7f24ed31a5e78481",
+                 "d469c7c7b9442045fb2bdf7ce06f5c8b1aafc70088ddcf2f30e06da3d4c6477a"],
+                "a6a4b26dc1a8de5b32e8ad896eab14b22526b5b3edd8a775bdb0f2aa00801755"),
+}
 # sha256 of report.json for each file in configs/ at the config's own seed
 REPORT_SHA256 = {
     "demo.json": "f9afcf60f4fb475d56f10203c273589e0660c2c3d05205960b427bdb5e1788fe",
@@ -142,6 +167,16 @@ def _merge(seed=10, policy=False):
     return state
 
 
+def _sparse(seed, policy):
+    config = harness.load_config(CONFIG_DIR / "demo.json")
+    classes, mix = harness._classes_from_config(config["classes"])
+    state = init_scenario(build_network(config["network"]), config["demand"], classes, seed,
+                          class_mix=mix)
+    if policy:
+        apply_lane_policy(state, "s1", config["stages"]["fingerprint"]["feed_lane_policy"]["mask"])
+    return state
+
+
 SCENARIOS = {
     **{f"ring_{name}": (lambda name=name: _ring(name), None) for name in RINGS},
     "ring_nasch_degenerate": (_nasch_ring, None),
@@ -175,6 +210,27 @@ def report_sha256(name, out_dir):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_state_hash_sequence(name):
     assert scenario_hashes(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("seed, policy", sorted(SPARSE_GOLDEN))
+def test_sparse_state_hashes_and_detectors(seed, policy):
+    state = _sparse(seed, policy)
+    hashes, metrics = [], []
+    for duration in SPARSE_STEPS:
+        metrics.append(run(state, duration, window_s=30).to_dict())
+        hashes.append(state_hash(state))
+    digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest()
+    assert (hashes, digest) == SPARSE_GOLDEN[seed, policy]
+
+
+@pytest.mark.parametrize("seed, policy", [(7, True), (2, False)])
+def test_sparse_run_split_across_calls(seed, policy):
+    # the random draws carry over from one run() call to the next
+    whole, split = _sparse(seed, policy), _sparse(seed, policy)
+    run(whole, 420)
+    run(split, 200)
+    run(split, 220)
+    assert state_hash(split) == state_hash(whole) == SPARSE_GOLDEN[seed, policy][0][-1]
 
 
 def test_mid_run_policy_changes_trajectory():

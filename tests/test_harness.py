@@ -365,6 +365,28 @@ CONFIG_ERRORS = {
 }
 
 
+# case -> (malformed config document, JSON error that follows the file's name)
+MALFORMED_CONFIGS = {
+    "truncated": ('{"version": 1, "network": ', "Expecting value: line 1 column 27 (char 26)"),
+    "trailing_comma": ('{"version": 1,}', "Expecting property name enclosed in double quotes: "
+                                          "line 1 column 15 (char 14)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_file_named(case, tmp_path):
+    text, error = MALFORMED_CONFIGS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    message = f"{path}: {error}"
+    with pytest.raises(harness.ConfigError, match=re.escape(message)):
+        harness.load_config(path)
+    res = CliRunner().invoke(main, ["run", "--config", str(path), "--out",
+                                    str(tmp_path / "out")])
+    assert res.exit_code != 0
+    assert message in res.output
+
+
 def test_class_mix_names_default_classes_when_none_configured():
     config = json.loads((CONFIG_DIR / "two_route_low.json").read_text())
     del config["classes"]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 from bisect import bisect_right
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nasch_oracle
+from hybridflow.rng import Uniforms, substream
 from hybridflow.road_net import build_network, place_detector, route_candidates
 from hybridflow import traffic_ca
 from hybridflow.traffic_ca import (CollisionError, ScenarioError, ScenarioRuns, VehicleClass,
@@ -57,6 +59,22 @@ def single_vehicle_state(net, cls, seed=1):
     demand = [{"origin": "A", "dest": "B", "rate_veh_h": 0.0, "splits": [1.0],
                "schedule": [0]}]
     return init_scenario(net, demand, {cls.name: cls}, seed)
+
+
+class TestUniformReader:
+    """The block reader hands out exactly the scalar draws of the generator it reads."""
+
+    @given(calls=st.lists(st.one_of(st.none(), st.integers(0, 3000)), max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(["traffic", "injection"]))
+    # takes that end exactly on, and run past, the first and second block boundaries
+    @example(calls=[1000, 24, None, 1023, 1, 3000, None], seed=7, name="traffic")
+    def test_mixed_take_and_random(self, calls, seed, name):
+        reader, scalar = Uniforms(substream(seed, name)), substream(seed, name)
+        for n in calls:  # None: one scalar draw
+            if n is None:
+                assert reader.random() == scalar.random()
+            else:
+                assert reader.take(n) == [scalar.random() for _ in range(n)]
 
 
 CAR5 = VehicleClass("car5", v_max_cells=5, length_cells=1, dawdle_p_d=0.0,
@@ -399,6 +417,20 @@ class TestScenarioRuns:
         assert runs.run(self.demand()) is traced
         assert runs.run(self.demand(), trace_connected=True) is traced
         assert runs.calls == 2
+
+    def test_dropped_state_freed_by_reference_count(self):
+        # the run's vehicles and their spans form no cycle once the state is dropped
+        config = json.loads((CONFIG_DIR / "demo.json").read_text())
+        runs = ScenarioRuns(build_network(config["network"]), default_classes(), 7, 420)
+        gc.collect()
+        gc.disable()
+        try:
+            metrics = runs.run(config["demand"])
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert metrics.queued_end == 0 and metrics.injected > metrics.trips
+        assert unreachable == 0
 
 
 class TestDetectorReadout:
