@@ -110,7 +110,7 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, e
     """Estimate traffic volumes at unobserved locations (GPR over the network)."""
     try:
         net = load_network(network_path)
-        observations = impute.read_observations_csv(obs_path)
+        observations = impute.read_observations_csv(obs_path, net)
         locs = []
         for part in targets.split(","):
             edge, _, offset = part.strip().rpartition(":")

@@ -79,8 +79,9 @@ def parse_config(config: dict, base_dir=".") -> dict:
     file). ConfigError names the dotted path of an unknown or missing key, of a
     value of the wrong type or out of range, of an inline network value that
     build_network rejects, of a class entry that VehicleClass rejects or that
-    repeats a name, of a class mix entry naming no class, or of a lane mask that
-    names no edge or that traffic_ca.lane_mask rejects."""
+    repeats a name, of a class mix entry naming no class, of a lane mask that
+    names no edge or that traffic_ca.lane_mask rejects, or of an impute
+    observation or target off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -129,6 +130,11 @@ def parse_config(config: dict, base_dir=".") -> dict:
         _check_fingerprint(fcfg, "config.stages.fingerprint")
     if net is not None:
         _check_lane_masks(parsed, class_names)
+        for key in ("observations", "targets"):
+            for i, point in enumerate((parsed["stages"]["impute"] or {}).get(key, ())):
+                loc = impute.NetPoint(point["edge"], point["offset_m"])
+                if fault := impute.location_fault(parsed["network"], loc):
+                    raise ConfigError(f"config.stages.impute.{key}[{i}].{fault[0]}: {fault[1]}")
     return parsed
 
 

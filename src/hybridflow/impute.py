@@ -69,6 +69,16 @@ class _Points:
     dist: np.ndarray
 
 
+def location_fault(net: RoadNetwork, point: NetPoint):
+    """(field, message) of a point off the network, an unknown edge or an offset
+    outside its edge; None for a point on it."""
+    if point.edge not in net.edges:
+        return "edge", f"unknown edge {point.edge!r}"
+    if not 0.0 <= point.offset_m <= net.edges[point.edge].length_m:
+        return "offset_m", f"offset {point.offset_m} outside edge {point.edge!r}"
+    return None
+
+
 class _DistanceOracle:
     """Distances between on-edge points, a row block at a time.
 
@@ -99,11 +109,9 @@ class _DistanceOracle:
     def points(self, locations) -> _Points:
         xy, edge, node, dist = [], [], [], []
         for p in locations:
-            if p.edge not in self.net.edges:
-                raise ImputeError(f"unknown edge {p.edge!r}")
+            if fault := location_fault(self.net, p):
+                raise ImputeError(fault[1])
             e = self.net.edges[p.edge]
-            if not 0.0 <= p.offset_m <= e.length_m:
-                raise ImputeError(f"offset {p.offset_m} outside edge {p.edge!r}")
             if self.euclidean:
                 a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
                 f = p.offset_m / e.length_m
@@ -266,9 +274,10 @@ def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork) -> 
     return sum(obs[i].flow_veh_day for i in order[:k]) / k
 
 
-def read_observations_csv(path) -> list:
+def read_observations_csv(path, net: RoadNetwork) -> list:
     """CSV columns: edge, offset_m, day, flow. ImputeError names the line and
-    column of a missing or unreadable value and of a negative or non-finite flow."""
+    column of a missing or unreadable value, of a location off the network and
+    of a negative or non-finite flow."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -283,6 +292,8 @@ def read_observations_csv(path) -> list:
                     raise ImputeError(f"{where} {column}: {row.get(column)!r} is not "
                                       f"{kind.__name__}") from None
             edge, offset, day, flow = values
+            if fault := location_fault(net, NetPoint(edge, offset)):
+                raise ImputeError(f"{where} {fault[0]}: {fault[1]}")
             try:
                 out.append(VolumeObservation(NetPoint(edge, offset), day, flow))
             except ImputeError as exc:

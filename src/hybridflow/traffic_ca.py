@@ -23,7 +23,8 @@ Before the update stages, vehicles change lane and claim the next edge. The
 lane-change candidates are the vehicles in a lane their class may not use, and
 the blocked ones whose body lies in a window of an adjacent lane, a free
 stretch that its follower there permits; each adjacent lane's spans drive the
-walk, so vehicles beside a full lane are not looked at. The lane-change rule
+walk, so vehicles beside a full lane are not looked at, and a gap that its
+follower closes is passed without a look at the own lane. The lane-change rule
 then runs on the candidates in ascending id, and on every later vehicle once
 one has moved. Entry arbitration walks each lane back from its end only as far
 as a front can reach the next edge in one step, the edge's v_max.
@@ -32,11 +33,11 @@ The one occupancy index is ``SimState._segs``: per (edge, lane), the spans
 ``[lo, hi, vid, vehicle]`` sorted by position; each vehicle lists its own. Built
 from scratch only by ``init_ring``, it is kept by the phases: injection and lane
 changes place spans, and the move shifts a body's span in place while it stays
-on its edge and lane (no vehicle overtakes in its lane). Only the spans of a
-vehicle that crosses or straddles an edge boundary or runs off its route are
-re-placed; with none left, it exits. Every lane is overlap-checked after each
-move. A vehicle's leader is the next span in its lane; only a lane's last span
-scans on along the route.
+on its edge and lane (no vehicle overtakes in its lane), with no crossing to
+follow. Only the spans of a vehicle that crosses or straddles an edge boundary
+or runs off its route are re-placed; with none left, it exits. Every lane is
+overlap-checked after each move. A vehicle's leader is the next span in its
+lane; only a lane's last body scans on along the route, from its lane's end.
 Ids are issued ascending and never re-inserted, so ``state.vehicles`` in dict
 order is ascending id order and the phases iterate it without sorting.
 
@@ -117,7 +118,7 @@ def _degenerate(cls: VehicleClass) -> VehicleClass:
 class Vehicle:
     __slots__ = ("vid", "cls", "edge", "lane", "cell", "v", "brake_light", "route",
                  "route_pos", "circular", "spawn_s", "exit_s", "front_out",
-                 "prev_lanes", "_spans", "_gap", "_leader", "_vmax", "_new_v", "_new_bl",
+                 "prev_lanes", "_spans", "_gap", "_leader", "_vmax", "_anti", "_new_bl",
                  "_wall")
 
     def __init__(self, vid, cls, edge, lane, cell, route, route_pos, circular, spawn_s):
@@ -137,7 +138,7 @@ class Vehicle:
         self.prev_lanes = {}  # edge -> lane held when the front left it
         self._spans = []  # ((edge, lane), span) of each span in SimState._segs, front first
         # per-step scratch, written by the step phases before it is read
-        self._gap = self._vmax = self._new_v = 0
+        self._gap = self._vmax = self._anti = 0
         self._leader = self._wall = None
         self._new_bl = False
 
@@ -425,44 +426,38 @@ def _check_overlaps(state):
 
 
 def _chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
-    """Distance to the next occupied cell ahead along the route chain.
+    """Distance to the next occupied cell ahead along the route chain, from the lane's end.
 
-    Returns (gap, leader). gap is capped at need_far when the road is
-    free that far, and at wall_gap where edge-entry arbitration or a lane
-    policy blocks the chain.
+    The caller has found no span ahead of ``cell`` in its lane, so the scan
+    starts at the lane's end and reads only the first span of each later lane.
+    Returns (gap, leader). gap is capped at need_far when the road is free that
+    far, and at wall_gap where edge-entry arbitration or a lane policy blocks
+    the chain.
     """
-    net = state.net
+    edges = state.net.edges
     segs_map = state._segs
-    base = 0
-    e, ln, c, rp = edge, lane, cell, route_pos
-    hops = 0
-    while True:
+    gap = edges[edge].cell_count - 1 - cell  # free cells to the lane's end
+    ln, rp = lane, route_pos
+    for _ in range(64):  # every scan ends at a body, a wall, the horizon or the route end
+        if wall_gap is not None and wall_gap <= gap:
+            return wall_gap, None
+        if gap >= need_far:
+            return need_far, None
+        rp = _next_route_index(veh, rp)
+        if rp is None:
+            return need_far, None
+        e = veh.route[rp]
+        ln = _mapped_lane(state, e, ln, veh.cls)
+        if ln is None:
+            return gap, None
         segs = segs_map.get((e, ln))
         if segs:
-            i = bisect_right(segs, [c, _INF, _INF])
-            if i < len(segs):
-                gap = base + segs[i][0] - c - 1
-                if wall_gap is not None and wall_gap < gap:
-                    return wall_gap, None
-                return min(gap, need_far), segs[i][3] if gap <= need_far else None
-        cc = net.edges[e].cell_count
-        end_gap = base + (cc - 1 - c)
-        if wall_gap is not None and wall_gap <= end_gap:
-            return wall_gap, None
-        if end_gap >= need_far:
-            return need_far, None
-        nrp = _next_route_index(veh, rp)
-        if nrp is None:
-            return need_far, None
-        ne = veh.route[nrp]
-        nlane = _mapped_lane(state, ne, ln, veh.cls)
-        if nlane is None:
-            return end_gap, None
-        base = end_gap
-        e, ln, c, rp = ne, nlane, -1, nrp
-        hops += 1
-        if hops > 64:  # every scan ends at a body, a wall, the horizon or the route end
-            raise RuntimeError("chain scan failed to terminate")
+            lead_gap = gap + segs[0][0]
+            if wall_gap is not None and wall_gap < lead_gap:
+                return wall_gap, None
+            return min(lead_gap, need_far), segs[0][3] if lead_gap <= need_far else None
+        gap += edges[e].cell_count
+    raise RuntimeError("chain scan failed to terminate")
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +526,10 @@ def _lane_change_phase(state):
     permits: from the lane's start to its first span, and from each span's end
     plus its owner's v_max to the next span or the lane's end. The target lane's
     spans drive the walk of a lane with a blocked body, so its vehicles are
-    looked at only where the lane beside them has room. Only candidates can pass
-    the rule while no vehicle has moved; a move changes the spans later decisions
-    read, so from the first move on every later vehicle is decided afresh.
+    looked at only where the lane beside them has room: a gap whose window would
+    start at or past the next span costs no look at the own lane. Only candidates
+    can pass the rule while no vehicle has moved; a move changes the spans later
+    decisions read, so from the first move on every later vehicle is decided afresh.
     """
     edges = state.net.edges
     vehicles = state.vehicles
@@ -565,18 +561,17 @@ def _lane_change_phase(state):
             t_admits = None if mask is None else mask[target]
             p = 0
             own_hi = own[0][1]
-            behind = None  # the target span behind the window
+            # ahead of the first span the window starts at cell 0: no follower
+            # on an upstream edge or across a ring's seam is seen
+            start = 0
             t_segs = segs_map.get((e, target))
             for span in t_segs + _LANE_END if t_segs else _LANE_END:
                 end = span[0]
-                if own_hi < end:  # the next own body ends before this span
-                    # ahead of the first span the window starts at cell 0: no
-                    # follower on an upstream edge or across a ring's seam is seen
-                    start = 0 if behind is None else behind[1] + 1 + behind[3].cls.v_max_cells
-                    if own[p][0] < start:
-                        # pass the bodies that start before the window, but none past
-                        # the span: the next window starts earlier if its follower is slower
-                        p = bisect_left(own, [start if start < end else end], p + 1)
+                # an open window, and the next own body ends before its span; a
+                # closed gap is passed, and the next open window bisects from p
+                if start < end and own_hi < end:
+                    if own[p][0] < start:  # pass the bodies that start before the window
+                        p = bisect_left(own, [start], p + 1)
                     while p <= last and own[p][1] < end:  # the body lies in the window
                         lo, hi, vid, veh = own[p]
                         p += 1
@@ -595,9 +590,9 @@ def _lane_change_phase(state):
                         if gap <= v:
                             candidates.append(vid)
                     if p > last:
-                        break
+                        break  # at the latest in the window that runs to the lane's end
                     own_hi = own[p][1]
-                behind = span
+                start = span[1] + 1 + span[3].cls.v_max_cells  # the next window's start
     candidates.sort()
     for vid in candidates:
         if _change_lane(state, vehicles[vid]):
@@ -643,7 +638,10 @@ def _change_lane(state, veh):
             if lo_me - behind[1] - 1 < behind[3].cls.v_max_cells:
                 continue  # would force the follower to brake hard
         if not mandatory:
-            gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
+            if i < len(segs):
+                gap_t = min(segs[i][0] - cell - 1, need)
+            else:
+                gap_t, _ = _chain_scan(state, veh, e, target, cell, veh.route_pos, need, None)
             if gap_t <= gap_cur:
                 continue
         _drop(segs_map, veh)
@@ -717,40 +715,52 @@ def _velocity_phase(state):
     edges = state.net.edges
     vehicles = state.vehicles
     anticipation = state.anticipation
-    # pass 1: effective v_max, leader and gap for everyone (synchronous view),
-    # walking each lane's spans: the leader is the next span in the lane
+    # pass 1: effective v_max, leader, gap and anticipated advance for everyone
+    # (synchronous view), walking each lane from its front: the leader is the
+    # span ahead in the lane
     seen = 0
     for (e, ln), segs in state._segs.items():
         edge_vmax, end = edges[e].v_max_cells, edges[e].cell_count - 1
-        last = len(segs) - 1
-        for i, (lo, hi, _, veh) in enumerate(segs):
+        ahead = None  # the span ahead in the lane: the walk runs from the lane's front
+        for span in reversed(segs):
+            lo, hi, _, veh = span
             if veh.edge != e or veh.lane != ln or (hi != veh.cell and not veh.front_out):
+                ahead = span
                 continue  # a tail span: on an earlier edge or lane, or the ring's wrap
             seen += 1
             cls = veh.cls
             vmax = veh._vmax = cls.v_max_cells if cls.v_max_cells < edge_vmax else edge_vmax
-            if veh.front_out:  # the span left on its final edge
-                veh._gap, veh._leader = 10 ** 9, None
-                continue
             v0 = veh.v
-            h = cls.anticipation_horizon_h
-            v_next = v0 + 1 if v0 < vmax else vmax
-            ts_product = v0 * (v0 if v0 < h else h)
-            need = (v_next if v_next > ts_product else ts_product) + 1
-            wall = veh._wall
-            if i < last:
-                lo_next, _, _, leader = segs[i + 1]
-                gap = lo_next - hi - 1
-                if wall is not None and wall < gap:
-                    gap, leader = wall, None
-                elif gap > need:
-                    gap, leader = need, None
-            elif wall is None and end - hi >= need:  # free road to the lane's end
-                gap, leader = need, None
+            if veh.front_out:  # the span left on its final edge
+                gap, leader = 10 ** 9, None
             else:
-                gap, leader = _chain_scan(state, veh, e, ln, hi, veh.route_pos, need, wall)
+                h = cls.anticipation_horizon_h
+                v_next = v0 + 1 if v0 < vmax else vmax
+                ts_product = v0 * (v0 if v0 < h else h)
+                need = (v_next if v_next > ts_product else ts_product) + 1
+                wall = veh._wall
+                if ahead is not None:
+                    gap = ahead[0] - hi - 1
+                    leader = ahead[3]
+                    if wall is not None and wall < gap:
+                        gap, leader = wall, None
+                    elif gap > need:
+                        gap, leader = need, None
+                elif wall is None and end - hi >= need:  # free road to the lane's end
+                    gap, leader = need, None
+                else:
+                    gap, leader = _chain_scan(state, veh, e, ln, hi, veh.route_pos, need, wall)
             veh._gap = gap
             veh._leader = leader
+            ahead = span
+            # how far a follower may count on this body's visible rear to advance:
+            # min(gap, v, v_max) with the edge's cap, and nothing while it straddles an
+            # edge boundary (hidden tail cells pour onto this edge)
+            if anticipation and veh.cell >= cls.length_cells - 1:
+                anti = gap if gap < v0 else v0
+                veh._anti = anti if anti < vmax else vmax
+            else:
+                veh._anti = -_INF
     if seen != len(vehicles):
         raise RuntimeError(f"spans hold {seen} of {len(vehicles)} vehicles at t={state.clock_s}")
     # pass 2: the four update stages; one draw per vehicle, ascending id
@@ -776,20 +786,10 @@ def _velocity_phase(state):
         v1 = v0 + 1 if headway_large or not (veh.brake_light or leader_light) else v0
         if v1 > vmax_eff:
             v1 = vmax_eff
-        # stage 2. The anticipation bonus assumes the leader's visible rear
-        # advances by its velocity; that fails while the leader straddles an
-        # edge boundary (hidden tail cells pour onto this edge) and when the
-        # leader is capped by a slower edge, so both cases clamp the bonus.
+        # stage 2
         d_eff = gap
-        if (anticipation and leader is not None
-                and leader.cell - leader.cls.length_cells + 1 >= 0):
-            v_anti = leader._gap
-            if leader.v < v_anti:
-                v_anti = leader.v
-            if leader._vmax < v_anti:
-                v_anti = leader._vmax
-            if v_anti > cls.security_gap_cells:
-                d_eff += v_anti - cls.security_gap_cells
+        if leader is not None and leader._anti > cls.security_gap_cells:
+            d_eff += leader._anti - cls.security_gap_cells
         if veh._wall is not None and d_eff > veh._wall:
             d_eff = veh._wall  # an entry wall is absolute, no anticipation past it
         v2 = v1 if v1 < d_eff else d_eff
@@ -800,14 +800,24 @@ def _velocity_phase(state):
             v3 = v2 - 1 if v2 > 0 else 0
             if pb_branch and v3 < v2:
                 new_bl = True
-        veh._new_v = v3
+        veh.v = v3  # no follower reads its leader's speed in this pass
         veh._new_bl = new_bl
+
+
+def _count_passes(dets, veh, c, target, speed_mps):
+    """Count a front that passes from cell c to target at the detectors of its edge."""
+    for w, cell, lanes, _, _ in dets:  # a detector's cell lies on its edge
+        if c < cell <= target and veh.lane in lanes:
+            w.count += 1
+            w.speed_sum += speed_mps
+            w.per_class[veh.cls.name] = w.per_class.get(veh.cls.name, 0) + 1
 
 
 def _move_phase(state):
     """Advance every vehicle by its new velocity, keeping the index; count the exits.
 
-    The spans to re-place are all dropped before any is placed, since a
+    A body that stays wholly on its edge shifts its one span in place. The spans
+    of the others are re-placed: all are dropped before any is placed, since a
     follower's shifted span may have passed a stale one.
     """
     net = state.net
@@ -817,28 +827,29 @@ def _move_phase(state):
     state.vehicle_steps += len(state.vehicles)
     replaced = []
     for vid, veh in state.vehicles.items():
-        adv = veh._new_v
-        veh.v = adv
+        adv = veh.v
         veh.brake_light = veh._new_bl
         if adv == 0:
             continue  # a stopped body keeps its spans
         c = veh.cell
         target = c + adv
-        # the body lies wholly on its edge: one span, which shifts unless the front crosses
-        in_place = c >= veh.cls.length_cells - 1 and not veh.front_out
-        while True:
+        if c >= veh.cls.length_cells - 1 and target < edges[veh.edge].cell_count:
+            # the body stays wholly on its edge: its one span shifts in place
+            if veh.edge in dets_by_edge:
+                _count_passes(dets_by_edge[veh.edge], veh, c, target, adv * net.cell_length_m)
+            veh.cell = target
+            span = veh._spans[0][1]
+            span[0] += adv
+            span[1] = target
+            continue
+        while True:  # the front crosses edges, the tail leaves one, or it runs off the route
             dets = dets_by_edge.get(veh.edge)
             if dets is not None and not veh.front_out:
-                for w, cell, lanes, _, _ in dets:  # a detector's cell lies on its edge
-                    if c < cell <= target and veh.lane in lanes:
-                        w.count += 1
-                        w.speed_sum += adv * net.cell_length_m
-                        w.per_class[veh.cls.name] = w.per_class.get(veh.cls.name, 0) + 1
+                _count_passes(dets, veh, c, target, adv * net.cell_length_m)
             cc = edges[veh.edge].cell_count
             if target < cc or veh.front_out:
                 veh.cell = target
                 break
-            in_place = False
             nrp = _next_route_index(veh, veh.route_pos)
             if nrp is None:
                 veh.cell = target
@@ -855,12 +866,7 @@ def _move_phase(state):
             veh.lane = nlane
             target -= cc
             c = -1
-        if in_place:
-            span = veh._spans[0][1]
-            span[0] = target - veh.cls.length_cells + 1
-            span[1] = target
-        else:
-            replaced.append(veh)
+        replaced.append(veh)
     for veh in replaced:
         _drop(state._segs, veh)
     for veh in replaced:

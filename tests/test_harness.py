@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hybridflow import harness, traffic_ca
+from hybridflow import harness, impute, traffic_ca
 from hybridflow.cli import main, parse_seeds
 from hybridflow.road_net import NetworkError
 
@@ -47,13 +47,18 @@ class TestRunExperiment:
         dwells = {m: v["mean_dwell_s"] for m, v in stage["methods"].items()}
         assert stage["dwell_ratio"] == pytest.approx(dwells["bmp"] / dwells["fixed"])
 
-    def test_crash_isolation_preserves_completed_outputs(self, tmp_path):
+    def test_crash_isolation_preserves_completed_outputs(self, tmp_path, monkeypatch):
         config = demo_config()
+
+        def fit_gpr(*args, **kwargs):
+            raise impute.ImputeError("kernel matrix not positive definite")
+
         # poison the impute stage only; fingerprint + traffic precede it
-        config["stages"]["impute"]["targets"] = [{"edge": "ghost", "offset_m": 1.0}]
+        monkeypatch.setattr(harness.impute, "fit_gpr", fit_gpr)
         with pytest.raises(harness.StageError) as err:
             harness.run_experiment(config, out_dir=tmp_path)
         assert err.value.stage == "impute"
+        assert isinstance(err.value.cause, impute.ImputeError)
         assert (tmp_path / "traffic_metrics.json").exists()
         assert (tmp_path / "confusion_l1.json").exists()
         assert not (tmp_path / "report.json").exists()
@@ -162,6 +167,25 @@ CONFIG_ERRORS = {
                                                 "enabled", "false"),
                                  "config.stages.transfer.shadowing.enabled: expected bool, "
                                  "got 'false'"),
+    # impute locations on the network, checked before any stage runs
+    "impute_target_edge": ("demo.json",
+                           lambda c: _set(c["stages"]["impute"]["targets"][0], "edge", "ghost"),
+                           "config.stages.impute.targets[0].edge: unknown edge 'ghost'"),
+    "impute_target_offset": ("demo.json",
+                             lambda c: _set(c["stages"]["impute"]["targets"][1], "offset_m",
+                                            99999),
+                             "config.stages.impute.targets[1].offset_m: offset 99999.0 outside "
+                             "edge 's2'"),
+    "impute_observation_edge": ("demo.json",
+                                lambda c: _set(c["stages"]["impute"], "observations",
+                                               [{"edge": "s1", "offset_m": 420, "flow": 9100},
+                                                {"edge": "zz", "offset_m": 150, "flow": 5200}]),
+                                "config.stages.impute.observations[1].edge: unknown edge 'zz'"),
+    "impute_observation_offset": ("demo.json",
+                                  lambda c: _set(c["stages"]["impute"], "observations",
+                                                 [{"edge": "s1", "offset_m": -1, "flow": 9100}]),
+                                  "config.stages.impute.observations[0].offset_m: offset -1.0 "
+                                  "outside edge 's1'"),
     "euclidean_int": ("demo.json", lambda c: _set(c["stages"]["impute"], "euclidean", 1),
                       "config.stages.impute.euclidean: expected bool, got 1"),
     "nasch_degenerate_string": ("two_route_low.json",
@@ -561,6 +585,8 @@ class TestCli:
         ("nan_flow", "obs.csv, line 3, column flow: flow nan is negative or not finite"),
         ("no_flow_column", "obs.csv, line 2, column flow: None is not float"),
         ("network_file", "net.json: network.edges[0].lanes: 2.7 is not an integer"),
+        ("obs_edge", "obs.csv, line 3, column edge: unknown edge 'zz'"),
+        ("obs_offset", "obs.csv, line 2, column offset_m: offset 99999.0 outside edge 's1'"),
     ])
     def test_impute_bad_input_named(self, tmp_path, case, message):
         net_spec = demo_config()["network"]
@@ -570,6 +596,8 @@ class TestCli:
         (tmp_path / "obs.csv").write_text({
             "nan_flow": "edge,offset_m,day,flow\ns1,420,0,9100\ns2,150,0,nan\n",
             "no_flow_column": "edge,offset_m,day\ns1,420,0\n",
+            "obs_edge": "edge,offset_m,day,flow\ns1,420,0,9100\nzz,150,0,5200\n",
+            "obs_offset": "edge,offset_m,day,flow\ns1,99999,0,9100\ns2,150,0,5200\n",
         }.get(case, "edge,offset_m,day,flow\ns1,420,0,9100\ns2,150,0,5200\n"))
         res = CliRunner().invoke(main, [
             "impute", "--network", str(tmp_path / "net.json"), "--observations",

@@ -262,12 +262,17 @@ class TestKnn:
         ("edge,offset_m,day,flow\ne0,x,0,5\n", "line 2, column offset_m: 'x' is not float"),
         ("edge,offset_m,day,flow\ne0,1,0.5,5\n", "line 2, column day: '0.5' is not int"),
         ("edge,offset_m,day\ne0,1,0\n", "line 2, column flow: None is not float"),
+        ("edge,offset_m,day,flow\ne0,1,0,5\nzz,2,0,5\n", "line 3, column edge: unknown edge 'zz'"),
+        ("edge,offset_m,day,flow\ne0,-1,0,5\n",
+         "line 2, column offset_m: offset -1.0 outside edge 'e0'"),
+        ("edge,offset_m,day,flow\ne0,500.5,0,5\n",
+         "line 2, column offset_m: offset 500.5 outside edge 'e0'"),
     ])
     def test_csv_names_line_and_column(self, tmp_path, text, message):
         path = tmp_path / "obs.csv"
         path.write_text(text)
         with pytest.raises(ImputeError, match=re.escape(f"{path}, {message}")):
-            read_observations_csv(path)
+            read_observations_csv(path, line_net())
 
     def test_bad_k_rejected(self):
         net = line_net()

@@ -574,6 +574,38 @@ class TestInvariants:
 _INF = float("inf")
 
 
+def reference_chain_scan(state, veh, edge, lane, cell, route_pos, need_far, wall_gap):
+    """The chain scan as it was before it started at the lane's end: it searches the
+    caller's own lane first, so it serves a caller that has not looked there."""
+    net = state.net
+    base = 0
+    e, ln, c, rp = edge, lane, cell, route_pos
+    for _ in range(65):
+        segs = state._segs.get((e, ln))
+        if segs:
+            i = bisect_right(segs, [c, _INF, _INF])
+            if i < len(segs):
+                gap = base + segs[i][0] - c - 1
+                if wall_gap is not None and wall_gap < gap:
+                    return wall_gap, None
+                return min(gap, need_far), segs[i][3] if gap <= need_far else None
+        end_gap = base + (net.edges[e].cell_count - 1 - c)
+        if wall_gap is not None and wall_gap <= end_gap:
+            return wall_gap, None
+        if end_gap >= need_far:
+            return need_far, None
+        nrp = traffic_ca._next_route_index(veh, rp)
+        if nrp is None:
+            return need_far, None
+        ne = veh.route[nrp]
+        nlane = traffic_ca._mapped_lane(state, ne, ln, veh.cls)
+        if nlane is None:
+            return end_gap, None
+        base = end_gap
+        e, ln, c, rp = ne, nlane, -1, nrp
+    raise RuntimeError("chain scan failed to terminate")
+
+
 def reference_lane_change_phase(state):
     """The per-vehicle lane-change loop that the candidate pass replaced.
 
@@ -599,8 +631,8 @@ def reference_lane_change_phase(state):
         if i < len(own):
             gap_cur = min(own[i][0] - cell - 1, need)
         else:
-            gap_cur, _ = traffic_ca._chain_scan(state, veh, e, lane, cell, veh.route_pos,
-                                                need, None)
+            gap_cur, _ = reference_chain_scan(state, veh, e, lane, cell, veh.route_pos,
+                                              need, None)
         if not mandatory and gap_cur > veh.v:
             continue
         if mandatory:
@@ -618,8 +650,8 @@ def reference_lane_change_phase(state):
                 if lo_me - behind[1] - 1 < state.vehicles[behind[2]].cls.v_max_cells:
                     continue
             if not mandatory:
-                gap_t, _ = traffic_ca._chain_scan(state, veh, e, target, cell, veh.route_pos,
-                                                  need, None)
+                gap_t, _ = reference_chain_scan(state, veh, e, target, cell, veh.route_pos,
+                                                need, None)
                 if gap_t <= gap_cur:
                     continue
             veh.lane = target
@@ -760,6 +792,53 @@ class TestPhasesMatchPerVehicleReference:
         assert_steps_match_reference(
             lambda: merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed),
             "am", MERGE_MASKS[mask], arm_at, 300)
+
+
+# ---------------------------------------------------------------------------
+# the chain scan from a lane's end, on the kept index
+
+def assert_scans_agree(state, edge, mask, arm_at, steps):
+    """After every step, from every body's front in each lane of its edge with no span
+    ahead, the scan agrees with the one that searches that lane first."""
+    scans = 0
+    for t in range(steps):
+        if t == arm_at:
+            apply_lane_policy(state, edge, mask)
+        step(state)
+        for veh in state.vehicles.values():
+            if veh.front_out:
+                continue
+            e, cell = veh.edge, veh.cell
+            end_gap = state.net.edges[e].cell_count - 1 - cell
+            for lane in range(state.net.edges[e].lanes):
+                segs = state._segs.get((e, lane), [])
+                if bisect_right(segs, [cell, _INF, _INF]) < len(segs):
+                    continue  # a span ahead in the lane: the caller's own find
+                # horizons and walls either side of the lane's end, and a horizon
+                # that reaches a few edges on
+                for need, wall in ((veh.v + 2, None), (end_gap, None), (end_gap + 1, None),
+                                   (400, None), (400, end_gap), (400, end_gap + 1),
+                                   (end_gap + 3, 0), (400, veh._wall)):
+                    args = (state, veh, e, lane, cell, veh.route_pos, need, wall)
+                    assert traffic_ca._chain_scan(*args) == reference_chain_scan(*args), \
+                        f"scan differs at step {t + 1}: {args[1:]}"
+                scans += 1
+    assert scans
+
+
+class TestChainScanOnKeptIndex:
+    """Example counts come from the hypothesis profile (tests/conftest.py)."""
+
+    @given(**RING_CASES)
+    def test_mixed_rings(self, lanes, cells, fill, slow_every, v_max, mask, arm_at, seed):
+        n = max(2, int(fill * cells / 5))
+        assert_scans_agree(mixed_ring(lanes, cells, n, slow_every, v_max, seed), "ring",
+                           RING_MASKS[lanes][mask], arm_at, 80)
+
+    @given(**MERGE_CASES)
+    def test_criterion_2_merge(self, rate_a, rate_c, kmh_am, kmh_cm, mask, arm_at, seed):
+        assert_scans_agree(merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed), "am",
+                           MERGE_MASKS[mask], arm_at, 240)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,6 +1084,20 @@ class TestLaneChangeWindows:
         lanes_after, tried = self.step_both(lanes, [(self.TRUCK, subject_lane, 40)], mask)
         assert (lanes_after[0] != subject_lane) == moves
         assert tried == ([0] if moves else [])
+
+    @pytest.mark.parametrize("follower, tried", [(CAR, [0, 9]), (FAST, [9])])
+    def test_open_window_after_closed_gaps(self, follower, tried):
+        # in lane 0, fast cars at 9-10, 17-18 and 25-26 leave closed gaps (start 20 >= 17,
+        # 28 >= 25, 36 >= 32); the follower at 32-33 opens [39, 41) when it is a car,
+        # and closes it when it is fast. The car at 41-42 opens [48, 51). The subject
+        # (39-40) and vehicle 9 (49-50) are boxed in; so is vehicle 7 (20-21), which
+        # lies in a closed gap. Nobody moves: the target lane is no freer ahead
+        cars = [(self.CAR, 1, 40), (self.CAR, 1, 42), (self.FAST, 0, 10), (self.FAST, 0, 18),
+                (self.FAST, 0, 26), (follower, 0, 33), (self.CAR, 0, 42), (self.CAR, 1, 21),
+                (self.CAR, 1, 23), (self.CAR, 1, 50), (self.CAR, 1, 52), (self.CAR, 0, 52)]
+        lanes_after, tried_ids = self.step_both(2, cars)
+        assert lanes_after == [lane for _, lane, _ in cars]
+        assert tried_ids == tried
 
     def test_blocked_vehicle_not_tried_for_a_lane_that_bars_it(self):
         lanes_after, tried = self.step_both(2, [(self.TRUCK, 0, 40), (self.CAR, 0, 42)],
