@@ -125,9 +125,9 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, e
         preds = impute.predict_gpr(model, locs)
         impute.write_predictions_csv(out_path, locs, preds)
         if knn_k:
-            for loc in locs:
-                est = impute.knn_estimate(observations, loc,
-                                          min(knn_k, len(observations)), net)
+            estimates = impute.knn_estimates(observations, locs,
+                                             min(knn_k, len(observations)), net)
+            for loc, est in zip(locs, estimates):
                 click.echo(f"knn {loc.edge}:{loc.offset_m} -> {est:.1f}")
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc

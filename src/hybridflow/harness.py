@@ -352,11 +352,10 @@ def _impute_stage(run, icfg):
                                   "mean": m, "variance": v}
                                  for loc, (m, v) in zip(targets, preds)]}
     if k := icfg["knn_k"]:
-        stage_out["knn"] = [
-            {"edge": loc.edge, "offset_m": loc.offset_m,
-             "estimate": impute.knn_estimate(observations, loc,
-                                             min(k, len(observations)), run.net)}
-            for loc in targets]
+        estimates = impute.knn_estimates(observations, targets, min(k, len(observations)),
+                                         run.net) if targets else []
+        stage_out["knn"] = [{"edge": loc.edge, "offset_m": loc.offset_m, "estimate": est}
+                            for loc, est in zip(targets, estimates)]
     if targets and (path := run.artifact("imputation", "imputation.csv")):
         impute.write_predictions_csv(path, targets, preds)
     return stage_out

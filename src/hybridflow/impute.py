@@ -261,17 +261,26 @@ def knn_estimate(observations, location: NetPoint, k: int, net: RoadNetwork) -> 
 
     Distance ties break on the lower edge id, then the day index.
     """
+    return knn_estimates(observations, [location], k, net)[0]
+
+
+def knn_estimates(observations, locations, k: int, net: RoadNetwork) -> list:
+    """``knn_estimate`` at each location, all ranked against one distance oracle:
+    one Dijkstra run per end node and one geometry per observation. Rows are
+    elementwise, so each estimate has the bits of its own call."""
     obs = list(observations)
     if not obs:
         raise ImputeError("no observations")
     if not 1 <= k <= len(obs):
         raise ImputeError(f"k={k} outside [1, {len(obs)}]")
     oracle = _DistanceOracle(net)
-    dist = oracle.rows(oracle.points([location]),
-                       oracle.points([o.location for o in obs]))[0].tolist()
-    order = sorted(range(len(obs)), key=lambda i: (dist[i], obs[i].location.edge,
-                                                   obs[i].day))
-    return sum(obs[i].flow_veh_day for i in order[:k]) / k
+    rows = oracle.rows(oracle.points(locations), oracle.points([o.location for o in obs]))
+    out = []
+    for dist in rows.tolist():
+        order = sorted(range(len(obs)), key=lambda i: (dist[i], obs[i].location.edge,
+                                                       obs[i].day))
+        out.append(sum(obs[i].flow_veh_day for i in order[:k]) / k)
+    return out
 
 
 def read_observations_csv(path, net: RoadNetwork) -> list:

@@ -1,13 +1,16 @@
 import itertools
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hybridflow import impute
 from hybridflow.impute import (GprParams, ImputeError, NetPoint, VolumeObservation,
                                _DistanceOracle, default_params, fit_gpr, knn_estimate,
-                               predict_gpr, read_observations_csv)
+                               knn_estimates, predict_gpr, read_observations_csv)
 from hybridflow.road_net import build_network, node_distances
 
 
@@ -475,6 +478,35 @@ class TestMatchesPairwise:
             for k in range(1, len(obs) + 1):
                 got = knn_estimate(obs, q, k, net)
                 assert got == sum(o.flow_veh_day for o in ranked[:k]) / k
+
+
+def demo_net():
+    spec = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+                      .read_text())["network"]
+    return build_network(spec)
+
+
+class TestKnnOneOracle:
+    @pytest.mark.parametrize("name", ["demo", "grid8"])
+    def test_equal_to_per_target_calls(self, name, monkeypatch):
+        net = demo_net() if name == "demo" else city_net(51, n=8)
+        obs = sensors(net, 52, count=30)
+        targets = random_points(net, np.random.default_rng(53), 40)
+        runs = []
+
+        def counting_dijkstra(net_, source):
+            runs.append(source)
+            return node_distances(net_, source)
+
+        monkeypatch.setattr(impute, "node_distances", counting_dijkstra)
+        for k in (1, 3, len(obs)):
+            runs.clear()
+            got = knn_estimates(obs, targets, k, net)
+            # one Dijkstra run per end node of the targets, not two per target
+            ends = {n for p in targets for n in (net.edges[p.edge].from_node,
+                                                 net.edges[p.edge].to_node)}
+            assert sorted(runs) == sorted(ends)
+            assert got == [knn_estimate(obs, t, k, net) for t in targets]
 
 
 def test_disconnected_query_gets_prior():

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridflow import transfer
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
                                   forecast_along, sinr_at)
-from hybridflow.rng import substream
+from hybridflow.rng import Uniforms, substream
 from hybridflow.transfer import (BufferState, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferMetrics, TransferPolicy, decide,
                                  line_trace, simulate_drive, sinr_policy, train_predictor,
@@ -262,9 +262,12 @@ class TestSimulateDrive:
     def test_lookahead_is_the_horizon_slice(self, monkeypatch):
         # uneven spacing and repeated times: the map is read once, along the
         # whole trace, and each probe's peak covers exactly the later points
-        # within lookahead_s, the ones the per-probe forecast kept
+        # within lookahead_s, the ones the per-probe forecast kept. The learned
+        # table predicts each window (the formula's sliding peak reads none;
+        # TestWindowPeak and the reference drives check it)
         trace = [(t, 10.0 * t, 0.0) for t in (0, 1, 1, 2, 5, 9, 9, 10, 14, 30, 31, 33, 40, 41)]
         scene = good_bad_scene(with_map=True)
+        predictor = half_filled_table()
         reads, windows = [], []
         original_forecast, original_peak = transfer.forecast_along, RatePredictor.peak_rate
 
@@ -272,9 +275,9 @@ class TestSimulateDrive:
             reads.append(list(trajectory))
             return original_forecast(cmap, trajectory)
 
-        def recording_peak(self, sinrs, links, payload_bytes, speed_mps):
+        def recording_peak(self, sinrs, payload_bytes, speed_mps):
             windows.append(list(sinrs))
-            return original_peak(self, sinrs, links, payload_bytes, speed_mps)
+            return original_peak(self, sinrs, payload_bytes, speed_mps)
 
         monkeypatch.setattr(transfer, "forecast_along", recording_forecast)
         monkeypatch.setattr(RatePredictor, "peak_rate", recording_peak)
@@ -284,14 +287,30 @@ class TestSimulateDrive:
                 windows.clear()
                 want = []
                 pol = TransferPolicy(kind="ml_pcat", t_min_s=t_min, lookahead_s=lookahead)
-                _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3)
-                reference_drive(trace, scene, pol, 1000.0, 3, windows=want)
+                _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3, predictor=predictor)
+                reference_drive(trace, scene, pol, 1000.0, 3, predictor=predictor, windows=want)
                 assert reads == [trace]
                 assert len(windows) == len(want) == len(log) > 3
                 for r, points, got in zip(log, want, windows):
                     assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
                     assert got == [scene.map.lookup((x, y)) for _, x, y in points]
 
+
+
+def reference_runtime(policy, seed, start_s=0.0):
+    """A runtime that draws scalar uniforms straight from the policy's stream."""
+    return PolicyRuntime(policy, rng=substream(seed, f"transfer-{policy.kind}"),
+                         last_tx_s=start_s)
+
+
+def reference_speeds(trace):
+    """The speed per trace point, one step at a time."""
+    speeds = []
+    for i in range(len(trace)):
+        j = max(i, 1)
+        (t0, x0, y0), (t1, x1, y1) = trace[j - 1], trace[j]
+        speeds.append(math.hypot(x1 - x0, y1 - y0) / max(t1 - t0, 1e-9))
+    return speeds
 
 
 def reference_decide(runtime, now_s, buffer, phi_now, forecast=None):
@@ -321,10 +340,10 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
     predictor = predictor or RatePredictor()
-    runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
+    runtime = reference_runtime(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
     buf = BufferState()
-    speeds = transfer._speed_series(trace)
+    speeds = reference_speeds(trace)
     log = []
     generated = transferred = 0.0
     tx_time = tx_energy = 0.0
@@ -332,6 +351,7 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
     n_tx = n_retx = 0
     probe_every = max(1.0, policy.t_min_s)
     j = 0
+    last_probe_s = None
     for i in range(1, len(trace)):
         t, x, y = trace[i]
         if t < trace[i - 1][0]:
@@ -342,9 +362,9 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
         generated += sensor_rate_bytes_s
         if buf.oldest_ts is None:
             buf.oldest_ts = t
-        if runtime.last_probe_s is not None and t - runtime.last_probe_s < probe_every:
+        if last_probe_s is not None and t - last_probe_s < probe_every:
             continue
-        runtime.last_probe_s = t
+        last_probe_s = t
         sinr = sinr_at(pos, scene.stations, scene.noise_dbm, scene.model)
         if policy.metric_is_rate:
             phi = predictor.predict(sinr, buf.queued_bytes, speed)
@@ -532,3 +552,68 @@ class TestDriveInvariants:
         for sinr, payload in rng.uniform([-30.0, 0.0], [60.0, 3e5], size=(4000, 2)):
             got = pred.formula_rate(float(sinr), float(payload))
             assert got.hex() == old_formula(float(sinr), float(payload)).hex()
+
+
+class TestUniformDraws:
+    """``decide`` draws through the block reader exactly the scalar draws of the
+    policy's stream, one per call of a cat-family kind and none for periodic."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), before=st.integers(0, 6),
+           calls=st.lists(st.tuples(st.sampled_from(transfer.POLICY_KINDS),
+                                    st.floats(-2.0, 2.0), st.floats(-20.0, 45.0),
+                                    st.one_of(st.just(-math.inf), st.floats(-20.0, 45.0))),
+                          min_size=10, max_size=60))
+    # ages on both sides of t_max, phis outside the bounds, a window with no points
+    @example(seed=3, before=0, calls=[(kind, age, phi, peak) for kind in transfer.POLICY_KINDS
+                                     for age, phi, peak in ((-1.0, -9.0, -math.inf),
+                                                            (0.0, 12.0, 40.0),
+                                                            (1.0, 41.0, 2.0))])
+    def test_decisions_across_a_block_boundary(self, seed, before, calls):
+        t_max, now = 50.0, 1000.0
+        policies = {kind: make_policy(kind, t_max_s=t_max) for kind in transfer.POLICY_KINDS}
+        fast = {kind: PolicyRuntime.create(pol, seed) for kind, pol in policies.items()}
+        slow = {kind: reference_runtime(pol, seed) for kind, pol in policies.items()}
+        # each stream stops `before` draws short of its first block's end
+        for kind in transfer.POLICY_KINDS:
+            for _ in range(Uniforms.BLOCK - before):
+                assert fast[kind].rng.random() == slow[kind].rng.random()
+        for kind, age_offset, phi, peak in calls:
+            buf = BufferState(queued_bytes=1.0, oldest_ts=now - (t_max + age_offset))
+            pred = policies[kind].predictive
+            got = decide(fast[kind], now, buf, phi, peak if pred else None)
+            want = reference_decide(slow[kind], now, buf, phi,
+                                    [(now + 1.0, peak)] if pred else None)
+            assert got == want
+        # the next draw of every stream is the same: each decide took as many
+        for kind in transfer.POLICY_KINDS:
+            assert fast[kind].rng.random() == slow[kind].rng.random()
+
+
+def python_max(values, k, j):
+    return max(values[k:j], default=-math.inf)
+
+
+class TestWindowPeak:
+    """The sliding-window peak is ``max`` over the window, NaN and infinities as
+    ``max`` has them."""
+
+    def test_nan_and_infinities(self):
+        nan, inf = math.nan, math.inf
+        values = [1.0, nan, 3.0, 2.0, nan, -inf, inf, 0.5, nan, -1.0, -inf, 0.0, -0.0, 0.0]
+        windows = [(0, 0), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (3, 6), (4, 6), (5, 6), (5, 7),
+                   (6, 9), (7, 9), (8, 10), (9, 11), (10, 11), (11, 14), (12, 14), (14, 14)]
+        peaks = transfer._WindowPeak(values)
+        for k, j in windows:
+            assert repr(peaks.peak(k, j)) == repr(python_max(values, k, j)), (k, j)
+        # a NaN at the start is the result; one inside is skipped
+        assert math.isnan(python_max(values, 1, 3)) and python_max(values, 0, 3) == 3.0
+
+    @given(values=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                            1.0, 2.0, -3.0]), max_size=40),
+           steps=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)), max_size=30))
+    def test_against_max(self, values, steps):
+        peaks, k, j = transfer._WindowPeak(values), 0, 0
+        for dk, dj in steps:
+            j = min(j + dj, len(values))
+            k = min(k + dk, j)
+            assert repr(peaks.peak(k, j)) == repr(python_max(values, k, j))
