@@ -11,13 +11,23 @@ from . import __version__, fingerprint, harness, impute
 from .road_net import load_network
 
 
+def _seed(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--seeds: {token.strip()!r} is not an integer") from None
+
+
 def parse_seeds(text: str):
-    """'1..10' (inclusive range) or '1,4,9'."""
+    """'1..10' (inclusive range) or '1,4,9'. ValueError names ``--seeds`` and
+    a token that is not an integer, or an empty range."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+        lo, hi = (_seed(t) for t in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"--seeds: range {text!r} is empty")
+        return list(range(lo, hi + 1))
+    return [_seed(s) for s in text.split(",") if s.strip()]
 
 
 @click.group()
@@ -101,7 +111,7 @@ def gen_corpus(out_dir, count, noise_sigma_db, mix, seed):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--length-scale", type=float, default=harness.IMPUTE["length_scale_m"],
               show_default=True)
-@click.option("--knn", "knn_k", type=int, default=None,
+@click.option("--knn", "knn_k", type=click.IntRange(min=1), default=None,
               help="Also print kNN estimates with this k.")
 @click.option("--euclidean", is_flag=True,
               help="Fit the GP over straight-line distance, as the config's "
@@ -124,7 +134,7 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, e
         model = impute.fit_gpr(net, observations, params)
         preds = impute.predict_gpr(model, locs)
         impute.write_predictions_csv(out_path, locs, preds)
-        if knn_k:
+        if knn_k is not None:
             estimates = impute.knn_estimates(observations, locs,
                                              min(knn_k, len(observations)), net)
             for loc, est in zip(locs, estimates):

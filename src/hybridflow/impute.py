@@ -9,9 +9,22 @@ Distances and kernels are array passes: each point's geometry is computed
 once, and the fit, prediction and kNN read distances a row block at a time.
 Prediction takes queries in blocks of 64, stacks their kernel rows and solves
 them in one batched call that still makes one LAPACK ``dgesv`` per query,
-because one solve of the whole block rounds differently; the per-query
-factorizations bound it (0.57 s of 0.62 s for 1000 queries on 200 sensors,
-2-core VM).
+because one solve of the whole block rounds differently. Those per-query
+factorizations are most of a prediction, so the solves of different blocks
+run on up to ``_solver_threads()`` threads at once (numpy releases the GIL
+inside LAPACK); each query still gets the bits of its own serial solve. The
+count is the usable CPUs over the BLAS threads per call, read from
+``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS``. With neither set, the
+BLAS already spreads each call over every CPU, and two solver threads on top
+of it were slower than one (0.74 s against 0.56 s per ``impute_sensors`` op
+in-process, 2-core VM), so prediction stays serial. With one BLAS thread per
+call, as ``bench/run.py`` pins it, two solver threads take the workload's
+``wall_s`` from 0.79 s to 0.47 s.
+
+GP outputs are byte-identical only for one BLAS build *and* one BLAS thread
+count: the same 1000 predictions on 200 sensors differ between
+``OPENBLAS_NUM_THREADS`` unset and set to 1 (2-core VM, numpy 2.4, OpenBLAS
+0.3.31). The pinned digests hold because ``bench/run.py`` pins it to 1.
 
 The squared-exponential kernel of network distance is not positive definite
 in general, on trees as well as on cyclic networks: on a comb tree (a 10-node
@@ -25,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,14 +242,40 @@ def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
                     alpha=alpha, chol=L, oracle=oracle, points=points)
 
 
+def _solver_threads() -> int:
+    """Threads that may solve prediction blocks at once: the usable CPUs over
+    the BLAS threads per call; 1 when that count is unset or unreadable."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    per_call = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        per_call = int(per_call)
+    except (TypeError, ValueError):
+        return 1
+    return max(1, cpus // per_call) if per_call > 0 else 1
+
+
+def _solve_block(L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Rows L^-1 k of the kernel rows K: a batched solve whose gufunc makes one
+    LAPACK ``dgesv`` call per row, as a per-query solve would."""
+    return np.linalg.solve(np.broadcast_to(L, (len(K),) + L.shape), K[:, :, None])[:, :, 0]
+
+
 def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     """Posterior (mean, variance) per query; variance clamped at zero.
 
     Queries go in blocks of ``_BLOCK``: one distance block and its kernel rows,
-    then one batched solve whose gufunc makes one LAPACK ``dgesv`` call per
-    row, as a per-query solve would. Means and variances are per-row dots.
-    A single solve of all rows, or a ``K @ alpha`` product, would round
+    then ``_solve_block``, then per-row dots for the means and variances. A
+    single solve of all rows, or a ``K @ alpha`` product, would round
     differently and change the output bits.
+
+    With more than one block and ``_solver_threads()`` above 1, the solves
+    run on that many pool threads, one block each in flight, while this
+    thread builds the next blocks' kernel rows (the distance oracle and its
+    Dijkstra cache stay on it) and takes the dots in query order. The pool
+    has ended when the call returns, by a result or by a solve's error.
 
     The squared-exponential kernel of graph distance is not positive definite
     on every network, trees included, so where the fit succeeds raw variances
@@ -245,14 +285,36 @@ def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     locations = list(locations)
     L, sigma_f2 = model.chol, model.params.sigma_f2
     out = []
-    for start in range(0, len(locations), _BLOCK):
+
+    def kernel_rows(start):
         queries = model.oracle.points(locations[start:start + _BLOCK])
-        K = _kernel(model.params, model.oracle.rows(queries, model.points))
-        V = np.linalg.solve(np.broadcast_to(L, (queries.n,) + L.shape), K[:, :, None])
-        for k, v in zip(K, V[:, :, 0]):
+        return _kernel(model.params, model.oracle.rows(queries, model.points))
+
+    def finish(K, V):
+        for k, v in zip(K, V):
             var = sigma_f2 - float(v @ v)
             out.append((model.prior_mean + float(k @ model.alpha),
                         max(var, 0.0) if clamp else var))
+
+    starts = range(0, len(locations), _BLOCK)
+    threads = min(_solver_threads(), len(starts))
+    if threads <= 1:
+        for start in starts:
+            K = kernel_rows(start)
+            finish(K, _solve_block(L, K))
+        return out
+    # imported here, not at module level, where it adds ~3.5 ms to every import
+    from concurrent.futures import ThreadPoolExecutor
+    pending = []  # (kernel rows, future of their solve), oldest first
+    with ThreadPoolExecutor(threads) as pool:
+        for start in starts:
+            K = kernel_rows(start)
+            if len(pending) == threads:
+                done, solved = pending.pop(0)
+                finish(done, solved.result())
+            pending.append((K, pool.submit(_solve_block, L, K)))
+        for K, solved in pending:
+            finish(K, solved.result())
     return out
 
 

@@ -503,6 +503,35 @@ class TestCli:
     def test_parse_seeds(self):
         assert parse_seeds("1..4") == [1, 2, 3, 4]
         assert parse_seeds("2,9,5") == [2, 9, 5]
+        assert parse_seeds("3..3") == [3]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,2", "--seeds: 'a' is not an integer"),
+        ("1, x ,3", "--seeds: 'x' is not an integer"),
+        ("1..b", "--seeds: 'b' is not an integer"),
+        ("1..2..3", "--seeds: '2..3' is not an integer"),
+        ("3..1", "--seeds: range '3..1' is empty"),
+    ])
+    def test_parse_seeds_names_bad_token(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_seeds(text)
+        res = CliRunner().invoke(main, ["compare", "--config",
+                                        str(CONFIG_DIR / "transfer_two_phase.json"),
+                                        "--policies", "periodic,ml_cat", "--seeds", text])
+        assert res.exit_code != 0
+        assert f"Error: {message}" in res.output
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_impute_knn_below_one_fails_before_output(self, tmp_path, k):
+        (tmp_path / "net.json").write_text(json.dumps(demo_config()["network"]))
+        (tmp_path / "obs.csv").write_text("edge,offset_m,day,flow\ns1,420,0,9100\n")
+        res = CliRunner().invoke(main, [
+            "impute", "--network", str(tmp_path / "net.json"), "--observations",
+            str(tmp_path / "obs.csv"), "--targets", "l1:300", "--knn", k,
+            "--out", str(tmp_path / "pred.csv")])
+        assert res.exit_code != 0
+        assert "'--knn'" in res.output and f"{k} is not in the range x>=1" in res.output
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_run_and_exit_codes(self, tmp_path):
         runner = CliRunner()

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import re
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -145,20 +147,22 @@ class TestGpr:
         assert predict_gpr(model, []) == []
         assert predict_gpr(model, iter([])) == []
 
-    def test_generator_consumed_once(self):
+    def test_generator_consumed_once(self, monkeypatch):
         net = line_net()
         model = fit_gpr(net, [obs_at("e0", 100.0, 123.0), obs_at("e2", 40.0, 80.0)],
                         GprParams(1e4, 500.0, 1.0))
         queries = [NetPoint(f"e{i % 4}", 7.0 * i) for i in range(70)]
-        pulled = []
+        for threads in (1, 2):
+            monkeypatch.setattr(impute, "_solver_threads", lambda n=threads: n)
+            pulled = []
 
-        def once():
-            for q in queries:
-                pulled.append(q)
-                yield q
+            def once():
+                for q in queries:
+                    pulled.append(q)
+                    yield q
 
-        assert predict_gpr(model, once()) == predict_gpr(model, queries)
-        assert pulled == queries
+            assert predict_gpr(model, once()) == predict_gpr(model, queries), threads
+            assert pulled == queries
 
     def test_noise_free_interpolation_and_variance_bound(self):
         # spacing comparable to the length scale keeps the kernel well posed
@@ -457,14 +461,18 @@ class TestMatchesPairwise:
     @INTEGER
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
     @pytest.mark.parametrize("clamp", [True, False])
-    def test_predict(self, euclidean, integer, count, clamp):
+    def test_predict(self, monkeypatch, euclidean, integer, count, clamp):
         net = city_net(31)
         obs = sensors(net, 32, integer=integer)
         params = default_params([o.flow_veh_day for o in obs], 100.0)
         params.euclidean = euclidean
         queries = random_points(net, np.random.default_rng(33 + count), count, integer)
-        got = predict_gpr(fit_gpr(net, obs, params), queries, clamp=clamp)
-        assert got == pair_predict(pair_fit(net, obs, params), params, queries, clamp)
+        model = fit_gpr(net, obs, params)
+        want = pair_predict(pair_fit(net, obs, params), params, queries, clamp)
+        # every solver-thread count, the serial path (1) and the pool (2, 3)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(impute, "_solver_threads", lambda n=threads: n)
+            assert predict_gpr(model, queries, clamp=clamp) == want, threads
 
     @pytest.mark.parametrize("euclidean", [False], ids=["network"])  # kNN is network-only
     @INTEGER
@@ -478,6 +486,118 @@ class TestMatchesPairwise:
             for k in range(1, len(obs) + 1):
                 got = knn_estimate(obs, q, k, net)
                 assert got == sum(o.flow_veh_day for o in ranked[:k]) / k
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Threads started while the test runs."""
+    threads, start = [], threading.Thread.start
+
+    def record(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return threads
+
+
+class TestSolverThreads:
+    def model_and_queries(self, count):
+        net = city_net(61)
+        obs = sensors(net, 62)
+        model = fit_gpr(net, obs, default_params([o.flow_veh_day for o in obs], 100.0))
+        return model, random_points(net, np.random.default_rng(63), count)
+
+    def test_single_block_starts_no_thread(self, monkeypatch, started):
+        model, queries = self.model_and_queries(impute._BLOCK)
+        want = predict_gpr(model, queries)
+        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
+        assert predict_gpr(model, queries) == want
+        assert started == []
+
+    def test_pool_ended_on_return(self, monkeypatch, started):
+        model, queries = self.model_and_queries(130)
+        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
+        before = threading.active_count()
+        predict_gpr(model, queries)
+        assert 1 <= len(started) <= 2
+        assert threading.active_count() == before
+
+    def test_one_block_in_flight_per_thread(self, monkeypatch):
+        model, queries = self.model_and_queries(5 * impute._BLOCK)
+        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
+        unread, in_flight = set(), []
+        submit, result = ThreadPoolExecutor.submit, Future.result
+
+        def counted_submit(self, *args):
+            future = submit(self, *args)
+            unread.add(future)
+            in_flight.append(len(unread))
+            return future
+
+        def counted_result(self, *args):
+            unread.discard(self)
+            return result(self, *args)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+        monkeypatch.setattr(Future, "result", counted_result)
+        predict_gpr(model, queries)
+        assert in_flight == [1, 2, 2, 2, 2]
+
+    def failing_last_block(self, monkeypatch):
+        """Patches the solve to fail on the last, partial block of 130 queries;
+        returns the threads that ran the failing solve."""
+        solve, ran = impute._solve_block, []
+
+        def fail_partial(L, K):
+            if len(K) < impute._BLOCK:
+                ran.append(threading.current_thread())
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(L, K)
+
+        monkeypatch.setattr(impute, "_solve_block", fail_partial)
+        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
+        return ran
+
+    def test_helper_error_propagates(self, monkeypatch):
+        model, queries = self.model_and_queries(130)
+        ran = self.failing_last_block(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            predict_gpr(model, queries)
+        assert len(ran) == 1 and ran[0] is not threading.main_thread()
+
+    def test_helper_error_leaves_no_thread(self, monkeypatch, started):
+        model, queries = self.model_and_queries(130)
+        self.failing_last_block(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            predict_gpr(model, queries)
+        assert started and not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("env, cpus, expect", [
+        ({}, 2, 1),                                                  # BLAS spreads each call
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "auto"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 4),  # OpenBLAS's own first
+    ])
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_thread_rule(self, monkeypatch, env, cpus, expect, affinity):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        if affinity:
+            monkeypatch.setattr(impute.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(impute.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(impute.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(impute.os, "cpu_count", lambda: cpus)
+        assert impute._solver_threads() == expect
 
 
 def demo_net():
