@@ -7,7 +7,7 @@ import os
 
 import click
 
-from . import __version__, fingerprint, harness, impute
+from . import __version__, fingerprint, harness, impute, routing_opt
 from .road_net import load_network
 
 
@@ -109,8 +109,8 @@ def gen_corpus(out_dir, count, noise_sigma_db, mix, seed):
 @click.option("--targets", required=True,
               help="Comma-separated edge:offset pairs, e.g. 'e1:100,e2:50'.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--length-scale", type=float, default=harness.IMPUTE["length_scale_m"],
-              show_default=True)
+@click.option("--length-scale", type=float,
+              default=harness.IMPUTE["length_scale_m"].default, show_default=True)
 @click.option("--knn", "knn_k", type=click.IntRange(min=1), default=None,
               help="Also print kNN estimates with this k.")
 @click.option("--euclidean", is_flag=True,
@@ -119,6 +119,7 @@ def gen_corpus(out_dir, count, noise_sigma_db, mix, seed):
 def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, euclidean):
     """Estimate traffic volumes at unobserved locations (GPR over the network)."""
     try:
+        harness.IMPUTE["length_scale_m"].check(length_scale, "--length-scale")
         net = load_network(network_path)
         observations = impute.read_observations_csv(obs_path, net)
         locs = []
@@ -128,10 +129,8 @@ def impute_cmd(network_path, obs_path, targets, out_path, length_scale, knn_k, e
                 locs.append(impute.NetPoint(edge, float(offset)))
             except ValueError:
                 raise ValueError(f"--targets: {part.strip()!r} is not edge:offset") from None
-        params = impute.default_params([o.flow_veh_day for o in observations],
-                                       length_scale)
-        params.euclidean = euclidean
-        model = impute.fit_gpr(net, observations, params)
+        model = impute.fit_gpr(net, observations, impute.default_params(
+            [o.flow_veh_day for o in observations], length_scale, euclidean))
         preds = impute.predict_gpr(model, locs)
         impute.write_predictions_csv(out_path, locs, preds)
         if knn_k is not None:
@@ -149,7 +148,7 @@ main.add_command(impute_cmd, name="impute")
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(["fixed", "wardrop", "bmp", "combined"]),
+@click.option("--method", type=click.Choice(routing_opt.METHOD.choices),
               default="bmp", show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import substream
+from .schema import Field
 
 SENSOR_HEIGHTS_M = (0.5, 1.0, 1.5)
 N_LINKS = 9
@@ -52,28 +53,16 @@ _EDGE_SMOOTH_S = 0.08
 # small, as blocks of 64 raised the peak RSS of a demo run by about 1.5 MB
 _BLOCK = 16
 
-# setting -> (test of a value, the rule it states); a NaN fails every test
-_SETTINGS = {
-    "count": (lambda v: v >= 1, "at least 1"),
-    "noise_sigma_db": (lambda v: v >= 0.0, "non-negative"),
-    "mix": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "holdout_fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "reg": (lambda v: v in ("l1", "l2"), "l1 or l2"),
-    "lam": (lambda v: v >= 0.0, "non-negative"),
-    "epochs": (lambda v: v >= 1, "at least 1"),
-}
+# the fingerprint stage's settings; the functions below check their arguments by them
+SETTINGS = {"count": Field(500, ge=1), "noise_sigma_db": Field(2.0, ge=0),
+            "mix": Field(0.5, ge=0, le=1), "holdout_fraction": Field(0.2, ge=0, lt=1),
+            "lam": Field(1e-3, ge=0), "epochs": Field(250, ge=1)}
+REG = Field(str, choices=("l1", "l2"), name="reg")
+_SPEED = Field(float, gt=0)  # of a synthesized pass
 
 
 class FingerprintError(ValueError):
     """Bad trace, dataset or setting."""
-
-
-def check_setting(name: str, value) -> None:
-    """FingerprintError unless ``value`` is in the range of the setting ``name``
-    (one of count, noise_sigma_db, mix, holdout_fraction, reg, lam, epochs)."""
-    test, rule = _SETTINGS[name]
-    if not test(value):
-        raise FingerprintError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -123,9 +112,8 @@ def synthesize(labels, speeds, noise_sigma_db: float, seeds) -> list:
     for label, speed in zip(labels, speeds):
         if label not in CLASS_SHAPES:
             raise FingerprintError(f"unknown label {label!r}")
-        if not speed > 0:
-            raise FingerprintError("speed must be positive")
-    check_setting("noise_sigma_db", noise_sigma_db)
+        _SPEED.check(speed, "speed", FingerprintError)
+    SETTINGS["noise_sigma_db"].check(noise_sigma_db, "noise_sigma_db", FingerprintError)
     n = int(TRACE_SECONDS * SAMPLE_RATE_HZ)
     t = np.arange(n) / SAMPLE_RATE_HZ
     mid = TRACE_SECONDS / 2.0
@@ -236,9 +224,9 @@ def train(records, reg: str, lam: float, epochs: int) -> LinearModel:
     the step. Returns the best iterate by penalized objective, so the final
     objective never exceeds the first epoch's. Deterministic (batch updates).
     """
-    check_setting("reg", reg)
-    check_setting("lam", lam)
-    check_setting("epochs", epochs)
+    REG.check(reg, "reg", FingerprintError)
+    SETTINGS["lam"].check(lam, "lam", FingerprintError)
+    SETTINGS["epochs"].check(epochs, "epochs", FingerprintError)
     records = list(records)
     labels = {r.label for r in records}
     if len(labels) < 2:
@@ -341,9 +329,9 @@ def class_shares(records, model: LinearModel) -> dict:
 
 def generate_corpus(count: int, noise_sigma_db: float, mix: float, seed: int):
     """``count`` traces, ``mix`` fraction car-like, speeds uniform in 15-35 m/s."""
-    check_setting("count", count)
-    check_setting("noise_sigma_db", noise_sigma_db)
-    check_setting("mix", mix)
+    SETTINGS["count"].check(count, "count", FingerprintError)
+    SETTINGS["noise_sigma_db"].check(noise_sigma_db, "noise_sigma_db", FingerprintError)
+    SETTINGS["mix"].check(mix, "mix", FingerprintError)
     rng = substream(seed, "fingerprint-corpus")
     labels, speeds, seeds = [], [], []
     for _ in range(count):
@@ -354,7 +342,7 @@ def generate_corpus(count: int, noise_sigma_db: float, mix: float, seed: int):
 
 
 def split_corpus(traces, holdout_fraction: float, seed: int):
-    check_setting("holdout_fraction", holdout_fraction)
+    SETTINGS["holdout_fraction"].check(holdout_fraction, "holdout_fraction", FingerprintError)
     rng = substream(seed, "fingerprint-split")
     idx = rng.permutation(len(traces))
     n_hold = int(len(traces) * holdout_fraction)

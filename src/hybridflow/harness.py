@@ -2,11 +2,9 @@
 
 A single master seed fans out into named substreams (traffic, injection,
 shadowing, transfer, corpus) so enabling one stage never perturbs another's
-draws. `parse_config` parses an experiment document and its network with
-the one schema walker (`hybridflow.schema`), against the tables below and
-`road_net.NETWORK`, and checks every lane mask, so a bad input fails by path
-before any stage; `run_experiment`, `compare_policies` and
-`evaluate_assignment` all start from it. `STAGES` is
+draws. `parse_config` checks an experiment document against the tables below,
+so a bad input fails by path before any stage; `run_experiment`,
+`compare_policies` and `evaluate_assignment` all start from it. `STAGES` is
 the stage order: fingerprint (class shares can arm lane policies) ->
 traffic -> impute -> assign -> transfer. `run_experiment` and, once per
 seed, `compare_policies` run it through one loop, so a policy comparison
@@ -24,14 +22,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, fingerprint, impute, radio_env, routing_opt, traffic_ca, transfer
 from .rng import substream_seed
 from .road_net import NetworkError, build_network, load_network
-from .schema import ConfigError, _convert, _Optional, _section
+from .schema import ConfigError, Field, _Optional, _Overrides, _section, table
 
 
 class StageError(RuntimeError):
@@ -43,31 +41,42 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-DEMAND = {"origin": str, "dest": str, "rate_veh_h": float, "splits": (1.0,),
-          "class_mix": None, "schedule": None}
-STATION = {"id": str, "x": float, "y": float, "tx_power_dbm": 43.0}
+# the tables of an experiment document (see hybridflow.schema); each range and choice
+# is the Field of the module that owns the setting
+_MODEL = table(radio_env.PropagationModel)
+STATION = {"id": str, "x": float, "y": float,
+           "tx_power_dbm": table(radio_env.BaseStation)["tx_power_dbm"]}
 NET_POINT = {"edge": str, "offset_m": float}
-OBSERVATION = {**NET_POINT, "day": 0, "flow": float}
-FINGERPRINT = {"count": 500, "noise_sigma_db": 2.0, "mix": 0.5, "holdout_fraction": 0.2,
-               "regs": ("l1", "l2"), "lam": 1e-3, "epochs": 250,
-               "feed_lane_policy": _Optional(edge=str, truck_share_min=0.2, mask=list)}
-IMPUTE = {"observations": [OBSERVATION], "targets": [NET_POINT], "length_scale_m": 1000.0,
-          "euclidean": False, "knn_k": 0}
-ASSIGN = {"methods": ("fixed", "bmp"), "k_routes": 2, "probe_factor": 1.5,
-          "density_crit": 0.35, "sustain_s": 120.0, "lambda": 0.01}
+OBSERVATION = {**NET_POINT, "day": 0, "flow": table(impute.VolumeObservation)["flow_veh_day"]}
+FINGERPRINT = {**fingerprint.SETTINGS, "regs": Field(("l1", "l2"), item=fingerprint.REG),
+               "feed_lane_policy": _Optional(edge=str, truck_share_min=Field(0.2, ge=0, le=1),
+                                             mask=list)}
+IMPUTE = {"observations": [OBSERVATION], "targets": [NET_POINT],
+          "length_scale_m": table(impute.GprParams)["length_scale_m"], "euclidean": False,
+          "knn_k": Field(0, ge=0)}
+ASSIGN = {"methods": Field(("fixed", "bmp"), item=routing_opt.METHOD), **routing_opt.SETTINGS}
 TRANSFER = {"stations": [STATION], "noise_dbm": -100.0,
-            "shadowing": {"pl0_db": 70.0, "exponent": 3.0, "sigma_db": 6.0, "enabled": True},
-            "trace": {"kind": "line", "start": (0.0, 0.0), "velocity_mps": (10.0, 0.0),
-                      "duration_s": 600, "min_duration_s": 60, "max_vehicles": 3},
-            "sensor_rate_bytes_s": 10_000.0, "policies": ("periodic", "ml_cat"),
-            "policy": None, "build_map": True, "predictor": "formula"}
+            "shadowing": {"pl0_db": _MODEL["pl0_db"], "exponent": _MODEL["exponent"],
+                          "sigma_db": _MODEL["shadowing_sigma_db"],
+                          "enabled": _MODEL["shadowing_enabled"]},
+            # a drive needs two trace points: a line trace has duration_s + 1
+            "trace": {"kind": Field("line", choices=("line", "from_traffic")), "start": (0.0, 0.0),
+                      "velocity_mps": (10.0, 0.0), "duration_s": Field(600, ge=1),
+                      "min_duration_s": Field(60, ge=2), "max_vehicles": Field(3, ge=1)},
+            "sensor_rate_bytes_s": transfer.SENSOR_RATE,
+            "policies": Field(("periodic", "ml_cat"),
+                              item=Field(str, choices=transfer.POLICY_KINDS, name="policy")),
+            # keyword overrides of each policy's TransferPolicy
+            "policy": _Overrides({k: v for k, v in table(transfer.TransferPolicy).items()
+                                  if k != "kind"}),
+            "build_map": True, "predictor": Field("formula", choices=("formula", "learned"))}
 # a class entry is a traffic_ca.VehicleClass with its defaults, plus an optional share
-CLASS = {f.name: str if f.default is MISSING else f.default
-         for f in fields(traffic_ca.VehicleClass)} | {"share": None}
-# network: a file name or a road_net.NETWORK document; policy: TransferPolicy(**)
-CONFIG = {"version": int, "seed": 0, "network": None, "classes": [CLASS], "demand": [DEMAND],
-          "duration_s": 600, "window_s": 60, "nasch_degenerate": False,
-          "lane_policies": None,
+CLASS = table(traffic_ca.VehicleClass) | {"share": replace(traffic_ca.SHARE, default=None,
+                                                           kind=float)}
+# network: a file name or a road_net.NETWORK document; lane_policies: edge id -> mask
+CONFIG = {"version": int, "seed": 0, "network": None, "classes": [CLASS],
+          "demand": [traffic_ca.DEMAND], **traffic_ca.RUN, "nasch_degenerate": False,
+          "lane_policies": Field(None, kind=dict, item=Field(None)),
           "stages": {"fingerprint": _Optional(FINGERPRINT), "traffic": _Optional(),
                      "impute": _Optional(IMPUTE), "assign": _Optional(ASSIGN),
                      "transfer": _Optional(TRANSFER)}}
@@ -75,65 +84,54 @@ CONFIG = {"version": int, "seed": 0, "network": None, "classes": [CLASS], "deman
 
 def parse_config(config: dict, base_dir=".") -> dict:
     """The experiment document with every default filled in and its network
-    built (a file name read relative to base_dir; its NetworkError names the
-    file). ConfigError names the dotted path of an unknown or missing key, of a
-    value of the wrong type or out of range, of an inline network value that
-    build_network rejects, of a class entry that VehicleClass rejects or that
-    repeats a name, of a class mix entry naming no class, of a lane mask that
-    names no edge or that traffic_ca.lane_mask rejects, or of an impute
-    observation or target off the network."""
+    built (a file name read relative to base_dir). ConfigError or NetworkError
+    names the dotted path of what the tables reject and of what they cannot
+    state: the version, an inline network value that build_network rejects, a
+    class named twice, a class mix naming no class, route splits that
+    traffic_ca.split_fault rejects, no regularization, a holdout of no trace,
+    and a demand node, lane mask or impute location off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
     if isinstance(net := parsed["network"], str):
-        parsed["network"] = load_network(os.path.join(base_dir, net))
+        try:
+            net = parsed["network"] = load_network(os.path.join(base_dir, net))
+        except NetworkError as exc:
+            raise NetworkError(f"config.network: {exc}") from None
     elif net is not None:
         try:
-            parsed["network"] = build_network(net)
+            net = parsed["network"] = build_network(net)
         except NetworkError as exc:
             raise ConfigError(f"config.{exc}") from None
     class_names = set()
     for i, entry in enumerate(parsed["classes"]):
-        path = f"config.classes[{i}]"
-        if entry["share"] is not None:
-            _at_least(entry["share"], 0.0, f"{path}.share")
         if entry["name"] in class_names:
-            raise ConfigError(f"{path}.name: class {entry['name']!r} is named twice")
+            raise ConfigError(f"config.classes[{i}].name: class {entry['name']!r} is named twice")
         class_names.add(entry["name"])
-        try:
-            traffic_ca.VehicleClass(**{k: v for k, v in entry.items() if k != "share"})
-        except traffic_ca.ScenarioError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     class_names = class_names or set(traffic_ca.default_classes())
     for i, spec in enumerate(parsed["demand"]):
         path = f"config.demand[{i}]"
-        mix, schedule = spec["class_mix"], spec["schedule"]
-        if mix is not None:
-            if not isinstance(mix, dict):
-                raise ConfigError(f"{path}.class_mix: expected an object, "
-                                  f"got {type(mix).__name__}")
-            for name, share in mix.items():
-                if name not in class_names:
-                    raise ConfigError(f"{path}.class_mix.{name}: unknown class {name!r}")
-                _at_least(share, 0.0, f"{path}.class_mix.{name}")
-        if schedule is not None:
-            if not isinstance(schedule, list):
-                raise ConfigError(f"{path}.schedule: expected a list, "
-                                  f"got {type(schedule).__name__}")
-            for j, t in enumerate(schedule):
-                _at_least(t, 0, f"{path}.schedule[{j}]")
-    _at_least(parsed["duration_s"], 0, "config.duration_s")
-    _at_least(parsed["window_s"], 1, "config.window_s")
-    if acfg := parsed["stages"]["assign"]:
-        _at_least(acfg["k_routes"], 1, "config.stages.assign.k_routes")
+        for name in spec["class_mix"] or ():
+            if name not in class_names:
+                raise ConfigError(f"{path}.class_mix.{name}: unknown class {name!r}")
+        if fault := traffic_ca.split_fault(spec["splits"]):
+            raise ConfigError(f"{path}.splits: {fault}")
+        for key in ("origin", "dest"):
+            if net is not None and spec[key] not in net.nodes:
+                raise ConfigError(f"{path}.{key}: unknown node {spec[key]!r}")
     if fcfg := parsed["stages"]["fingerprint"]:
-        _check_fingerprint(fcfg, "config.stages.fingerprint")
+        where = "config.stages.fingerprint"
+        if not fcfg["regs"]:
+            raise ConfigError(f"{where}.regs: expected at least one regularization")
+        if int(fcfg["count"] * fcfg["holdout_fraction"]) < 1:
+            raise ConfigError(f"{where}.holdout_fraction: holds out none of "
+                              f"{fcfg['count']} traces")
     if net is not None:
         _check_lane_masks(parsed, class_names)
         for key in ("observations", "targets"):
             for i, point in enumerate((parsed["stages"]["impute"] or {}).get(key, ())):
                 loc = impute.NetPoint(point["edge"], point["offset_m"])
-                if fault := impute.location_fault(parsed["network"], loc):
+                if fault := impute.location_fault(net, loc):
                     raise ConfigError(f"config.stages.impute.{key}[{i}].{fault[0]}: {fault[1]}")
     return parsed
 
@@ -141,13 +139,11 @@ def parse_config(config: dict, base_dir=".") -> dict:
 def _check_lane_masks(parsed, class_names):
     """ConfigError naming the first lane mask, of the network (inline or a file)
     or the config, whose edge is not in the network or that lane_mask rejects."""
-    net, policies = parsed["network"], parsed["lane_policies"] or {}
-    if not isinstance(policies, dict):
-        raise ConfigError(f"config.lane_policies: expected an object, "
-                          f"got {type(policies).__name__}")
+    net = parsed["network"]
     masks = [(f"config.network.edges[{i}].lane_policy", e.id, e.lane_policy)
              for i, e in enumerate(net.edges.values()) if e.lane_policy is not None]
-    masks += [(f"config.lane_policies.{eid}", eid, mask) for eid, mask in policies.items()]
+    masks += [(f"config.lane_policies.{eid}", eid, mask)
+              for eid, mask in (parsed["lane_policies"] or {}).items()]
     if feed := (parsed["stages"]["fingerprint"] or {}).get("feed_lane_policy"):
         where = "config.stages.fingerprint.feed_lane_policy"
         if feed["edge"] not in net.edges:
@@ -160,30 +156,6 @@ def _check_lane_masks(parsed, class_names):
             traffic_ca.lane_mask(mask, net.edges[eid].lanes, class_names, where)
         except traffic_ca.ScenarioError as exc:
             raise ConfigError(str(exc)) from None
-
-
-def _check_fingerprint(fcfg, where):
-    """ConfigError naming the first fingerprint setting that fingerprint rejects."""
-    if not fcfg["regs"]:
-        raise ConfigError(f"{where}.regs: expected at least one regularization")
-    checks = [(key, fcfg[key], f"{where}.{key}")
-              for key in ("count", "noise_sigma_db", "mix", "holdout_fraction", "lam", "epochs")]
-    checks += [("reg", reg, f"{where}.regs[{i}]") for i, reg in enumerate(fcfg["regs"])]
-    for name, value, path in checks:
-        try:
-            fingerprint.check_setting(name, value)
-        except fingerprint.FingerprintError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if int(fcfg["count"] * fcfg["holdout_fraction"]) < 1:
-        raise ConfigError(f"{where}.holdout_fraction: holds out none of {fcfg['count']} traces")
-
-
-def _at_least(value, low, path):
-    """value converted as _convert converts it to the type of low (a float
-    finite, an int integral), and >= low."""
-    if _convert(value, low, path) < low:
-        raise ConfigError(f"{path}: {value!r} is "
-                          + ("negative" if low == 0 else f"less than {low}"))
 
 
 def load_config(path) -> dict:
@@ -201,16 +173,9 @@ def load_config(path) -> dict:
 def _classes_from_config(entries):
     if not entries:
         return traffic_ca.default_classes(), None
-    classes = {}
-    mix = {}
-    for entry in entries:
-        entry = dict(entry)
-        share = entry.pop("share")
-        name = entry["name"]
-        classes[name] = traffic_ca.VehicleClass(**entry)
-        if share is not None:
-            mix[name] = float(share)
-    return classes, (mix or None)
+    classes = {e["name"]: traffic_ca.VehicleClass(**{k: v for k, v in e.items() if k != "share"})
+               for e in entries}
+    return classes, {e["name"]: e["share"] for e in entries if e["share"] is not None} or None
 
 
 class _Run:
@@ -251,17 +216,15 @@ def _build_traces(tcfg, metrics):
     if trace_cfg["kind"] == "line":
         return [transfer.line_trace(trace_cfg["start"], trace_cfg["velocity_mps"],
                                     trace_cfg["duration_s"])]
-    if trace_cfg["kind"] == "from_traffic":
-        if metrics is None or not metrics.connected_traces:
-            raise ConfigError("from_traffic trace needs a traffic stage with "
-                              "connected vehicles")
-        min_len = trace_cfg["min_duration_s"]
-        usable = sorted(((vid, tr) for vid, tr in metrics.connected_traces.items()
-                         if len(tr) >= min_len), key=lambda kv: (-len(kv[1]), kv[0]))
-        if not usable:
-            raise ConfigError(f"no connected trace of at least {min_len}s")
-        return [tr for _, tr in usable[:trace_cfg["max_vehicles"]]]
-    raise ConfigError(f"unknown trace kind {trace_cfg['kind']!r}")
+    # from_traffic
+    if metrics is None or not metrics.connected_traces:
+        raise ConfigError("from_traffic trace needs a traffic stage with connected vehicles")
+    min_len = trace_cfg["min_duration_s"]
+    usable = sorted(((vid, tr) for vid, tr in metrics.connected_traces.items()
+                     if len(tr) >= min_len), key=lambda kv: (-len(kv[1]), kv[0]))
+    if not usable:
+        raise ConfigError(f"no connected trace of at least {min_len}s")
+    return [tr for _, tr in usable[:trace_cfg["max_vehicles"]]]
 
 
 def _write_detector_csv(path, observations):
@@ -326,8 +289,7 @@ def _impute_stage(run, icfg):
                         for o in icfg["observations"]]
     else:
         if run.traffic_metrics is None:
-            raise ConfigError("impute needs inline observations or a "
-                              "traffic stage with detectors")
+            raise ConfigError("impute needs inline observations or a traffic stage with detectors")
         observations = []
         for det_id, series in sorted(run.traffic_metrics.observations.items()):
             det = run.net.detectors[det_id]
@@ -340,11 +302,8 @@ def _impute_stage(run, icfg):
                 impute.NetPoint(det.edge, det.cell * run.net.cell_length_m), 0, flow_day))
     if not observations:
         raise ConfigError("no observations available for imputation")
-    params = impute.default_params([o.flow_veh_day for o in observations],
-                                   icfg["length_scale_m"])
-    if icfg["euclidean"]:
-        params.euclidean = True
-    model = impute.fit_gpr(run.net, observations, params)
+    model = impute.fit_gpr(run.net, observations, impute.default_params(
+        [o.flow_veh_day for o in observations], icfg["length_scale_m"], icfg["euclidean"]))
     targets = [impute.NetPoint(t["edge"], t["offset_m"]) for t in icfg["targets"]]
     preds = impute.predict_gpr(model, targets)
     stage_out = {"observations": len(observations),
@@ -379,8 +338,7 @@ def _assign_stage(run, acfg):
 
 
 def _transfer_stage(run, tcfg):
-    stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]),
-                                      tx_power_dbm=s["tx_power_dbm"])
+    stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]), s["tx_power_dbm"])
                 for s in tcfg["stations"]]
     if not stations:
         raise ConfigError("transfer stage needs at least one base station")
@@ -515,9 +473,7 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
         clean = [v for v in values if v is not None]
         if not clean:
             return None, None
-        mean = float(np.mean(clean))
-        std = float(np.std(clean, ddof=1)) if len(clean) > 1 else 0.0
-        return mean, std
+        return float(np.mean(clean)), float(np.std(clean, ddof=1)) if len(clean) > 1 else 0.0
 
     d_mean, d_std = stats(dwells)
     rows = []

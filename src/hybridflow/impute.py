@@ -6,32 +6,13 @@ k-nearest-neighbor baseline over the same distance. Desk scale: direct
 Cholesky factorization, no sparse approximations.
 
 Distances and kernels are array passes: each point's geometry is computed
-once, and the fit, prediction and kNN read distances a row block at a time.
-Prediction takes queries in blocks of 64, stacks their kernel rows and solves
-them in one batched call that still makes one LAPACK ``dgesv`` per query,
-because one solve of the whole block rounds differently. Those per-query
-factorizations are most of a prediction, so the solves of different blocks
-run on up to ``_solver_threads()`` threads at once (numpy releases the GIL
-inside LAPACK); each query still gets the bits of its own serial solve. The
-count is the usable CPUs over the BLAS threads per call, read from
-``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS``. With neither set, the
-BLAS already spreads each call over every CPU, and two solver threads on top
-of it were slower than one (0.74 s against 0.56 s per ``impute_sensors`` op
-in-process, 2-core VM), so prediction stays serial. With one BLAS thread per
-call, as ``bench/run.py`` pins it, two solver threads take the workload's
-``wall_s`` from 0.79 s to 0.47 s.
-
-GP outputs are byte-identical only for one BLAS build *and* one BLAS thread
-count: the same 1000 predictions on 200 sensors differ between
-``OPENBLAS_NUM_THREADS`` unset and set to 1 (2-core VM, numpy 2.4, OpenBLAS
-0.3.31). The pinned digests hold because ``bench/run.py`` pins it to 1.
-
-The squared-exponential kernel of network distance is not positive definite
-in general, on trees as well as on cyclic networks: on a comb tree (a 10-node
-spine of 300 m edges with a 300 m tooth at each node, 1 % noise) its Cholesky
-factorization fails from 50 sensors at a 150 m length scale and from 20 at
-600 m, and ``fit_gpr`` raises ImputeError. The ``euclidean`` flag uses
-straight-line distance, over which the kernel is positive definite.
+once, and the fit, prediction and kNN read distances a row block at a time;
+``predict_gpr`` says how prediction solves its blocks, on up to
+``_solver_threads()`` threads. GP outputs are byte-identical only for one BLAS
+build *and* one BLAS thread count. The squared-exponential kernel of network
+distance is not positive definite in general, trees included, so ``fit_gpr``
+can raise ImputeError; the ``euclidean`` flag uses straight-line distance,
+over which it is. README's "Notes on scale" gives the measurements.
 """
 
 from __future__ import annotations
@@ -44,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .road_net import RoadNetwork, node_distances
+from .schema import Field, check_fields, ranged
 
 _JITTER = 1e-8
 _BLOCK = 64  # queries per predict_gpr block: bounds the kernel rows held at once
@@ -64,11 +46,10 @@ class NetPoint:
 class VolumeObservation:
     location: NetPoint
     day: int
-    flow_veh_day: float
+    flow_veh_day: float = ranged(float, ge=0, lt=math.inf, name="flow")
 
     def __post_init__(self):
-        if not 0 <= self.flow_veh_day < math.inf:
-            raise ImputeError(f"flow {self.flow_veh_day} is negative or not finite")
+        check_fields(self, ImputeError)
 
 
 @dataclass(frozen=True)
@@ -157,25 +138,20 @@ class _DistanceOracle:
 
 @dataclass
 class GprParams:
-    sigma_f2: float
-    length_scale_m: float
-    sigma_n2: float = 0.0
+    sigma_f2: float = ranged(float, gt=0)
+    length_scale_m: float = ranged(1000.0, gt=0)
+    sigma_n2: float = ranged(0.0, ge=0)
     euclidean: bool = False
 
     def __post_init__(self):
-        if self.length_scale_m <= 0:
-            raise ImputeError("length scale must be positive")
-        if self.sigma_f2 <= 0:
-            raise ImputeError("signal variance must be positive")
-        if self.sigma_n2 < 0:
-            raise ImputeError("noise variance must be non-negative")
+        check_fields(self, ImputeError)
 
 
-def default_params(values, length_scale_m: float) -> GprParams:
+def default_params(values, length_scale_m: float, euclidean: bool = False) -> GprParams:
     """Spec'd defaults: signal variance from the data, 1 % noise."""
     var = float(np.var(values))
     var = var if var > 0 else 1.0
-    return GprParams(sigma_f2=var, length_scale_m=length_scale_m, sigma_n2=0.01 * var)
+    return GprParams(var, length_scale_m, 0.01 * var, euclidean)
 
 
 @dataclass
@@ -277,10 +253,8 @@ def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     Dijkstra cache stay on it) and takes the dots in query order. The pool
     has ended when the call returns, by a result or by a solve's error.
 
-    The squared-exponential kernel of graph distance is not positive definite
-    on every network, trees included, so where the fit succeeds raw variances
-    can still dip negative; use the ``euclidean`` flag, or ``clamp=False`` to
-    inspect raw values.
+    Over graph distance raw variances can dip negative where the fit
+    succeeds; ``clamp=False`` returns them raw.
     """
     locations = list(locations)
     L, sigma_f2 = model.chol, model.params.sigma_f2
@@ -333,8 +307,7 @@ def knn_estimates(observations, locations, k: int, net: RoadNetwork) -> list:
     obs = list(observations)
     if not obs:
         raise ImputeError("no observations")
-    if not 1 <= k <= len(obs):
-        raise ImputeError(f"k={k} outside [1, {len(obs)}]")
+    Field(int, ge=1, le=len(obs)).check(k, "k", ImputeError)
     oracle = _DistanceOracle(net)
     rows = oracle.rows(oracle.points(locations), oracle.points([o.location for o in obs]))
     out = []

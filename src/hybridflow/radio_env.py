@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import ranged
+
 D0_M = 10.0                  # path-loss reference distance
 SHADOWING_LATTICE_M = 25.0   # side of the square on which shadowing is constant
 CELL_SIZE_M = 25.0           # side of a connectivity-map cell
@@ -34,8 +36,8 @@ class PropagationModel:
     """Log-distance path loss with optional lattice-hashed shadowing."""
 
     pl0_db: float = 70.0
-    exponent: float = 3.0
-    shadowing_sigma_db: float = 6.0
+    exponent: float = ranged(3.0, gt=0)
+    shadowing_sigma_db: float = ranged(6.0, ge=0)
     shadowing_enabled: bool = True
     seed: int = 0
     _shadow_cache: dict = field(default_factory=dict, repr=False, compare=False)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .schema import ConfigError, _convert, _section
+from .schema import ConfigError, Field, _section
 
 DEFAULT_CELL_LENGTH_M = 1.5
 MAX_ENUMERATED_PATHS = 10_000
@@ -51,13 +51,14 @@ class Detector:
     lanes: tuple
 
 
-# the JSON document (see hybridflow.schema); lane_policy and detector lanes are checked later
+# the JSON document (see hybridflow.schema); lane_policy and detectors meet their edge later
 NODE = {"id": str, "x": float, "y": float}
-EDGE = {"id": str, "from": str, "to": str, "length_m": float, "lanes": int,
-        "v_max_kmh": 108.0, "lane_policy": None}
-DETECTOR = {"id": str, "edge": str, "cell": int, "lanes": None}
-NETWORK = {"version": int, "cell_length_m": DEFAULT_CELL_LENGTH_M, "nodes": [NODE],
-           "edges": [EDGE], "detectors": [DETECTOR]}
+EDGE = {"id": str, "from": str, "to": str, "length_m": Field(float, gt=0),
+        "lanes": Field(int, ge=1), "v_max_kmh": Field(108.0, gt=0), "lane_policy": None}
+DETECTOR = {"id": str, "edge": str, "cell": int,
+            "lanes": Field(None, kind=tuple, item=Field(int))}
+NETWORK = {"version": int, "cell_length_m": Field(DEFAULT_CELL_LENGTH_M, gt=0),
+           "nodes": [NODE], "edges": [EDGE], "detectors": [DETECTOR]}
 
 
 @dataclass(frozen=True)
@@ -101,21 +102,16 @@ class RoadNetwork:
 def build_network(spec: dict) -> RoadNetwork:
     """Build a cell-discretized network from its JSON description. NetworkError
     names the path of what the NETWORK schema rejects and of what it cannot
-    state: a version other than 1, a repeated id, an unknown node, a length,
-    lane count, speed or cell length that is not positive, and a detector
-    outside its edge's cells or lanes."""
+    state: a version other than 1, a repeated id, an unknown node, an edge of
+    more cells than a float holds, and a detector outside its edge's cells or
+    lanes."""
     try:
         spec = _section(spec, NETWORK, "network")
-        det_lanes = [None if dd["lanes"] is None
-                     else _convert(dd["lanes"], (0,), f"network.detectors[{i}].lanes")
-                     for i, dd in enumerate(spec["detectors"])]
     except ConfigError as exc:
         raise NetworkError(str(exc)) from None
     if spec["version"] != 1:
         raise NetworkError(f"network.version: unsupported version {spec['version']!r}")
     cell_len = spec["cell_length_m"]
-    if cell_len <= 0:
-        raise NetworkError(f"network.cell_length_m: {cell_len!r} is not positive")
     nodes = {}
     for i, nd in enumerate(spec["nodes"]):
         if nd["id"] in nodes:
@@ -129,16 +125,15 @@ def build_network(spec: dict) -> RoadNetwork:
         for key in ("from", "to"):
             if ed[key] not in nodes:
                 raise NetworkError(f"{where}.{key}: edge {eid!r} has unknown node {ed[key]!r}")
-        for key in ("length_m", "lanes", "v_max_kmh"):
-            if ed[key] <= 0:
-                raise NetworkError(f"{where}.{key}: edge {eid!r} has non-positive {ed[key]!r}")
+        cells, v_cells = ed["length_m"] / cell_len, ed["v_max_kmh"] / 3.6 / cell_len
+        if not math.isfinite(cells + v_cells):
+            raise NetworkError(f"{where}: edge {eid!r} overflows cells of {cell_len!r} m")
         edges[eid] = Edge(eid, ed["from"], ed["to"], ed["length_m"], ed["lanes"],
-                          max(1, round(ed["v_max_kmh"] / 3.6 / cell_len)),
-                          max(1, math.ceil(ed["length_m"] / cell_len)), ed["lane_policy"])
+                          max(1, round(v_cells)), max(1, math.ceil(cells)), ed["lane_policy"])
     net = RoadNetwork(nodes=nodes, edges=edges, detectors={}, cell_length_m=cell_len)
-    for i, (dd, lanes) in enumerate(zip(spec["detectors"], det_lanes)):
+    for i, dd in enumerate(spec["detectors"]):
         try:
-            place_detector(net, dd["edge"], dd["cell"], lanes, detector_id=dd["id"])
+            place_detector(net, dd["edge"], dd["cell"], dd["lanes"], detector_id=dd["id"])
         except NetworkError as exc:
             raise NetworkError(f"network.detectors[{i}]: {exc}") from None
     return net
@@ -149,7 +144,7 @@ def load_network(path) -> RoadNetwork:
     try:
         with open(path) as fh:
             return build_network(json.load(fh))
-    except (json.JSONDecodeError, NetworkError) as exc:
+    except (OSError, json.JSONDecodeError, NetworkError) as exc:
         raise NetworkError(f"{path}: {exc}") from None
 
 
@@ -207,7 +202,7 @@ def route_candidates(net: RoadNetwork, origin: str, dest: str, k: int) -> list:
         if ref not in net.nodes:
             raise NetworkError(f"unknown node {ref!r}")
     if origin == dest:
-        raise NetworkError("origin and destination must differ")
+        raise NetworkError(f"origin and destination are both {origin!r}")
     if k < 1:
         return []
     scored = [(net.free_flow_time(p), p) for p in _simple_paths(net, origin, dest)]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import traffic_ca
 from .road_net import route_candidates
+from .schema import Field, check_fields, ranged
 
 BPR_A, BPR_B = 0.15, 4.0   # the standard BPR curve coefficients
 MSA_ITERS, MSA_TOL = 500, 0.01  # user-equilibrium iteration cap and gap tolerance
@@ -28,6 +29,13 @@ BECKMANN_GRID = 64  # trapezoid intervals of each route's flow integral
 
 class AssignmentError(ValueError):
     """Malformed assignment problem."""
+
+
+METHOD = Field(str, choices=("fixed", "wardrop", "bmp", "combined"), name="method")
+# the settings of evaluate_policy, as the experiment config states them
+SETTINGS = {"k_routes": Field(2, ge=1), "probe_factor": Field(1.5, gt=0),
+            "density_crit": Field(0.35, ge=0, le=1), "sustain_s": Field(120.0, ge=0),
+            "lambda": Field(0.01, ge=0)}
 
 
 def bpr_latency(t0: float, q_crit: float):
@@ -41,23 +49,21 @@ def bpr_latency(t0: float, q_crit: float):
 class RouteOption:
     route_id: str
     latency: object            # callable flow_veh_h -> seconds, non-decreasing
-    q_crit_veh_h: float
+    q_crit_veh_h: float = ranged(float, gt=0)
     edges: tuple = ()
 
     def __post_init__(self):
-        if self.q_crit_veh_h <= 0:
-            raise AssignmentError(f"route {self.route_id}: q_crit must be positive")
+        check_fields(self, lambda message: AssignmentError(f"route {self.route_id}: {message}"))
 
 
 @dataclass
 class ODProblem:
     od_id: str
-    demand_veh_h: float
+    demand_veh_h: float = ranged(float, ge=0)
     routes: list
 
     def __post_init__(self):
-        if self.demand_veh_h < 0:
-            raise AssignmentError(f"{self.od_id}: negative demand")
+        check_fields(self, lambda message: AssignmentError(f"{self.od_id}: {message}"))
         if not self.routes:
             raise AssignmentError(f"{self.od_id}: no candidate routes")
 
@@ -376,10 +382,10 @@ def evaluate_policy(runs: traffic_ca.ScenarioRuns, demand, split_source: str,
     sensor-data calibration pipeline. Probe and evaluation go through
     ``runs``, so a run another caller already made is not repeated.
     """
-    if split_source not in ("fixed", "wardrop", "bmp", "combined"):
-        raise AssignmentError(f"unknown split source {split_source!r}")
-    if k_routes < 1:
-        raise AssignmentError(f"k_routes must be at least 1, got {k_routes}")
+    METHOD.check(split_source, "split_source", AssignmentError)
+    for (name, field), value in zip(SETTINGS.items(),
+                                    (k_routes, probe_factor, density_crit, sustain_s, lam)):
+        field.check(value, name, AssignmentError)
     split = None
     problem = None
     if split_source == "fixed":

@@ -19,15 +19,8 @@ a scenario flag can degrade the rule set to the classic single-p CA and be
 checked draw-for-draw against a brute-force reference. The draws are read in
 blocks (``rng.Uniforms``) and have the values of the scalar draws.
 
-Before the update stages, vehicles change lane and claim the next edge. The
-lane-change candidates are the vehicles in a lane their class may not use, and
-the blocked ones whose body lies in a window of an adjacent lane, a free
-stretch that its follower there permits; each adjacent lane's spans drive the
-walk, so vehicles beside a full lane are not looked at, and a gap that its
-follower closes is passed without a look at the own lane. The lane-change rule
-then runs on the candidates in ascending id, and on every later vehicle once
-one has moved. Entry arbitration walks each lane back from its end only as far
-as a front can reach the next edge in one step, the edge's v_max.
+Before the update stages, vehicles change lane (``_lane_change_phase``) and
+claim the next edge (``_entry_arbitration``).
 
 The one occupancy index is ``SimState._segs``: per (edge, lane), the spans
 ``[lo, hi, vid, vehicle]`` sorted by position; each vehicle lists its own. Built
@@ -61,7 +54,7 @@ from dataclasses import dataclass, field
 
 from .rng import Uniforms, substream
 from .road_net import RoadNetwork, ring_network, route_candidates
-from .schema import ConfigError, _convert
+from .schema import ConfigError, Field, _convert, check_fields, ranged
 
 _INF = math.inf
 _LANE_END = [[_INF, _INF, None, None]]  # a span past every lane's end
@@ -71,28 +64,33 @@ class ScenarioError(ValueError):
     """Bad demand, class, or policy configuration."""
 
 
+# a class share, in a demand entry's class_mix or a config's class entry
+SHARE = Field(float, ge=0, lt=_INF, name="share")
+# a demand entry of init_scenario, as the experiment config states it
+DEMAND = {"origin": str, "dest": str, "rate_veh_h": Field(float, ge=0), "splits": (1.0,),
+          "class_mix": Field(None, kind=dict, item=SHARE),
+          "schedule": Field(None, kind=tuple, item=Field(int, ge=0))}
+RUN = {"duration_s": Field(600, ge=0), "window_s": Field(60, ge=1)}  # run's arguments
+
+
 class CollisionError(RuntimeError):
     """Two vehicles claimed the same cell; indicates a rule-set bug."""
 
 
 @dataclass(frozen=True)
 class VehicleClass:
-    name: str
-    v_max_cells: int = 20
-    length_cells: int = 5
-    dawdle_p_d: float = 0.1
-    brake_p_b: float = 0.94
-    standstill_p_0: float = 0.5
-    anticipation_horizon_h: int = 6
-    security_gap_cells: int = 7
+    name: str = ranged(str)
+    v_max_cells: int = ranged(20, ge=1)
+    length_cells: int = ranged(5, ge=1)
+    dawdle_p_d: float = ranged(0.1, ge=0, le=1)
+    brake_p_b: float = ranged(0.94, ge=0, le=1)
+    standstill_p_0: float = ranged(0.5, ge=0, le=1)
+    anticipation_horizon_h: int = ranged(6, ge=0)
+    security_gap_cells: int = ranged(7, ge=0)
     connected: bool = False
 
     def __post_init__(self):
-        for p in (self.dawdle_p_d, self.brake_p_b, self.standstill_p_0):
-            if not 0.0 <= p <= 1.0:
-                raise ScenarioError(f"class {self.name}: probability {p} outside [0,1]")
-        if self.v_max_cells < 1 or self.length_cells < 1:
-            raise ScenarioError(f"class {self.name}: v_max and length must be >= 1")
+        check_fields(self, ScenarioError)
 
 
 def default_classes() -> dict:
@@ -246,8 +244,8 @@ class SimState:
 # scenario construction
 
 def _normalize_mix(mix: dict, classes: dict) -> list:
-    if not all(math.isfinite(share) and share >= 0 for share in mix.values()):
-        raise ScenarioError(f"class mix {mix} has a non-finite or negative share")
+    for share in mix.values():
+        SHARE.check(share, "share", ScenarioError)
     total = sum(mix.values())
     if total <= 0:
         raise ScenarioError("class mix has no positive share")
@@ -261,14 +259,23 @@ def _normalize_mix(mix: dict, classes: dict) -> list:
     return cum
 
 
+def split_fault(splits):
+    """Why route splits cannot be used (not summing to 1, or negative), or None."""
+    if not abs(sum(splits) - 1.0) <= 1e-9:  # a NaN split fails here too
+        return f"route splits {list(splits)} do not sum to 1"
+    if any(s < -1e-12 for s in splits):
+        return f"negative route split in {list(splits)}"
+
+
 def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
                   class_mix: dict | None = None, nasch_degenerate: bool = False) -> SimState:
     """Empty network plus queued stochastic arrival processes.
 
     Each demand entry is {origin, dest, rate_veh_h, splits} with optional
     per-entry class_mix and an optional deterministic schedule (list of
-    injection times) replacing the Bernoulli process. Splits must sum to 1
-    and refer to the fastest routes of the OD pair in order.
+    injection times) replacing the Bernoulli process (see ``DEMAND``). Splits
+    must pass ``split_fault`` and refer to the fastest routes of the OD pair in
+    order.
     """
     if nasch_degenerate:
         classes = {k: _degenerate(c) for k, c in classes.items()}
@@ -277,14 +284,11 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
                      rng_traffic=Uniforms(substream(seed, "traffic")),
                      rng_injection=Uniforms(substream(seed, "injection")))
     for spec in demand:
-        rate = float(spec.get("rate_veh_h", 0.0))
-        if rate < 0:
-            raise ScenarioError(f"negative inflow rate {rate}")
+        rate = DEMAND["rate_veh_h"].check(float(spec.get("rate_veh_h", 0.0)), "rate_veh_h",
+                                          ScenarioError)
         splits = list(spec.get("splits", [1.0]))
-        if not abs(sum(splits) - 1.0) <= 1e-9:  # a NaN split fails here too
-            raise ScenarioError(f"route splits {splits} do not sum to 1")
-        if any(s < -1e-12 for s in splits):
-            raise ScenarioError(f"negative route split in {splits}")
+        if fault := split_fault(splits):
+            raise ScenarioError(fault)
         routes = route_candidates(net, spec["origin"], spec["dest"], len(splits))
         if len(routes) < len(splits):
             raise ScenarioError(
@@ -946,7 +950,7 @@ def apply_lane_policy(state: SimState, edge_id: str, mask) -> SimState:
     return state
 
 
-def run(state: SimState, duration_s: int, window_s: int = 60,
+def run(state: SimState, duration_s: int, window_s: int = RUN["window_s"].default,
         trace_connected: bool = False) -> TrafficMetrics:
     """Repeated step(); the trips that end during this call and windowed detector readings.
 
@@ -955,9 +959,8 @@ def run(state: SimState, duration_s: int, window_s: int = 60,
     of connected-class vehicles are recorded each second of this call in the
     result's ``connected_traces`` for the radio co-simulation.
     """
-    if duration_s < 0 or window_s < 1:
-        raise ScenarioError(f"run needs duration_s >= 0 and window_s >= 1, "
-                            f"got {duration_s} and {window_s}")
+    RUN["duration_s"].check(duration_s, "duration_s", ScenarioError)
+    RUN["window_s"].check(window_s, "window_s", ScenarioError)
     t_start = state.clock_s
     injected0, exited0, dwell0 = state.injected, state.exited, state.dwell_s_total
     by_class0 = dict(state.exited_by_class)
@@ -1008,7 +1011,7 @@ class ScenarioRuns:
     classes: dict
     seed: int
     duration_s: int
-    window_s: int = 60
+    window_s: int = RUN["window_s"].default
     class_mix: dict | None = None
     nasch_degenerate: bool = False
     _memo: dict = field(default_factory=dict, repr=False)

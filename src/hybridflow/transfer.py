@@ -11,19 +11,8 @@ forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
 hysteresis factor. A drive never writes the connectivity map, so it reads the
 map at every trace point once, and each probe reads only the peak of its
-look-ahead window.
-
-A drive costs a constant per trace point under every policy. It works out
-once the policy flags, the stations' maximum power, the speed series and, for
-a predictive policy, the trace times, the forecast along the whole trace and
-its link rates. Policy uniforms come from a block reader of the policy's
-stream. A probe's look-ahead peak is a sliding-window maximum over the
-forecast (pcat) or its link rates (ml_pcat with the formula); the learned
-table is not monotone, so it still predicts each value of the window. In
-traced bench runs (2-core VM) a drive costs 3.6 us (periodic) to 7.2 us
-(ml_pcat) per trace point, against 5.0 to 12.9 us with scalar draws and a
-scan of each window. The largest fixed cost left is the shadowing of
-``sinr_at``, one seeded generator per 25 m cell.
+look-ahead window, so a drive costs a constant per trace point under every
+policy (README's "Notes on scale" gives the measured cost).
 """
 
 from __future__ import annotations
@@ -36,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .radio_env import RadioScene, forecast_along
 from .rng import Uniforms, substream
+from .schema import Field, check_fields, ranged
 
 POLICY_KINDS = ("periodic", "cat", "pcat", "ml_cat", "ml_pcat")
 RATE_NOISE_SIGMA = 0.15  # log-sd of the lognormal noise on each flush's achieved rate
@@ -55,31 +45,30 @@ class PolicyError(ValueError):
     """Bad policy configuration or missing inputs."""
 
 
+# the bytes a vehicle's sensors produce per second, an argument of simulate_drive
+SENSOR_RATE = Field(10_000.0, gt=0)
+
+
 @dataclass(frozen=True)
 class TransferPolicy:
-    kind: str = "ml_cat"
-    alpha: float = 4.0
+    kind: str = ranged("ml_cat", choices=POLICY_KINDS)
+    alpha: float = ranged(4.0, gt=0)
     phi_min: float = 0.0
     phi_max: float = 30.0
-    t_min_s: float = 1.0
+    t_min_s: float = ranged(1.0, gt=0)
     t_max_s: float = 120.0
-    periodic_interval_s: float = 30.0
-    lookahead_s: float = 30.0
-    gamma: float = 1.2
+    periodic_interval_s: float = ranged(30.0, gt=0)
+    lookahead_s: float = ranged(30.0, ge=0)
+    gamma: float = ranged(1.2, ge=1)
     predictive: bool = field(init=False, repr=False, compare=False)
     metric_is_rate: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise PolicyError(f"unknown policy kind {self.kind!r}")
+        check_fields(self, PolicyError)
         if not self.phi_min < self.phi_max:
             raise PolicyError(f"degenerate metric bounds [{self.phi_min}, {self.phi_max}]")
-        if not 0 < self.t_min_s <= self.t_max_s:
-            raise PolicyError("need 0 < t_min <= t_max")
-        if self.alpha <= 0:
-            raise PolicyError("alpha must be positive")
-        if self.gamma < 1.0:
-            raise PolicyError("hysteresis gamma must be >= 1")
+        if not self.t_min_s <= self.t_max_s:
+            raise PolicyError("need t_min <= t_max")
         object.__setattr__(self, "predictive", self.kind in ("pcat", "ml_pcat"))
         object.__setattr__(self, "metric_is_rate", self.kind in ("ml_cat", "ml_pcat"))
 
@@ -304,11 +293,14 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     lognormal noise; deep-fade transmissions may need one retransmission,
     doubling that payload's airtime and energy. A predictive policy reads the
     scene's map at every trace point once per drive (one ``forecast_along``
-    call), and each probe reads the peak of its look-ahead window: the later
-    points within ``lookahead_s``; its trace times must be finite.
+    call), and each probe reads the peak of its look-ahead window, the later
+    points within ``lookahead_s``, from a ``_WindowPeak``; it rejects a trace
+    with a non-finite time. The policy flags, station power, speeds, forecast
+    and link rates are worked out once per drive.
     """
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
+    SENSOR_RATE.check(sensor_rate_bytes_s, "sensor_rate_bytes_s", PolicyError)
     predictor = predictor or RatePredictor()
     runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
@@ -351,7 +343,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                     raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
                 times = [p[0] for p in trace]
                 if not all(map(math.isfinite, times)):
-                    raise PolicyError("trace times must be finite")
+                    raise PolicyError("trace has a non-finite time")
                 ahead = forecast_along(scene.map, trace)
                 if is_rate:
                     links = [predictor.link_rate(v) for v in ahead]

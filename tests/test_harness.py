@@ -93,11 +93,13 @@ class TestRunExperiment:
         assert len(calls) == ca_runs
 
     def test_unknown_trace_kind(self):
+        # fails by path before any stage runs, not as a transfer StageError
         config = transfer_config()
         config["stages"]["transfer"]["trace"] = {"kind": "teleport"}
-        with pytest.raises(harness.StageError) as err:
+        with pytest.raises(harness.ConfigError, match=re.escape(
+                "config.stages.transfer.trace.kind: kind must be line or from_traffic, "
+                "got 'teleport'")):
             harness.run_experiment(config)
-        assert err.value.stage == "transfer"
 
 
 def _rename(obj, old, new):
@@ -218,7 +220,8 @@ CONFIG_ERRORS = {
     "class_mix_negative": ("demo.json",
                            lambda c: _set(c["demand"][0], "class_mix",
                                           {"car": -0.5, "truck": 1.0}),
-                           "config.demand[0].class_mix.car: -0.5 is negative"),
+                           "config.demand[0].class_mix.car: share must be finite and "
+                           "non-negative, got -0.5"),
     "schedule_nan": ("two_route_low.json",
                      lambda c: _set(c["demand"][0], "schedule", [0, math.nan]),
                      "config.demand[0].schedule[1]: nan is not an integer"),
@@ -227,7 +230,8 @@ CONFIG_ERRORS = {
                           "config.demand[0].schedule[1]: 2.5 is not an integer"),
     "schedule_negative": ("two_route_low.json",
                           lambda c: _set(c["demand"][0], "schedule", [0, -3]),
-                          "config.demand[0].schedule[1]: -3 is negative"),
+                          "config.demand[0].schedule[1]: schedule must be non-negative, "
+                        "got -3"),
     "schedule_string": ("two_route_low.json",
                         lambda c: _set(c["demand"][0], "schedule", "0,3"),
                         "config.demand[0].schedule: expected a list, got str"),
@@ -270,7 +274,8 @@ CONFIG_ERRORS = {
                              lambda c: _set(c["classes"][0], "v_max_cells", 2.5),
                              "config.classes[0].v_max_cells: 2.5 is not an integer"),
     "class_probability": ("demo.json", lambda c: _set(c["classes"][0], "dawdle_p_d", 1.5),
-                          "config.classes[0]: class car: probability 1.5 outside [0,1]"),
+                          "config.classes[0].dawdle_p_d: dawdle_p_d must be in [0, 1], "
+                          "got 1.5"),
     "class_named_twice": ("demo.json", lambda c: _set(c["classes"][1], "name", "car"),
                           "config.classes[1].name: class 'car' is named twice"),
     "holdout_none": ("demo.json",
@@ -292,13 +297,91 @@ CONFIG_ERRORS = {
                         "config.duration_s: expected int, got '420'"),
     # ranges that would fail unnamed or run silently
     "k_routes_zero": ("two_route_low.json", lambda c: _set(c["stages"]["assign"], "k_routes", 0),
-                      "config.stages.assign.k_routes: 0 is less than 1"),
+                      "config.stages.assign.k_routes: k_routes must be at least 1, got 0"),
     "window_zero": ("two_route_low.json", lambda c: _set(c, "window_s", 0),
-                    "config.window_s: 0 is less than 1"),
+                    "config.window_s: window_s must be at least 1, got 0"),
     "window_negative": ("two_route_low.json", lambda c: _set(c, "window_s", -60),
-                        "config.window_s: -60 is less than 1"),
+                        "config.window_s: window_s must be at least 1, got -60"),
     "duration_negative": ("two_route_low.json", lambda c: _set(c, "duration_s", -5),
-                          "config.duration_s: -5 is negative"),
+                          "config.duration_s: duration_s must be non-negative, got -5"),
+    "demand_rate_negative": ("demo.json", lambda c: _set(c["demand"][0], "rate_veh_h", -5),
+                             "config.demand[0].rate_veh_h: rate_veh_h must be non-negative, "
+                             "got -5.0"),
+    "trace_duration_zero": ("transfer_two_phase.json",
+                            lambda c: _set(c["stages"]["transfer"]["trace"], "duration_s", 0),
+                            "config.stages.transfer.trace.duration_s: duration_s must be at "
+                            "least 1, got 0"),
+    "trace_max_vehicles_zero": ("demo.json",
+                                lambda c: _set(c["stages"]["transfer"]["trace"], "max_vehicles",
+                                               0),
+                                "config.stages.transfer.trace.max_vehicles: max_vehicles must "
+                                "be at least 1, got 0"),
+    "shadowing_sigma_negative": ("transfer_two_phase.json",
+                                 lambda c: _set(c["stages"]["transfer"]["shadowing"], "sigma_db",
+                                                -1),
+                                 "config.stages.transfer.shadowing.sigma_db: sigma_db must be "
+                                 "non-negative, got -1.0"),
+    "sensor_rate_negative": ("transfer_two_phase.json",
+                             lambda c: _set(c["stages"]["transfer"], "sensor_rate_bytes_s", -1),
+                             "config.stages.transfer.sensor_rate_bytes_s: sensor_rate_bytes_s "
+                             "must be positive, got -1.0"),
+    "policy_alpha_zero": ("demo.json",
+                          lambda c: _set(c["stages"]["transfer"], "policy", {"alpha": 0}),
+                          "config.stages.transfer.policy.alpha: alpha must be positive, got 0.0"),
+    "sustain_negative": ("demo.json", lambda c: _set(c["stages"]["assign"], "sustain_s", -1),
+                         "config.stages.assign.sustain_s: sustain_s must be non-negative, "
+                         "got -1.0"),
+    "probe_factor_negative": ("demo.json",
+                              lambda c: _set(c["stages"]["assign"], "probe_factor", -1),
+                              "config.stages.assign.probe_factor: probe_factor must be positive, "
+                              "got -1.0"),
+    "knn_k_negative": ("demo.json", lambda c: _set(c["stages"]["impute"], "knn_k", -1),
+                       "config.stages.impute.knn_k: knn_k must be non-negative, got -1"),
+    "length_scale_negative": ("demo.json",
+                              lambda c: _set(c["stages"]["impute"], "length_scale_m", -1),
+                              "config.stages.impute.length_scale_m: length_scale_m must be "
+                              "positive, got -1.0"),
+    "observation_flow_negative": ("demo.json",
+                                  lambda c: _set(c["stages"]["impute"], "observations",
+                                                 [{"edge": "s1", "offset_m": 420, "flow": -1}]),
+                                  "config.stages.impute.observations[0].flow: flow must be "
+                                  "finite and non-negative, got -1.0"),
+    # choices, stated where the setting is read
+    "predictor_unknown": ("transfer_two_phase.json",
+                          lambda c: _set(c["stages"]["transfer"], "predictor", "ghost"),
+                          "config.stages.transfer.predictor: predictor must be formula or "
+                          "learned, got 'ghost'"),
+    "methods_unknown": ("demo.json",
+                        lambda c: _set(c["stages"]["assign"], "methods", ["fixed", "ghost"]),
+                        "config.stages.assign.methods[1]: method must be fixed, wardrop, bmp or "
+                        "combined, got 'ghost'"),
+    "policies_unknown": ("transfer_two_phase.json",
+                         lambda c: _set(c["stages"]["transfer"], "policies",
+                                        ["periodic", "ghost"]),
+                         "config.stages.transfer.policies[1]: policy must be periodic, cat, pcat, "
+                         "ml_cat or ml_pcat, got 'ghost'"),
+    "trace_kind_unknown": ("transfer_two_phase.json",
+                           lambda c: _set(c["stages"]["transfer"]["trace"], "kind", "teleport"),
+                           "config.stages.transfer.trace.kind: kind must be line or from_traffic, "
+                           "got 'teleport'"),
+    "policy_unknown_key": ("demo.json",
+                           lambda c: _set(c["stages"]["transfer"], "policy", {"ghost": 1}),
+                           _unknown("config.stages.transfer.policy", "ghost")),
+    # found by tests/test_config_fuzz.py: values a float cannot hold
+    "count_beyond_float": ("demo.json",
+                           lambda c: _set(c["stages"]["fingerprint"], "count", 10 ** 400),
+                           "config.stages.fingerprint.count: int too large to convert to float"),
+    "network_cells_overflow": ("demo.json", lambda c: _set(c["network"], "cell_length_m", 1e-306),
+                               "config.network.edges[0]: edge 's1' overflows cells of 1e-306 m"),
+    # demand entries against the network, before the traffic stage
+    "demand_origin_unknown": ("demo.json", lambda c: _set(c["demand"][0], "origin", "ghost"),
+                              "config.demand[0].origin: unknown node 'ghost'"),
+    "demand_dest_unknown": ("demo.json", lambda c: _set(c["demand"][0], "dest", "ghost"),
+                            "config.demand[0].dest: unknown node 'ghost'"),
+    "splits_sum_above_one": ("demo.json", lambda c: _set(c["demand"][0], "splits", [0.5, 0.6]),
+                             "config.demand[0].splits: route splits [0.5, 0.6] do not sum to 1"),
+    "splits_negative": ("demo.json", lambda c: _set(c["demand"][0], "splits", [1.5, -0.5]),
+                        "config.demand[0].splits: negative route split in [1.5, -0.5]"),
     # an inline network parses through the schema walker: road_net.NETWORK
     "network_lanes_fraction": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", 2.7),
                                "config.network.edges[0].lanes: 2.7 is not an integer"),
@@ -611,11 +694,15 @@ class TestCli:
 
     @pytest.mark.parametrize("case, message", [
         ("targets", "--targets: 'l1' is not edge:offset"),
-        ("nan_flow", "obs.csv, line 3, column flow: flow nan is negative or not finite"),
+        ("nan_flow", "obs.csv, line 3, column flow: flow must be finite and non-negative, "
+                     "got nan"),
         ("no_flow_column", "obs.csv, line 2, column flow: None is not float"),
         ("network_file", "net.json: network.edges[0].lanes: 2.7 is not an integer"),
         ("obs_edge", "obs.csv, line 3, column edge: unknown edge 'zz'"),
         ("obs_offset", "obs.csv, line 2, column offset_m: offset 99999.0 outside edge 's1'"),
+        # a NaN length scale wrote NaN predictions and exited 0
+        ("length_scale_nan", "--length-scale must be positive, got nan"),
+        ("length_scale_negative", "--length-scale must be positive, got -1.0"),
     ])
     def test_impute_bad_input_named(self, tmp_path, case, message):
         net_spec = demo_config()["network"]
@@ -631,7 +718,9 @@ class TestCli:
         res = CliRunner().invoke(main, [
             "impute", "--network", str(tmp_path / "net.json"), "--observations",
             str(tmp_path / "obs.csv"), "--targets", "l1" if case == "targets" else "l1:300",
-            "--out", str(tmp_path / "pred.csv")])
+            "--out", str(tmp_path / "pred.csv"),
+            *{"length_scale_nan": ["--length-scale", "nan"],
+              "length_scale_negative": ["--length-scale", "-1"]}.get(case, [])])
         assert res.exit_code != 0
         assert message in res.output
         assert not (tmp_path / "pred.csv").exists()

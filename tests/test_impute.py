@@ -260,12 +260,12 @@ class TestKnn:
 
     @pytest.mark.parametrize("flow", [-1.0, math.nan, math.inf])
     def test_negative_or_non_finite_flow_rejected(self, flow):
-        with pytest.raises(ImputeError, match="is negative or not finite"):
+        with pytest.raises(ImputeError, match="flow must be finite and non-negative"):
             VolumeObservation(NetPoint("e0", 0.0), 0, flow)
 
     @pytest.mark.parametrize("text, message", [
         ("edge,offset_m,day,flow\ne0,1,0,5\ne1,2,0,nan\n",
-         "line 3, column flow: flow nan is negative or not finite"),
+         "line 3, column flow: flow must be finite and non-negative, got nan"),
         ("edge,offset_m,day,flow\ne0,x,0,5\n", "line 2, column offset_m: 'x' is not float"),
         ("edge,offset_m,day,flow\ne0,1,0.5,5\n", "line 2, column day: '0.5' is not int"),
         ("edge,offset_m,day\ne0,1,0\n", "line 2, column flow: None is not float"),

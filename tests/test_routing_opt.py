@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from hybridflow.harness import ASSIGN
 from hybridflow.road_net import build_network, place_detector
 from hybridflow.routing_opt import (MSA_ITERS, MSA_TOL, AssignmentError, AssignmentProblem,
                                     ODProblem, RouteOption, assign_bmp, assign_combined,
                                     assign_wardrop, bpr_latency, detect_bottlenecks,
-                                    evaluate_policy)
+                                    SETTINGS, evaluate_policy)
 from hybridflow.traffic_ca import (FlowObservation, ScenarioRuns, VehicleClass,
                                    default_classes)
 
@@ -17,8 +16,9 @@ def affine_latency(t0, slope):
 
 def evaluate(runs, demand, method, k_routes):
     """evaluate_policy with the assign stage's default settings."""
-    return evaluate_policy(runs, demand, method, k_routes, ASSIGN["probe_factor"],
-                           ASSIGN["density_crit"], ASSIGN["sustain_s"], ASSIGN["lambda"], None)
+    return evaluate_policy(runs, demand, method, k_routes,
+                           *(SETTINGS[k].default for k in ("probe_factor", "density_crit",
+                                                           "sustain_s", "lambda")), None)
 
 
 def two_route_problem(demand=30.0, t0s=(10.0, 20.0), q_crits=(1000.0, 1000.0)):

@@ -202,7 +202,7 @@ class TestInjection:
         # last class by name; a negative one passes it while the total stays positive
         config = json.loads((CONFIG_DIR / "demo.json").read_text())
         net = build_network(config["network"])
-        with pytest.raises(ScenarioError, match="non-finite or negative share"):
+        with pytest.raises(ScenarioError, match="share must be finite and non-negative"):
             init_scenario(net, [{"origin": "A", "dest": "B", "rate_veh_h": 700.0,
                                  "splits": [1.0], "class_mix": mix}], default_classes(), seed=7)
 
@@ -339,7 +339,9 @@ class TestLanePolicy:
 @pytest.mark.parametrize("duration_s, window_s", [(-5, 60), (60, 0), (60, -60)])
 def test_run_rejects_ranges(duration_s, window_s):
     state = init_ring(100, 5, default_classes()["car"], seed=1)
-    with pytest.raises(ScenarioError, match="run needs duration_s >= 0 and window_s >= 1"):
+    message = ("duration_s must be non-negative" if duration_s < 0
+               else "window_s must be at least 1")
+    with pytest.raises(ScenarioError, match=f"{message}, got {min(duration_s, window_s)}"):
         run(state, duration_s, window_s=window_s)
 
 
