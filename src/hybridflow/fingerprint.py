@@ -13,12 +13,13 @@ penalty.
 Synthesis and features run as array passes over blocks of ``_BLOCK`` traces,
 and training computes ``X @ w`` once per epoch for both the objective and
 the subgradient; each gives the same bits as one numpy call chain per trace.
-Each trace still draws its noise from its own substream. Two steps stay per
-row or per record because a fused form rounds differently: the dip area is
-one pairwise sum per link row, since a segmented sum (``np.add.reduceat``)
-adds left to right; and ``evaluate`` and ``class_shares`` take each record's
-decision as its own dot product, since a matrix-vector product can round a
-decision near zero to the other class.
+Each trace still draws its noise from its own substream, and one call seeds
+them all in one pass (``rng.substreams``). Two steps stay per row or per
+record because a fused form rounds differently: the dip area is one pairwise
+sum per link row, since a segmented sum (``np.add.reduceat``) adds left to
+right; and ``evaluate`` and ``class_shares`` take each record's decision as
+its own dot product, since a matrix-vector product can round a decision near
+zero to the other class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import substream
+from .rng import substream, substreams
 from .schema import Field
 
 SENSOR_HEIGHTS_M = (0.5, 1.0, 1.5)
@@ -119,6 +120,8 @@ def synthesize(labels, speeds, noise_sigma_db: float, seeds) -> list:
     mid = TRACE_SECONDS / 2.0
     depths = {label: _link_depths(label) for label in CLASS_SHAPES}
     baselines = -45.0 - 1.2 * np.arange(N_LINKS)
+    noise = (substreams(seeds, (f"fingerprint-{label}" for label in labels))
+             if noise_sigma_db > 0 else None)
     traces = []
     for start in range(0, len(labels), _BLOCK):
         block = range(start, min(start + _BLOCK, len(labels)))
@@ -133,9 +136,8 @@ def synthesize(labels, speeds, noise_sigma_db: float, seeds) -> list:
         depth = np.array([depths[labels[i]] for i in block])
         rssi = baselines[:, None] - depth[:, :, None] * window[:, None, :]
         for row, i in zip(rssi, block):
-            if noise_sigma_db > 0:
-                row += substream(seeds[i], f"fingerprint-{labels[i]}").normal(
-                    0.0, noise_sigma_db, size=row.shape)
+            if noise is not None:
+                row += next(noise).normal(0.0, noise_sigma_db, size=row.shape)
             traces.append(FingerprintTrace(rssi_dbm=row, sample_rate_hz=SAMPLE_RATE_HZ,
                                            label=labels[i], speed_mps=speeds[i],
                                            dip_width_s=widths[i - start], seed=seeds[i]))

@@ -88,8 +88,10 @@ def parse_config(config: dict, base_dir=".") -> dict:
     names the dotted path of what the tables reject and of what they cannot
     state: the version, an inline network value that build_network rejects, a
     class named twice, a class mix naming no class, route splits that
-    traffic_ca.split_fault rejects, no regularization, a holdout of no trace,
-    and a demand node, lane mask or impute location off the network."""
+    traffic_ca.split_fault rejects, a demand whose origin is its destination,
+    no regularization, a holdout of no trace, transfer policy overrides that
+    make a listed policy's bounds degenerate, and a demand node, lane mask or
+    impute location off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -114,6 +116,8 @@ def parse_config(config: dict, base_dir=".") -> dict:
         for name in spec["class_mix"] or ():
             if name not in class_names:
                 raise ConfigError(f"{path}.class_mix.{name}: unknown class {name!r}")
+        if spec["dest"] == spec["origin"]:
+            raise ConfigError(f"{path}.dest: origin and destination are both {spec['dest']!r}")
         if fault := traffic_ca.split_fault(spec["splits"]):
             raise ConfigError(f"{path}.splits: {fault}")
         for key in ("origin", "dest"):
@@ -126,6 +130,8 @@ def parse_config(config: dict, base_dir=".") -> dict:
         if int(fcfg["count"] * fcfg["holdout_fraction"]) < 1:
             raise ConfigError(f"{where}.holdout_fraction: holds out none of "
                               f"{fcfg['count']} traces")
+    if tcfg := parsed["stages"]["transfer"]:
+        _check_policies(tcfg)
     if net is not None:
         _check_lane_masks(parsed, class_names)
         for key in ("observations", "targets"):
@@ -134,6 +140,16 @@ def parse_config(config: dict, base_dir=".") -> dict:
                 if fault := impute.location_fault(net, loc):
                     raise ConfigError(f"config.stages.impute.{key}[{i}].{fault[0]}: {fault[1]}")
     return parsed
+
+
+def _check_policies(tcfg):
+    """ConfigError naming the first listed policy that the overrides make invalid."""
+    for kind in tcfg["policies"]:
+        try:
+            _policy(kind, tcfg)
+        except transfer.PolicyError as exc:
+            raise ConfigError(f"config.stages.transfer.policy: {exc} for policy "
+                              f"{kind!r}") from None
 
 
 def _check_lane_masks(parsed, class_names):
@@ -337,6 +353,12 @@ def _assign_stage(run, acfg):
     return stage_out
 
 
+def _policy(kind, tcfg) -> transfer.TransferPolicy:
+    """The transfer stage's policy of this kind, with the config's overrides."""
+    make = transfer.sinr_policy if kind in ("cat", "pcat") else transfer.TransferPolicy
+    return make(kind=kind, **(tcfg["policy"] or {}))
+
+
 def _transfer_stage(run, tcfg):
     stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]), s["tx_power_dbm"])
                 for s in tcfg["stations"]]
@@ -349,6 +371,8 @@ def _transfer_stage(run, tcfg):
         seed=substream_seed(run.seed, "shadowing"))
     scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
     traces = _build_traces(tcfg, run.traffic_metrics)
+    # the shadowing of every trace point, seeded in one pass before the map and drives
+    model.fill((x, y) for trace in traces for _, x, y in trace)
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap()
@@ -370,8 +394,7 @@ def _transfer_stage(run, tcfg):
             predictor = transfer.train_predictor(rows)
     stage_out = {"policies": {}}
     for kind in tcfg["policies"]:
-        make = transfer.sinr_policy if kind in ("cat", "pcat") else transfer.TransferPolicy
-        policy = make(kind=kind, **(tcfg["policy"] or {}))
+        policy = _policy(kind, tcfg)
         drives = [transfer.simulate_drive(trace, scene, policy, rate,
                                           substream_seed(run.seed, f"transfer-{kind}", i),
                                           predictor=predictor)
@@ -450,9 +473,11 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
     Each seed runs the configured stages as run_experiment does, with the
     transfer stage's policies replaced by the given ones; impute and assign
     are left out, as no transfer result reads them. Dwell is None without a
-    traffic stage.
+    traffic stage. A name that is no policy kind fails as ConfigError naming
+    ``--policies`` and its position, before any stage.
     """
     cfg = parse_config(config, base_dir)
+    policies = TRANSFER["policies"].parse(list(policies), "--policies", "policies")
     seeds = list(seeds)
     if len(policies) < 2:
         raise ConfigError("compare needs at least two policies")
@@ -462,7 +487,8 @@ def compare_policies(config: dict, policies, seeds, base_dir=".") -> list:
     if stages["transfer"] is None:
         raise ConfigError("compare needs a transfer stage in the config")
     cfg["stages"] = {**stages, "impute": None, "assign": None,
-                     "transfer": {**stages["transfer"], "policies": tuple(policies)}}
+                     "transfer": {**stages["transfer"], "policies": policies}}
+    _check_policies(cfg["stages"]["transfer"])
     dwells, results = [], []
     for seed in seeds:
         done = _run_stages(_Run(cfg, seed))

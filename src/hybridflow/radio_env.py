@@ -1,11 +1,13 @@
 """Radio environment: received power, SINR, crowdsensed connectivity map.
 
 A log-distance path-loss model with lattice-hashed lognormal shadowing stands
-in for a measured network. The connectivity map keeps exact running
-statistics (Welford) per geographic grid cell and backs the trajectory
-forecasts used by the predictive transfer policies. A scene memoises the SINR
-of each position it is asked about, since the map build and every policy's
-drive ask about the same trace points.
+in for a measured network. Each lattice cell draws from its own generator;
+``PropagationModel.fill`` seeds the cells of many positions in one pass, with
+the values a lookup would draw one cell at a time. The connectivity map keeps
+exact running statistics (Welford) per geographic grid cell and backs the
+trajectory forecasts used by the predictive transfer policies. A scene
+memoises the SINR of each position it is asked about, since the map build and
+every policy's drive ask about the same trace points.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import generators
 from .schema import ranged
 
 D0_M = 10.0                  # path-loss reference distance
@@ -45,17 +48,33 @@ class PropagationModel:
     def shadowing_db(self, pos) -> float:
         if not self.shadowing_enabled or self.shadowing_sigma_db <= 0:
             return 0.0
-        key = (math.floor(pos[0] / SHADOWING_LATTICE_M),
-               math.floor(pos[1] / SHADOWING_LATTICE_M))
+        key = _lattice_cell(pos)
         val = self._shadow_cache.get(key)
         if val is None:
-            gen = np.random.default_rng(
-                np.random.SeedSequence([self.seed & 0xFFFFFFFF,
-                                        (key[0] + 2 ** 31) & 0xFFFFFFFF,
-                                        (key[1] + 2 ** 31) & 0xFFFFFFFF]))
-            val = float(gen.normal(0.0, self.shadowing_sigma_db))
-            self._shadow_cache[key] = val
+            self._draw([key])
+            val = self._shadow_cache[key]
         return val
+
+    def fill(self, positions) -> None:
+        """Draws the shadowing of every lattice cell of positions not drawn yet, all
+        seeded in one pass; ``shadowing_db`` then finds each of them cached and
+        returns the value it would have drawn itself."""
+        if self.shadowing_enabled and self.shadowing_sigma_db > 0:
+            keys = dict.fromkeys(key for key in map(_lattice_cell, positions)
+                                 if key not in self._shadow_cache)
+            if keys:
+                self._draw(keys)
+
+    def _draw(self, keys) -> None:
+        """One generator per cell, seeded by the model seed and the cell's offset indices."""
+        rows = np.array([(self.seed & 0xFFFFFFFF, (kx + 2 ** 31) & 0xFFFFFFFF,
+                          (ky + 2 ** 31) & 0xFFFFFFFF) for kx, ky in keys], dtype=np.int64)
+        for key, gen in zip(keys, generators(rows)):
+            self._shadow_cache[key] = float(gen.normal(0.0, self.shadowing_sigma_db))
+
+
+def _lattice_cell(pos):
+    return (math.floor(pos[0] / SHADOWING_LATTICE_M), math.floor(pos[1] / SHADOWING_LATTICE_M))
 
 
 def rsrp_at(pos, station: BaseStation, model: PropagationModel) -> float:

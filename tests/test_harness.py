@@ -328,6 +328,23 @@ CONFIG_ERRORS = {
     "policy_alpha_zero": ("demo.json",
                           lambda c: _set(c["stages"]["transfer"], "policy", {"alpha": 0}),
                           "config.stages.transfer.policy.alpha: alpha must be positive, got 0.0"),
+    # policy overrides checked against each listed policy's defaults, before any stage
+    "policy_phi_min_above_max": ("transfer_two_phase.json",
+                                 lambda c: _set(c["stages"]["transfer"], "policy",
+                                                {"phi_min": 40.0}),
+                                 "config.stages.transfer.policy: degenerate metric bounds "
+                                 "[40.0, 30.0] for policy 'periodic'"),
+    "policy_t_min_above_max": ("transfer_two_phase.json",
+                               lambda c: _set(c["stages"]["transfer"], "policy",
+                                              {"t_min_s": 700.0}),
+                               "config.stages.transfer.policy: need t_min <= t_max for policy "
+                               "'periodic'"),
+    # cat takes the SINR bounds [-5, 30]; ml_cat keeps [0, 30]
+    "policy_phi_max_sinr_only": ("transfer_two_phase.json",
+                                 lambda c: c["stages"]["transfer"].update(
+                                     policies=["cat", "ml_cat"], policy={"phi_max": -1.0}),
+                                 "config.stages.transfer.policy: degenerate metric bounds "
+                                 "[0.0, -1.0] for policy 'ml_cat'"),
     "sustain_negative": ("demo.json", lambda c: _set(c["stages"]["assign"], "sustain_s", -1),
                          "config.stages.assign.sustain_s: sustain_s must be non-negative, "
                          "got -1.0"),
@@ -378,6 +395,8 @@ CONFIG_ERRORS = {
                               "config.demand[0].origin: unknown node 'ghost'"),
     "demand_dest_unknown": ("demo.json", lambda c: _set(c["demand"][0], "dest", "ghost"),
                             "config.demand[0].dest: unknown node 'ghost'"),
+    "demand_dest_is_origin": ("demo.json", lambda c: _set(c["demand"][0], "dest", "A"),
+                              "config.demand[0].dest: origin and destination are both 'A'"),
     "splits_sum_above_one": ("demo.json", lambda c: _set(c["demand"][0], "splits", [0.5, 0.6]),
                              "config.demand[0].splits: route splits [0.5, 0.6] do not sum to 1"),
     "splits_negative": ("demo.json", lambda c: _set(c["demand"][0], "splits", [1.5, -0.5]),
@@ -560,6 +579,23 @@ class TestComparePolicies:
         assert [r["seeds"] for r in rows] == [2, 2]
         assert rows == harness.compare_policies(config, ["periodic", "ml_cat"], [1, 2])
 
+    def test_unknown_policy_named_before_any_stage(self, monkeypatch):
+        monkeypatch.setattr(harness, "STAGES", ())
+        with pytest.raises(harness.ConfigError, match=re.escape(
+                "--policies[1]: policy must be periodic, cat, pcat, ml_cat or ml_pcat, "
+                "got 'ghost'")):
+            harness.compare_policies(transfer_config(), ["periodic", "ghost"], [1])
+
+    def test_overrides_checked_for_compared_policies(self):
+        # the config lists cat alone, whose SINR bounds [-5, -1] hold; periodic's do not
+        config = transfer_config()
+        config["stages"]["transfer"].update(policies=["cat"], policy={"phi_max": -1.0})
+        harness.parse_config(config)
+        with pytest.raises(harness.ConfigError, match=re.escape(
+                "config.stages.transfer.policy: degenerate metric bounds [0.0, -1.0] for "
+                "policy 'periodic'")):
+            harness.compare_policies(config, ["cat", "periodic"], [1])
+
     def test_failing_stage_named(self):
         config = transfer_config()
         config["stages"]["transfer"]["stations"] = []
@@ -647,6 +683,15 @@ class TestCli:
         assert res.exit_code == 0, res.output
         rows = json.loads((tmp_path / "cmp.json").read_text())
         assert {r["policy"] for r in rows} == {"periodic", "ml_cat"}
+
+    def test_compare_unknown_policy_named(self):
+        res = CliRunner().invoke(main, ["compare", "--config",
+                                        str(CONFIG_DIR / "transfer_two_phase.json"),
+                                        "--policies", "periodic,ghost", "--seeds", "1"])
+        assert res.exit_code != 0
+        assert ("Error: --policies[1]: policy must be periodic, cat, pcat, ml_cat or ml_pcat, "
+                "got 'ghost'") in res.output
+        assert "stage" not in res.output
 
     def test_compare_without_seeds_fails(self):
         res = CliRunner().invoke(main, ["compare", "--config",
