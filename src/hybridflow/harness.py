@@ -88,10 +88,11 @@ def parse_config(config: dict, base_dir=".") -> dict:
     names the dotted path of what the tables reject and of what they cannot
     state: the version, an inline network value that build_network rejects, a
     class named twice, a class mix naming no class, route splits that
-    traffic_ca.split_fault rejects, a demand whose origin is its destination,
-    no regularization, a holdout of no trace, transfer policy overrides that
-    make a listed policy's bounds degenerate, and a demand node, lane mask or
-    impute location off the network."""
+    traffic_ca.split_fault rejects or that outnumber the demand's routes, a
+    demand whose origin is its destination, no regularization, a holdout of
+    no trace, transfer policy overrides that make a listed policy's bounds
+    degenerate, a from_traffic trace that no connected vehicle can drive, and
+    a demand node, lane mask or impute location off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -120,9 +121,17 @@ def parse_config(config: dict, base_dir=".") -> dict:
             raise ConfigError(f"{path}.dest: origin and destination are both {spec['dest']!r}")
         if fault := traffic_ca.split_fault(spec["splits"]):
             raise ConfigError(f"{path}.splits: {fault}")
+        if net is None:
+            continue
         for key in ("origin", "dest"):
-            if net is not None and spec[key] not in net.nodes:
+            if spec[key] not in net.nodes:
                 raise ConfigError(f"{path}.{key}: unknown node {spec[key]!r}")
+        try:
+            traffic_ca.split_routes(net, spec["origin"], spec["dest"], spec["splits"])
+        except traffic_ca.ScenarioError as exc:
+            raise ConfigError(f"{path}.splits: {exc}") from None
+        except NetworkError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if fcfg := parsed["stages"]["fingerprint"]:
         where = "config.stages.fingerprint"
         if not fcfg["regs"]:
@@ -132,6 +141,8 @@ def parse_config(config: dict, base_dir=".") -> dict:
                               f"{fcfg['count']} traces")
     if tcfg := parsed["stages"]["transfer"]:
         _check_policies(tcfg)
+        if tcfg["trace"]["kind"] == "from_traffic":
+            _check_connected(parsed)
     if net is not None:
         _check_lane_masks(parsed, class_names)
         for key in ("observations", "targets"):
@@ -150,6 +161,20 @@ def _check_policies(tcfg):
         except transfer.PolicyError as exc:
             raise ConfigError(f"config.stages.transfer.policy: {exc} for policy "
                               f"{kind!r}") from None
+
+
+def _check_connected(parsed):
+    """ConfigError unless a traffic stage runs a demand entry whose class mix gives a
+    connected class a positive share, as a from_traffic trace needs."""
+    where = "config.stages.transfer.trace.kind"
+    if parsed["stages"]["traffic"] is None:
+        raise ConfigError(f"{where}: from_traffic trace needs a traffic stage")
+    classes, mix = _classes_from_config(parsed["classes"])
+    mix = mix or dict.fromkeys(classes, 1.0)
+    if not any(share > 0 and classes[name].connected
+               for spec in parsed["demand"] for name, share in (spec["class_mix"] or mix).items()):
+        raise ConfigError(f"{where}: from_traffic trace needs a demand entry that gives a "
+                          f"connected class a positive share")
 
 
 def _check_lane_masks(parsed, class_names):
@@ -376,10 +401,10 @@ def _transfer_stage(run, tcfg):
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap()
-        for _, x, y in (point for trace in traces for point in trace):
-            sinr = scene.sinr((x, y))
-            for _ in range(3):
-                scene.map.record((x, y), sinr)
+        for trace in traces:
+            rec = scene.trace_record(trace)
+            for i, (_, x, y) in enumerate(trace):
+                scene.map.record((x, y), rec.fill(i), 3)
     rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":

@@ -5,9 +5,10 @@ in for a measured network. Each lattice cell draws from its own generator;
 ``PropagationModel.fill`` seeds the cells of many positions in one pass, with
 the values a lookup would draw one cell at a time. The connectivity map keeps
 exact running statistics (Welford) per geographic grid cell and backs the
-trajectory forecasts used by the predictive transfer policies. A scene
-memoises the SINR of each position it is asked about, since the map build and
-every policy's drive ask about the same trace points.
+trajectory forecasts used by the predictive transfer policies. A scene keeps
+one ``TraceRecord`` per trace it is asked about: the times, speeds, SINR and
+serving RSRP of each point, worked out once and shared by the map build and
+every policy's drive.
 """
 
 from __future__ import annotations
@@ -85,41 +86,94 @@ def rsrp_at(pos, station: BaseStation, model: PropagationModel) -> float:
     return station.tx_power_dbm - pl - model.shadowing_db(pos)
 
 
-def sinr_at(pos, stations, noise_dbm: float, model: PropagationModel) -> float:
-    """SINR in dB: strongest station serves, the rest interfere (linear domain)."""
+def sinr_rsrp_at(pos, stations, noise_dbm: float, model: PropagationModel) -> tuple:
+    """(SINR in dB, serving RSRP in dBm): the strongest station serves, the rest
+    interfere (linear domain)."""
     if not stations:
-        raise ValueError("sinr_at needs at least one station")
-    powers = [10.0 ** (rsrp_at(pos, s, model) / 10.0) for s in stations]
+        raise ValueError("need at least one station")
+    rsrps = [rsrp_at(pos, s, model) for s in stations]
+    powers = [10.0 ** (r / 10.0) for r in rsrps]
     serving = max(powers)
     interference = sum(powers) - serving
     noise = 10.0 ** (noise_dbm / 10.0)
-    return 10.0 * math.log10(serving / (interference + noise))
+    return 10.0 * math.log10(serving / (interference + noise)), max(rsrps)
+
+
+def sinr_at(pos, stations, noise_dbm: float, model: PropagationModel) -> float:
+    """SINR in dB: strongest station serves, the rest interfere (linear domain)."""
+    return sinr_rsrp_at(pos, stations, noise_dbm, model)[0]
+
+
+def speed_series(trace) -> list:
+    """Speed at each (t, x, y) point over the step that reaches it; the first point
+    takes the first step's."""
+    # max(dt, 1e-9), NaN included, without the call
+    speeds = [math.hypot(x1 - x0, y1 - y0) / (1e-9 if t1 - t0 < 1e-9 else t1 - t0)
+              for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
+    return speeds[:1] + speeds
+
+
+class TraceRecord:
+    """The radio values of one (t, x, y) trace in one scene, one entry per point.
+
+    ``times`` and ``speeds`` are set at once. ``sinr`` and ``rsrp`` (serving,
+    dBm) hold None until ``fill`` works a point out, so a reader pays for the
+    points it reads and no point twice; a point at the position of the point
+    before it, once that one is filled, takes its values.
+    """
+
+    __slots__ = ("trace", "times", "speeds", "sinr", "rsrp", "_radio")
+
+    def __init__(self, trace, stations, noise_dbm, model):
+        self.trace = trace
+        self.times = [p[0] for p in trace]
+        self.speeds = speed_series(trace)
+        self.sinr = [None] * len(trace)
+        self.rsrp = [None] * len(trace)
+        self._radio = (stations, noise_dbm, model)
+
+    def fill(self, i) -> float:
+        """The SINR of point i, worked out with its serving RSRP on first use."""
+        sinr = self.sinr[i]
+        if sinr is None:
+            _, x, y = self.trace[i]
+            if i and self.sinr[i - 1] is not None and self.trace[i - 1][1:] == (x, y):
+                sinr, self.rsrp[i] = self.sinr[i - 1], self.rsrp[i - 1]  # standing still
+            else:
+                sinr, self.rsrp[i] = sinr_rsrp_at((x, y), *self._radio)
+            self.sinr[i] = sinr
+        return sinr
 
 
 @dataclass
 class RadioScene:
     """Stations + propagation + noise floor, with an optional prior map.
 
-    ``sinr`` memoises on the exact position, so the stations, noise floor and
-    model must not change after the first call.
+    ``trace_record`` keeps one TraceRecord per trace object, so a trace, the
+    stations, the noise floor and the model must not change after the scene
+    first reads that trace.
     """
 
     stations: list
     noise_dbm: float = -100.0
     model: PropagationModel = field(default_factory=PropagationModel)
     map: "ConnectivityMap | None" = None
-    _sinr_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _records: dict = field(default_factory=dict, repr=False, compare=False)
 
     def rsrp(self, pos) -> float:
-        return max(rsrp_at(pos, s, self.model) for s in self.stations)
+        return sinr_rsrp_at(pos, self.stations, self.noise_dbm, self.model)[1]
 
     def sinr(self, pos) -> float:
-        key = (pos[0], pos[1])
-        val = self._sinr_memo.get(key)
-        if val is None:
-            val = self._sinr_memo[key] = sinr_at(pos, self.stations, self.noise_dbm,
-                                                 self.model)
-        return val
+        return sinr_at(pos, self.stations, self.noise_dbm, self.model)
+
+    def trace_record(self, trace) -> TraceRecord:
+        """The trace's TraceRecord, made on the first call for that trace object."""
+        # the record holds the trace, so no other object takes its id while it is kept
+        rec = self._records.get(id(trace))
+        if rec is None:
+            rec = self._records[id(trace)] = TraceRecord(trace, self.stations,
+                                                         self.noise_dbm, self.model)
+        return rec
 
 
 class ConnectivityMap:
@@ -142,18 +196,24 @@ class ConnectivityMap:
     def cell_of(self, pos):
         return (math.floor(pos[0] / CELL_SIZE_M), math.floor(pos[1] / CELL_SIZE_M))
 
-    def record(self, pos, value: float) -> None:
+    def record(self, pos, value: float, n: int = 1) -> None:
+        """Adds n samples of value at pos, to the bit what n calls of one sample add."""
         if not math.isfinite(value):
             raise ValueError(f"non-finite metric value {value}")
+        if n < 1:
+            raise ValueError(f"need at least one sample, got {n}")
         key = self.cell_of(pos)
         count, mean, m2 = self.cells.get(key, (0, 0.0, 0.0))
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
+        g_count, g_mean = self._global_count, self._global_mean
+        for _ in range(n):
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            g_count += 1
+            g_mean += (value - g_mean) / g_count
         self.cells[key] = (count, mean, m2)
-        self._global_count += 1
-        self._global_mean += (value - self._global_mean) / self._global_count
+        self._global_count, self._global_mean = g_count, g_mean
 
     def global_mean(self):
         return self._global_mean if self._global_count else None

@@ -259,6 +259,16 @@ def _normalize_mix(mix: dict, classes: dict) -> list:
     return cum
 
 
+def split_routes(net: RoadNetwork, origin: str, dest: str, splits) -> list:
+    """The len(splits) fastest routes from origin to dest, one per split;
+    ScenarioError if there are fewer."""
+    routes = route_candidates(net, origin, dest, len(splits))
+    if len(routes) < len(splits):
+        raise ScenarioError(f"only {len(routes)} route(s) between {origin} and {dest}"
+                            f" but {len(splits)} splits given")
+    return routes
+
+
 def split_fault(splits):
     """Why route splits cannot be used (not summing to 1, or negative), or None."""
     if not abs(sum(splits) - 1.0) <= 1e-9:  # a NaN split fails here too
@@ -289,11 +299,7 @@ def init_scenario(net: RoadNetwork, demand: list, classes: dict, seed: int,
         splits = list(spec.get("splits", [1.0]))
         if fault := split_fault(splits):
             raise ScenarioError(fault)
-        routes = route_candidates(net, spec["origin"], spec["dest"], len(splits))
-        if len(routes) < len(splits):
-            raise ScenarioError(
-                f"only {len(routes)} route(s) between {spec['origin']} and {spec['dest']}"
-                f" but {len(splits)} splits given")
+        routes = split_routes(net, spec["origin"], spec["dest"], splits)
         mix = _normalize_mix(spec.get("class_mix") or mix_default, classes)
         schedule = None
         if spec.get("schedule") is not None:

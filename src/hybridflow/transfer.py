@@ -9,10 +9,13 @@ predicted data rate) through
 so transmissions concentrate where the metric is high; a maximum buffer age
 forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
-hysteresis factor. A drive never writes the connectivity map, so it reads the
-map at every trace point once, and each probe reads only the peak of its
-look-ahead window, so a drive costs a constant per trace point under every
-policy (README's "Notes on scale" gives the measured cost).
+hysteresis factor. A drive reads the times, speeds, SINR and serving RSRP of
+its trace points from the scene's record of the trace, which works each point
+out once for the map build and all drives. A drive never writes the
+connectivity map, so it reads the map at every trace point once, and each
+probe reads only the peak of its look-ahead window, so a drive costs a
+constant per trace point under every policy (README's "Notes on scale" gives
+the measured cost).
 """
 
 from __future__ import annotations
@@ -240,15 +243,6 @@ class TransferMetrics:
             "bytes_transferred", "bytes_buffered_end")}
 
 
-def _speed_series(trace):
-    """Speed at each trace point over the step that reaches it; the first point
-    takes the first step's."""
-    # max(dt, 1e-9), NaN included, without the call
-    speeds = [math.hypot(x1 - x0, y1 - y0) / (1e-9 if t1 - t0 < 1e-9 else t1 - t0)
-              for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
-    return speeds[:1] + speeds
-
-
 class _WindowPeak:
     """``max(values[k:j], default=-inf)`` for windows whose ends never move back.
 
@@ -295,8 +289,9 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     scene's map at every trace point once per drive (one ``forecast_along``
     call), and each probe reads the peak of its look-ahead window, the later
     points within ``lookahead_s``, from a ``_WindowPeak``; it rejects a trace
-    with a non-finite time. The policy flags, station power, speeds, forecast
-    and link rates are worked out once per drive.
+    with a non-finite time. Times, speeds, SINR and serving RSRP come from
+    ``scene.trace_record(trace)``; the policy flags, station power, forecast and
+    link rates are worked out once per drive.
     """
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
@@ -305,7 +300,8 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
     noise_rng = substream(seed, "transfer-noise")
     buf = BufferState()
-    speeds = _speed_series(trace)
+    rec = scene.trace_record(trace)
+    times, speeds, sinrs, rsrps = rec.times, rec.speeds, rec.sinr, rec.rsrp
     is_rate, predictive = policy.metric_is_rate, policy.predictive
     learned = predictor.kind == "learned_table"
     # with no station the first probe's sinr raises before a flush reads this
@@ -319,12 +315,12 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     lookahead_s = policy.lookahead_s
     n = len(trace)
     k = j = 0  # trace[k:j] is the look-ahead: the points after t within lookahead_s of it
-    times = ahead = links = nonfinite = window = None  # per trace point, read once
-    t_prev, last_probe_s = trace[0][0], None
-    for i, (t, x, y) in enumerate(trace[1:], 1):
-        if t < t_prev:
+    ahead = links = nonfinite = window = None  # per trace point, read once
+    last_probe_s = None
+    for i in range(1, n):
+        t = times[i]
+        if t < times[i - 1]:
             raise PolicyError(f"trace time goes backwards at index {i}: {t}")
-        t_prev = t
         buf.queued_bytes += sensor_rate_bytes_s
         generated += sensor_rate_bytes_s
         if buf.oldest_ts is None:
@@ -332,16 +328,16 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         if last_probe_s is not None and t - last_probe_s < probe_every:
             continue
         last_probe_s = t
-        pos = (x, y)
         speed = speeds[i]
-        sinr = scene.sinr(pos)
+        sinr = sinrs[i]
+        if sinr is None:
+            sinr = rec.fill(i)
         phi = predictor.predict(sinr, buf.queued_bytes, speed) if is_rate else sinr
         peak = None
         if predictive:
             if ahead is None:
                 if scene.map is None:
                     raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
-                times = [p[0] for p in trace]
                 if not all(map(math.isfinite, times)):
                     raise PolicyError("trace has a non-finite time")
                 ahead = forecast_along(scene.map, trace)
@@ -380,7 +376,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             actual_rate = max(predictor.formula_rate(sinr, payload) * noise, 1e-6)
             attempts = 2 if noise_rng.random() < _loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts
-            e_tx = duration * _tx_power_w(max_tx_dbm - scene.rsrp(pos))
+            e_tx = duration * _tx_power_w(max_tx_dbm - rsrps[i])
             ages.append(buf.age(t))
             n_tx += 1
             n_retx += attempts - 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hybridflow import harness, impute, traffic_ca
+from hybridflow import harness, impute, road_net, traffic_ca
 from hybridflow.cli import main, parse_seeds
 from hybridflow.road_net import NetworkError
 
@@ -401,6 +401,25 @@ CONFIG_ERRORS = {
                              "config.demand[0].splits: route splits [0.5, 0.6] do not sum to 1"),
     "splits_negative": ("demo.json", lambda c: _set(c["demand"][0], "splits", [1.5, -0.5]),
                         "config.demand[0].splits: negative route split in [1.5, -0.5]"),
+    "splits_above_routes": ("demo.json",
+                            lambda c: _set(c["demand"][0], "splits", [0.5, 0.25, 0.25]),
+                            "config.demand[0].splits: only 2 route(s) between A and B but 3 "
+                            "splits given"),
+    # a from_traffic trace needs connected vehicles: a traffic stage, and a demand entry
+    # whose class mix gives a connected class a positive share
+    "trace_no_connected_class": ("demo.json",
+                                 lambda c: [_set(e, "connected", False) for e in c["classes"]],
+                                 "config.stages.transfer.trace.kind: from_traffic trace needs a "
+                                 "demand entry that gives a connected class a positive share"),
+    "trace_connected_share_zero": ("demo.json",
+                                   lambda c: _set(c["demand"][0], "class_mix",
+                                                  {"car": 1.0, "automated_car": 0.0}),
+                                   "config.stages.transfer.trace.kind: from_traffic trace needs "
+                                   "a demand entry that gives a connected class a positive "
+                                   "share"),
+    "trace_no_traffic_stage": ("demo.json", lambda c: c["stages"].pop("traffic"),
+                               "config.stages.transfer.trace.kind: from_traffic trace needs a "
+                               "traffic stage"),
     # an inline network parses through the schema walker: road_net.NETWORK
     "network_lanes_fraction": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", 2.7),
                                "config.network.edges[0].lanes: 2.7 is not an integer"),
@@ -520,6 +539,17 @@ def test_class_mix_names_default_classes_when_none_configured():
     assert harness.parse_config(config)["demand"][0]["class_mix"] == {"truck": 1.0}
     config["demand"][0]["class_mix"] = {"bus": 1.0}
     with pytest.raises(harness.ConfigError, match=r"class_mix\.bus: unknown class 'bus'"):
+        harness.parse_config(config)
+
+
+def test_too_many_paths_named(monkeypatch):
+    # route enumeration gives up on a network of too many simple paths (grids of 6 x 6
+    # junctions); the demand entry it gave up on is named
+    monkeypatch.setattr(road_net, "MAX_ENUMERATED_PATHS", 1)
+    config = json.loads((CONFIG_DIR / "demo.json").read_text())
+    with pytest.raises(harness.ConfigError,
+                       match=re.escape("config.demand[0]: more than 1 simple paths between "
+                                       "'A' and 'B'")):
         harness.parse_config(config)
 
 

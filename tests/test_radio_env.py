@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
                                   RadioScene, forecast_along, rsrp_at, sinr_at)
+from test_transfer import reference_speeds
 
 
 def no_shadow():
@@ -145,6 +146,105 @@ class TestConnectivityMap:
                 (int(r["count"]), float(r["mean"]), float(r["m2"])) for r in rows}
         assert back == cmap.cells
         assert list(back) == sorted(cmap.cells)
+
+
+def map_bits(cmap):
+    """The cells and the global running mean, with every float by its bits."""
+    return repr(sorted(cmap.cells.items())), cmap._global_count, repr(cmap.global_mean())
+
+
+class TestRecordSamples:
+    """One ``record`` call of n samples is n calls of one sample, to the bit."""
+
+    @given(before=st.lists(st.tuples(st.sampled_from([(1.0, 1.0), (30.0, -4.0)]),
+                                     st.floats(-80, 40)), max_size=6),
+           pos=st.sampled_from([(1.0, 1.0), (2.0, 3.0), (30.0, -4.0), (-60.5, 900.0)]),
+           value=st.floats(-80, 40), n=st.integers(1, 6))
+    @example(before=[], pos=(0.0, 0.0), value=-0.0, n=3)
+    def test_equal_to_single_calls(self, before, pos, value, n):
+        batched, single = ConnectivityMap(), ConnectivityMap()
+        for cmap in (batched, single):
+            for p, v in before:
+                cmap.record(p, v)
+        batched.record(pos, value, n)
+        for _ in range(n):
+            single.record(pos, value)
+        assert map_bits(batched) == map_bits(single)
+
+    def test_bad_samples_rejected(self):
+        cmap = ConnectivityMap()
+        with pytest.raises(ValueError, match="at least one sample, got 0"):
+            cmap.record((0.0, 0.0), 1.0, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            cmap.record((0.0, 0.0), math.nan, 3)
+        assert map_bits(cmap) == map_bits(ConnectivityMap())
+
+
+def old_sinr_at(pos, stations, noise_dbm, model):
+    """``sinr_at`` as it was before it shared its work with the serving RSRP."""
+    powers = [10.0 ** (rsrp_at(pos, s, model) / 10.0) for s in stations]
+    serving = max(powers)
+    interference = sum(powers) - serving
+    noise = 10.0 ** (noise_dbm / 10.0)
+    return 10.0 * math.log10(serving / (interference + noise))
+
+
+def two_station_scene(shadowing=True):
+    return RadioScene([BaseStation("a", (0.0, 0.0)),
+                       BaseStation("b", (900.0, 300.0), tx_power_dbm=30.0)],
+                      model=PropagationModel(seed=3, shadowing_enabled=shadowing))
+
+
+# revisited by the traces drawn below; 0.0 and -0.0, and an int position, are one key
+POSITIONS = [(0.0, 0.0), (-0.0, 0.0), (10, -5), (26.0, 3.0), (737.5, -12.25), (1490.0, 300.0),
+             (-400.0, 80.0)]
+
+
+class TestTraceRecord:
+    """A scene's record of a trace holds, per point, what the per-point functions give."""
+
+    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(POSITIONS)),
+                          min_size=2, max_size=40),
+           reads=st.lists(st.integers(0, 39), max_size=60),
+           shadowing=st.booleans(), filled=st.booleans())
+    # a vehicle standing still, read from its last point back
+    @example(steps=[(1, (26.0, 3.0))] * 6, reads=[5, 4, 3, 2, 1, 0], shadowing=True,
+             filled=False)
+    def test_equal_to_per_point_values(self, steps, reads, shadowing, filled):
+        trace, t = [], 0
+        for dt, (x, y) in steps:
+            t += dt
+            trace.append((t, x, y))
+        scene = two_station_scene(shadowing)
+        if filled:
+            scene.model.fill((x, y) for _, x, y in trace)
+        rec = scene.trace_record(trace)
+        assert scene.trace_record(trace) is rec
+        read = {i % len(trace) for i in reads}
+        for i in reads:
+            assert rec.fill(i % len(trace)) is rec.sinr[i % len(trace)]
+        # a scene that no fill seeded and no record read
+        oracle = two_station_scene(shadowing)
+        for i, (_, x, y) in enumerate(trace):
+            if i not in read:
+                assert rec.sinr[i] is None and rec.rsrp[i] is None
+                continue
+            want = old_sinr_at((x, y), oracle.stations, oracle.noise_dbm, oracle.model)
+            assert rec.sinr[i].hex() == want.hex()
+            assert sinr_at((x, y), oracle.stations, oracle.noise_dbm, oracle.model) == want
+            rsrp = max(rsrp_at((x, y), s, oracle.model) for s in oracle.stations)
+            assert rec.rsrp[i].hex() == rsrp.hex() == oracle.rsrp((x, y)).hex()
+        assert rec.times == [p[0] for p in trace]
+        assert repr(rec.speeds) == repr(reference_speeds(trace))
+
+    def test_one_record_per_trace_object(self):
+        scene = two_station_scene()
+        trace = [(0, 0.0, 0.0), (1, 10.0, 0.0)]
+        same_points = list(trace)
+        assert scene.trace_record(trace) is scene.trace_record(trace)
+        assert scene.trace_record(same_points) is not scene.trace_record(trace)
+        scene.trace_record(trace).fill(1)
+        assert scene == two_station_scene() and repr(scene) == repr(two_station_scene())
 
 
 class TestForecast:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridflow import transfer
+from hybridflow import radio_env, transfer
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
                                   forecast_along, sinr_at)
 from hybridflow.rng import Uniforms, substream
@@ -536,6 +536,31 @@ class TestDriveInvariants:
             simulate_drive(trace, scene, make_policy(kind), 10_000.0, seed=8,
                            predictor=half_filled_table())
         assert (scene.map.cells, scene.map._global_count, scene.map._global_mean) == before
+
+    def test_each_point_worked_out_once(self, monkeypatch):
+        # every policy drives the trace twice on one scene: the radio values of a point
+        # are worked out on its first probe only, and a point standing where the point
+        # before it stood takes that point's values
+        scene, trace = two_station_scene(), uneven_trace()
+        positions = []
+        original = radio_env.sinr_rsrp_at
+
+        def counting(pos, *args):
+            positions.append(pos)
+            return original(pos, *args)
+
+        monkeypatch.setattr(radio_env, "sinr_rsrp_at", counting)
+        for _ in range(2):
+            for kind in transfer.POLICY_KINDS:
+                for t_min in (5.0, 1.0):
+                    simulate_drive(trace, scene, make_policy(kind, t_min_s=t_min), 10_000.0,
+                                   seed=8)
+        distinct = [p[1:] for i, p in enumerate(trace) if i and p[1:] != trace[i - 1][1:]]
+        assert sorted(positions) == sorted(distinct)
+        positions.clear()
+        standing = [(t, 10.0, 0.0) for t in range(601)]
+        simulate_drive(standing, scene, TransferPolicy(kind="periodic"), 10_000.0, seed=8)
+        assert positions == [(10.0, 0.0)]
 
     def test_formula_rate_keeps_its_bits(self):
         def old_formula(sinr_db, payload_bytes):
