@@ -91,8 +91,11 @@ def parse_config(config: dict, base_dir=".") -> dict:
     traffic_ca.split_fault rejects or that outnumber the demand's routes, a
     demand whose origin is its destination, no regularization, a holdout of
     no trace, transfer policy overrides that make a listed policy's bounds
-    degenerate, a from_traffic trace that no connected vehicle can drive, and
-    a demand node, lane mask or impute location off the network."""
+    degenerate, a from_traffic trace that no connected vehicle can drive, a
+    transfer stage of no station, a traffic, impute or assign stage with no
+    network, an impute stage with neither inline observations nor a traffic
+    stage with detectors, and a demand node, lane mask or impute location off
+    the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -139,14 +142,26 @@ def parse_config(config: dict, base_dir=".") -> dict:
         if int(fcfg["count"] * fcfg["holdout_fraction"]) < 1:
             raise ConfigError(f"{where}.holdout_fraction: holds out none of "
                               f"{fcfg['count']} traces")
-    if tcfg := parsed["stages"]["transfer"]:
+    stages = parsed["stages"]
+    if tcfg := stages["transfer"]:
+        if not tcfg["stations"]:
+            raise ConfigError("config.stages.transfer.stations: expected at least one base "
+                              "station")
         _check_policies(tcfg)
         if tcfg["trace"]["kind"] == "from_traffic":
             _check_connected(parsed)
-    if net is not None:
-        _check_lane_masks(parsed, class_names)
+    if net is None:
+        for name in ("traffic", "impute", "assign"):
+            if stages[name] is not None:
+                raise ConfigError(f"config.network: the {name} stage needs a network")
+        return parsed
+    _check_lane_masks(parsed, class_names)
+    if icfg := stages["impute"]:
+        if not icfg["observations"] and (stages["traffic"] is None or not net.detectors):
+            raise ConfigError("config.stages.impute.observations: impute needs inline "
+                              "observations or a traffic stage with detectors")
         for key in ("observations", "targets"):
-            for i, point in enumerate((parsed["stages"]["impute"] or {}).get(key, ())):
+            for i, point in enumerate(icfg[key]):
                 loc = impute.NetPoint(point["edge"], point["offset_m"])
                 if fault := impute.location_fault(net, loc):
                     raise ConfigError(f"config.stages.impute.{key}[{i}].{fault[0]}: {fault[1]}")
@@ -244,8 +259,6 @@ class _Run:
 
 
 def _evaluate_method(run, acfg, method) -> routing_opt.EvaluationResult:
-    if run.net is None:
-        raise ConfigError("no network configured")
     return routing_opt.evaluate_policy(
         run.runs, run.config["demand"], method, k_routes=acfg["k_routes"],
         probe_factor=acfg["probe_factor"], density_crit=acfg["density_crit"],
@@ -308,8 +321,6 @@ def _fingerprint_stage(run, fcfg):
 
 
 def _traffic_stage(run, _):
-    if run.net is None:
-        raise ConfigError("no network configured")
     tcfg = run.config["stages"]["transfer"]
     run.traffic_metrics = run.runs.run(
         run.config["demand"], run.lane_policies,
@@ -329,8 +340,6 @@ def _impute_stage(run, icfg):
                                                  o["day"], o["flow"])
                         for o in icfg["observations"]]
     else:
-        if run.traffic_metrics is None:
-            raise ConfigError("impute needs inline observations or a traffic stage with detectors")
         observations = []
         for det_id, series in sorted(run.traffic_metrics.observations.items()):
             det = run.net.detectors[det_id]
@@ -387,8 +396,6 @@ def _policy(kind, tcfg) -> transfer.TransferPolicy:
 def _transfer_stage(run, tcfg):
     stations = [radio_env.BaseStation(s["id"], (s["x"], s["y"]), s["tx_power_dbm"])
                 for s in tcfg["stations"]]
-    if not stations:
-        raise ConfigError("transfer stage needs at least one base station")
     shadow = tcfg["shadowing"]
     model = radio_env.PropagationModel(
         pl0_db=shadow["pl0_db"], exponent=shadow["exponent"],
@@ -396,15 +403,12 @@ def _transfer_stage(run, tcfg):
         seed=substream_seed(run.seed, "shadowing"))
     scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
     traces = _build_traces(tcfg, run.traffic_metrics)
-    # the shadowing of every trace point, seeded in one pass before the map and drives
-    model.fill((x, y) for trace in traces for _, x, y in trace)
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap()
         for trace in traces:
-            rec = scene.trace_record(trace)
-            for i, (_, x, y) in enumerate(trace):
-                scene.map.record((x, y), rec.fill(i), 3)
+            for (_, x, y), sinr in zip(trace, scene.trace_record(trace).sinr):
+                scene.map.record((x, y), sinr, 3)
     rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":
@@ -488,6 +492,8 @@ def evaluate_assignment(config: dict, method: str, seed: int | None = None,
                         base_dir=".") -> routing_opt.EvaluationResult:
     """One assignment method, evaluated with the settings the assign stage uses."""
     cfg = parse_config(config, base_dir)
+    if cfg["network"] is None:
+        raise ConfigError("config.network: assignment needs a network")
     acfg = cfg["stages"]["assign"] or _section({}, ASSIGN, "config.stages.assign")
     return _evaluate_method(_Run(cfg, seed), acfg, method)
 

@@ -7,8 +7,9 @@ the values a lookup would draw one cell at a time. The connectivity map keeps
 exact running statistics (Welford) per geographic grid cell and backs the
 trajectory forecasts used by the predictive transfer policies. A scene keeps
 one ``TraceRecord`` per trace it is asked about: the times, speeds, SINR and
-serving RSRP of each point, worked out once and shared by the map build and
-every policy's drive.
+serving RSRP of every point, all worked out when the record is made (its
+shadowing cells seeded in one ``fill``) and shared by the map build and every
+policy's drive.
 """
 
 from __future__ import annotations
@@ -99,50 +100,34 @@ def sinr_rsrp_at(pos, stations, noise_dbm: float, model: PropagationModel) -> tu
     return 10.0 * math.log10(serving / (interference + noise)), max(rsrps)
 
 
-def sinr_at(pos, stations, noise_dbm: float, model: PropagationModel) -> float:
-    """SINR in dB: strongest station serves, the rest interfere (linear domain)."""
-    return sinr_rsrp_at(pos, stations, noise_dbm, model)[0]
-
-
-def speed_series(trace) -> list:
-    """Speed at each (t, x, y) point over the step that reaches it; the first point
-    takes the first step's."""
-    # max(dt, 1e-9), NaN included, without the call
-    speeds = [math.hypot(x1 - x0, y1 - y0) / (1e-9 if t1 - t0 < 1e-9 else t1 - t0)
-              for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
-    return speeds[:1] + speeds
-
-
 class TraceRecord:
     """The radio values of one (t, x, y) trace in one scene, one entry per point.
 
-    ``times`` and ``speeds`` are set at once. ``sinr`` and ``rsrp`` (serving,
-    dBm) hold None until ``fill`` works a point out, so a reader pays for the
-    points it reads and no point twice; a point at the position of the point
-    before it, once that one is filled, takes its values.
+    ``times``, ``speeds``, ``sinr`` and ``rsrp`` (serving, dBm) are all set when
+    the record is made: the trace's shadowing cells are seeded in one ``fill``,
+    and a point at the position of the point before it takes that point's values.
     """
 
-    __slots__ = ("trace", "times", "speeds", "sinr", "rsrp", "_radio")
+    __slots__ = ("trace", "times", "speeds", "sinr", "rsrp")
 
     def __init__(self, trace, stations, noise_dbm, model):
+        # the record holds the trace, so no other object takes its id while it is kept
         self.trace = trace
         self.times = [p[0] for p in trace]
-        self.speeds = speed_series(trace)
-        self.sinr = [None] * len(trace)
-        self.rsrp = [None] * len(trace)
-        self._radio = (stations, noise_dbm, model)
-
-    def fill(self, i) -> float:
-        """The SINR of point i, worked out with its serving RSRP on first use."""
-        sinr = self.sinr[i]
-        if sinr is None:
-            _, x, y = self.trace[i]
-            if i and self.sinr[i - 1] is not None and self.trace[i - 1][1:] == (x, y):
-                sinr, self.rsrp[i] = self.sinr[i - 1], self.rsrp[i - 1]  # standing still
-            else:
-                sinr, self.rsrp[i] = sinr_rsrp_at((x, y), *self._radio)
-            self.sinr[i] = sinr
-        return sinr
+        # over the step that reaches each point, the first point taking the first step's;
+        # max(dt, 1e-9), NaN included, without the call
+        speeds = [math.hypot(x1 - x0, y1 - y0) / (1e-9 if t1 - t0 < 1e-9 else t1 - t0)
+                  for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
+        self.speeds = speeds[:1] + speeds
+        model.fill((x, y) for _, x, y in trace)
+        self.sinr, self.rsrp = [], []
+        pos = None
+        for _, x, y in trace:
+            if (x, y) != pos:  # not standing still
+                pos = (x, y)
+                sinr, rsrp = sinr_rsrp_at(pos, stations, noise_dbm, model)
+            self.sinr.append(sinr)
+            self.rsrp.append(rsrp)
 
 
 @dataclass
@@ -160,15 +145,11 @@ class RadioScene:
     map: "ConnectivityMap | None" = None
     _records: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def rsrp(self, pos) -> float:
-        return sinr_rsrp_at(pos, self.stations, self.noise_dbm, self.model)[1]
-
     def sinr(self, pos) -> float:
-        return sinr_at(pos, self.stations, self.noise_dbm, self.model)
+        return sinr_rsrp_at(pos, self.stations, self.noise_dbm, self.model)[0]
 
     def trace_record(self, trace) -> TraceRecord:
         """The trace's TraceRecord, made on the first call for that trace object."""
-        # the record holds the trace, so no other object takes its id while it is kept
         rec = self._records.get(id(trace))
         if rec is None:
             rec = self._records[id(trace)] = TraceRecord(trace, self.stations,

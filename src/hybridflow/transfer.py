@@ -10,12 +10,12 @@ so transmissions concentrate where the metric is high; a maximum buffer age
 forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
 hysteresis factor. A drive reads the times, speeds, SINR and serving RSRP of
-its trace points from the scene's record of the trace, which works each point
-out once for the map build and all drives. A drive never writes the
-connectivity map, so it reads the map at every trace point once, and each
-probe reads only the peak of its look-ahead window, so a drive costs a
-constant per trace point under every policy (README's "Notes on scale" gives
-the measured cost).
+its trace points from the scene's record of the trace, which works every point
+out when it is made and serves the map build and all drives. A drive never
+writes the connectivity map, so it reads the map at every trace point once,
+and each probe reads only the peak of its look-ahead window, so a drive costs
+a constant per trace point under every policy (README's "Notes on scale"
+gives the measured cost).
 """
 
 from __future__ import annotations
@@ -304,8 +304,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     times, speeds, sinrs, rsrps = rec.times, rec.speeds, rec.sinr, rec.rsrp
     is_rate, predictive = policy.metric_is_rate, policy.predictive
     learned = predictor.kind == "learned_table"
-    # with no station the first probe's sinr raises before a flush reads this
-    max_tx_dbm = max((s.tx_power_dbm for s in scene.stations), default=math.nan)
+    max_tx_dbm = max(s.tx_power_dbm for s in scene.stations)  # the record needs a station
     log = []
     generated = transferred = 0.0
     tx_time = tx_energy = 0.0
@@ -330,8 +329,6 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         last_probe_s = t
         speed = speeds[i]
         sinr = sinrs[i]
-        if sinr is None:
-            sinr = rec.fill(i)
         phi = predictor.predict(sinr, buf.queued_bytes, speed) if is_rate else sinr
         peak = None
         if predictive:

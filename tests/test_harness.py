@@ -420,6 +420,24 @@ CONFIG_ERRORS = {
     "trace_no_traffic_stage": ("demo.json", lambda c: c["stages"].pop("traffic"),
                                "config.stages.transfer.trace.kind: from_traffic trace needs a "
                                "traffic stage"),
+    # what a stage needs from the rest of the config, before any stage
+    "transfer_no_station": ("transfer_two_phase.json",
+                            lambda c: _set(c["stages"]["transfer"], "stations", []),
+                            "config.stages.transfer.stations: expected at least one base "
+                            "station"),
+    "traffic_no_network": ("transfer_two_phase.json", lambda c: _set(c["stages"], "traffic", {}),
+                           "config.network: the traffic stage needs a network"),
+    "impute_no_network": ("transfer_two_phase.json",
+                          lambda c: _set(c["stages"], "impute",
+                                         {"observations": [{"edge": "s1", "offset_m": 420,
+                                                            "flow": 9100}]}),
+                          "config.network: the impute stage needs a network"),
+    "assign_no_network": ("transfer_two_phase.json", lambda c: _set(c["stages"], "assign", {}),
+                          "config.network: the assign stage needs a network"),
+    "impute_no_observations": ("demo.json",
+                               lambda c: [c["stages"].pop(k) for k in ("traffic", "transfer")],
+                               "config.stages.impute.observations: impute needs inline "
+                               "observations or a traffic stage with detectors"),
     # an inline network parses through the schema walker: road_net.NETWORK
     "network_lanes_fraction": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", 2.7),
                                "config.network.edges[0].lanes: 2.7 is not an integer"),
@@ -627,11 +645,13 @@ class TestComparePolicies:
             harness.compare_policies(config, ["cat", "periodic"], [1])
 
     def test_failing_stage_named(self):
-        config = transfer_config()
-        config["stages"]["transfer"]["stations"] = []
+        # a run can end with no connected trace long enough, which no parse can tell
+        config = demo_config()
+        config["stages"]["transfer"]["trace"]["min_duration_s"] = 10 ** 6
         with pytest.raises(harness.StageError) as err:
             harness.compare_policies(config, ["periodic", "ml_cat"], [1])
         assert err.value.stage == "transfer"
+        assert str(err.value.cause) == "no connected trace of at least 1000000s"
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_rows_equal_run(self, seed):

@@ -1,13 +1,15 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridflow import radio_env
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
-                                  RadioScene, forecast_along, rsrp_at, sinr_at)
+                                  RadioScene, forecast_along, rsrp_at, sinr_rsrp_at)
 from test_transfer import reference_speeds
 
 
@@ -59,13 +61,13 @@ class TestSinr:
         st_ = BaseStation("s", (0.0, 0.0), tx_power_dbm=43.0)
         m = no_shadow()
         d = 10.0 * 10 ** ((43.0 + 90.0 - 70.0) / 30.0)  # distance giving -90 dBm
-        got = sinr_at((d, 0.0), [st_], -100.0, m)
+        got = sinr_rsrp_at((d, 0.0), [st_], -100.0, m)[0]
         assert got == pytest.approx(10.0, abs=1e-9)
 
     def test_two_equal_stations(self):
         a = BaseStation("a", (-100.0, 0.0))
         b = BaseStation("b", (100.0, 0.0))
-        got = sinr_at((0.0, 0.0), [a, b], -200.0, no_shadow())
+        got = sinr_rsrp_at((0.0, 0.0), [a, b], -200.0, no_shadow())[0]
         assert got == pytest.approx(0.0, abs=1e-6)
 
     def test_three_station_linear_recomputation(self):
@@ -77,7 +79,7 @@ class TestSinr:
         powers = [10 ** (rsrp_at(pos, s, m) / 10.0) for s in stations]
         serving = max(powers)
         expect = 10 * math.log10(serving / (sum(powers) - serving + 10 ** (-100 / 10)))
-        assert sinr_at(pos, stations, -100.0, m) == pytest.approx(expect, abs=1e-12)
+        assert sinr_rsrp_at(pos, stations, -100.0, m)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_scale_consistency(self):
         stations = [BaseStation("a", (0.0, 0.0), tx_power_dbm=43.0),
@@ -86,8 +88,8 @@ class TestSinr:
                    BaseStation("b", (500.0, 0.0), tx_power_dbm=43.0)]
         m = no_shadow()
         pos = (120.0, 30.0)
-        assert sinr_at(pos, stations, -100.0, m) == pytest.approx(
-            sinr_at(pos, shifted, -97.0, m), abs=1e-9)
+        assert sinr_rsrp_at(pos, stations, -100.0, m)[0] == pytest.approx(
+            sinr_rsrp_at(pos, shifted, -97.0, m)[0], abs=1e-9)
 
 
 class TestConnectivityMap:
@@ -181,7 +183,7 @@ class TestRecordSamples:
 
 
 def old_sinr_at(pos, stations, noise_dbm, model):
-    """``sinr_at`` as it was before it shared its work with the serving RSRP."""
+    """The SINR as it was worked out before it shared its work with the serving RSRP."""
     powers = [10.0 ** (rsrp_at(pos, s, model) / 10.0) for s in stations]
     serving = max(powers)
     interference = sum(powers) - serving
@@ -201,16 +203,15 @@ POSITIONS = [(0.0, 0.0), (-0.0, 0.0), (10, -5), (26.0, 3.0), (737.5, -12.25), (1
 
 
 class TestTraceRecord:
-    """A scene's record of a trace holds, per point, what the per-point functions give."""
+    """A scene's record of a trace holds, per point, what the per-point functions give,
+    all worked out when the record is made."""
 
     @given(steps=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(POSITIONS)),
                           min_size=2, max_size=40),
-           reads=st.lists(st.integers(0, 39), max_size=60),
            shadowing=st.booleans(), filled=st.booleans())
-    # a vehicle standing still, read from its last point back
-    @example(steps=[(1, (26.0, 3.0))] * 6, reads=[5, 4, 3, 2, 1, 0], shadowing=True,
-             filled=False)
-    def test_equal_to_per_point_values(self, steps, reads, shadowing, filled):
+    # a vehicle standing still
+    @example(steps=[(1, (26.0, 3.0))] * 6, shadowing=True, filled=False)
+    def test_equal_to_per_point_values(self, steps, shadowing, filled):
         trace, t = [], 0
         for dt, (x, y) in steps:
             t += dt
@@ -218,22 +219,28 @@ class TestTraceRecord:
         scene = two_station_scene(shadowing)
         if filled:
             scene.model.fill((x, y) for _, x, y in trace)
-        rec = scene.trace_record(trace)
-        assert scene.trace_record(trace) is rec
-        read = {i % len(trace) for i in reads}
-        for i in reads:
-            assert rec.fill(i % len(trace)) is rec.sinr[i % len(trace)]
+        seeded, worked = [], []
+        generators, sinr_rsrp = radio_env.generators, radio_env.sinr_rsrp_at
+        with mock.patch.object(radio_env, "generators",
+                               lambda rows: seeded.append(len(rows)) or generators(rows)), \
+                mock.patch.object(radio_env, "sinr_rsrp_at",
+                                  lambda pos, *args: worked.append(pos) or sinr_rsrp(pos, *args)):
+            rec = scene.trace_record(trace)
+            assert scene.trace_record(trace) is rec
+        # the trace's shadowing cells seeded in one pass, and never again by a lookup
+        assert len(seeded) == (shadowing and not filled)
+        # every point worked out but one standing where the point before it stood
+        assert worked == [p[1:] for i, p in enumerate(trace)
+                          if not i or p[1:] != trace[i - 1][1:]]
         # a scene that no fill seeded and no record read
         oracle = two_station_scene(shadowing)
         for i, (_, x, y) in enumerate(trace):
-            if i not in read:
-                assert rec.sinr[i] is None and rec.rsrp[i] is None
-                continue
             want = old_sinr_at((x, y), oracle.stations, oracle.noise_dbm, oracle.model)
             assert rec.sinr[i].hex() == want.hex()
-            assert sinr_at((x, y), oracle.stations, oracle.noise_dbm, oracle.model) == want
             rsrp = max(rsrp_at((x, y), s, oracle.model) for s in oracle.stations)
-            assert rec.rsrp[i].hex() == rsrp.hex() == oracle.rsrp((x, y)).hex()
+            assert rec.rsrp[i].hex() == rsrp.hex()
+            assert sinr_rsrp_at((x, y), oracle.stations, oracle.noise_dbm,
+                                oracle.model) == (want, rsrp)
         assert rec.times == [p[0] for p in trace]
         assert repr(rec.speeds) == repr(reference_speeds(trace))
 
@@ -243,7 +250,7 @@ class TestTraceRecord:
         same_points = list(trace)
         assert scene.trace_record(trace) is scene.trace_record(trace)
         assert scene.trace_record(same_points) is not scene.trace_record(trace)
-        scene.trace_record(trace).fill(1)
+        assert scene.trace_record(same_points).sinr == scene.trace_record(trace).sinr
         assert scene == two_station_scene() and repr(scene) == repr(two_station_scene())
 
 
@@ -303,8 +310,9 @@ class TestSceneSinrMemo:
         fresh = [(float(x), float(y)) for x, y in rng.uniform(-500, 1500, size=(200, 2))]
         # repeated positions, and ones equal to others as keys: ints, -0.0
         positions = fresh + fresh[::3] + [(0, 0), (0.0, 0.0), (-0.0, 0.0), (10, -5)] * 2
+        oracle = self.scene()
         for pos in positions:
-            want = sinr_at(pos, scene.stations, scene.noise_dbm, scene.model)
+            want = old_sinr_at(pos, oracle.stations, oracle.noise_dbm, oracle.model)
             assert scene.sinr(pos).hex() == want.hex()
 
     def test_memo_not_part_of_equality(self):

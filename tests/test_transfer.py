@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridflow import radio_env, transfer
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
-                                  forecast_along, sinr_at)
+                                  forecast_along, sinr_rsrp_at)
 from hybridflow.rng import Uniforms, substream
 from hybridflow.transfer import (BufferState, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferMetrics, TransferPolicy, decide,
@@ -335,8 +335,9 @@ def reference_decide(runtime, now_s, buffer, phi_now, forecast=None):
 def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=None,
                     windows=None):
     """``simulate_drive`` as it was: each probe looks the window up on the map
-    and predicts every value in it; SINR straight from ``sinr_at``. Appends
-    each probe's later points (the ones ``decide`` kept) to ``windows``."""
+    and predicts every value in it; SINR and serving RSRP straight from
+    ``sinr_rsrp_at``. Appends each probe's later points (the ones ``decide``
+    kept) to ``windows``."""
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
     predictor = predictor or RatePredictor()
@@ -365,7 +366,7 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
         if last_probe_s is not None and t - last_probe_s < probe_every:
             continue
         last_probe_s = t
-        sinr = sinr_at(pos, scene.stations, scene.noise_dbm, scene.model)
+        sinr, rsrp = sinr_rsrp_at(pos, scene.stations, scene.noise_dbm, scene.model)
         if policy.metric_is_rate:
             phi = predictor.predict(sinr, buf.queued_bytes, speed)
         else:
@@ -391,7 +392,7 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
             actual_rate = max(predictor.formula_rate(sinr, payload) * noise, 1e-6)
             attempts = 2 if noise_rng.random() < transfer._loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts
-            pathloss = max(s.tx_power_dbm for s in scene.stations) - scene.rsrp(pos)
+            pathloss = max(s.tx_power_dbm for s in scene.stations) - rsrp
             e_tx = duration * transfer._tx_power_w(pathloss)
             ages.append(buf.age(t))
             n_tx += 1
@@ -436,7 +437,7 @@ def two_station_scene():
     rng = np.random.default_rng(5)
     cmap = ConnectivityMap()
     for _, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
-        sinr = sinr_at((x, y), scene.stations, scene.noise_dbm, scene.model)
+        sinr = sinr_rsrp_at((x, y), scene.stations, scene.noise_dbm, scene.model)[0]
         for _ in range(int(rng.integers(0, 4))):
             cmap.record((x, y), sinr + float(rng.normal(0.0, 3.0)))
     scene.map = cmap
@@ -538,9 +539,10 @@ class TestDriveInvariants:
         assert (scene.map.cells, scene.map._global_count, scene.map._global_mean) == before
 
     def test_each_point_worked_out_once(self, monkeypatch):
-        # every policy drives the trace twice on one scene: the radio values of a point
-        # are worked out on its first probe only, and a point standing where the point
-        # before it stood takes that point's values
+        # every policy drives the trace twice on one scene: the radio values of every
+        # point are worked out once, in trace order, when the scene makes its record of
+        # the trace, and a point standing where the point before it stood takes that
+        # point's values
         scene, trace = two_station_scene(), uneven_trace()
         positions = []
         original = radio_env.sinr_rsrp_at
@@ -555,8 +557,8 @@ class TestDriveInvariants:
                 for t_min in (5.0, 1.0):
                     simulate_drive(trace, scene, make_policy(kind, t_min_s=t_min), 10_000.0,
                                    seed=8)
-        distinct = [p[1:] for i, p in enumerate(trace) if i and p[1:] != trace[i - 1][1:]]
-        assert sorted(positions) == sorted(distinct)
+        distinct = [p[1:] for i, p in enumerate(trace) if not i or p[1:] != trace[i - 1][1:]]
+        assert positions == distinct
         positions.clear()
         standing = [(t, 10.0, 0.0) for t in range(601)]
         simulate_drive(standing, scene, TransferPolicy(kind="periodic"), 10_000.0, seed=8)
