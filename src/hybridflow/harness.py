@@ -94,8 +94,8 @@ def parse_config(config: dict, base_dir=".") -> dict:
     degenerate, a from_traffic trace that no connected vehicle can drive, a
     transfer stage of no station, a traffic, impute or assign stage with no
     network, an impute stage with neither inline observations nor a traffic
-    stage with detectors, and a demand node, lane mask or impute location off
-    the network."""
+    stage with detectors, or whose traffic run is shorter than a detector
+    window, and a demand node, lane mask or impute location off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -160,6 +160,10 @@ def parse_config(config: dict, base_dir=".") -> dict:
         if not icfg["observations"] and (stages["traffic"] is None or not net.detectors):
             raise ConfigError("config.stages.impute.observations: impute needs inline "
                               "observations or a traffic stage with detectors")
+        if not icfg["observations"] and parsed["duration_s"] < parsed["window_s"]:
+            raise ConfigError(f"config.duration_s: a {parsed['duration_s']} s run closes no "
+                              f"{parsed['window_s']} s detector window, and the impute stage "
+                              f"has no inline observations")
         for key in ("observations", "targets"):
             for i, point in enumerate(icfg[key]):
                 loc = impute.NetPoint(point["edge"], point["offset_m"])
@@ -407,8 +411,7 @@ def _transfer_stage(run, tcfg):
         # crowdsensed along the traces before any policy drives them
         scene.map = radio_env.ConnectivityMap()
         for trace in traces:
-            for (_, x, y), sinr in zip(trace, scene.trace_record(trace).sinr):
-                scene.map.record((x, y), sinr, 3)
+            scene.map.record_many([(x, y) for _, x, y in trace], scene.trace_record(trace).sinr, 3)
     rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":

@@ -3,13 +3,16 @@
 A log-distance path-loss model with lattice-hashed lognormal shadowing stands
 in for a measured network. Each lattice cell draws from its own generator;
 ``PropagationModel.fill`` seeds the cells of many positions in one pass, with
-the values a lookup would draw one cell at a time. The connectivity map keeps
-exact running statistics (Welford) per geographic grid cell and backs the
-trajectory forecasts used by the predictive transfer policies. A scene keeps
-one ``TraceRecord`` per trace it is asked about: the times, speeds, SINR and
-serving RSRP of every point, all worked out when the record is made (its
-shadowing cells seeded in one ``fill``) and shared by the map build and every
-policy's drive.
+the values a lookup would draw one cell at a time, and hands back each
+position's shadowing. One per-point code (``_Link``, whose station, noise and
+path-loss constants are set once) works out every RSRP and SINR. The
+connectivity map keeps exact running statistics (Welford) per geographic grid
+cell, takes a whole trace in one ``record_many`` call with the bits of one
+``record`` call per point, and backs the trajectory forecasts used by the
+predictive transfer policies. A scene keeps one ``TraceRecord`` per trace it
+is asked about: the times, speeds, SINR and serving RSRP of every point, all
+worked out in one pass when the record is made and shared by the map build
+and every policy's drive.
 """
 
 from __future__ import annotations
@@ -48,64 +51,93 @@ class PropagationModel:
     _shadow_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def shadowing_db(self, pos) -> float:
-        if not self.shadowing_enabled or self.shadowing_sigma_db <= 0:
-            return 0.0
-        key = _lattice_cell(pos)
-        val = self._shadow_cache.get(key)
-        if val is None:
-            self._draw([key])
-            val = self._shadow_cache[key]
-        return val
+        """The shadowing in dB at pos; a cell not drawn yet is drawn now."""
+        return self.fill([pos])[0]
 
-    def fill(self, positions) -> None:
-        """Draws the shadowing of every lattice cell of positions not drawn yet, all
-        seeded in one pass; ``shadowing_db`` then finds each of them cached and
-        returns the value it would have drawn itself."""
-        if self.shadowing_enabled and self.shadowing_sigma_db > 0:
-            keys = dict.fromkeys(key for key in map(_lattice_cell, positions)
-                                 if key not in self._shadow_cache)
-            if keys:
-                self._draw(keys)
+    def fill(self, positions) -> list:
+        """The shadowing in dB at each of a list of positions. The lattice cells not
+        drawn yet are all seeded in one pass, and each position's cell is worked out
+        once."""
+        if not self.shadowing_enabled or self.shadowing_sigma_db <= 0:
+            return [0.0] * len(positions)
+        floor, side = math.floor, SHADOWING_LATTICE_M
+        keys = [(floor(x / side), floor(y / side)) for x, y in positions]
+        cache = self._shadow_cache
+        missing = dict.fromkeys(key for key in keys if key not in cache)
+        if missing:
+            self._draw(missing)
+        return [cache[key] for key in keys]
 
     def _draw(self, keys) -> None:
         """One generator per cell, seeded by the model seed and the cell's offset indices."""
         rows = np.array([(self.seed & 0xFFFFFFFF, (kx + 2 ** 31) & 0xFFFFFFFF,
-                          (ky + 2 ** 31) & 0xFFFFFFFF) for kx, ky in keys], dtype=np.int64)
+                          (ky + 2 ** 31) & 0xFFFFFFFF) for kx, ky in keys], dtype=np.uint32)
         for key, gen in zip(keys, generators(rows)):
             self._shadow_cache[key] = float(gen.normal(0.0, self.shadowing_sigma_db))
 
 
-def _lattice_cell(pos):
-    return (math.floor(pos[0] / SHADOWING_LATTICE_M), math.floor(pos[1] / SHADOWING_LATTICE_M))
+class _Link:
+    """The per-point radio code of one set of stations, noise floor and path-loss
+    model, with their constants worked out once: each station's coordinates and
+    power, the noise power in mW, ``pl0_db`` and ``10 * exponent``. Every RSRP and
+    SINR of the program is worked out here."""
+
+    __slots__ = ("sites", "noise_mw", "pl0_db", "slope_db")
+
+    def __init__(self, stations, noise_dbm: float, model: PropagationModel):
+        if not stations:
+            raise ValueError("need at least one station")
+        self.sites = [(s.position[0], s.position[1], s.tx_power_dbm) for s in stations]
+        self.noise_mw = 10.0 ** (noise_dbm / 10.0)
+        self.pl0_db, self.slope_db = model.pl0_db, 10.0 * model.exponent
+
+    def rsrp(self, x, y, shadow_db: float, site) -> float:
+        """Received power in dBm from one of ``sites`` at (x, y) under the given
+        shadowing; distance clamps at the reference D0_M."""
+        sx, sy, tx = site
+        d = math.hypot(x - sx, y - sy)
+        return tx - (self.pl0_db + self.slope_db * math.log10((D0_M if d < D0_M else d) / D0_M)) \
+            - shadow_db
+
+    def sinr_rsrp(self, x, y, shadow_db: float) -> tuple:
+        """(SINR in dB, serving RSRP in dBm): the strongest station serves, the rest
+        interfere (linear domain). One pass over the stations, with the bits of
+        max() over their lists; the powers are added by sum() itself, which from
+        Python 3.12 on rounds otherwise than a loop adding left to right."""
+        serving = best = None
+        powers = []
+        for site in self.sites:
+            rsrp = self.rsrp(x, y, shadow_db, site)
+            power = 10.0 ** (rsrp / 10.0)
+            powers.append(power)
+            if serving is None or power > serving:
+                serving = power
+            if best is None or rsrp > best:
+                best = rsrp
+        return 10.0 * math.log10(serving / (sum(powers) - serving + self.noise_mw)), best
 
 
 def rsrp_at(pos, station: BaseStation, model: PropagationModel) -> float:
     """Received power in dBm; distance clamps at the reference D0_M."""
-    d = math.hypot(pos[0] - station.position[0], pos[1] - station.position[1])
-    d = max(d, D0_M)
-    pl = model.pl0_db + 10.0 * model.exponent * math.log10(d / D0_M)
-    return station.tx_power_dbm - pl - model.shadowing_db(pos)
+    link = _Link([station], 0.0, model)
+    return link.rsrp(pos[0], pos[1], model.shadowing_db(pos), link.sites[0])
 
 
 def sinr_rsrp_at(pos, stations, noise_dbm: float, model: PropagationModel) -> tuple:
     """(SINR in dB, serving RSRP in dBm): the strongest station serves, the rest
     interfere (linear domain)."""
-    if not stations:
-        raise ValueError("need at least one station")
-    rsrps = [rsrp_at(pos, s, model) for s in stations]
-    powers = [10.0 ** (r / 10.0) for r in rsrps]
-    serving = max(powers)
-    interference = sum(powers) - serving
-    noise = 10.0 ** (noise_dbm / 10.0)
-    return 10.0 * math.log10(serving / (interference + noise)), max(rsrps)
+    link = _Link(stations, noise_dbm, model)
+    return link.sinr_rsrp(pos[0], pos[1], model.shadowing_db(pos))
 
 
 class TraceRecord:
     """The radio values of one (t, x, y) trace in one scene, one entry per point.
 
     ``times``, ``speeds``, ``sinr`` and ``rsrp`` (serving, dBm) are all set when
-    the record is made: the trace's shadowing cells are seeded in one ``fill``,
-    and a point at the position of the point before it takes that point's values.
+    the record is made, in one pass over the trace: the scene's constants are
+    worked out once, ``PropagationModel.fill`` seeds the trace's shadowing cells
+    in one call and hands back each point's shadowing, and a point at the
+    position of the point before it takes that point's values.
     """
 
     __slots__ = ("trace", "times", "speeds", "sinr", "rsrp")
@@ -119,15 +151,16 @@ class TraceRecord:
         speeds = [math.hypot(x1 - x0, y1 - y0) / (1e-9 if t1 - t0 < 1e-9 else t1 - t0)
                   for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
         self.speeds = speeds[:1] + speeds
-        model.fill((x, y) for _, x, y in trace)
-        self.sinr, self.rsrp = [], []
+        sinr_rsrp = _Link(stations, noise_dbm, model).sinr_rsrp
+        shadows = model.fill([(x, y) for _, x, y in trace])
+        self.sinr, self.rsrp = sinrs, rsrps = [], []
         pos = None
-        for _, x, y in trace:
+        for (_, x, y), shadow in zip(trace, shadows):
             if (x, y) != pos:  # not standing still
                 pos = (x, y)
-                sinr, rsrp = sinr_rsrp_at(pos, stations, noise_dbm, model)
-            self.sinr.append(sinr)
-            self.rsrp.append(rsrp)
+                sinr, rsrp = sinr_rsrp(x, y, shadow)
+            sinrs.append(sinr)
+            rsrps.append(rsrp)
 
 
 @dataclass
@@ -179,22 +212,38 @@ class ConnectivityMap:
 
     def record(self, pos, value: float, n: int = 1) -> None:
         """Adds n samples of value at pos, to the bit what n calls of one sample add."""
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite metric value {value}")
+        self.record_many([pos], [value], n)
+
+    def record_many(self, positions, values, n: int = 1) -> None:
+        """Adds n samples of each value at its position, in order, to the bit what
+        one ``record`` call per pair adds; a non-finite value raises with the pairs
+        before it recorded. A cell's statistics stay in locals while consecutive
+        positions fall in it."""
         if n < 1:
             raise ValueError(f"need at least one sample, got {n}")
-        key = self.cell_of(pos)
-        count, mean, m2 = self.cells.get(key, (0, 0.0, 0.0))
+        cells, cell_of, isfinite, samples = self.cells, self.cell_of, math.isfinite, range(n)
         g_count, g_mean = self._global_count, self._global_mean
-        for _ in range(n):
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            g_count += 1
-            g_mean += (value - g_mean) / g_count
-        self.cells[key] = (count, mean, m2)
-        self._global_count, self._global_mean = g_count, g_mean
+        key = None
+        try:
+            for pos, value in zip(positions, values):
+                if not isfinite(value):
+                    raise ValueError(f"non-finite metric value {value}")
+                if (cell := cell_of(pos)) != key:
+                    if key is not None:
+                        cells[key] = (count, mean, m2)
+                    key = cell
+                    count, mean, m2 = cells.get(key, (0, 0.0, 0.0))
+                for _ in samples:
+                    count += 1
+                    delta = value - mean
+                    mean += delta / count
+                    m2 += delta * (value - mean)
+                    g_count += 1
+                    g_mean += (value - g_mean) / g_count
+        finally:
+            if key is not None:
+                cells[key] = (count, mean, m2)
+            self._global_count, self._global_mean = g_count, g_mean
 
     def global_mean(self):
         return self._global_mean if self._global_count else None

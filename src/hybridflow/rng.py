@@ -9,8 +9,9 @@ A named single stream (``substream``, ``substream_seed``) builds numpy's
 (``substreams``), are seeded by ``seed_states``: numpy's SeedSequence hash
 as array operations over all rows at once. Each PCG64 then seeds itself from
 its row's words through ``_seeded()``, so every stream draws the bits that
-``default_rng(SeedSequence(row))`` draws. A call costs about 0.1-0.3 ms
-whatever its row count, so a caller seeds all its entities in one call.
+``default_rng(SeedSequence(row))`` draws. The array pass costs about 0.05-0.15
+ms whatever its row count (its hash constants are made once per row length),
+so a caller seeds all its entities in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
 
 
 def _entropy(master_seed: int, name: str) -> list:
@@ -43,7 +43,7 @@ def substreams(master_seeds, names):
     """The generators of ``substream(seed, name)`` for each pair, in order, seeded
     in one ``seed_states`` call; an iterator that builds each one when it is reached."""
     rows = [_entropy(seed, name) for seed, name in zip(master_seeds, names)]
-    return generators(np.array(rows, dtype=np.int64).reshape(len(rows), 2))
+    return generators(np.array(rows, dtype=np.uint32).reshape(len(rows), 2))
 
 
 def _hash_consts(init: int, mult: int, n: int):
@@ -57,50 +57,65 @@ def _hash_consts(init: int, mult: int, n: int):
     return np.array(xors, np.uint32), np.array(mults, np.uint32)
 
 
+@functools.cache
+def _consts(m: int):
+    """Every hash constant of ``seed_states`` for rows of m words, made once per m and
+    shared, so no caller writes them: the (xors, mults) of the first pool words, of
+    each pool word's mixing into the pool (a zero in its own column, never read), of
+    each word beyond the pool, and of the output."""
+    xors, mults = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + max(m - _POOL, 0) * _POOL)
+    mixing = [tuple(np.insert(c[at:at + 3], src, 0) for c in (xors, mults))
+              for src, at in enumerate(range(_POOL, _POOL * _POOL, 3))]
+    extra = [(xors[at:at + _POOL], mults[at:at + _POOL])
+             for at in range(_POOL * _POOL, len(xors), _POOL)]
+    output = [c.reshape(2, _POOL) for c in _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)]
+    return (xors[:_POOL], mults[:_POOL]), mixing, extra, output
+
+
 def _hash(words, xors, mults):
     words = (words ^ xors) * mults
-    return words ^ (words >> _SHIFT)
+    words ^= words >> 16
+    return words
 
 
 def _mix(x, y):
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> _SHIFT)
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
 
 
 def seed_states(entropy) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a (k, m)
-    array of 32-bit entropy words, as a (k, 4) uint64 array."""
+    array of 32-bit entropy words, as a (k, 4) uint64 array, worked out as array
+    operations over all rows. A uint32 array is taken as it is; any other integer
+    array is checked word by word."""
     words = np.asarray(entropy)
     if words.ndim != 2 or words.dtype.kind not in "iu":
         raise ValueError(f"entropy: expected a 2-d array of integer words, got shape "
                          f"{words.shape} of {words.dtype}")
-    bad = np.argwhere((words < 0) | (words > _MASK32))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"entropy[{i}][{j}]: {words[i, j]} is not a 32-bit word")
-    words = words.astype(np.uint32)
+    if words.dtype != np.uint32:
+        if (words >> 32).any():  # a negative word or one beyond 32 bits
+            i, j = np.argwhere((words < 0) | (words > _MASK32))[0]
+            raise ValueError(f"entropy[{i}][{j}]: {words[i, j]} is not a 32-bit word")
+        words = words.astype(np.uint32)
     m = words.shape[1]
-    xors, mults = _hash_consts(_INIT_A, _MULT_A,
-                               _POOL * _POOL + max(m - _POOL, 0) * _POOL)
+    first, mixing, extra, output = _consts(m)
     # the first words hashed into the pool, zeros where a row is shorter
     pool = np.zeros((len(words), _POOL), np.uint32)
     pool[:, :min(m, _POOL)] = words[:, :_POOL]
-    pool = _hash(pool, xors[:_POOL], mults[:_POOL])
-    step = _POOL
+    pool = _hash(pool, *first)
     # each word mixed into the other three; a source word stays put while it mixes
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        mixed = _hash(pool[:, src:src + 1], xors[step:step + 3], mults[step:step + 3])
-        pool[:, dst] = _mix(pool[:, dst], mixed)
-        step += 3
+    for src, consts in enumerate(mixing):
+        mixed = _mix(pool, _hash(pool[:, src:src + 1], *consts))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
     # entropy beyond the pool, each word mixed into every pool word
-    for src in range(_POOL, m):
-        pool = _mix(pool, _hash(words[:, src:src + 1], xors[step:step + _POOL],
-                                mults[step:step + _POOL]))
-        step += _POOL
+    for src, consts in enumerate(extra, _POOL):
+        pool = _mix(pool, _hash(words[:, src:src + 1], *consts))
     # eight 32-bit words from the pool, cycled, paired little-endian into four uint64
-    out = _hash(np.tile(pool, 2), *_hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
-    return np.ascontiguousarray(out.astype("<u4").view("<u8").astype(np.uint64))
+    out = _hash(pool[:, None, :], *output).reshape(len(pool), 2 * _POOL)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache

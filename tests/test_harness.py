@@ -438,6 +438,12 @@ CONFIG_ERRORS = {
                                lambda c: [c["stages"].pop(k) for k in ("traffic", "transfer")],
                                "config.stages.impute.observations: impute needs inline "
                                "observations or a traffic stage with detectors"),
+    "impute_run_shorter_than_window": ("demo.json",
+                                       lambda c: [c.update(duration_s=30, window_s=60)]
+                                       + [c["stages"].pop(k)
+                                          for k in ("fingerprint", "assign", "transfer")],
+                                       "config.duration_s: a 30 s run closes no 60 s detector "
+                                       "window, and the impute stage has no inline observations"),
     # an inline network parses through the schema walker: road_net.NETWORK
     "network_lanes_fraction": ("demo.json", lambda c: _set(c["network"]["edges"][0], "lanes", 2.7),
                                "config.network.edges[0].lanes: 2.7 is not an integer"),

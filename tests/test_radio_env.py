@@ -182,65 +182,94 @@ class TestRecordSamples:
         assert map_bits(cmap) == map_bits(ConnectivityMap())
 
 
+def old_rsrp_at(pos, station, model):
+    """The received power as it was worked out before a scene's constants were set once."""
+    d = math.hypot(pos[0] - station.position[0], pos[1] - station.position[1])
+    d = max(d, radio_env.D0_M)
+    pl = model.pl0_db + 10.0 * model.exponent * math.log10(d / radio_env.D0_M)
+    return station.tx_power_dbm - pl - model.shadowing_db(pos)
+
+
 def old_sinr_at(pos, stations, noise_dbm, model):
     """The SINR as it was worked out before it shared its work with the serving RSRP."""
-    powers = [10.0 ** (rsrp_at(pos, s, model) / 10.0) for s in stations]
+    powers = [10.0 ** (old_rsrp_at(pos, s, model) / 10.0) for s in stations]
     serving = max(powers)
     interference = sum(powers) - serving
     noise = 10.0 ** (noise_dbm / 10.0)
     return 10.0 * math.log10(serving / (interference + noise))
 
 
-def two_station_scene(shadowing=True):
-    return RadioScene([BaseStation("a", (0.0, 0.0)),
-                       BaseStation("b", (900.0, 300.0), tx_power_dbm=30.0)],
+STATIONS = [BaseStation("a", (0.0, 0.0)), BaseStation("b", (900.0, 300.0), tx_power_dbm=30.0),
+            BaseStation("c", (-150.0, 220.0), tx_power_dbm=40.0)]
+
+
+def two_station_scene(shadowing=True, stations=2):
+    return RadioScene(STATIONS[:stations],
                       model=PropagationModel(seed=3, shadowing_enabled=shadowing))
 
 
-# revisited by the traces drawn below; 0.0 and -0.0, and an int position, are one key
+# revisited by the traces drawn below; 0.0 and -0.0, and an int position, are one key;
+# (10, -5) and (-400.0, 80.0) lie within D0_M of no station, (0.0, 0.0) at station a
 POSITIONS = [(0.0, 0.0), (-0.0, 0.0), (10, -5), (26.0, 3.0), (737.5, -12.25), (1490.0, 300.0),
-             (-400.0, 80.0)]
+             (-400.0, 80.0), (-150.0, 224.0)]
+
+
+@st.composite
+def traces(draw):
+    """A (t, x, y) trace of 2-40 points over POSITIONS: vehicles that stand still and
+    cells that a trace leaves and comes back to."""
+    steps = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(POSITIONS)),
+                          min_size=2, max_size=40))
+    trace, t = [], 0
+    for dt, (x, y) in steps:
+        t += dt
+        trace.append((t, x, y))
+    return trace
 
 
 class TestTraceRecord:
-    """A scene's record of a trace holds, per point, what the per-point functions give,
-    all worked out when the record is made."""
+    """A scene's record of a trace holds, per point, what the per-point functions give
+    on a fresh scene, all worked out in one pass when the record is made."""
 
-    @given(steps=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(POSITIONS)),
-                          min_size=2, max_size=40),
-           shadowing=st.booleans(), filled=st.booleans())
+    @given(trace=traces(), shadowing=st.booleans(), stations=st.integers(1, 3),
+           drawn=st.lists(st.sampled_from(POSITIONS), max_size=4))
     # a vehicle standing still
-    @example(steps=[(1, (26.0, 3.0))] * 6, shadowing=True, filled=False)
-    def test_equal_to_per_point_values(self, steps, shadowing, filled):
-        trace, t = [], 0
-        for dt, (x, y) in steps:
-            t += dt
-            trace.append((t, x, y))
-        scene = two_station_scene(shadowing)
-        if filled:
-            scene.model.fill((x, y) for _, x, y in trace)
+    @example(trace=[(t, 26.0, 3.0) for t in range(6)], shadowing=True, stations=2, drawn=[])
+    # every cell of the trace already drawn
+    @example(trace=[(0, 0.0, 0.0), (1, 26.0, 3.0), (2, 0.0, 0.0)], shadowing=True, stations=3,
+             drawn=[(0.0, 0.0), (26.0, 3.0)])
+    def test_equal_to_per_point_values(self, trace, shadowing, stations, drawn):
+        scene = two_station_scene(shadowing, stations)
+        # a model with some cells already drawn, by lookups or by another trace's fill
+        scene.model.fill(drawn)
+        cells_before = dict(scene.model._shadow_cache)
         seeded, worked = [], []
-        generators, sinr_rsrp = radio_env.generators, radio_env.sinr_rsrp_at
+        generators, sinr_rsrp = radio_env.generators, radio_env._Link.sinr_rsrp
         with mock.patch.object(radio_env, "generators",
                                lambda rows: seeded.append(len(rows)) or generators(rows)), \
-                mock.patch.object(radio_env, "sinr_rsrp_at",
-                                  lambda pos, *args: worked.append(pos) or sinr_rsrp(pos, *args)):
+                mock.patch.object(radio_env._Link, "sinr_rsrp",
+                                  lambda link, x, y, shadow: worked.append((x, y))
+                                  or sinr_rsrp(link, x, y, shadow)):
             rec = scene.trace_record(trace)
             assert scene.trace_record(trace) is rec
-        # the trace's shadowing cells seeded in one pass, and never again by a lookup
-        assert len(seeded) == (shadowing and not filled)
-        # every point worked out but one standing where the point before it stood
+        # the trace's new shadowing cells seeded in one pass, the drawn ones kept
+        new_cells = {cell for cell in map(_cell, trace) if cell not in cells_before}
+        assert seeded == ([len(new_cells)] if shadowing and new_cells else [])
+        assert scene.model._shadow_cache.items() >= cells_before.items()
+        # every point worked out once, but one standing where the point before it stood
         assert worked == [p[1:] for i, p in enumerate(trace)
                           if not i or p[1:] != trace[i - 1][1:]]
         # a scene that no fill seeded and no record read
-        oracle = two_station_scene(shadowing)
+        oracle = two_station_scene(shadowing, stations)
         for i, (_, x, y) in enumerate(trace):
             want = old_sinr_at((x, y), oracle.stations, oracle.noise_dbm, oracle.model)
             assert rec.sinr[i].hex() == want.hex()
-            rsrp = max(rsrp_at((x, y), s, oracle.model) for s in oracle.stations)
+            rsrp = max(old_rsrp_at((x, y), s, oracle.model) for s in oracle.stations)
             assert rec.rsrp[i].hex() == rsrp.hex()
             assert sinr_rsrp_at((x, y), oracle.stations, oracle.noise_dbm,
-                                oracle.model) == (want, rsrp)
+                                oracle.model) == (rec.sinr[i], rec.rsrp[i])
+            assert [rsrp_at((x, y), s, oracle.model) for s in oracle.stations] == \
+                [old_rsrp_at((x, y), s, oracle.model) for s in oracle.stations]
         assert rec.times == [p[0] for p in trace]
         assert repr(rec.speeds) == repr(reference_speeds(trace))
 
@@ -252,6 +281,62 @@ class TestTraceRecord:
         assert scene.trace_record(same_points) is not scene.trace_record(trace)
         assert scene.trace_record(same_points).sinr == scene.trace_record(trace).sinr
         assert scene == two_station_scene() and repr(scene) == repr(two_station_scene())
+
+    def test_no_station_rejected(self):
+        scene = RadioScene([], model=no_shadow())
+        for read in (lambda: scene.trace_record([(0, 0.0, 0.0), (1, 10.0, 0.0)]),
+                     lambda: scene.sinr((0.0, 0.0))):
+            with pytest.raises(ValueError, match="need at least one station"):
+                read()
+
+
+def _cell(point):
+    return (math.floor(point[1] / radio_env.SHADOWING_LATTICE_M),
+            math.floor(point[2] / radio_env.SHADOWING_LATTICE_M))
+
+
+class TestRecordTrace:
+    """One ``record_many`` call for a whole trace is one ``record`` call per point, to
+    the bit, and stops where they stop."""
+
+    @given(before=st.lists(st.tuples(st.sampled_from(POSITIONS), st.floats(-80, 40)),
+                           max_size=6),
+           points=st.lists(st.tuples(st.sampled_from(POSITIONS), st.floats(-80, 40)),
+                           max_size=30),
+           n=st.integers(1, 4),
+           bad=st.one_of(st.none(), st.tuples(st.integers(0, 29),
+                                              st.sampled_from([math.nan, math.inf, -math.inf]))))
+    @example(before=[], points=[((0.0, 0.0), 1.0), ((-0.0, 0.0), 2.0), ((26.0, 3.0), 3.0),
+                                ((0.0, 0.0), 4.0)], n=3, bad=None)
+    @example(before=[((26.0, 3.0), 5.0)], points=[((26.0, 3.0), 1.0)] * 3, n=2, bad=(2, math.nan))
+    def test_equal_to_per_point_calls(self, before, points, n, bad):
+        if bad is not None and points:
+            i, value = bad
+            points[i % len(points)] = (points[i % len(points)][0], value)
+        whole, single = ConnectivityMap(), ConnectivityMap()
+        for cmap in (whole, single):
+            for p, v in before:
+                cmap.record(p, v)
+        errors = []
+        for cmap, record in ((whole, lambda: whole.record_many([p for p, _ in points],
+                                                              [v for _, v in points], n)),
+                             (single, lambda: [single.record(p, v, n) for p, v in points])):
+            try:
+                record()
+            except ValueError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        assert errors[0] == errors[1]
+        assert (errors[0] is not None) == any(not math.isfinite(v) for _, v in points)
+        assert map_bits(whole) == map_bits(single)
+
+    def test_no_points_and_bad_count(self):
+        cmap = ConnectivityMap()
+        cmap.record_many([], [], 3)
+        with pytest.raises(ValueError, match="at least one sample, got 0"):
+            cmap.record_many([(0.0, 0.0)], [1.0], 0)
+        assert map_bits(cmap) == map_bits(ConnectivityMap())
 
 
 class TestForecast:

@@ -36,10 +36,12 @@ class TestSeedStatesMatchSeedSequence:
     @example(rows=[[0]])
     @example(rows=[[2 ** 32 - 1] * 6, [0] * 6])
     def test_states(self, rows):
-        states = rng.seed_states(np.array(rows, dtype=np.int64))
-        assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
-        for row, state in zip(rows, states):
-            assert state.tolist() == reference(row).generate_state(4, np.uint64).tolist()
+        # checked word by word (int64) and taken as it is (uint32)
+        for states in (rng.seed_states(np.array(rows, dtype=np.int64)),
+                       rng.seed_states(np.array(rows, dtype=np.uint32))):
+            assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+            for row, state in zip(rows, states):
+                assert state.tolist() == reference(row).generate_state(4, np.uint64).tolist()
 
     @given(rows=entropy_rows())
     def test_first_normals(self, rows):

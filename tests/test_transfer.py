@@ -545,13 +545,13 @@ class TestDriveInvariants:
         # point's values
         scene, trace = two_station_scene(), uneven_trace()
         positions = []
-        original = radio_env.sinr_rsrp_at
+        original = radio_env._Link.sinr_rsrp
 
-        def counting(pos, *args):
-            positions.append(pos)
-            return original(pos, *args)
+        def counting(link, x, y, shadow_db):
+            positions.append((x, y))
+            return original(link, x, y, shadow_db)
 
-        monkeypatch.setattr(radio_env, "sinr_rsrp_at", counting)
+        monkeypatch.setattr(radio_env._Link, "sinr_rsrp", counting)
         for _ in range(2):
             for kind in transfer.POLICY_KINDS:
                 for t_min in (5.0, 1.0):
