@@ -421,7 +421,7 @@ def _transfer_stage(run, tcfg):
             _, log = transfer.simulate_drive(
                 trace, scene, cal_policy, rate,
                 substream_seed(run.seed, "transfer-calibration", i))
-            rows.extend(r for r in log if r["decision"] == "transmit")
+            rows.extend(log.transmissions())
         if rows:
             predictor = transfer.train_predictor(rows)
     stage_out = {"policies": {}}
@@ -437,7 +437,7 @@ def _transfer_stage(run, tcfg):
                            "mean_buffer_age_s", "retransmissions")},
             "vehicles": len(drives)}
         if path := run.artifact(f"transfer_log_{kind}", f"transfer_log_{kind}.csv"):
-            transfer.write_log_csv(path, [row for _, log in drives for row in log])
+            transfer.write_log_csv(path, [log for _, log in drives])
     if scene.map is not None and (path := run.artifact("connectivity_map",
                                                        "connectivity_map.csv")):
         scene.map.to_csv(path)

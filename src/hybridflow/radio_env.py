@@ -12,7 +12,7 @@ cell, takes a whole trace in one ``record_many`` call with the bits of one
 predictive transfer policies. A scene keeps one ``TraceRecord`` per trace it
 is asked about: the times, speeds, SINR and serving RSRP of every point, all
 worked out in one pass when the record is made and shared by the map build
-and every policy's drive.
+and every policy's drive; next to it, one map forecast per trace and map state.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ class RadioScene:
 
     ``trace_record`` keeps one TraceRecord per trace object, so a trace, the
     stations, the noise floor and the model must not change after the scene
-    first reads that trace.
+    first reads that trace, and a map must change only by recording, as ``forecast``
+    reads a trace's map values again only when ``map`` is replaced or takes samples.
     """
 
     stations: list
@@ -177,6 +178,7 @@ class RadioScene:
     model: PropagationModel = field(default_factory=PropagationModel)
     map: "ConnectivityMap | None" = None
     _records: dict = field(default_factory=dict, repr=False, compare=False)
+    _forecasts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sinr(self, pos) -> float:
         return sinr_rsrp_at(pos, self.stations, self.noise_dbm, self.model)[0]
@@ -188,6 +190,15 @@ class RadioScene:
             rec = self._records[id(trace)] = TraceRecord(trace, self.stations,
                                                          self.noise_dbm, self.model)
         return rec
+
+    def forecast(self, trace) -> list:
+        """``forecast_along(self.map, trace)``, one shared list per trace object, map and
+        map sample count; the memo holds the trace, so no other object takes its id."""
+        cmap, memo = self.map, self._forecasts.get(id(trace))
+        if memo is None or memo[1] is not cmap or memo[2] != cmap._global_count:
+            memo = self._forecasts[id(trace)] = (trace, cmap, cmap._global_count,
+                                                 forecast_along(cmap, trace))
+        return memo[3]
 
 
 class ConnectivityMap:

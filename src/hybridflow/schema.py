@@ -9,7 +9,8 @@ rule) and, for a tuple or a string-keyed dict, element Field (``item``). A bare
 default is a Field without a rule; None passes the value through. Values
 convert as ``_convert`` says; one that breaks the rule fails as ``{path}:
 {name} must be {rule}, got {value!r}``, e.g. ``at least 1``, ``in [0, 1)`` or
-``l1 or l2``, and ``Field.check`` words a library argument's fault the same.
+``l1 or l2``, and ``Field.check`` words a library argument's fault the same. A
+tuple of choices names each once: a repeat fails as ``{path}[i]: 'x' is listed twice``.
 ``ranged`` puts a Field on a dataclass field, ``table`` derives the class's
 schema and ``check_fields`` checks an instance."""
 
@@ -74,7 +75,11 @@ class Field:
                                   f"got {type(value).__name__}")
             if self.kind is dict:
                 return {k: self.item.parse(v, f"{path}.{k}", name) for k, v in value.items()}
-            return tuple(self.item.parse(v, f"{path}[{i}]", name) for i, v in enumerate(value))
+            out = tuple(self.item.parse(v, f"{path}[{i}]", name) for i, v in enumerate(value))
+            for i, v in enumerate(out if self.item.choices is not None else ()):
+                if v in out[:i]:
+                    raise ConfigError(f"{path}[{i}]: {v!r} is listed twice")
+            return out
         value = _convert(value, self.kind if self.default is None else self.default, path)
         return self.check(value, f"{path}: {name}", ConfigError)
 

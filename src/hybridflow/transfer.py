@@ -10,12 +10,12 @@ so transmissions concentrate where the metric is high; a maximum buffer age
 forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
 hysteresis factor. A drive reads the times, speeds, SINR and serving RSRP of
-its trace points from the scene's record of the trace, which works every point
-out when it is made and serves the map build and all drives. A drive never
-writes the connectivity map, so it reads the map at every trace point once,
-and each probe reads only the peak of its look-ahead window, so a drive costs
-a constant per trace point under every policy (README's "Notes on scale"
-gives the measured cost).
+its trace points from the scene's record of the trace, and its map forecast
+from the scene, which reads the map along a trace once for all drives until
+the map takes samples or is replaced. A drive never writes the map, and each
+probe reads only the peak of its look-ahead window, so a drive costs a constant
+per trace point under every policy; its log keeps a flat tuple per probe and
+makes a row's dict only when the row is read (README's "Notes on scale").
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import bisect
 import csv
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .radio_env import RadioScene, forecast_along
+from .radio_env import RadioScene
 from .rng import Uniforms, substream
 from .schema import Field, check_fields, ranged
 
@@ -236,12 +237,6 @@ class TransferMetrics:
     bytes_transferred: float
     bytes_buffered_end: float
 
-    def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "mean_goodput_mbps", "total_energy_j", "transmissions",
-            "mean_buffer_age_s", "retransmissions", "bytes_generated",
-            "bytes_transferred", "bytes_buffered_end")}
-
 
 class _WindowPeak:
     """``max(values[k:j], default=-inf)`` for windows whose ends never move back.
@@ -285,13 +280,13 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     Returns (TransferMetrics, decision log). Flushes drain the whole buffer
     at the rate the formula yields on the true SINR, with multiplicative
     lognormal noise; deep-fade transmissions may need one retransmission,
-    doubling that payload's airtime and energy. A predictive policy reads the
-    scene's map at every trace point once per drive (one ``forecast_along``
-    call), and each probe reads the peak of its look-ahead window, the later
-    points within ``lookahead_s``, from a ``_WindowPeak``; it rejects a trace
-    with a non-finite time. Times, speeds, SINR and serving RSRP come from
-    ``scene.trace_record(trace)``; the policy flags, station power, forecast and
-    link rates are worked out once per drive.
+    doubling that payload's airtime and energy. A predictive policy takes the
+    map's value at every trace point from ``scene.forecast(trace)``, shared by
+    the drives of the trace, and each probe reads the peak of its look-ahead
+    window, the later points within ``lookahead_s``, from a ``_WindowPeak``; it
+    rejects a trace with a non-finite time. Times, speeds, SINR and serving RSRP
+    come from ``scene.trace_record(trace)``; the policy flags, station power and
+    link rates are worked out once per drive. The log is a DriveLog.
     """
     if len(trace) < 2:
         raise PolicyError("trace must span more than one second")
@@ -305,7 +300,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     is_rate, predictive = policy.metric_is_rate, policy.predictive
     learned = predictor.kind == "learned_table"
     max_tx_dbm = max(s.tx_power_dbm for s in scene.stations)  # the record needs a station
-    log = []
+    rows = []
     generated = transferred = 0.0
     tx_time = tx_energy = 0.0
     ages = []
@@ -337,7 +332,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                     raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
                 if not all(map(math.isfinite, times)):
                     raise PolicyError("trace has a non-finite time")
-                ahead = forecast_along(scene.map, trace)
+                ahead = scene.forecast(trace)
                 if is_rate:
                     links = [predictor.link_rate(v) for v in ahead]
                     nonfinite = [m for m, v in enumerate(ahead) if not math.isfinite(v)]
@@ -383,19 +378,13 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             buf.queued_bytes = 0.0
             buf.oldest_ts = None
             runtime.last_tx_s = t
-            log.append({"t": t, "phi_metric": phi, "decision": "transmit",
-                        "bytes": payload, "duration_s": duration, "energy_j": e_tx,
-                        "sinr_db": sinr, "rate_mbps": actual_rate,
-                        "payload_bytes": payload, "speed_mps": speed,
-                        "attempts": attempts})
+            rows.append((t, phi, "transmit", payload, duration, e_tx, sinr, actual_rate,
+                         payload, speed, attempts))
         else:
-            log.append({"t": t, "phi_metric": phi, "decision": "defer", "bytes": 0.0,
-                        "duration_s": 0.0, "energy_j": 0.0, "sinr_db": sinr,
-                        "rate_mbps": 0.0, "payload_bytes": buf.queued_bytes,
-                        "speed_mps": speed, "attempts": 0})
+            rows.append((t, phi, "defer", 0.0, 0.0, 0.0, sinr, 0.0, buf.queued_bytes, speed, 0))
     wall = trace[-1][0] - trace[0][0]
     idle_time = max(wall - tx_time, 0.0)
-    metrics = TransferMetrics(
+    return TransferMetrics(
         mean_goodput_mbps=(transferred * 8.0 / tx_time / 1e6) if tx_time > 0 else 0.0,
         total_energy_j=tx_energy + idle_time * P_IDLE_W,
         transmissions=n_tx,
@@ -404,19 +393,51 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         bytes_generated=generated,
         bytes_transferred=transferred,
         bytes_buffered_end=buf.queued_bytes,
-    )
-    return metrics, log
+    ), DriveLog(rows)
 
 
-LOG_FIELDS = ("t", "phi_metric", "decision", "bytes", "duration_s", "energy_j", "sinr_db")
+LOG_KEYS = ("t", "phi_metric", "decision", "bytes", "duration_s", "energy_j", "sinr_db",
+            "rate_mbps", "payload_bytes", "speed_mps", "attempts")
+LOG_FIELDS = LOG_KEYS[:7]  # the columns of the CSV log
 
 
-def write_log_csv(path, log) -> None:
+class DriveLog(Sequence):
+    """The decision log of one drive, read-only: one flat tuple of LOG_KEYS's values
+    per probe, read (by index, slice or iteration) as a fresh dict of LOG_KEYS. It is
+    equal to, and has the repr of, the list of those dicts."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows[index]
+        return list(DriveLog(rows)) if isinstance(index, slice) else dict(zip(LOG_KEYS, rows))
+
+    def __iter__(self):
+        return (dict(zip(LOG_KEYS, row)) for row in self._rows)
+
+    def __eq__(self, other):  # another DriveLog answers through list's reflected ==
+        return list(self) == other
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def transmissions(self) -> list:
+        """The rows of the probes that transmitted, as dicts."""
+        return [dict(zip(LOG_KEYS, row)) for row in self._rows if row[2] == "transmit"]
+
+
+def write_log_csv(path, logs) -> None:
+    """The LOG_FIELDS of every row of each DriveLog of logs, in order, as one CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_FIELDS)
-        for row in log:
-            writer.writerow([row[k] for k in LOG_FIELDS])
+        writer.writerows(row[:len(LOG_FIELDS)] for log in logs for row in log._rows)
 
 
 def line_trace(start, velocity_mps, duration_s, t0: float = 0.0):

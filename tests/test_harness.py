@@ -211,6 +211,16 @@ CONFIG_ERRORS = {
     "methods_string": ("two_route_low.json",
                        lambda c: _set(c["stages"]["assign"], "methods", "bmp"),
                        "config.stages.assign.methods: expected a list, got str"),
+    # a list of names names each once: a repeat would run twice and keep one entry
+    "regs_repeated": ("demo.json", lambda c: _set(c["stages"]["fingerprint"], "regs",
+                                                  ["l2", "l1", "l2"]),
+                      "config.stages.fingerprint.regs[2]: 'l2' is listed twice"),
+    "methods_repeated": ("demo.json", lambda c: _set(c["stages"]["assign"], "methods",
+                                                     ["bmp", "bmp"]),
+                         "config.stages.assign.methods[1]: 'bmp' is listed twice"),
+    "policies_repeated": ("demo.json", lambda c: _set(c["stages"]["transfer"], "policies",
+                                                      ["ml_cat", "ml_cat"]),
+                          "config.stages.transfer.policies[1]: 'ml_cat' is listed twice"),
     # class shares and schedule entries, which the schema passes through unconverted
     "class_share_nan": ("demo.json", lambda c: _set(c["classes"][0], "share", math.nan),
                         "config.classes[0].share: nan is not finite"),
@@ -596,13 +606,14 @@ def test_config_typo_rejected(case, tmp_path):
 
 
 class TestComparePolicies:
-    def test_identical_policy_twice_identical_rows(self):
+    def test_policy_rows_independent_of_partner(self):
+        # a policy's drives draw from streams of its kind and the seed alone, so its row
+        # does not depend on the policies it is compared with, nor on its position
         config = transfer_config()
         config["stages"]["transfer"]["trace"]["duration_s"] = 200
-        rows = harness.compare_policies(config, ["ml_cat", "ml_cat"], [1, 2])
-        a, b = rows
-        assert a["goodput_mbps_mean"] == b["goodput_mbps_mean"]
-        assert a["energy_j_mean"] == b["energy_j_mean"]
+        first = harness.compare_policies(config, ["ml_cat", "periodic"], [1, 2])[0]
+        second = harness.compare_policies(config, ["cat", "ml_cat"], [1, 2])[1]
+        assert first["policy"] == "ml_cat" and first == second
 
     def test_single_seed_zero_stddev(self):
         config = transfer_config()
@@ -747,6 +758,14 @@ class TestCli:
         assert res.exit_code != 0
         assert ("Error: --policies[1]: policy must be periodic, cat, pcat, ml_cat or ml_pcat, "
                 "got 'ghost'") in res.output
+        assert "stage" not in res.output
+
+    def test_compare_repeated_policy_named(self):
+        res = CliRunner().invoke(main, ["compare", "--config",
+                                        str(CONFIG_DIR / "transfer_two_phase.json"),
+                                        "--policies", "periodic,cat,periodic", "--seeds", "1"])
+        assert res.exit_code != 0
+        assert "Error: --policies[2]: 'periodic' is listed twice" in res.output
         assert "stage" not in res.output
 
     def test_compare_without_seeds_fails(self):

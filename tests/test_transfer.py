@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -260,16 +261,17 @@ class TestSimulateDrive:
             simulate_drive(trace, scene, TransferPolicy(kind="ml_pcat"), 1000.0, seed=1)
 
     def test_lookahead_is_the_horizon_slice(self, monkeypatch):
-        # uneven spacing and repeated times: the map is read once, along the
-        # whole trace, and each probe's peak covers exactly the later points
-        # within lookahead_s, the ones the per-probe forecast kept. The learned
-        # table predicts each window (the formula's sliding peak reads none;
-        # TestWindowPeak and the reference drives check it)
+        # uneven spacing and repeated times: over all the drives on one scene and
+        # map, the map is read once, along the whole trace, and each probe's peak
+        # covers exactly the later points within lookahead_s, the ones the
+        # per-probe forecast kept. The learned table predicts each window (the
+        # formula's sliding peak reads none; TestWindowPeak and the reference
+        # drives check it)
         trace = [(t, 10.0 * t, 0.0) for t in (0, 1, 1, 2, 5, 9, 9, 10, 14, 30, 31, 33, 40, 41)]
         scene = good_bad_scene(with_map=True)
         predictor = half_filled_table()
         reads, windows = [], []
-        original_forecast, original_peak = transfer.forecast_along, RatePredictor.peak_rate
+        original_forecast, original_peak = radio_env.forecast_along, RatePredictor.peak_rate
 
         def recording_forecast(cmap, trajectory):
             reads.append(list(trajectory))
@@ -279,21 +281,20 @@ class TestSimulateDrive:
             windows.append(list(sinrs))
             return original_peak(self, sinrs, payload_bytes, speed_mps)
 
-        monkeypatch.setattr(transfer, "forecast_along", recording_forecast)
+        monkeypatch.setattr(radio_env, "forecast_along", recording_forecast)
         monkeypatch.setattr(RatePredictor, "peak_rate", recording_peak)
         for lookahead in (0.0, 1.0, 8.0, 30.0):
             for t_min in (1.0, 5.0):
-                reads.clear()
                 windows.clear()
                 want = []
                 pol = TransferPolicy(kind="ml_pcat", t_min_s=t_min, lookahead_s=lookahead)
                 _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3, predictor=predictor)
                 reference_drive(trace, scene, pol, 1000.0, 3, predictor=predictor, windows=want)
-                assert reads == [trace]
                 assert len(windows) == len(want) == len(log) > 3
                 for r, points, got in zip(log, want, windows):
                     assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
                     assert got == [scene.map.lookup((x, y)) for _, x, y in points]
+        assert reads == [trace]
 
 
 
@@ -644,3 +645,145 @@ class TestWindowPeak:
             j = min(j + dj, len(values))
             k = min(k + dk, j)
             assert repr(peaks.peak(k, j)) == repr(python_max(values, k, j))
+
+
+class TestDriveLog:
+    """A drive's log reads as the list of dicts the drive loop built for each probe
+    before it kept one flat tuple per probe (``reference_drive`` builds them so)."""
+
+    @given(kind=st.sampled_from(transfer.POLICY_KINDS),
+           gaps=st.lists(st.sampled_from([0, 1, 1, 1, 2, 3, 7]), min_size=1, max_size=80),
+           lookahead=st.sampled_from([0.0, 1.0, 8.0, 30.0]), t_min=st.sampled_from([1.0, 5.0]),
+           learned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(deadline=None)
+    def test_reads_as_the_list_of_dicts(self, kind, gaps, lookahead, t_min, learned, seed,
+                                        data):
+        t, trace = 0, [(0, 0.0, 0.0)]
+        for gap in gaps:
+            t += gap
+            trace.append((t, 10.0 * t, 40.0 * math.sin(t / 20.0)))
+        pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
+        predictor = half_filled_table() if learned else None
+        args = (trace, two_station_scene(), pol, 10_000.0, seed)
+        metrics, log = simulate_drive(*args, predictor=predictor)
+        want_metrics, rows = reference_drive(*args, predictor=predictor)
+        assert isinstance(log, transfer.DriveLog) and metrics == want_metrics
+        n = len(rows)
+        assert len(log) == n
+        assert list(log) == rows and log == rows and rows == log and not log != rows
+        assert repr(log) == repr(rows)
+        assert log != rows + [rows[0] if rows else {}] and log != tuple(rows)
+        for index in (data.draw(st.integers(-n - 2, n + 1)), -1, 0, n):
+            if -n <= index < n:
+                assert log[index] == rows[index]
+                assert list(log[index]) == list(transfer.LOG_KEYS)
+            else:
+                with pytest.raises(IndexError):
+                    log[index]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        window = slice(data.draw(bound), data.draw(bound),
+                       data.draw(st.none() | st.sampled_from([1, 2, 3, -1, -2])))
+        assert log[window] == rows[window] and repr(log[window]) == repr(rows[window])
+        # a row a caller changes is the caller's own copy
+        for row in list(log) + log[:] + [log[i] for i in range(n)]:
+            row["bytes"] = -1.0
+            row.clear()
+        assert log == rows and repr(log) == repr(rows)
+
+    def test_csv_rows_are_the_dict_columns(self, tmp_path):
+        # the CSV of several drives' logs is what the writer made of their dict rows
+        scene, trace = two_station_scene(), uneven_trace()
+        logs = [simulate_drive(trace, scene, make_policy(kind), 10_000.0, seed=8)[1]
+                for kind in transfer.POLICY_KINDS]
+        transfer.write_log_csv(tmp_path / "log.csv", logs)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(transfer.LOG_FIELDS)
+            for row in (row for log in logs for row in log):
+                writer.writerow([row[k] for k in transfer.LOG_FIELDS])
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert sum(len(log) for log in logs) > 200
+
+
+def crowdsensed(scene, trace, offset_db=0.0):
+    """A map of three samples of each trace point's SINR, offset_db added."""
+    cmap = ConnectivityMap()
+    cmap.record_many([(x, y) for _, x, y in trace],
+                     [sinr_rsrp_at((x, y), scene.stations, scene.noise_dbm, scene.model)[0]
+                      + offset_db for _, x, y in trace], 3)
+    return cmap
+
+
+def failed_record(cmap):
+    # a non-finite first value raises before any sample is taken
+    with pytest.raises(ValueError, match="non-finite"):
+        cmap.record_many([(100.0, 0.0), (200.0, 0.0)], [math.nan, 5.0])
+
+
+ON_TRACE = [p[1:] for p in uneven_trace()[100::50]]
+# change -> (what it does to a scene, whether the map takes samples or is replaced)
+MAP_CHANGES = {
+    "record": (lambda scene: scene.map.record(ON_TRACE[0], 60.0, 20), True),
+    "record_many": (lambda scene: scene.map.record_many(ON_TRACE[1:3], [-30.0, 40.0], 2), True),
+    # another map with as many samples
+    "replaced": (lambda scene: setattr(scene, "map", crowdsensed(scene, uneven_trace(), 6.0)),
+                 True),
+    "failed_record": (lambda scene: failed_record(scene.map), False),
+}
+
+
+class TestSharedForecast:
+    """The predictive drives of a trace on one scene read the map along it once; a
+    sample the map takes, or another map, makes the next drive read it again, and
+    that drive is a drive on a fresh scene with the changed map."""
+
+    @staticmethod
+    def scene_of(trace):
+        scene = two_station_scene()
+        scene.map = crowdsensed(scene, trace)
+        return scene
+
+    @pytest.mark.parametrize("change", sorted(MAP_CHANGES))
+    def test_changed_map_read_again(self, change, monkeypatch):
+        reads = []
+        original = radio_env.forecast_along
+
+        def recording_forecast(cmap, trajectory):
+            reads.append(cmap)
+            return original(cmap, trajectory)
+
+        monkeypatch.setattr(radio_env, "forecast_along", recording_forecast)
+        trace = uneven_trace()
+        edit, reread = MAP_CHANGES[change]
+        scene, fresh = self.scene_of(trace), self.scene_of(trace)
+        edit(fresh)
+        runs = [(trace, make_policy(kind, lookahead_s=8.0), 10_000.0, 21, predictor)
+                for kind in ("pcat", "ml_pcat")
+                for predictor in (RatePredictor(), half_filled_table())]
+        before = [outcome(simulate_drive, run[0], scene, *run[1:-1], predictor=run[-1])
+                  for run in runs]
+        assert reads == [scene.map]
+        old_map, ahead = scene.map, scene.forecast(trace)
+        edit(scene)
+        after = [outcome(simulate_drive, run[0], scene, *run[1:-1], predictor=run[-1])
+                 for run in runs]
+        assert reads == [old_map, scene.map] if reread else reads == [old_map]
+        assert after == [outcome(simulate_drive, run[0], fresh, *run[1:-1], predictor=run[-1])
+                         for run in runs]
+        assert scene.forecast(trace) == original(scene.map, trace)
+        assert (scene.forecast(trace) != ahead) == reread
+        assert (after != before) == reread
+
+    def test_one_read_per_trace_object(self, monkeypatch):
+        reads = []
+        original = radio_env.forecast_along
+        monkeypatch.setattr(radio_env, "forecast_along",
+                            lambda cmap, trajectory: reads.append(trajectory)
+                            or original(cmap, trajectory))
+        trace = uneven_trace()
+        same_points = list(trace)
+        scene = self.scene_of(trace)
+        for drive_trace in (trace, same_points, trace, same_points):
+            simulate_drive(drive_trace, scene, make_policy("pcat"), 10_000.0, seed=3)
+        assert [r is trace for r in reads] == [True, False]
+        assert scene.forecast(same_points) == scene.forecast(trace)
