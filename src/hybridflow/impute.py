@@ -7,19 +7,18 @@ Cholesky factorization, no sparse approximations.
 
 Distances and kernels are array passes: each point's geometry is computed
 once, and the fit, prediction and kNN read distances a row block at a time;
-``predict_gpr`` says how prediction solves its blocks, on up to
-``_solver_threads()`` threads. GP outputs are byte-identical only for one BLAS
-build *and* one BLAS thread count. The squared-exponential kernel of network
-distance is not positive definite in general, trees included, so ``fit_gpr``
-can raise ImputeError; the ``euclidean`` flag uses straight-line distance,
-over which it is. README's "Notes on scale" gives the measurements.
+each matrix is factored once for all its solves (``_factored``). GP outputs
+are byte-identical only for one BLAS build *and* one BLAS thread count. The
+squared-exponential kernel of network distance is not positive definite in
+general, trees included, so ``fit_gpr`` can raise ImputeError; the
+``euclidean`` flag uses straight-line distance, over which it is. README's
+"Notes on scale" gives the measurements.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,8 @@ from .schema import Field, check_fields, ranged
 
 _JITTER = 1e-8
 _BLOCK = 64  # queries per predict_gpr block: bounds the kernel rows held at once
+_EUCLIDEAN_HINT = ("; over network distance the kernel need not be, so set stages.impute."
+                   "euclidean in the config or pass --euclidean to hybridflow impute")
 
 
 class ImputeError(ValueError):
@@ -172,11 +173,61 @@ def _kernel(params: GprParams, d: np.ndarray) -> np.ndarray:
                     params.sigma_f2 * np.exp(-(d ** 2) / (2 * ell * ell)), 0.0)
 
 
+def _lapack():
+    """LAPACK's ``dgetrf`` and ``dgetrs`` from the ILP64 scipy-openblas under
+    ``np.linalg.solve``, looked up through numpy's own linalg extension; None
+    where that build lacks them (another BLAS, or 32-bit integers)."""
+    try:
+        import ctypes  # here, not at module level, where it would slow every import
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    getrf.argtypes, getrs.argtypes = [ctypes.c_void_p] * 6, [ctypes.c_void_p] * 9
+    getrf.restype = getrs.restype = None
+    return getrf, getrs
+
+
+def _solve_block(L: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Rows L^-1 k of the kernel rows K: a batched solve whose gufunc makes one
+    LAPACK ``dgesv`` call per row, as a per-query solve would."""
+    return np.linalg.solve(np.broadcast_to(L, (len(K),) + L.shape), K[:, :, None])[:, :, 0]
+
+
+def _factored(A: np.ndarray):
+    """A function of rows B (k, n) that gives each row b the bits of
+    ``np.linalg.solve(A, b)``: that solve's LAPACK ``dgesv`` is ``dgetrf`` then
+    ``dgetrs``, so A is factored once and a row costs one ``dgetrs``, O(n^2).
+    Without ``_lapack`` each row is solved by ``_solve_block``. A singular A
+    raises numpy's LinAlgError at the first row, as the solve does."""
+    lapack = _lapack()
+    if lapack is None:
+        return lambda B: _solve_block(A, B)
+    getrf, getrs = lapack
+    # a copy, as dgetrf overwrites it; the reshapes hold the buffers to the sizes passed
+    lu = np.array(A, dtype=float, order="F").reshape((len(A), len(A)), order="F")
+    ipiv = np.empty(len(A), dtype=np.int64)
+    ints = np.array([len(A), 1, 0], dtype=np.int64)  # n, nrhs, info
+    n, nrhs, info = (ints.ctypes.data + 8 * i for i in range(3))
+    getrf(n, n, lu.ctypes.data, n, ipiv.ctypes.data, info)
+
+    def solve(B):
+        X = np.array(B, dtype=float, order="C").reshape(-1, len(A))  # a row per dgetrs
+        if len(X) and ints[2] > 0:  # dgetrf's info, as no dgetrs has run
+            raise np.linalg.LinAlgError("Singular matrix")
+        for row in range(X.ctypes.data, X.ctypes.data + X.nbytes, 8 * len(A)):
+            getrs(b"N", n, nrhs, lu.ctypes.data, n, ipiv.ctypes.data, row, n, info)
+        return X
+    return solve
+
+
 def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
-    """Squared-exponential GP over network distance, Cholesky-factorized.
+    """Squared-exponential GP over network distance, Cholesky-factorized; L and
+    L.T are each factored once for the solves of alpha and its refinement.
 
     Duplicate locations with zero noise make the kernel singular and are
-    rejected; a 1e-8 jitter keeps well-posed systems stable.
+    rejected; a 1e-8 jitter keeps well-posed systems stable. A kernel over
+    network distance that fails Cholesky names the ``euclidean`` fix.
     """
     obs = list(observations)
     if not obs:
@@ -201,15 +252,21 @@ def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
-        raise ImputeError(f"kernel matrix not positive definite: {exc}") from exc
+        raise ImputeError(f"kernel matrix not positive definite: {exc}"
+                          + ("" if params.euclidean else _EUCLIDEAN_HINT)) from exc
+    solve_l, solve_lt = _factored(L), _factored(L.T)
+
+    def solve_a(r):  # A^-1 r as np.linalg.solve(L.T, np.linalg.solve(L, r))
+        return solve_lt(solve_l(r[None]))[0]
+
     prior = float(np.mean(y))
     resid = y - prior
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, resid))
+    alpha = solve_a(resid)
     # iterative refinement tightens noise-free interpolation
     best = float(np.linalg.norm(resid - A @ alpha))
     for _ in range(4):
         r = resid - A @ alpha
-        cand = alpha + np.linalg.solve(L.T, np.linalg.solve(L, r))
+        cand = alpha + solve_a(r)
         norm = float(np.linalg.norm(resid - A @ cand))
         if norm >= best:
             break
@@ -218,77 +275,28 @@ def fit_gpr(net: RoadNetwork, observations, params: GprParams) -> GprModel:
                     alpha=alpha, chol=L, oracle=oracle, points=points)
 
 
-def _solver_threads() -> int:
-    """Threads that may solve prediction blocks at once: the usable CPUs over
-    the BLAS threads per call; 1 when that count is unset or unreadable."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    per_call = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    try:
-        per_call = int(per_call)
-    except (TypeError, ValueError):
-        return 1
-    return max(1, cpus // per_call) if per_call > 0 else 1
-
-
-def _solve_block(L: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Rows L^-1 k of the kernel rows K: a batched solve whose gufunc makes one
-    LAPACK ``dgesv`` call per row, as a per-query solve would."""
-    return np.linalg.solve(np.broadcast_to(L, (len(K),) + L.shape), K[:, :, None])[:, :, 0]
-
-
 def predict_gpr(model: GprModel, locations, clamp: bool = True) -> list:
     """Posterior (mean, variance) per query; variance clamped at zero.
 
-    Queries go in blocks of ``_BLOCK``: one distance block and its kernel rows,
-    then ``_solve_block``, then per-row dots for the means and variances. A
-    single solve of all rows, or a ``K @ alpha`` product, would round
-    differently and change the output bits.
-
-    With more than one block and ``_solver_threads()`` above 1, the solves
-    run on that many pool threads, one block each in flight, while this
-    thread builds the next blocks' kernel rows (the distance oracle and its
-    Dijkstra cache stay on it) and takes the dots in query order. The pool
-    has ended when the call returns, by a result or by a solve's error.
+    ``model.chol`` is factored once (``_factored``). Queries go in blocks of
+    ``_BLOCK``: one distance block and its kernel rows, one ``dgetrs`` per row,
+    then per-row dots for the means and variances. A single solve of all rows,
+    or a ``K @ alpha`` product, would round differently and change the output
+    bits.
 
     Over graph distance raw variances can dip negative where the fit
     succeeds; ``clamp=False`` returns them raw.
     """
     locations = list(locations)
-    L, sigma_f2 = model.chol, model.params.sigma_f2
+    solve, sigma_f2 = _factored(model.chol), model.params.sigma_f2
     out = []
-
-    def kernel_rows(start):
+    for start in range(0, len(locations), _BLOCK):
         queries = model.oracle.points(locations[start:start + _BLOCK])
-        return _kernel(model.params, model.oracle.rows(queries, model.points))
-
-    def finish(K, V):
-        for k, v in zip(K, V):
+        K = _kernel(model.params, model.oracle.rows(queries, model.points))
+        for k, v in zip(K, solve(K)):
             var = sigma_f2 - float(v @ v)
             out.append((model.prior_mean + float(k @ model.alpha),
                         max(var, 0.0) if clamp else var))
-
-    starts = range(0, len(locations), _BLOCK)
-    threads = min(_solver_threads(), len(starts))
-    if threads <= 1:
-        for start in starts:
-            K = kernel_rows(start)
-            finish(K, _solve_block(L, K))
-        return out
-    # imported here, not at module level, where it adds ~3.5 ms to every import
-    from concurrent.futures import ThreadPoolExecutor
-    pending = []  # (kernel rows, future of their solve), oldest first
-    with ThreadPoolExecutor(threads) as pool:
-        for start in starts:
-            K = kernel_rows(start)
-            if len(pending) == threads:
-                done, solved = pending.pop(0)
-                finish(done, solved.result())
-            pending.append((K, pool.submit(_solve_block, L, K)))
-        for K, solved in pending:
-            finish(K, solved.result())
     return out
 
 

@@ -76,8 +76,13 @@ class RoadNetwork:
     detectors: dict
     cell_length_m: float = DEFAULT_CELL_LENGTH_M
     _out_edges: dict = field(default_factory=dict, repr=False)
+    # node -> [(neighbor, length_m)] of the undirected graph, for node_distances
+    _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for e in self.edges.values():
+            self._adjacency.setdefault(e.from_node, []).append((e.to_node, e.length_m))
+            self._adjacency.setdefault(e.to_node, []).append((e.from_node, e.length_m))
         if not self._out_edges:
             for e in self.edges.values():
                 self._out_edges.setdefault(e.from_node, []).append(e.id)
@@ -212,17 +217,13 @@ def route_candidates(net: RoadNetwork, origin: str, dest: str, k: int) -> list:
 
 def node_distances(net: RoadNetwork, source: str) -> dict:
     """Dijkstra over the undirected road graph, edge weights in meters."""
-    adj = {}
-    for e in net.edges.values():
-        adj.setdefault(e.from_node, []).append((e.to_node, e.length_m))
-        adj.setdefault(e.to_node, []).append((e.from_node, e.length_m))
     dist = {source: 0.0}
     heap = [(0.0, source)]
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist.get(node, math.inf):
             continue
-        for nxt, w in adj.get(node, []):
+        for nxt, w in net._adjacency.get(node, []):
             nd = d + w
             if nd < dist.get(nxt, math.inf):
                 dist[nxt] = nd

@@ -3,13 +3,14 @@ import json
 import math
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from hybridflow import impute
+from hybridflow import harness, impute
+from hybridflow.cli import main
 from hybridflow.impute import (GprParams, ImputeError, NetPoint, VolumeObservation,
                                _DistanceOracle, default_params, fit_gpr, knn_estimate,
                                knn_estimates, predict_gpr, read_observations_csv)
@@ -147,22 +148,20 @@ class TestGpr:
         assert predict_gpr(model, []) == []
         assert predict_gpr(model, iter([])) == []
 
-    def test_generator_consumed_once(self, monkeypatch):
+    def test_generator_consumed_once(self):
         net = line_net()
         model = fit_gpr(net, [obs_at("e0", 100.0, 123.0), obs_at("e2", 40.0, 80.0)],
                         GprParams(1e4, 500.0, 1.0))
         queries = [NetPoint(f"e{i % 4}", 7.0 * i) for i in range(70)]
-        for threads in (1, 2):
-            monkeypatch.setattr(impute, "_solver_threads", lambda n=threads: n)
-            pulled = []
+        pulled = []
 
-            def once():
-                for q in queries:
-                    pulled.append(q)
-                    yield q
+        def once():
+            for q in queries:
+                pulled.append(q)
+                yield q
 
-            assert predict_gpr(model, once()) == predict_gpr(model, queries), threads
-            assert pulled == queries
+        assert predict_gpr(model, once()) == predict_gpr(model, queries)
+        assert pulled == queries
 
     def test_noise_free_interpolation_and_variance_bound(self):
         # spacing comparable to the length scale keeps the kernel well posed
@@ -430,6 +429,14 @@ METRICS = pytest.mark.parametrize("euclidean", [False, True], ids=["network", "e
 INTEGER = pytest.mark.parametrize("integer", [False, True], ids=["float", "int"])
 
 
+def solve_paths(monkeypatch):
+    """Yields "lapack", as the module runs (dgetrf and dgetrs where numpy's LAPACK
+    has them), then "fallback", as a build without them runs (a dgesv per row)."""
+    yield "lapack"
+    monkeypatch.setattr(impute, "_lapack", lambda: None)
+    yield "fallback"
+
+
 class TestMatchesPairwise:
     @METRICS
     @INTEGER
@@ -446,16 +453,17 @@ class TestMatchesPairwise:
 
     @METRICS
     @INTEGER
-    def test_fit(self, euclidean, integer):
+    def test_fit(self, monkeypatch, euclidean, integer):
         net = city_net(21)
         obs = sensors(net, 22, integer=integer)
         params = default_params([o.flow_veh_day for o in obs], 100.0)
         params.euclidean = euclidean
-        model = fit_gpr(net, obs, params)
         _, _, prior, alpha, chol = pair_fit(net, obs, params)
-        assert model.prior_mean == prior
-        assert np.array_equal(model.chol, chol)
-        assert np.array_equal(model.alpha, alpha)
+        for path in solve_paths(monkeypatch):
+            model = fit_gpr(net, obs, params)
+            assert model.prior_mean == prior
+            assert np.array_equal(model.chol, chol)
+            assert np.array_equal(model.alpha, alpha), path
 
     @METRICS
     @INTEGER
@@ -467,12 +475,10 @@ class TestMatchesPairwise:
         params = default_params([o.flow_veh_day for o in obs], 100.0)
         params.euclidean = euclidean
         queries = random_points(net, np.random.default_rng(33 + count), count, integer)
-        model = fit_gpr(net, obs, params)
         want = pair_predict(pair_fit(net, obs, params), params, queries, clamp)
-        # every solver-thread count, the serial path (1) and the pool (2, 3)
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(impute, "_solver_threads", lambda n=threads: n)
-            assert predict_gpr(model, queries, clamp=clamp) == want, threads
+        for path in solve_paths(monkeypatch):
+            model = fit_gpr(net, obs, params)
+            assert predict_gpr(model, queries, clamp=clamp) == want, path
 
     @pytest.mark.parametrize("euclidean", [False], ids=["network"])  # kNN is network-only
     @INTEGER
@@ -501,103 +507,59 @@ def started(monkeypatch):
     return threads
 
 
-class TestSolverThreads:
+def ilp64_openblas():
+    """numpy reports a scipy-openblas LAPACK built with 64-bit integers."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # no dict mode before numpy 1.26
+        return False
+    return (lapack.get("name") == "scipy-openblas"
+            and "USE64BITINT" in lapack.get("openblas configuration", ""))
+
+
+class TestFactoredSolve:
     def model_and_queries(self, count):
         net = city_net(61)
         obs = sensors(net, 62)
         model = fit_gpr(net, obs, default_params([o.flow_veh_day for o in obs], 100.0))
         return model, random_points(net, np.random.default_rng(63), count)
 
-    def test_single_block_starts_no_thread(self, monkeypatch, started):
-        model, queries = self.model_and_queries(impute._BLOCK)
-        want = predict_gpr(model, queries)
-        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
-        assert predict_gpr(model, queries) == want
+    @pytest.mark.skipif(not ilp64_openblas(), reason="numpy's LAPACK is not ILP64 scipy-openblas")
+    def test_lapack_path_taken(self, monkeypatch):
+        # a silent fallback to one dgesv per row fails here
+        def no_fallback(L, K):
+            raise AssertionError("the per-row dgesv fallback ran")
+
+        monkeypatch.setattr(impute, "_solve_block", no_fallback)
+        model, queries = self.model_and_queries(130)
+        assert len(predict_gpr(model, queries)) == 130
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])],
+                             ids=["zero", "rank1"])
+    def test_singular_matrix(self, monkeypatch, A):
+        B = np.ones((2, len(A)))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(A, B[0])
+        for path in solve_paths(monkeypatch):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                impute._factored(A)(B)
+            # as a solve of no right-hand side, no row raises
+            assert impute._factored(A)(B[:0]).shape == (0, len(A))
+
+    def test_rows_match_solve(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        A, B = rng.normal(size=(150, 150)), rng.normal(size=(5, 150))
+        for path in solve_paths(monkeypatch):
+            for b, x in zip(B, impute._factored(A)(B)):
+                assert np.array_equal(np.linalg.solve(A, b), x), path
+
+    @pytest.mark.parametrize("count", [1, 64, 130])
+    def test_starts_no_thread(self, started, count):
+        model, queries = self.model_and_queries(count)
+        before = threading.active_count()
+        assert len(predict_gpr(model, queries)) == count
         assert started == []
-
-    def test_pool_ended_on_return(self, monkeypatch, started):
-        model, queries = self.model_and_queries(130)
-        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
-        before = threading.active_count()
-        predict_gpr(model, queries)
-        assert 1 <= len(started) <= 2
         assert threading.active_count() == before
-
-    def test_one_block_in_flight_per_thread(self, monkeypatch):
-        model, queries = self.model_and_queries(5 * impute._BLOCK)
-        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
-        unread, in_flight = set(), []
-        submit, result = ThreadPoolExecutor.submit, Future.result
-
-        def counted_submit(self, *args):
-            future = submit(self, *args)
-            unread.add(future)
-            in_flight.append(len(unread))
-            return future
-
-        def counted_result(self, *args):
-            unread.discard(self)
-            return result(self, *args)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
-        monkeypatch.setattr(Future, "result", counted_result)
-        predict_gpr(model, queries)
-        assert in_flight == [1, 2, 2, 2, 2]
-
-    def failing_last_block(self, monkeypatch):
-        """Patches the solve to fail on the last, partial block of 130 queries;
-        returns the threads that ran the failing solve."""
-        solve, ran = impute._solve_block, []
-
-        def fail_partial(L, K):
-            if len(K) < impute._BLOCK:
-                ran.append(threading.current_thread())
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(L, K)
-
-        monkeypatch.setattr(impute, "_solve_block", fail_partial)
-        monkeypatch.setattr(impute, "_solver_threads", lambda: 2)
-        return ran
-
-    def test_helper_error_propagates(self, monkeypatch):
-        model, queries = self.model_and_queries(130)
-        ran = self.failing_last_block(monkeypatch)
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            predict_gpr(model, queries)
-        assert len(ran) == 1 and ran[0] is not threading.main_thread()
-
-    def test_helper_error_leaves_no_thread(self, monkeypatch, started):
-        model, queries = self.model_and_queries(130)
-        self.failing_last_block(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError):
-            predict_gpr(model, queries)
-        assert started and not any(t.is_alive() for t in started)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("env, cpus, expect", [
-        ({}, 2, 1),                                                  # BLAS spreads each call
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({"OMP_NUM_THREADS": "2"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "auto"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 4),  # OpenBLAS's own first
-    ])
-    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
-    def test_thread_rule(self, monkeypatch, env, cpus, expect, affinity):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        if affinity:
-            monkeypatch.setattr(impute.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            monkeypatch.setattr(impute.os, "cpu_count", lambda: 64)
-        else:
-            monkeypatch.delattr(impute.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(impute.os, "cpu_count", lambda: cpus)
-        assert impute._solver_threads() == expect
 
 
 def demo_net():
@@ -637,3 +599,62 @@ def test_disconnected_query_gets_prior():
     mean, var = predict_gpr(model, [NetPoint("x", 60.0)])[0]
     assert mean == model.prior_mean
     assert var == params.sigma_f2
+
+
+def comb_tree():
+    """The comb tree of bench/README.md: a 10-node spine of 300 m edges with a
+    300 m tooth at every node."""
+    nodes = [{"id": f"{kind}{i}", "x": 300.0 * i, "y": y}
+             for kind, y in (("s", 0.0), ("t", 300.0)) for i in range(10)]
+    edges = [{"id": f"s{i}", "from": f"s{i}", "to": f"s{i + 1}", "length_m": 300.0,
+              "lanes": 1} for i in range(9)]
+    edges += [{"id": f"t{i}", "from": f"s{i}", "to": f"t{i}", "length_m": 300.0,
+               "lanes": 1} for i in range(10)]
+    return {"version": 1, "nodes": nodes, "edges": edges, "detectors": []}
+
+
+class TestEuclideanHint:
+    """At 20 sensors and 600 m the kernel over the comb tree's network distance fails
+    Cholesky; fit_gpr, a run and the CLI name the same fix."""
+    HINT = ("; over network distance the kernel need not be, so set stages.impute.euclidean "
+            "in the config or pass --euclidean to hybridflow impute")
+    MESSAGE = "kernel matrix not positive definite: Matrix is not positive definite" + HINT
+
+    def observations(self):
+        edges = [f"s{i}" for i in range(9)] + [f"t{i}" for i in range(10)]
+        return [(edges[i % 19], 100.0 if i < 19 else 250.0, 1000.0 + 37 * i)
+                for i in range(20)]
+
+    def test_fit_gpr(self):
+        net = build_network(comb_tree())
+        obs = [obs_at(*o) for o in self.observations()]
+        params = default_params([o.flow_veh_day for o in obs], 600.0)
+        with pytest.raises(ImputeError) as err:
+            fit_gpr(net, obs, params)
+        assert str(err.value) == self.MESSAGE
+        params.euclidean = True
+        fit_gpr(net, obs, params)
+
+    def test_run_experiment(self):
+        config = {"version": 1, "network": comb_tree(), "stages": {"impute": {
+            "observations": [{"edge": e, "offset_m": off, "flow": flow}
+                             for e, off, flow in self.observations()],
+            "targets": [{"edge": "s0", "offset_m": 10.0}], "length_scale_m": 600.0}}}
+        with pytest.raises(harness.StageError) as err:
+            harness.run_experiment(config)
+        assert str(err.value) == f"stage 'impute' failed: {self.MESSAGE}"
+        config["stages"]["impute"]["euclidean"] = True
+        harness.run_experiment(config)
+
+    def test_cli(self, tmp_path):
+        (tmp_path / "net.json").write_text(json.dumps(comb_tree()))
+        (tmp_path / "obs.csv").write_text("edge,offset_m,day,flow\n" + "".join(
+            f"{e},{off},0,{flow}\n" for e, off, flow in self.observations()))
+        args = ["impute", "--network", str(tmp_path / "net.json"), "--observations",
+                str(tmp_path / "obs.csv"), "--targets", "s0:10", "--length-scale", "600",
+                "--out", str(tmp_path / "pred.csv")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code != 0
+        assert f"Error: {self.MESSAGE}\n" in res.output
+        assert not (tmp_path / "pred.csv").exists()
+        assert CliRunner().invoke(main, args + ["--euclidean"]).exit_code == 0
