@@ -153,14 +153,12 @@ class FeatureRecord:
 def extract_features(traces):
     """Per-link depth/mean/width/area against the leading baseline.
 
-    Takes one FingerprintTrace and gives its FeatureRecord, or a sequence of
-    traces and gives their records in order, computed in blocks of traces of
-    one length and sample rate. Baseline = mean of the first 10 % of samples.
+    Takes a sequence of FingerprintTraces and gives their FeatureRecords in
+    order, computed in blocks of traces of one length and sample rate.
+    Baseline = mean of the first 10 % of samples.
     Width counts samples whose attenuation meets DIP_THRESHOLD_DB; area
     integrates attenuation over those samples only.
     """
-    if isinstance(traces, FingerprintTrace):
-        return extract_features([traces])[0]
     records = []
     for (n, rate), group in itertools.groupby(
             traces, key=lambda tr: (tr.rssi_dbm.shape[1], tr.sample_rate_hz)):

@@ -117,12 +117,6 @@ class _Link:
         return 10.0 * math.log10(serving / (sum(powers) - serving + self.noise_mw)), best
 
 
-def rsrp_at(pos, station: BaseStation, model: PropagationModel) -> float:
-    """Received power in dBm; distance clamps at the reference D0_M."""
-    link = _Link([station], 0.0, model)
-    return link.rsrp(pos[0], pos[1], model.shadowing_db(pos), link.sites[0])
-
-
 def sinr_rsrp_at(pos, stations, noise_dbm: float, model: PropagationModel) -> tuple:
     """(SINR in dB, serving RSRP in dBm): the strongest station serves, the rest
     interfere (linear domain)."""

@@ -1,12 +1,12 @@
-"""Golden fixtures for the CA kernel and the harness: state hashes, report bytes.
+"""Golden fixtures for the CA kernel: state hashes and detector metrics.
 
 The state digests were recorded on the straightforward per-vehicle kernel (a
 `_chain_scan` for every vehicle, `sorted(state.vehicles)` in every phase)
 before the lane-ordered rewrite, so any rewrite of the step phases must
-reproduce them exactly: same RNG draws, same trajectories. The report digests
-were recorded before the harness moved to one config parse and a stage table,
-so that rewrite must reproduce them byte for byte. The comparison rows were
-recorded when `compare_policies` began running the pipeline's own stages.
+reproduce them exactly: same RNG draws, same trajectories. The bytes of the
+reports and comparison rows are pinned in `artifact_manifest.json`
+(`test_artifact_bits.py`); `test_report_bytes` checks that the library's
+`run_experiment` writes the same `report.json` as the pinned `run` command.
 """
 
 import hashlib
@@ -21,6 +21,9 @@ from hybridflow.traffic_ca import (apply_lane_policy, default_classes, init_ring
                                    init_scenario, run, state_hash, step)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MANIFEST = Path(__file__).resolve().with_name("artifact_manifest.json")
+REPORTS = ("demo.json", "transfer_two_phase.json", "two_route_congested.json",
+           "two_route_low.json")
 CHECK_STEPS = (50, 200, 400)
 
 MERGE_NETWORK = {
@@ -126,27 +129,6 @@ SPARSE_GOLDEN = {
                  "d469c7c7b9442045fb2bdf7ce06f5c8b1aafc70088ddcf2f30e06da3d4c6477a"],
                 "a6a4b26dc1a8de5b32e8ad896eab14b22526b5b3edd8a775bdb0f2aa00801755"),
 }
-# sha256 of report.json for each file in configs/ at the config's own seed
-REPORT_SHA256 = {
-    "demo.json": "f9afcf60f4fb475d56f10203c273589e0660c2c3d05205960b427bdb5e1788fe",
-    "transfer_two_phase.json":
-        "022ad95a3a094252b53cb8429e1b8f1a5e9cae4ae6c8bca2b1df58a4f60c6490",
-    "two_route_congested.json":
-        "c3d5bb39c0ae3a317c62f438fef0e66bb66a0e87db494bcb3cdc638dc039c4d8",
-    "two_route_low.json": "e5f9a6dcce8647fb8fe2655fc09173e16af8eec2497390d66afa11c7e9433f8f",
-}
-# compare_policies on demo.json: traces of connected vehicles from the CA run,
-# after the fingerprint stage armed the lane policy on s1
-DEMO_COMPARE_ROWS = [
-    {"policy": "periodic", "seeds": 2,
-     "dwell_s_mean": 50.32276785714286, "dwell_s_std": 1.0019450551277242,
-     "energy_j_mean": 2.6878807405960092, "energy_j_std": 0.35726676485664866,
-     "goodput_mbps_mean": 69.14951376899724, "goodput_mbps_std": 16.252368622148687},
-    {"policy": "ml_cat", "seeds": 2,
-     "dwell_s_mean": 50.32276785714286, "dwell_s_std": 1.0019450551277242,
-     "energy_j_mean": 2.786350346306971, "energy_j_std": 0.4190655942901219,
-     "goodput_mbps_mean": 26.591519598832623, "goodput_mbps_std": 4.989848433214329},
-]
 
 
 def _ring(name):
@@ -200,13 +182,6 @@ def scenario_hashes(name):
     return hashes
 
 
-def report_sha256(name, out_dir):
-    config = harness.load_config(CONFIG_DIR / name)
-    harness.run_experiment(config, seed=config["seed"], out_dir=out_dir,
-                           base_dir=CONFIG_DIR)
-    return hashlib.sha256((Path(out_dir) / "report.json").read_bytes()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_state_hash_sequence(name):
     assert scenario_hashes(name) == GOLDEN[name]
@@ -239,15 +214,13 @@ def test_mid_run_policy_changes_trajectory():
     assert GOLDEN["merge_policy_at_200"][2] != GOLDEN["merge"][2]
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+@pytest.mark.parametrize("name", REPORTS)
 def test_report_bytes(name, tmp_path):
-    assert report_sha256(name, tmp_path) == REPORT_SHA256[name]
-
-
-def test_demo_compare_rows():
-    rows = harness.compare_policies(harness.load_config(CONFIG_DIR / "demo.json"),
-                                    ["periodic", "ml_cat"], [1, 2], base_dir=CONFIG_DIR)
-    assert rows == DEMO_COMPARE_ROWS
+    # report.json at the config's own seed, through the library rather than the CLI
+    config = harness.load_config(CONFIG_DIR / name)
+    harness.run_experiment(config, seed=config["seed"], out_dir=tmp_path, base_dir=CONFIG_DIR)
+    want = json.loads(MANIFEST.read_text())[f"run-{name}"]["out/report.json"]
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == want
 
 
 def test_vehicle_dict_order_stays_ascending():

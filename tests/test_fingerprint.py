@@ -90,7 +90,7 @@ def test_blocks_bit_identical_to_per_trace_references(count, noise_sigma_db):
 
 class TestExtractFeatures:
     def test_flat_trace_all_zero(self):
-        feats = extract_features(flat_trace())
+        feats = extract_features([flat_trace()])[0]
         assert np.allclose(feats.values, 0.0)
 
     def test_rectangular_dip_closed_form(self):
@@ -99,7 +99,7 @@ class TestExtractFeatures:
         rssi[:, 40:50] = -56.0
         trace = FingerprintTrace(rssi_dbm=rssi, sample_rate_hz=10.0, label=CAR_LIKE,
                                  speed_mps=20.0, dip_width_s=1.0, seed=0)
-        feats = extract_features(trace)
+        feats = extract_features([trace])[0]
         for k in range(9):
             depth, mean, width, area = feats.values[4 * k: 4 * k + 4]
             assert depth == pytest.approx(6.0)
@@ -109,7 +109,7 @@ class TestExtractFeatures:
     def test_matches_independent_reimplementation(self):
         # plain-python second pass over the same definition
         trace = synthesize_trace(CAR_LIKE, 24.0, 1.5, seed=7)
-        feats = extract_features(trace)
+        feats = extract_features([trace])[0]
         n = trace.rssi_dbm.shape[1]
         head = n // 10
         dt = 0.1
@@ -133,14 +133,13 @@ class TestExtractFeatures:
         shifted = FingerprintTrace(rssi_dbm=trace.rssi_dbm + 7.5,
                                    sample_rate_hz=10.0, label=TRUCK_LIKE,
                                    speed_mps=18.0, dip_width_s=trace.dip_width_s, seed=3)
-        a = extract_features(trace).values
-        b = extract_features(shifted).values
+        a, b = (r.values for r in extract_features([trace, shifted]))
         assert np.allclose(a, b, atol=1e-9)
 
     def test_too_short_trace_rejected(self):
         from hybridflow.fingerprint import FingerprintError
         with pytest.raises(FingerprintError):
-            extract_features(flat_trace(n=8))
+            extract_features([flat_trace(n=8)])
         with pytest.raises(FingerprintError):
             extract_features([flat_trace(), flat_trace(n=8)])
 
@@ -175,7 +174,7 @@ class TestExtractFeatures:
         for trace, record in zip(corpus, extract_features(corpus)):
             assert np.array_equal(record.values, self.per_link_reference(trace))
         flat = flat_trace()
-        assert np.array_equal(extract_features(flat).values, self.per_link_reference(flat))
+        assert np.array_equal(extract_features([flat])[0].values, self.per_link_reference(flat))
 
 
 def toy_separable_dataset():
@@ -238,14 +237,14 @@ class TestTrain:
 
     def test_objective_never_worse_than_first_epoch(self):
         corpus = generate_corpus(120, 2.0, 0.5, seed=31)
-        records = [extract_features(t) for t in corpus]
+        records = extract_features(corpus)
         for reg in ("l1", "l2"):
             model = train(records, reg=reg, lam=1e-3, epochs=150)
             assert model.objective_curve[-1] <= model.objective_curve[0] + 1e-12
 
     def test_scaling_invariance_of_decisions(self):
         corpus = generate_corpus(80, 2.0, 0.5, seed=17)
-        records = [extract_features(t) for t in corpus]
+        records = extract_features(corpus)
         model = train(records, reg="l2", lam=1e-3, epochs=200)
         scaled = [FeatureRecord(values=r.values * 3.0, label=r.label) for r in records]
         model_s = train(scaled, reg="l2", lam=1e-3, epochs=200)
@@ -276,13 +275,12 @@ class TestEvaluate:
 class TestClassShares:
     def model(self):
         corpus = generate_corpus(300, 2.0, 0.5, seed=41)
-        return train([extract_features(t) for t in corpus], reg="l2", lam=1e-3,
-                     epochs=200)
+        return train(extract_features(corpus), reg="l2", lam=1e-3, epochs=200)
 
     def test_all_car_stream(self):
         model = self.model()
         stream = [synthesize_trace(CAR_LIKE, 20.0 + i, 0.0, seed=i) for i in range(10)]
-        shares = class_shares([extract_features(t) for t in stream], model)
+        shares = class_shares(extract_features(stream), model)
         assert shares == {CAR_LIKE: 1.0, TRUCK_LIKE: 0.0}
 
     def test_alternating_stream(self):
@@ -291,14 +289,14 @@ class TestClassShares:
             (synthesize_trace(CAR_LIKE, 20.0, 0.0, seed=i),
              synthesize_trace(TRUCK_LIKE, 20.0, 0.0, seed=i + 1000))
             for i in range(5)))
-        shares = class_shares([extract_features(t) for t in stream], model)
+        shares = class_shares(extract_features(stream), model)
         assert shares == {CAR_LIKE: 0.5, TRUCK_LIKE: 0.5}
 
     def test_mixed_stream_matches_generation_ratio(self):
         model = self.model()
         stream = generate_corpus(400, 2.0, 0.7, seed=77)
         true_car = sum(1 for t in stream if t.label == CAR_LIKE) / len(stream)
-        shares = class_shares([extract_features(t) for t in stream], model)
+        shares = class_shares(extract_features(stream), model)
         assert abs(shares[CAR_LIKE] - true_car) <= 0.05
 
 
@@ -329,8 +327,8 @@ class TestSettingsChecked:
 def test_mini_corpus_pipeline_accuracy():
     corpus = generate_corpus(400, 2.0, 0.5, seed=8)
     train_set, holdout = split_corpus(corpus, 0.2, seed=8)
-    records = [extract_features(t) for t in train_set]
-    held = [extract_features(t) for t in holdout]
+    records = extract_features(train_set)
+    held = extract_features(holdout)
     for reg in ("l1", "l2"):
         model = train(records, reg=reg, lam=1e-3, epochs=250)
         assert evaluate(model, held).accuracy >= 0.95
@@ -341,8 +339,8 @@ def test_full_pipeline_determinism():
     for _ in range(2):
         corpus = generate_corpus(100, 2.0, 0.5, seed=55)
         train_set, holdout = split_corpus(corpus, 0.2, seed=55)
-        model = train([extract_features(t) for t in train_set], reg="l2",
+        model = train(extract_features(train_set), reg="l2",
                       lam=1e-3, epochs=100)
-        cm = evaluate(model, [extract_features(t) for t in holdout])
+        cm = evaluate(model, extract_features(holdout))
         outs.append((tuple(model.weights), model.bias, cm.to_dict()))
     assert outs[0] == outs[1]

@@ -59,7 +59,7 @@ def digests(seed, noise_sigma_db):
     meta = repr([(t.label, t.speed_mps, t.dip_width_s, t.seed, t.sample_rate_hz)
                  for t in corpus])
     out = {"corpus": _sha((t.rssi_dbm for t in corpus), meta)}
-    records = [extract_features(t) for t in corpus]
+    records = extract_features(corpus)
     out["features"] = _sha((r.values for r in records), repr([r.label for r in records]))
     for reg in ("l1", "l2"):
         model = train(records, reg=reg, lam=LAM, epochs=EPOCHS)

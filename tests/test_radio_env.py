@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from hybridflow import radio_env
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
-                                  RadioScene, forecast_along, rsrp_at, sinr_rsrp_at)
+                                  RadioScene, forecast_along, sinr_rsrp_at)
 from test_transfer import reference_speeds
 
 
 def no_shadow():
     return PropagationModel(shadowing_enabled=False)
+
+
+def rsrp_at(pos, station, model):
+    """Received power in dBm: the serving RSRP of a one-station scene."""
+    return sinr_rsrp_at(pos, [station], -100.0, model)[1]
 
 
 def cell_stats(cmap, pos):

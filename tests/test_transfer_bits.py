@@ -2,17 +2,15 @@
 
 Recorded before the drive loop read its policy draws in blocks and took its
 look-ahead peaks from a sliding window, so that every policy provably keeps
-its decisions, its log rows and the compare rows to the bit. The artifacts of
-``demo.json`` (two traces of connected vehicles, a crowdsensed map and the
-learned predictor's calibration drives) were recorded before the drives read
-their radio values from the scene's per-trace record.
+its decisions, its log rows and the compare rows to the bit. The bytes of
+``demo.json``'s transfer artifacts (two traces of connected vehicles, a
+crowdsensed map and the learned predictor's calibration drives) are pinned in
+``artifact_manifest.json`` (``test_artifact_bits.py``).
 """
 
 import hashlib
 import json
 from pathlib import Path
-
-import pytest
 
 from hybridflow import harness, transfer
 from test_transfer import half_filled_table, make_policy, outcome, two_station_scene, uneven_trace
@@ -30,23 +28,6 @@ SCENE_DRIVES_SHA256 = {
     "formula": "c269bb2d0c0aedf4bcf58321195c3f4c47c1a2a715d4e78fb8ac1b78c661bfc4",
     "learned": "5d15c03cbdbd95e0b4da51df6fd1db73f3a47d21464277a659f4de356fa4bc14",
 }
-
-# seed -> artifact of demo.json's transfer stage -> sha256 of its bytes
-DEMO_ARTIFACTS_SHA256 = {
-    7: {"transfer_log_periodic.csv":
-        "721422d1c4d18970fbaac9db7bc1506fb9bc05909c65b15fd34693e94cadb349",
-        "transfer_log_ml_cat.csv":
-        "e9a1ae072a6082cb40b71d21d9e2291753a63175afff699068831404348625c1",
-        "connectivity_map.csv":
-        "1f0f16649f04d4f96b07fe4de8170003c8f192ff6bc002093c64c6fc0d55154c"},
-    2: {"transfer_log_periodic.csv":
-        "4affdae55db757d242796ad32c7a357bbe58e7a1135d14a65574abd784355a99",
-        "transfer_log_ml_cat.csv":
-        "b963c50d77903bd8c239e0294b628c5028ed38a0a74797ddde048b865f48ec01",
-        "connectivity_map.csv":
-        "5cb534193ac0ce6092c0c2836aa58cfd6c0769d617ac66962ef473784cc002d0"},
-}
-
 
 def sha256(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
@@ -86,8 +67,7 @@ def test_two_station_scene_uneven_trace():
     assert got == SCENE_DRIVES_SHA256
 
 
-@pytest.mark.parametrize("seed", sorted(DEMO_ARTIFACTS_SHA256))
-def test_demo_multi_trace_artifacts(seed, tmp_path, monkeypatch):
+def test_demo_two_traces_six_drives(monkeypatch):
     config = harness.load_config(ROOT / "configs" / "demo.json")
     drives = []
     original = transfer.simulate_drive
@@ -97,10 +77,6 @@ def test_demo_multi_trace_artifacts(seed, tmp_path, monkeypatch):
         return original(trace, *args, **kwargs)
 
     monkeypatch.setattr(transfer, "simulate_drive", counting_drive)
-    harness.run_experiment(config, seed=seed, out_dir=str(tmp_path),
-                           base_dir=str(ROOT / "configs"))
+    harness.run_experiment(config, base_dir=str(ROOT / "configs"))
     # two traces, each driven by the calibration policy and the two compared ones
     assert len({id(trace) for trace in drives}) == 2 and len(drives) == 6
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in DEMO_ARTIFACTS_SHA256[seed]}
-    assert got == DEMO_ARTIFACTS_SHA256[seed]
