@@ -43,7 +43,6 @@ DIP_THRESHOLD_DB = 3.0
 
 CAR_LIKE = "car_like"
 TRUCK_LIKE = "truck_like"
-LABELS = (CAR_LIKE, TRUCK_LIKE)
 # label -> (vehicle height m, vehicle length m, peak shadowing depth dB)
 CLASS_SHAPES = {
     CAR_LIKE: (1.5, 4.5, 12.0),

@@ -24,11 +24,12 @@ from hybridflow.road_net import build_network
 from hybridflow.routing_opt import (AssignmentProblem, ODProblem, RouteOption, assign_bmp,
                                     assign_combined, assign_wardrop, bpr_latency,
                                     evaluate_policy)
-from hybridflow.traffic_ca import (ScenarioRuns, VehicleClass, default_classes, init_ring,
-                                   init_scenario, step)
+from hybridflow.traffic_ca import (ScenarioRuns, VehicleClass, apply_lane_policy,
+                                   default_classes, init_ring, step)
 from hybridflow.transfer import transmission_probability
 from hybridflow import radio_env, transfer
 from hybridflow.rng import substream_seed
+from test_traffic_ca import MERGE_MASKS, merge_criterion_2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,21 +53,6 @@ def test_criterion_1_gate_exactness():
     report(1, f"endpoints exact, 0.25/0.31640625 within 1e-12, {elapsed:.3f}s")
 
 
-def _merge_network():
-    return build_network({
-        "version": 1, "cell_length_m": 1.5,
-        "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "C", "x": 0, "y": 300},
-                  {"id": "M", "x": 450, "y": 60}, {"id": "B", "x": 900, "y": 0}],
-        "edges": [
-            {"id": "am", "from": "A", "to": "M", "length_m": 450, "lanes": 3,
-             "v_max_kmh": 108},
-            {"id": "cm", "from": "C", "to": "M", "length_m": 300, "lanes": 2,
-             "v_max_kmh": 72},
-            {"id": "mb", "from": "M", "to": "B", "length_m": 450, "lanes": 1,
-             "v_max_kmh": 36}],
-        "detectors": []})
-
-
 def test_criterion_2_safety_and_conservation():
     t0 = time.time()
     classes = default_classes()
@@ -87,18 +73,9 @@ def test_criterion_2_safety_and_conservation():
         scenarios += 1
     # open networks with merges, lane drops, policies, mixed classes
     for seed in range(10):
-        net = _merge_network()
-        demand = [
-            {"origin": "A", "dest": "B", "rate_veh_h": 1900.0 + 90 * seed, "splits": [1.0]},
-            {"origin": "C", "dest": "B", "rate_veh_h": 950.0 + 60 * seed, "splits": [1.0]},
-        ]
-        state = init_scenario(net, demand, classes, seed=100 + seed,
-                              class_mix={"car": 0.5, "truck": 0.25, "automated_car": 0.25})
+        state = merge_criterion_2(1900.0 + 90 * seed, 950.0 + 60 * seed, seed=100 + seed)
         if seed % 2:
-            from hybridflow.traffic_ca import apply_lane_policy
-            apply_lane_policy(state, "am", [{"car", "truck", "automated_car"},
-                                            {"car", "automated_car"},
-                                            {"car", "automated_car"}])
+            apply_lane_policy(state, "am", MERGE_MASKS[0])
         for _ in range(520):
             step(state)  # the per-step segment sweep raises on any overlap
         vehicle_steps += state.vehicle_steps

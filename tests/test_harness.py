@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hybridflow import harness, impute, road_net, traffic_ca
+from hybridflow import harness, impute, road_net, traffic_ca, transfer
 from hybridflow.cli import main, parse_seeds
 from hybridflow.road_net import NetworkError
 
@@ -38,6 +38,19 @@ class TestRunExperiment:
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
+
+    def test_demo_two_traces_six_drives(self, monkeypatch):
+        drives = []
+        original = transfer.simulate_drive
+
+        def counting_drive(trace, *args, **kwargs):
+            drives.append(trace)
+            return original(trace, *args, **kwargs)
+
+        monkeypatch.setattr(transfer, "simulate_drive", counting_drive)
+        harness.run_experiment(demo_config(), base_dir=str(CONFIG_DIR))
+        # two traces, each driven by the calibration policy and the two compared ones
+        assert len({id(trace) for trace in drives}) == 2 and len(drives) == 6
 
     def test_fixed_vs_bmp_ratio_recomputable(self, tmp_path):
         config = harness.load_config(CONFIG_DIR / "two_route_congested.json")

@@ -733,9 +733,10 @@ def mixed_ring(lanes, cells, n, slow_every, v_max, seed):
     return state
 
 
-def merge_criterion_2(rate_a, rate_c, kmh_am, kmh_cm, seed):
+def merge_criterion_2(rate_a=1900.0, rate_c=950.0, kmh_am=108, kmh_cm=72, seed=10):
     """The merge of acceptance criterion 2, 3 lanes and 2 lanes into a single lane,
-    at the given speed limits of the two feeders."""
+    at the given inflows and speed limits of the two feeders. The defaults give the CA
+    golden merge; the graph is that of ``bench/workloads.MERGE_NETWORK``."""
     net = build_network({
         "version": 1, "cell_length_m": 1.5,
         "nodes": [{"id": "A", "x": 0, "y": 0}, {"id": "C", "x": 0, "y": 300},
