@@ -13,6 +13,9 @@ assign, which no transfer result reads). One experiment simulates each
 distinct CA scenario once: the traffic stage, the assign stage's probe and its
 evaluations share one `traffic_ca.ScenarioRuns`, so a probe that two methods
 need, or an evaluation under the configured splits, reuses the earlier run.
+The transfer stage holds one record and one forecast per trace: the map build
+and every drive read the trace's `radio_env.TraceRecord`, and every predictive
+drive reads one map forecast made after the map is complete.
 Every artifact lands in the output directory; report.json indexes them and is
 byte-identical for identical (config, seed).
 """
@@ -55,7 +58,7 @@ IMPUTE = {"observations": [OBSERVATION], "targets": [NET_POINT],
           "length_scale_m": table(impute.GprParams)["length_scale_m"], "euclidean": False,
           "knn_k": Field(0, ge=0)}
 ASSIGN = {"methods": Field(("fixed", "bmp"), item=routing_opt.METHOD), **routing_opt.SETTINGS}
-TRANSFER = {"stations": [STATION], "noise_dbm": -100.0,
+TRANSFER = {"stations": [STATION], "noise_dbm": table(radio_env.RadioScene)["noise_dbm"],
             "shadowing": {"pl0_db": _MODEL["pl0_db"], "exponent": _MODEL["exponent"],
                           "sigma_db": _MODEL["shadowing_sigma_db"],
                           "enabled": _MODEL["shadowing_enabled"]},
@@ -173,13 +176,17 @@ def parse_config(config: dict, base_dir=".") -> dict:
 
 
 def _check_policies(tcfg):
-    """ConfigError naming the first listed policy that the overrides make invalid."""
+    """ConfigError naming the first listed policy that the overrides make invalid,
+    or that is predictive while build_map leaves the map it reads unbuilt."""
     for kind in tcfg["policies"]:
         try:
-            _policy(kind, tcfg)
+            policy = _policy(kind, tcfg)
         except transfer.PolicyError as exc:
             raise ConfigError(f"config.stages.transfer.policy: {exc} for policy "
                               f"{kind!r}") from None
+        if policy.predictive and not tcfg["build_map"]:
+            raise ConfigError(f"config.stages.transfer.build_map: policy {kind!r} reads the "
+                              f"connectivity map, which build_map false leaves unbuilt")
 
 
 def _check_connected(parsed):
@@ -405,21 +412,24 @@ def _transfer_stage(run, tcfg):
         pl0_db=shadow["pl0_db"], exponent=shadow["exponent"],
         shadowing_sigma_db=shadow["sigma_db"], shadowing_enabled=shadow["enabled"],
         seed=substream_seed(run.seed, "shadowing"))
-    scene = radio_env.RadioScene(stations, noise_dbm=tcfg["noise_dbm"], model=model)
     traces = _build_traces(tcfg, run.traffic_metrics)
+    records = [radio_env.TraceRecord(trace, stations, tcfg["noise_dbm"], model)
+               for trace in traces]
+    cmap = None
     if tcfg["build_map"]:
         # crowdsensed along the traces before any policy drives them
-        scene.map = radio_env.ConnectivityMap()
-        for trace in traces:
-            scene.map.record_many([(x, y) for _, x, y in trace], scene.trace_record(trace).sinr, 3)
+        cmap = radio_env.ConnectivityMap()
+        for trace, record in zip(traces, records):
+            cmap.record_many([(x, y) for _, x, y in trace], record.sinr, 3)
+    forecasts = [None] * len(traces)
     rate = tcfg["sensor_rate_bytes_s"]
     predictor = None
     if tcfg["predictor"] == "learned":
         cal_policy = transfer.TransferPolicy(kind="periodic", periodic_interval_s=10.0)
         rows = []
-        for i, trace in enumerate(traces):
+        for i, record in enumerate(records):
             _, log = transfer.simulate_drive(
-                trace, scene, cal_policy, rate,
+                record, None, cal_policy, rate,
                 substream_seed(run.seed, "transfer-calibration", i))
             rows.extend(log.transmissions())
         if rows:
@@ -427,10 +437,13 @@ def _transfer_stage(run, tcfg):
     stage_out = {"policies": {}}
     for kind in tcfg["policies"]:
         policy = _policy(kind, tcfg)
-        drives = [transfer.simulate_drive(trace, scene, policy, rate,
+        if policy.predictive and forecasts[0] is None:
+            # parse_config lets a predictive policy run only with build_map
+            forecasts = [radio_env.forecast_along(cmap, trace) for trace in traces]
+        drives = [transfer.simulate_drive(record, forecast, policy, rate,
                                           substream_seed(run.seed, f"transfer-{kind}", i),
                                           predictor=predictor)
-                  for i, trace in enumerate(traces)]
+                  for i, (record, forecast) in enumerate(zip(records, forecasts))]
         stage_out["policies"][kind] = {
             **{key: float(np.mean([getattr(m, key) for m, _ in drives]))
                for key in ("mean_goodput_mbps", "total_energy_j", "transmissions",
@@ -438,9 +451,8 @@ def _transfer_stage(run, tcfg):
             "vehicles": len(drives)}
         if path := run.artifact(f"transfer_log_{kind}", f"transfer_log_{kind}.csv"):
             transfer.write_log_csv(path, [log for _, log in drives])
-    if scene.map is not None and (path := run.artifact("connectivity_map",
-                                                       "connectivity_map.csv")):
-        scene.map.to_csv(path)
+    if cmap is not None and (path := run.artifact("connectivity_map", "connectivity_map.csv")):
+        cmap.to_csv(path)
     return stage_out
 
 

@@ -9,10 +9,9 @@ path-loss constants are set once) works out every RSRP and SINR. The
 connectivity map keeps exact running statistics (Welford) per geographic grid
 cell, takes a whole trace in one ``record_many`` call with the bits of one
 ``record`` call per point, and backs the trajectory forecasts used by the
-predictive transfer policies. A scene keeps one ``TraceRecord`` per trace it
-is asked about: the times, speeds, SINR and serving RSRP of every point, all
-worked out in one pass when the record is made and shared by the map build
-and every policy's drive; next to it, one map forecast per trace and map state.
+predictive transfer policies. A ``TraceRecord`` holds the times, speeds, SINR
+and serving RSRP of every point of one trace, all worked out in one pass when
+it is made; the transfer stage holds one record and one forecast per trace.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ FALLBACK_RADIUS_CELLS = 2    # how far a thin cell's lookup searches for a popul
 class BaseStation:
     id: str
     position: tuple
-    tx_power_dbm: float = 43.0
+    tx_power_dbm: float = ranged(43.0, ge=-30, le=80)
 
 
 @dataclass
@@ -45,7 +44,7 @@ class PropagationModel:
 
     pl0_db: float = 70.0
     exponent: float = ranged(3.0, gt=0)
-    shadowing_sigma_db: float = ranged(6.0, ge=0)
+    shadowing_sigma_db: float = ranged(6.0, ge=0, le=30)
     shadowing_enabled: bool = True
     seed: int = 0
     _shadow_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -125,20 +124,20 @@ def sinr_rsrp_at(pos, stations, noise_dbm: float, model: PropagationModel) -> tu
 
 
 class TraceRecord:
-    """The radio values of one (t, x, y) trace in one scene, one entry per point.
+    """The radio values of one (t, x, y) trace under one set of stations, noise
+    floor and path-loss model, one entry per point, and the stations' maximum
+    power (``max_tx_dbm``).
 
     ``times``, ``speeds``, ``sinr`` and ``rsrp`` (serving, dBm) are all set when
-    the record is made, in one pass over the trace: the scene's constants are
-    worked out once, ``PropagationModel.fill`` seeds the trace's shadowing cells
-    in one call and hands back each point's shadowing, and a point at the
-    position of the point before it takes that point's values.
+    the record is made, in one pass over the trace: the constants are worked out
+    once, ``PropagationModel.fill`` seeds the trace's shadowing cells in one call
+    and hands back each point's shadowing, and a point at the position of the
+    point before it takes that point's values.
     """
 
-    __slots__ = ("trace", "times", "speeds", "sinr", "rsrp")
+    __slots__ = ("times", "speeds", "sinr", "rsrp", "max_tx_dbm")
 
     def __init__(self, trace, stations, noise_dbm, model):
-        # the record holds the trace, so no other object takes its id while it is kept
-        self.trace = trace
         self.times = [p[0] for p in trace]
         # over the step that reaches each point, the first point taking the first step's;
         # max(dt, 1e-9), NaN included, without the call
@@ -146,6 +145,7 @@ class TraceRecord:
                   for (t0, x0, y0), (t1, x1, y1) in zip(trace, trace[1:])]
         self.speeds = speeds[:1] + speeds
         sinr_rsrp = _Link(stations, noise_dbm, model).sinr_rsrp
+        self.max_tx_dbm = max(s.tx_power_dbm for s in stations)
         shadows = model.fill([(x, y) for _, x, y in trace])
         self.sinr, self.rsrp = sinrs, rsrps = [], []
         pos = None
@@ -159,40 +159,14 @@ class TraceRecord:
 
 @dataclass
 class RadioScene:
-    """Stations + propagation + noise floor, with an optional prior map.
-
-    ``trace_record`` keeps one TraceRecord per trace object, so a trace, the
-    stations, the noise floor and the model must not change after the scene
-    first reads that trace, and a map must change only by recording, as ``forecast``
-    reads a trace's map values again only when ``map`` is replaced or takes samples.
-    """
+    """Stations + propagation + noise floor."""
 
     stations: list
-    noise_dbm: float = -100.0
+    noise_dbm: float = ranged(-100.0, ge=-180, le=0)
     model: PropagationModel = field(default_factory=PropagationModel)
-    map: "ConnectivityMap | None" = None
-    _records: dict = field(default_factory=dict, repr=False, compare=False)
-    _forecasts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sinr(self, pos) -> float:
         return sinr_rsrp_at(pos, self.stations, self.noise_dbm, self.model)[0]
-
-    def trace_record(self, trace) -> TraceRecord:
-        """The trace's TraceRecord, made on the first call for that trace object."""
-        rec = self._records.get(id(trace))
-        if rec is None:
-            rec = self._records[id(trace)] = TraceRecord(trace, self.stations,
-                                                         self.noise_dbm, self.model)
-        return rec
-
-    def forecast(self, trace) -> list:
-        """``forecast_along(self.map, trace)``, one shared list per trace object, map and
-        map sample count; the memo holds the trace, so no other object takes its id."""
-        cmap, memo = self.map, self._forecasts.get(id(trace))
-        if memo is None or memo[1] is not cmap or memo[2] != cmap._global_count:
-            memo = self._forecasts[id(trace)] = (trace, cmap, cmap._global_count,
-                                                 forecast_along(cmap, trace))
-        return memo[3]
 
 
 class ConnectivityMap:

@@ -9,13 +9,13 @@ predicted data rate) through
 so transmissions concentrate where the metric is high; a maximum buffer age
 forces a flush regardless. Predictive variants additionally defer while the
 forecast along the vehicle's trajectory beats the current metric by a
-hysteresis factor. A drive reads the times, speeds, SINR and serving RSRP of
-its trace points from the scene's record of the trace, and its map forecast
-from the scene, which reads the map along a trace once for all drives until
-the map takes samples or is replaced. A drive never writes the map, and each
-probe reads only the peak of its look-ahead window, so a drive costs a constant
-per trace point under every policy; its log keeps a flat tuple per probe and
-makes a row's dict only when the row is read (README's "Notes on scale").
+hysteresis factor. A drive takes the times, speeds, SINR and serving RSRP of
+its trace points from the trace's ``radio_env.TraceRecord``, and a predictive
+one its map forecast as a list of values, one per trace point; the transfer
+stage holds one record and one forecast per trace. Each probe reads only the
+peak of its look-ahead window, so a drive costs a constant per trace point
+under every policy; its log keeps a flat tuple per probe and makes a row's dict
+only when the row is read (README's "Notes on scale").
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .radio_env import RadioScene
 from .rng import Uniforms, substream
 from .schema import Field, check_fields, ranged
 
@@ -272,34 +271,32 @@ class _WindowPeak:
         return values[run[0]]
 
 
-def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
-                   sensor_rate_bytes_s: float, seed: int,
-                   predictor: RatePredictor | None = None):
+def simulate_drive(record, forecast, policy: TransferPolicy, sensor_rate_bytes_s: float,
+                   seed: int, predictor: RatePredictor | None = None):
     """Walk a timed trace at 1 s resolution under one transfer policy.
 
-    Returns (TransferMetrics, decision log). Flushes drain the whole buffer
-    at the rate the formula yields on the true SINR, with multiplicative
-    lognormal noise; deep-fade transmissions may need one retransmission,
-    doubling that payload's airtime and energy. A predictive policy takes the
-    map's value at every trace point from ``scene.forecast(trace)``, shared by
-    the drives of the trace, and each probe reads the peak of its look-ahead
-    window, the later points within ``lookahead_s``, from a ``_WindowPeak``; it
-    rejects a trace with a non-finite time. Times, speeds, SINR and serving RSRP
-    come from ``scene.trace_record(trace)``; the policy flags, station power and
-    link rates are worked out once per drive. The log is a DriveLog.
+    ``record`` is the trace's ``radio_env.TraceRecord``; ``forecast`` is the
+    map's value at every trace point (``radio_env.forecast_along``), or None,
+    which only a non-predictive policy takes. Returns (TransferMetrics, decision
+    log). Flushes drain the whole buffer at the rate the formula yields on the
+    true SINR, with multiplicative lognormal noise; deep-fade transmissions may
+    need one retransmission, doubling that payload's airtime and energy. Each
+    probe of a predictive policy reads the peak of its look-ahead window, the
+    later points within ``lookahead_s``, from a ``_WindowPeak``; it rejects a
+    trace with a non-finite time. The policy flags and link rates are worked out
+    once per drive. The log is a DriveLog.
     """
-    if len(trace) < 2:
+    times, speeds, sinrs, rsrps = record.times, record.speeds, record.sinr, record.rsrp
+    n = len(times)
+    if n < 2:
         raise PolicyError("trace must span more than one second")
     SENSOR_RATE.check(sensor_rate_bytes_s, "sensor_rate_bytes_s", PolicyError)
     predictor = predictor or RatePredictor()
-    runtime = PolicyRuntime.create(policy, seed, start_s=trace[0][0])
+    runtime = PolicyRuntime.create(policy, seed, start_s=times[0])
     noise_rng = substream(seed, "transfer-noise")
     buf = BufferState()
-    rec = scene.trace_record(trace)
-    times, speeds, sinrs, rsrps = rec.times, rec.speeds, rec.sinr, rec.rsrp
     is_rate, predictive = policy.metric_is_rate, policy.predictive
     learned = predictor.kind == "learned_table"
-    max_tx_dbm = max(s.tx_power_dbm for s in scene.stations)  # the record needs a station
     rows = []
     generated = transferred = 0.0
     tx_time = tx_energy = 0.0
@@ -307,9 +304,8 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
     n_tx = n_retx = 0
     probe_every = max(1.0, policy.t_min_s)
     lookahead_s = policy.lookahead_s
-    n = len(trace)
     k = j = 0  # trace[k:j] is the look-ahead: the points after t within lookahead_s of it
-    ahead = links = nonfinite = window = None  # per trace point, read once
+    links = nonfinite = window = None  # per trace point, read once
     last_probe_s = None
     for i in range(1, n):
         t = times[i]
@@ -327,19 +323,20 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
         phi = predictor.predict(sinr, buf.queued_bytes, speed) if is_rate else sinr
         peak = None
         if predictive:
-            if ahead is None:
-                if scene.map is None:
-                    raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
+            if window is None:
+                if forecast is None:
+                    raise PolicyError(f"{policy.kind} needs a forecast of the connectivity map")
+                if len(forecast) != n:
+                    raise PolicyError(f"forecast of {len(forecast)} values for {n} trace points")
                 if not all(map(math.isfinite, times)):
                     raise PolicyError("trace has a non-finite time")
-                ahead = scene.forecast(trace)
                 if is_rate:
-                    links = [predictor.link_rate(v) for v in ahead]
-                    nonfinite = [m for m, v in enumerate(ahead) if not math.isfinite(v)]
+                    links = [predictor.link_rate(v) for v in forecast]
+                    nonfinite = [m for m, v in enumerate(forecast) if not math.isfinite(v)]
                 # for a non-negative payload x -> fl(x * s) is monotone
                 # non-decreasing, so the formula's peak is the peak link rate
                 # times the payload factor
-                window = _WindowPeak(links if is_rate else ahead)
+                window = _WindowPeak(links if is_rate else forecast)
             if j < i:
                 j = i
             while j < n and times[j] - t <= lookahead_s:
@@ -354,9 +351,9 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                 # predict used to see every point of trace[i:j], those at t too
                 b = bisect.bisect_left(nonfinite, i)
                 if b < len(nonfinite) and nonfinite[b] < j:
-                    raise PolicyError(f"non-finite feature {ahead[nonfinite[b]]}")
+                    raise PolicyError(f"non-finite feature {forecast[nonfinite[b]]}")
                 if learned:
-                    peak = predictor.peak_rate(ahead[k:j], buf.queued_bytes, speed)
+                    peak = predictor.peak_rate(forecast[k:j], buf.queued_bytes, speed)
                 elif k < j:
                     peak = window.peak(k, j) * predictor.payload_factor(buf.queued_bytes)
                 else:
@@ -368,7 +365,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
             actual_rate = max(predictor.formula_rate(sinr, payload) * noise, 1e-6)
             attempts = 2 if noise_rng.random() < _loss_probability(sinr) else 1
             duration = payload * 8.0 / (actual_rate * 1e6) * attempts
-            e_tx = duration * _tx_power_w(max_tx_dbm - rsrps[i])
+            e_tx = duration * _tx_power_w(record.max_tx_dbm - rsrps[i])
             ages.append(buf.age(t))
             n_tx += 1
             n_retx += attempts - 1
@@ -382,7 +379,7 @@ def simulate_drive(trace, scene: RadioScene, policy: TransferPolicy,
                          payload, speed, attempts))
         else:
             rows.append((t, phi, "defer", 0.0, 0.0, 0.0, sinr, 0.0, buf.queued_bytes, speed, 0))
-    wall = trace[-1][0] - trace[0][0]
+    wall = times[-1] - times[0]
     idle_time = max(wall - tx_time, 0.0)
     return TransferMetrics(
         mean_goodput_mbps=(transferred * 8.0 / tx_time / 1e6) if tx_time > 0 else 0.0,

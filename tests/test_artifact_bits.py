@@ -28,7 +28,8 @@ from hybridflow.cli import main
 from hybridflow.fingerprint import extract_features, generate_corpus, train
 from hybridflow.road_net import build_network
 from test_ca_golden import SCENARIOS, scenario_hashes, sparse_digests
-from test_transfer import half_filled_table, make_policy, outcome, two_station_scene, uneven_trace
+from test_transfer import (drive, half_filled_table, make_policy, outcome, two_station_scene,
+                           uneven_trace)
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().with_name("artifact_manifest.json")
@@ -93,8 +94,8 @@ def transfer_compare():
     drives = {kind: [] for kind in transfer.POLICY_KINDS}
     original = transfer.simulate_drive
 
-    def recording_drive(trace, scene, policy, *args, **kwargs):
-        out = original(trace, scene, policy, *args, **kwargs)
+    def recording_drive(record, forecast, policy, *args, **kwargs):
+        out = original(record, forecast, policy, *args, **kwargs)
         drives[policy.kind].append(out)
         return out
 
@@ -117,8 +118,8 @@ def transfer_scene():
             for lookahead in (0.0, 1.0, 8.0, 30.0):
                 for t_min in (1.0, 5.0):
                     pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
-                    runs.append(outcome(transfer.simulate_drive, trace, scene, pol,
-                                        10_000.0, 21, predictor=make()))
+                    runs.append(outcome(drive, trace, scene, pol, 10_000.0, 21,
+                                        predictor=make()))
         got[name] = _repr_sha(runs)
     return got
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hybridflow import harness, impute, road_net, traffic_ca, transfer
+from hybridflow import harness, impute, radio_env, road_net, traffic_ca, transfer
 from hybridflow.cli import main, parse_seeds
 from hybridflow.road_net import NetworkError
 
@@ -43,14 +43,34 @@ class TestRunExperiment:
         drives = []
         original = transfer.simulate_drive
 
-        def counting_drive(trace, *args, **kwargs):
-            drives.append(trace)
-            return original(trace, *args, **kwargs)
+        def counting_drive(record, *args, **kwargs):
+            drives.append(record)
+            return original(record, *args, **kwargs)
 
         monkeypatch.setattr(transfer, "simulate_drive", counting_drive)
         harness.run_experiment(demo_config(), base_dir=str(CONFIG_DIR))
         # two traces, each driven by the calibration policy and the two compared ones
-        assert len({id(trace) for trace in drives}) == 2 and len(drives) == 6
+        assert len({id(record) for record in drives}) == 2 and len(drives) == 6
+
+    def test_one_record_and_forecast_per_trace(self, monkeypatch):
+        # the transfer stage makes one TraceRecord per trace, and reads the complete map
+        # along each trace once for all its predictive policies, and not at all without one
+        made, reads = [], []
+        make_record, read_map = radio_env.TraceRecord, radio_env.forecast_along
+        monkeypatch.setattr(radio_env, "TraceRecord",
+                            lambda trace, *args: made.append(trace) or make_record(trace, *args))
+        monkeypatch.setattr(radio_env, "forecast_along",
+                            lambda cmap, trace: reads.append(trace) or read_map(cmap, trace))
+        every_policy = transfer_config()
+        every_policy["stages"]["transfer"]["policies"] = list(transfer.POLICY_KINDS)
+        harness.run_experiment(every_policy)
+        assert len(made) == 1 and len(reads) == 1 and reads[0] is made[0]
+        made.clear()
+        reads.clear()
+        config = demo_config()
+        assert {"pcat", "ml_pcat"}.isdisjoint(config["stages"]["transfer"]["policies"])
+        harness.run_experiment(config, base_dir=str(CONFIG_DIR))
+        assert len(made) == 2 and made[0] is not made[1] and reads == []
 
     def test_fixed_vs_bmp_ratio_recomputable(self, tmp_path):
         config = harness.load_config(CONFIG_DIR / "two_route_congested.json")
@@ -343,7 +363,27 @@ CONFIG_ERRORS = {
                                  lambda c: _set(c["stages"]["transfer"]["shadowing"], "sigma_db",
                                                 -1),
                                  "config.stages.transfer.shadowing.sigma_db: sigma_db must be "
-                                 "non-negative, got -1.0"),
+                                 "in [0, 30], got -1.0"),
+    # radio settings whose powers leave a float's range
+    "station_power_above": ("transfer_two_phase.json",
+                            lambda c: _set(c["stages"]["transfer"]["stations"][0],
+                                           "tx_power_dbm", 5000),
+                            "config.stages.transfer.stations[0].tx_power_dbm: tx_power_dbm must "
+                            "be in [-30, 80], got 5000.0"),
+    "station_power_below": ("transfer_two_phase.json",
+                            lambda c: _set(c["stages"]["transfer"]["stations"][0],
+                                           "tx_power_dbm", -5000),
+                            "config.stages.transfer.stations[0].tx_power_dbm: tx_power_dbm must "
+                            "be in [-30, 80], got -5000.0"),
+    "noise_above": ("transfer_two_phase.json",
+                    lambda c: _set(c["stages"]["transfer"], "noise_dbm", 4000),
+                    "config.stages.transfer.noise_dbm: noise_dbm must be in [-180, 0], "
+                    "got 4000.0"),
+    "shadowing_sigma_above": ("transfer_two_phase.json",
+                              lambda c: _set(c["stages"]["transfer"]["shadowing"], "sigma_db",
+                                             1e4),
+                              "config.stages.transfer.shadowing.sigma_db: sigma_db must be in "
+                              "[0, 30], got 10000.0"),
     "sensor_rate_negative": ("transfer_two_phase.json",
                              lambda c: _set(c["stages"]["transfer"], "sensor_rate_bytes_s", -1),
                              "config.stages.transfer.sensor_rate_bytes_s: sensor_rate_bytes_s "
@@ -444,6 +484,12 @@ CONFIG_ERRORS = {
                                "config.stages.transfer.trace.kind: from_traffic trace needs a "
                                "traffic stage"),
     # what a stage needs from the rest of the config, before any stage
+    "transfer_predictive_without_map": ("transfer_two_phase.json",
+                                        lambda c: c["stages"]["transfer"].update(
+                                            build_map=False, policies=["periodic", "pcat"]),
+                                        "config.stages.transfer.build_map: policy 'pcat' reads "
+                                        "the connectivity map, which build_map false leaves "
+                                        "unbuilt"),
     "transfer_no_station": ("transfer_two_phase.json",
                             lambda c: _set(c["stages"]["transfer"], "stations", []),
                             "config.stages.transfer.stations: expected at least one base "
@@ -673,6 +719,16 @@ class TestComparePolicies:
                 "config.stages.transfer.policy: degenerate metric bounds [0.0, -1.0] for "
                 "policy 'periodic'")):
             harness.compare_policies(config, ["cat", "periodic"], [1])
+
+    def test_predictive_policy_needs_the_map_before_any_stage(self, monkeypatch):
+        config = transfer_config()
+        config["stages"]["transfer"].update(build_map=False, policies=["periodic", "cat"])
+        harness.parse_config(config)
+        monkeypatch.setattr(harness, "STAGES", ())
+        with pytest.raises(harness.ConfigError, match=re.escape(
+                "config.stages.transfer.build_map: policy 'ml_pcat' reads the connectivity "
+                "map, which build_map false leaves unbuilt")):
+            harness.compare_policies(config, ["cat", "ml_pcat"], [1])
 
     def test_failing_stage_named(self):
         # a run can end with no connected trace long enough, which no parse can tell

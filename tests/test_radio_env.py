@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridflow import radio_env
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel,
-                                  RadioScene, forecast_along, sinr_rsrp_at)
+                                  RadioScene, TraceRecord, forecast_along, sinr_rsrp_at)
 from test_transfer import reference_speeds
 
 
@@ -233,8 +233,8 @@ def traces(draw):
 
 
 class TestTraceRecord:
-    """A scene's record of a trace holds, per point, what the per-point functions give
-    on a fresh scene, all worked out in one pass when the record is made."""
+    """The record of a trace in a scene holds, per point, what the per-point functions
+    give on a fresh scene, all worked out in one pass when the record is made."""
 
     @given(trace=traces(), shadowing=st.booleans(), stations=st.integers(1, 3),
            drawn=st.lists(st.sampled_from(POSITIONS), max_size=4))
@@ -255,8 +255,7 @@ class TestTraceRecord:
                 mock.patch.object(radio_env._Link, "sinr_rsrp",
                                   lambda link, x, y, shadow: worked.append((x, y))
                                   or sinr_rsrp(link, x, y, shadow)):
-            rec = scene.trace_record(trace)
-            assert scene.trace_record(trace) is rec
+            rec = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
         # the trace's new shadowing cells seeded in one pass, the drawn ones kept
         new_cells = {cell for cell in map(_cell, trace) if cell not in cells_before}
         assert seeded == ([len(new_cells)] if shadowing and new_cells else [])
@@ -277,19 +276,12 @@ class TestTraceRecord:
                 [old_rsrp_at((x, y), s, oracle.model) for s in oracle.stations]
         assert rec.times == [p[0] for p in trace]
         assert repr(rec.speeds) == repr(reference_speeds(trace))
-
-    def test_one_record_per_trace_object(self):
-        scene = two_station_scene()
-        trace = [(0, 0.0, 0.0), (1, 10.0, 0.0)]
-        same_points = list(trace)
-        assert scene.trace_record(trace) is scene.trace_record(trace)
-        assert scene.trace_record(same_points) is not scene.trace_record(trace)
-        assert scene.trace_record(same_points).sinr == scene.trace_record(trace).sinr
-        assert scene == two_station_scene() and repr(scene) == repr(two_station_scene())
+        assert rec.max_tx_dbm == max(s.tx_power_dbm for s in oracle.stations)
 
     def test_no_station_rejected(self):
         scene = RadioScene([], model=no_shadow())
-        for read in (lambda: scene.trace_record([(0, 0.0, 0.0), (1, 10.0, 0.0)]),
+        for read in (lambda: TraceRecord([(0, 0.0, 0.0), (1, 10.0, 0.0)], [], -100.0,
+                                         no_shadow()),
                      lambda: scene.sinr((0.0, 0.0))):
             with pytest.raises(ValueError, match="need at least one station"):
                 read()

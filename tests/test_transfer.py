@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridflow import radio_env, transfer
 from hybridflow.radio_env import (BaseStation, ConnectivityMap, PropagationModel, RadioScene,
-                                  forecast_along, sinr_rsrp_at)
+                                  TraceRecord, forecast_along, sinr_rsrp_at)
 from hybridflow.rng import Uniforms, substream
 from hybridflow.transfer import (BufferState, PolicyError, PolicyRuntime,
                                  RatePredictor, TransferMetrics, TransferPolicy, decide,
@@ -145,11 +146,26 @@ class TestDecide:
         assert counts == sorted(counts, reverse=True)
 
 
+@dataclass
+class MappedScene(RadioScene):
+    """A radio scene with the connectivity map its predictive drives read, if any."""
+
+    map: ConnectivityMap | None = None
+
+
+def drive(trace, scene, policy, *args, **kwargs):
+    """``simulate_drive`` on the record of the trace in the scene and, with a map, the
+    map's forecast along the trace."""
+    record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+    ahead = None if scene.map is None else forecast_along(scene.map, trace)
+    return simulate_drive(record, ahead, policy, *args, **kwargs)
+
+
 def good_bad_scene(with_map=False):
     """Station 6 km down the road: first half of the drive is a deep fade."""
-    scene = RadioScene([BaseStation("bs", (6000.0, 0.0), tx_power_dbm=43.0)],
-                       noise_dbm=-100.0,
-                       model=PropagationModel(shadowing_enabled=False))
+    scene = MappedScene([BaseStation("bs", (6000.0, 0.0), tx_power_dbm=43.0)],
+                        noise_dbm=-100.0,
+                        model=PropagationModel(shadowing_enabled=False))
     if with_map:
         cmap = ConnectivityMap()
         for t, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
@@ -162,11 +178,11 @@ def good_bad_scene(with_map=False):
 class TestSimulateDrive:
     def test_periodic_constant_channel(self):
         # perfect channel held by parking next to the station
-        scene = RadioScene([BaseStation("bs", (0.0, 0.0))], noise_dbm=-100.0,
-                           model=PropagationModel(shadowing_enabled=False))
+        scene = MappedScene([BaseStation("bs", (0.0, 0.0))], noise_dbm=-100.0,
+                            model=PropagationModel(shadowing_enabled=False))
         trace = [(t, 10.0, 0.0) for t in range(601)]
         pol = TransferPolicy(kind="periodic", periodic_interval_s=30.0)
-        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=5)
+        metrics, log = drive(trace, scene, pol, 10_000.0, seed=5)
         assert metrics.transmissions == 20
         tx_rows = [r for r in log if r["decision"] == "transmit"]
         assert all(r["bytes"] == pytest.approx(300_000.0) for r in tx_rows)
@@ -175,7 +191,7 @@ class TestSimulateDrive:
         scene = good_bad_scene()
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         pol = TransferPolicy(kind="ml_cat", t_max_s=600.0)
-        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=7)
+        metrics, log = drive(trace, scene, pol, 10_000.0, seed=7)
         good = sum(r["bytes"] for r in log if r["decision"] == "transmit" and r["t"] > 300)
         total = sum(r["bytes"] for r in log if r["decision"] == "transmit")
         assert total > 0
@@ -185,8 +201,8 @@ class TestSimulateDrive:
         scene = good_bad_scene()
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         pol = sinr_policy("cat", t_max_s=120.0)
-        a = simulate_drive(trace, scene, pol, 10_000.0, seed=11)
-        b = simulate_drive(trace, scene, pol, 10_000.0, seed=11)
+        a = drive(trace, scene, pol, 10_000.0, seed=11)
+        b = drive(trace, scene, pol, 10_000.0, seed=11)
         assert a[0] == b[0]
         assert a[1] == b[1]
 
@@ -194,7 +210,7 @@ class TestSimulateDrive:
         scene = good_bad_scene()
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         pol = TransferPolicy(kind="ml_cat", t_max_s=90.0)
-        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=13)
+        metrics, log = drive(trace, scene, pol, 10_000.0, seed=13)
         tx_time = sum(r["duration_s"] for r in log)
         recomputed = (sum(r["energy_j"] for r in log)
                       + max(600.0 - tx_time, 0.0) * transfer.P_IDLE_W)
@@ -205,7 +221,7 @@ class TestSimulateDrive:
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         for kind in ("periodic", "cat", "ml_cat"):
             pol = sinr_policy(kind) if kind in ("cat", "pcat") else TransferPolicy(kind=kind)
-            metrics, _ = simulate_drive(trace, scene, pol, 10_000.0, seed=17)
+            metrics, _ = drive(trace, scene, pol, 10_000.0, seed=17)
             assert metrics.bytes_generated == pytest.approx(
                 metrics.bytes_transferred + metrics.bytes_buffered_end)
 
@@ -213,7 +229,7 @@ class TestSimulateDrive:
         scene = good_bad_scene()
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         pol = sinr_policy("cat", t_max_s=45.0)
-        metrics, log = simulate_drive(trace, scene, pol, 10_000.0, seed=19)
+        metrics, log = drive(trace, scene, pol, 10_000.0, seed=19)
         buf_start = None
         for r in log:
             if r["decision"] == "transmit":
@@ -225,31 +241,30 @@ class TestSimulateDrive:
     def test_ml_pcat_defers_toward_peak(self):
         scene = good_bad_scene(with_map=True)
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
-        cat_m, _ = simulate_drive(trace, scene, TransferPolicy(kind="ml_cat", t_max_s=600.0),
-                                  10_000.0, seed=23)
-        pcat_m, _ = simulate_drive(trace, scene, TransferPolicy(kind="ml_pcat", t_max_s=600.0),
-                                   10_000.0, seed=23)
+        cat_m, _ = drive(trace, scene, TransferPolicy(kind="ml_cat", t_max_s=600.0),
+                         10_000.0, seed=23)
+        pcat_m, _ = drive(trace, scene, TransferPolicy(kind="ml_pcat", t_max_s=600.0),
+                          10_000.0, seed=23)
         assert pcat_m.mean_goodput_mbps >= cat_m.mean_goodput_mbps
 
     def test_short_trace_rejected(self):
         scene = good_bad_scene()
         with pytest.raises(PolicyError):
-            simulate_drive([(0, 0.0, 0.0)], scene, TransferPolicy(kind="periodic"),
-                           1000.0, seed=1)
+            drive([(0, 0.0, 0.0)], scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
 
     def test_backwards_trace_rejected(self):
         scene = good_bad_scene()
         trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (3, 30.0, 0.0), (2, 20.0, 0.0)]
         with pytest.raises(PolicyError, match="backwards"):
-            simulate_drive(trace, scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
+            drive(trace, scene, TransferPolicy(kind="periodic"), 1000.0, seed=1)
 
     def test_non_finite_time_rejected_by_predictive_policy(self):
         # a non-finite time has no look-ahead window; a last one is not seen going backwards
         for bad in (math.nan, math.inf):
             trace = [(0, 0.0, 0.0), (1, 10.0, 0.0), (2, 20.0, 0.0), (bad, 30.0, 0.0)]
             with pytest.raises(PolicyError, match="finite"):
-                simulate_drive(trace, good_bad_scene(with_map=True),
-                               TransferPolicy(kind="pcat"), 1000.0, seed=1)
+                drive(trace, good_bad_scene(with_map=True), TransferPolicy(kind="pcat"),
+                      1000.0, seed=1)
 
     def test_overflowing_map_value_rejected(self):
         # a rate policy turns the map value into a rate: 4000 dB overflows it
@@ -258,44 +273,52 @@ class TestSimulateDrive:
         scene.map.record((2000.0, 0.0), 4000.0)
         trace = line_trace((0.0, 0.0), (10.0, 0.0), 600)
         with pytest.raises(PolicyError, match="SINR 4000.0 dB"):
-            simulate_drive(trace, scene, TransferPolicy(kind="ml_pcat"), 1000.0, seed=1)
+            drive(trace, scene, TransferPolicy(kind="ml_pcat"), 1000.0, seed=1)
 
     def test_lookahead_is_the_horizon_slice(self, monkeypatch):
-        # uneven spacing and repeated times: over all the drives on one scene and
-        # map, the map is read once, along the whole trace, and each probe's peak
-        # covers exactly the later points within lookahead_s, the ones the
-        # per-probe forecast kept. The learned table predicts each window (the
-        # formula's sliding peak reads none; TestWindowPeak and the reference
-        # drives check it)
+        # uneven spacing and repeated times: each probe's peak covers exactly the
+        # later points within lookahead_s, the ones the per-probe forecast kept. The
+        # learned table predicts each window (the formula's sliding peak reads none;
+        # TestWindowPeak and the reference drives check it)
         trace = [(t, 10.0 * t, 0.0) for t in (0, 1, 1, 2, 5, 9, 9, 10, 14, 30, 31, 33, 40, 41)]
         scene = good_bad_scene(with_map=True)
+        record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+        ahead = forecast_along(scene.map, trace)
         predictor = half_filled_table()
-        reads, windows = [], []
-        original_forecast, original_peak = radio_env.forecast_along, RatePredictor.peak_rate
-
-        def recording_forecast(cmap, trajectory):
-            reads.append(list(trajectory))
-            return original_forecast(cmap, trajectory)
+        windows = []
+        original_peak = RatePredictor.peak_rate
 
         def recording_peak(self, sinrs, payload_bytes, speed_mps):
             windows.append(list(sinrs))
             return original_peak(self, sinrs, payload_bytes, speed_mps)
 
-        monkeypatch.setattr(radio_env, "forecast_along", recording_forecast)
         monkeypatch.setattr(RatePredictor, "peak_rate", recording_peak)
         for lookahead in (0.0, 1.0, 8.0, 30.0):
             for t_min in (1.0, 5.0):
                 windows.clear()
                 want = []
                 pol = TransferPolicy(kind="ml_pcat", t_min_s=t_min, lookahead_s=lookahead)
-                _, log = simulate_drive(trace, scene, pol, 1000.0, seed=3, predictor=predictor)
+                _, log = simulate_drive(record, ahead, pol, 1000.0, seed=3, predictor=predictor)
                 reference_drive(trace, scene, pol, 1000.0, 3, predictor=predictor, windows=want)
                 assert len(windows) == len(want) == len(log) > 3
                 for r, points, got in zip(log, want, windows):
                     assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
                     assert got == [scene.map.lookup((x, y)) for _, x, y in points]
-        assert reads == [trace]
 
+    def test_predictive_policy_needs_a_whole_forecast(self):
+        scene = good_bad_scene(with_map=True)
+        trace = line_trace((0.0, 0.0), (10.0, 0.0), 60)
+        record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+        ahead = forecast_along(scene.map, trace)
+        for kind in ("pcat", "ml_pcat"):
+            with pytest.raises(PolicyError, match=f"{kind} needs a forecast"):
+                simulate_drive(record, None, make_policy(kind), 1000.0, seed=1)
+            with pytest.raises(PolicyError, match="forecast of 60 values for 61 trace points"):
+                simulate_drive(record, ahead[1:], make_policy(kind), 1000.0, seed=1)
+        # the others read none
+        for kind in ("periodic", "cat", "ml_cat"):
+            assert simulate_drive(record, None, make_policy(kind), 1000.0, seed=1) == \
+                simulate_drive(record, ahead, make_policy(kind), 1000.0, seed=1)
 
 
 def reference_runtime(policy, seed, start_s=0.0):
@@ -375,7 +398,7 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
         forecast = None
         if policy.predictive:
             if scene.map is None:
-                raise PolicyError(f"{policy.kind} needs a connectivity map on the scene")
+                raise PolicyError(f"{policy.kind} needs a forecast of the connectivity map")
             j = max(j, i)
             while j < len(trace) and trace[j][0] - t <= policy.lookahead_s:
                 j += 1
@@ -432,9 +455,9 @@ def reference_drive(trace, scene, policy, sensor_rate_bytes_s, seed, predictor=N
 def two_station_scene():
     """Shadowed scene with a crowdsensed map: noisy, uneven sample counts, so
     lookups take every rung of the fallback chain."""
-    scene = RadioScene([BaseStation("a", (6000.0, 0.0)),
-                        BaseStation("b", (1500.0, 400.0), tx_power_dbm=30.0)],
-                       model=PropagationModel(seed=4))
+    scene = MappedScene([BaseStation("a", (6000.0, 0.0)),
+                         BaseStation("b", (1500.0, 400.0), tx_power_dbm=30.0)],
+                        model=PropagationModel(seed=4))
     rng = np.random.default_rng(5)
     cmap = ConnectivityMap()
     for _, x, y in line_trace((0.0, 0.0), (10.0, 0.0), 600):
@@ -475,10 +498,10 @@ TRACES = {"line": lambda: line_trace((0.0, 0.0), (10.0, 0.0), 300), "uneven": un
 PREDICTORS = {"formula": RatePredictor, "learned": half_filled_table}
 
 
-def outcome(drive, *args, **kwargs):
+def outcome(run, *args, **kwargs):
     """(metrics, log), or the PolicyError message."""
     try:
-        return drive(*args, **kwargs)
+        return run(*args, **kwargs)
     except PolicyError as exc:
         return f"PolicyError: {exc}"
 
@@ -495,7 +518,7 @@ class TestForecastAgainstReference:
                 pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
                 args = (trace, scene, pol, 10_000.0, 21)
                 want = reference_drive(*args, predictor=predictor)
-                assert simulate_drive(*args, predictor=predictor) == want
+                assert drive(*args, predictor=predictor) == want
                 if pred_name == "learned" and pol.metric_is_rate:
                     assert any(predictor.bin_of(r["sinr_db"], r["payload_bytes"],
                                                 r["speed_mps"]) in predictor.table
@@ -508,7 +531,7 @@ class TestForecastAgainstReference:
         pol = make_policy(kind)
         for trace in (TRACES["line"](), uneven_trace()):
             want = outcome(reference_drive, trace, scene, pol, 10_000.0, 3)
-            assert outcome(simulate_drive, trace, scene, pol, 10_000.0, 3) == want
+            assert outcome(drive, trace, scene, pol, 10_000.0, 3) == want
             if kind == "ml_pcat":
                 assert want == "PolicyError: non-finite feature nan"
             else:
@@ -525,7 +548,7 @@ class TestForecastAgainstReference:
                 for lookahead in (0.0, 8.0):
                     pol = make_policy(kind, lookahead_s=lookahead, t_min_s=5.0)
                     want = outcome(reference_drive, trace, scene, pol, 10_000.0, 4)
-                    assert outcome(simulate_drive, trace, scene, pol, 10_000.0, 4) == want
+                    assert outcome(drive, trace, scene, pol, 10_000.0, 4) == want
                     assert isinstance(want, str) == (raises and kind == "ml_pcat")
 
 
@@ -535,15 +558,15 @@ class TestDriveInvariants:
         scene = two_station_scene()
         before = (dict(scene.map.cells), scene.map._global_count, scene.map._global_mean)
         for trace in (TRACES["line"](), uneven_trace()):
-            simulate_drive(trace, scene, make_policy(kind), 10_000.0, seed=8,
-                           predictor=half_filled_table())
+            drive(trace, scene, make_policy(kind), 10_000.0, seed=8,
+                  predictor=half_filled_table())
         assert (scene.map.cells, scene.map._global_count, scene.map._global_mean) == before
 
     def test_each_point_worked_out_once(self, monkeypatch):
-        # every policy drives the trace twice on one scene: the radio values of every
-        # point are worked out once, in trace order, when the scene makes its record of
-        # the trace, and a point standing where the point before it stood takes that
-        # point's values
+        # the radio values of every point are worked out once, in trace order, when the
+        # record of the trace is made, and a point standing where the point before it
+        # stood takes that point's values; every policy then drives the record twice
+        # and works out none
         scene, trace = two_station_scene(), uneven_trace()
         positions = []
         original = radio_env._Link.sinr_rsrp
@@ -553,16 +576,18 @@ class TestDriveInvariants:
             return original(link, x, y, shadow_db)
 
         monkeypatch.setattr(radio_env._Link, "sinr_rsrp", counting)
+        record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+        ahead = forecast_along(scene.map, trace)
         for _ in range(2):
             for kind in transfer.POLICY_KINDS:
                 for t_min in (5.0, 1.0):
-                    simulate_drive(trace, scene, make_policy(kind, t_min_s=t_min), 10_000.0,
+                    simulate_drive(record, ahead, make_policy(kind, t_min_s=t_min), 10_000.0,
                                    seed=8)
         distinct = [p[1:] for i, p in enumerate(trace) if not i or p[1:] != trace[i - 1][1:]]
         assert positions == distinct
         positions.clear()
         standing = [(t, 10.0, 0.0) for t in range(601)]
-        simulate_drive(standing, scene, TransferPolicy(kind="periodic"), 10_000.0, seed=8)
+        drive(standing, scene, TransferPolicy(kind="periodic"), 10_000.0, seed=8)
         assert positions == [(10.0, 0.0)]
 
     def test_formula_rate_keeps_its_bits(self):
@@ -665,7 +690,7 @@ class TestDriveLog:
         pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
         predictor = half_filled_table() if learned else None
         args = (trace, two_station_scene(), pol, 10_000.0, seed)
-        metrics, log = simulate_drive(*args, predictor=predictor)
+        metrics, log = drive(*args, predictor=predictor)
         want_metrics, rows = reference_drive(*args, predictor=predictor)
         assert isinstance(log, transfer.DriveLog) and metrics == want_metrics
         n = len(rows)
@@ -693,7 +718,7 @@ class TestDriveLog:
     def test_csv_rows_are_the_dict_columns(self, tmp_path):
         # the CSV of several drives' logs is what the writer made of their dict rows
         scene, trace = two_station_scene(), uneven_trace()
-        logs = [simulate_drive(trace, scene, make_policy(kind), 10_000.0, seed=8)[1]
+        logs = [drive(trace, scene, make_policy(kind), 10_000.0, seed=8)[1]
                 for kind in transfer.POLICY_KINDS]
         transfer.write_log_csv(tmp_path / "log.csv", logs)
         with open(tmp_path / "want.csv", "w", newline="") as fh:
@@ -703,87 +728,3 @@ class TestDriveLog:
                 writer.writerow([row[k] for k in transfer.LOG_FIELDS])
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert sum(len(log) for log in logs) > 200
-
-
-def crowdsensed(scene, trace, offset_db=0.0):
-    """A map of three samples of each trace point's SINR, offset_db added."""
-    cmap = ConnectivityMap()
-    cmap.record_many([(x, y) for _, x, y in trace],
-                     [sinr_rsrp_at((x, y), scene.stations, scene.noise_dbm, scene.model)[0]
-                      + offset_db for _, x, y in trace], 3)
-    return cmap
-
-
-def failed_record(cmap):
-    # a non-finite first value raises before any sample is taken
-    with pytest.raises(ValueError, match="non-finite"):
-        cmap.record_many([(100.0, 0.0), (200.0, 0.0)], [math.nan, 5.0])
-
-
-ON_TRACE = [p[1:] for p in uneven_trace()[100::50]]
-# change -> (what it does to a scene, whether the map takes samples or is replaced)
-MAP_CHANGES = {
-    "record": (lambda scene: scene.map.record(ON_TRACE[0], 60.0, 20), True),
-    "record_many": (lambda scene: scene.map.record_many(ON_TRACE[1:3], [-30.0, 40.0], 2), True),
-    # another map with as many samples
-    "replaced": (lambda scene: setattr(scene, "map", crowdsensed(scene, uneven_trace(), 6.0)),
-                 True),
-    "failed_record": (lambda scene: failed_record(scene.map), False),
-}
-
-
-class TestSharedForecast:
-    """The predictive drives of a trace on one scene read the map along it once; a
-    sample the map takes, or another map, makes the next drive read it again, and
-    that drive is a drive on a fresh scene with the changed map."""
-
-    @staticmethod
-    def scene_of(trace):
-        scene = two_station_scene()
-        scene.map = crowdsensed(scene, trace)
-        return scene
-
-    @pytest.mark.parametrize("change", sorted(MAP_CHANGES))
-    def test_changed_map_read_again(self, change, monkeypatch):
-        reads = []
-        original = radio_env.forecast_along
-
-        def recording_forecast(cmap, trajectory):
-            reads.append(cmap)
-            return original(cmap, trajectory)
-
-        monkeypatch.setattr(radio_env, "forecast_along", recording_forecast)
-        trace = uneven_trace()
-        edit, reread = MAP_CHANGES[change]
-        scene, fresh = self.scene_of(trace), self.scene_of(trace)
-        edit(fresh)
-        runs = [(trace, make_policy(kind, lookahead_s=8.0), 10_000.0, 21, predictor)
-                for kind in ("pcat", "ml_pcat")
-                for predictor in (RatePredictor(), half_filled_table())]
-        before = [outcome(simulate_drive, run[0], scene, *run[1:-1], predictor=run[-1])
-                  for run in runs]
-        assert reads == [scene.map]
-        old_map, ahead = scene.map, scene.forecast(trace)
-        edit(scene)
-        after = [outcome(simulate_drive, run[0], scene, *run[1:-1], predictor=run[-1])
-                 for run in runs]
-        assert reads == [old_map, scene.map] if reread else reads == [old_map]
-        assert after == [outcome(simulate_drive, run[0], fresh, *run[1:-1], predictor=run[-1])
-                         for run in runs]
-        assert scene.forecast(trace) == original(scene.map, trace)
-        assert (scene.forecast(trace) != ahead) == reread
-        assert (after != before) == reread
-
-    def test_one_read_per_trace_object(self, monkeypatch):
-        reads = []
-        original = radio_env.forecast_along
-        monkeypatch.setattr(radio_env, "forecast_along",
-                            lambda cmap, trajectory: reads.append(trajectory)
-                            or original(cmap, trajectory))
-        trace = uneven_trace()
-        same_points = list(trace)
-        scene = self.scene_of(trace)
-        for drive_trace in (trace, same_points, trace, same_points):
-            simulate_drive(drive_trace, scene, make_policy("pcat"), 10_000.0, seed=3)
-        assert [r is trace for r in reads] == [True, False]
-        assert scene.forecast(same_points) == scene.forecast(trace)
