@@ -64,7 +64,8 @@ TRANSFER = {"stations": [STATION], "noise_dbm": table(radio_env.RadioScene)["noi
                           "enabled": _MODEL["shadowing_enabled"]},
             # a drive needs two trace points: a line trace has duration_s + 1
             "trace": {"kind": Field("line", choices=("line", "from_traffic")), "start": (0.0, 0.0),
-                      "velocity_mps": (10.0, 0.0), "duration_s": Field(600, ge=1),
+                      "velocity_mps": Field((10.0, 0.0), item=Field(float, ge=-100, le=100)),
+                      "duration_s": Field(600, ge=1),
                       "min_duration_s": Field(60, ge=2), "max_vehicles": Field(3, ge=1)},
             "sensor_rate_bytes_s": transfer.SENSOR_RATE,
             "policies": Field(("periodic", "ml_cat"),

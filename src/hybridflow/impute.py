@@ -5,20 +5,22 @@ shortest-path distance along the (undirected) road graph, plus a
 k-nearest-neighbor baseline over the same distance. Desk scale: direct
 Cholesky factorization, no sparse approximations.
 
-Distances and kernels are array passes: each point's geometry is computed
-once, and the fit, prediction and kNN read distances a row block at a time;
-each matrix is factored once for all its solves (``_factored``). GP outputs
-are byte-identical only for one BLAS build *and* one BLAS thread count. The
-squared-exponential kernel of network distance is not positive definite in
-general, trees included, so ``fit_gpr`` can raise ImputeError; the
-``euclidean`` flag uses straight-line distance, over which it is. README's
-"Notes on scale" gives the measurements.
+Distances and kernels are array passes: each list of points gets its geometry
+in one pass, the fit, prediction and kNN read distances a row block at a time,
+straight-line ones with ``math.hypot``'s bits and no Python call per pair
+(``_hypot``), and each matrix is factored once for all its solves
+(``_factored``). GP outputs are byte-identical only for one BLAS build *and*
+one BLAS thread count. The squared-exponential kernel of network distance is
+not positive definite in general, trees included, so ``fit_gpr`` can raise
+ImputeError; the ``euclidean`` flag uses straight-line distance, over which it
+is. README's "Notes on scale" gives the measurements.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,9 @@ from .schema import Field, check_fields, ranged
 
 _JITTER = 1e-8
 _BLOCK = 64  # queries per predict_gpr block: bounds the kernel rows held at once
+_PAIRS = 8192  # pairs per _hypot call, so that its temporaries stay ≈64 KB each
+_SPLIT = 2.0 ** 27 + 1  # Dekker's splitter of a double into two 26-bit halves
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles' range
 _EUCLIDEAN_HINT = ("; over network distance the kernel need not be, so set stages.impute."
                    "euclidean in the config or pass --euclidean to hybridflow impute")
 
@@ -55,11 +60,11 @@ class VolumeObservation:
 
 @dataclass(frozen=True)
 class _Points:
-    """Geometry of n points: planar positions (n, 2) under the Euclidean
-    metric; else edge indices (n,), end node indices (n, 2) and distances to
-    the from and to ends (n, 2)."""
+    """Geometry of n points: edge indices (n,), end node indices (n, 2),
+    distances to the from and to ends (n, 2) and, under the Euclidean metric,
+    planar positions (n, 2)."""
     n: int
-    xy: np.ndarray
+    xy: np.ndarray | None
     edge: np.ndarray
     node: np.ndarray
     dist: np.ndarray
@@ -75,15 +80,82 @@ def location_fault(net: RoadNetwork, point: NetPoint):
     return None
 
 
+def _square(v: np.ndarray) -> np.ndarray:
+    """The rounded square z of v, with v overwritten by its error, so that
+    z + v == v * v exactly: Dekker's product of v's two 26-bit halves (CPython's
+    ``dl_mul(v, v)``)."""
+    lo = v * _SPLIT
+    hi = lo - v
+    np.subtract(lo, hi, out=hi)  # hi = t - (t - v)
+    np.subtract(v, hi, out=lo)   # lo = v - hi
+    np.multiply(hi, hi, out=v)   # p
+    hi *= lo
+    hi += hi                     # q = hi * lo + lo * hi, each exact
+    z = v + hi
+    v -= z
+    v += hi
+    lo *= lo
+    v += lo                      # p - z + q + lo * lo
+    return z
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise, with its bits. CPython's ``vector_norm`` for two
+    coordinates, one array step per C operation: scale by the power of two of
+    ``frexp(max(|x|, |y|))``, square each coordinate exactly (``_square``), add the
+    squares by fast two-sum into ``csum``, ``frac1`` and ``frac2``, take the root,
+    make one correction step with the exact square of ``-h`` and scale back. Each
+    step is exact or one IEEE-rounded ufunc, as each C operation is.
+
+    Two kinds of element take ``math.hypot``'s own value: those whose larger
+    magnitude is zero, subnormal, infinite or NaN, and those whose result before
+    the last rounding lies within 2**-40 of a double's spacing from a midpoint
+    between doubles. Near a midpoint CPython's versions round apart (3.10-3.11
+    and 3.12-3.13 differ on about 1 in 110 pairs (x, 0.75 x)); everywhere else
+    each holds the result to about 100 bits before that rounding, so all round
+    alike."""
+    ax, ay = np.abs(x), np.abs(y)
+    scale = np.maximum(ax, ay)
+    odd = ~((scale >= _TINY) & (scale <= _HUGE))  # NaN fails both
+    ax[odd] = ay[odd] = scale[odd] = 1.0
+    np.ldexp(1.0, -np.frexp(scale)[1], out=scale)
+    csum, frac1, frac2 = 1.0, 0.0, 0.0
+    for v in (ax, ay):
+        v *= scale
+        z = _square(v)
+        total = csum + z
+        frac2 = frac2 + ((csum - total) + z)
+        frac1 = frac1 + v
+        csum = total
+    h = np.sqrt((csum - 1.0) + (frac1 + frac2))
+    ax[...] = h  # ax is spent: it takes h's square apart
+    z = _square(ax)  # -h times -h is the pair (-z, -ax)
+    total = csum - z
+    frac2 += (csum - total) - z
+    frac1 -= ax
+    frac1 = ((total - 1.0) + (frac1 + frac2)) / (2.0 * h)  # the correction
+    out = h + frac1
+    h -= out
+    h += frac1  # the rounding error of out, exactly
+    np.abs(h, out=h)
+    odd |= h >= (out - np.nextafter(out, 0.0)) * (0.5 - 2.0 ** -40)
+    with np.errstate(over="ignore"):  # math.hypot gives inf there too
+        out /= scale
+    if odd.any():
+        out[odd] = [math.hypot(u, v) for u, v in zip(x[odd].tolist(), y[odd].tolist())]
+    return out
+
+
 class _DistanceOracle:
     """Distances between on-edge points, a row block at a time.
 
-    ``points`` computes each point's geometry once. ``rows(a, b)`` is the
-    block d(a_i, b_j): ``math.hypot`` per pair (``np.hypot`` rounds some pairs
-    differently), or the shorter of the same-edge offset difference and the
-    paths through the four end-node pairs, read from Dijkstra rows cached per
-    row end node. Network distance is not bit-symmetric: d(a, b) and d(b, a)
-    can differ in the last bits.
+    ``points`` computes the geometry of a list of points in one array pass over
+    per-edge end nodes and lengths. ``rows(a, b)`` is the block d(a_i, b_j): the
+    straight-line distance with ``math.hypot``'s bits (``_hypot``; ``np.hypot``
+    rounds some pairs differently), up to ``_PAIRS`` pairs at a time, or the shorter
+    of the same-edge offset difference and the paths through the four end-node
+    pairs, read from Dijkstra rows cached per row end node. Network distance is
+    not bit-symmetric: d(a, b) and d(b, a) can differ in the last bits.
     """
 
     def __init__(self, net: RoadNetwork, euclidean: bool = False):
@@ -92,6 +164,15 @@ class _DistanceOracle:
         self._node_ids = list(net.nodes)
         self._node_index = {nid: i for i, nid in enumerate(self._node_ids)}
         self._edge_index = {eid: i for i, eid in enumerate(net.edges)}
+        edges, index = net.edges.values(), self._node_index
+        # per edge: end node indices, and the length, then a NaN that an unknown
+        # edge's index -1 reads and no offset fits; per node, its position if Euclidean
+        self._ends = np.array([[index[e.from_node] for e in edges],
+                               [index[e.to_node] for e in edges]], dtype=int).T
+        self._length = np.array([e.length_m for e in edges] + [math.nan])
+        nodes = net.nodes.values()
+        self._xy = (np.array([[v.x for v in nodes], [v.y for v in nodes]], dtype=float).T
+                    if euclidean else None)
         self._node_rows = {}
 
     def _node_row(self, i: int) -> np.ndarray:
@@ -103,29 +184,30 @@ class _DistanceOracle:
         return row
 
     def points(self, locations) -> _Points:
-        xy, edge, node, dist = [], [], [], []
-        for p in locations:
-            if fault := location_fault(self.net, p):
-                raise ImputeError(fault[1])
-            e = self.net.edges[p.edge]
-            if self.euclidean:
-                a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
-                f = p.offset_m / e.length_m
-                xy.append((a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)))
-            else:
-                edge.append(self._edge_index[p.edge])
-                node.append((self._node_index[e.from_node], self._node_index[e.to_node]))
-                dist.append((p.offset_m, e.length_m - p.offset_m))
-        return _Points(len(xy) + len(edge), np.array(xy, dtype=float).reshape(-1, 2),
-                       np.array(edge, dtype=int), np.array(node, dtype=int).reshape(-1, 2),
-                       np.array(dist, dtype=float).reshape(-1, 2))
+        """The geometry of locations; ImputeError gives ``location_fault``'s
+        message for the first one off the network."""
+        locations = list(locations)
+        edge = np.array([self._edge_index.get(p.edge, -1) for p in locations], dtype=int)
+        off = np.array([p.offset_m for p in locations], dtype=float)
+        length = self._length[edge]
+        bad = (edge < 0) | ~((off >= 0.0) & (off <= length))  # NaN fails both
+        if bad.any():
+            raise ImputeError(location_fault(self.net, locations[int(bad.argmax())])[1])
+        node, xy = self._ends[edge], None
+        if self.euclidean:
+            a, b = self._xy[node[:, 0]], self._xy[node[:, 1]]
+            xy = a + (off / length)[:, None] * (b - a)
+        return _Points(len(edge), xy, edge, node, np.stack([off, length - off], axis=1))
 
     def rows(self, a: _Points, b: _Points) -> np.ndarray:
         if self.euclidean:
-            bx, by = b.xy.T
-            return np.array([np.fromiter(map(math.hypot, (ax - bx).tolist(),
-                                             (ay - by).tolist()), float, b.n)
-                             for ax, ay in a.xy.tolist()]).reshape(a.n, b.n)
+            out = np.empty((a.n, b.n))
+            step = max(1, _PAIRS // max(b.n, 1))
+            for start in range(0, a.n, step):
+                block = a.xy[start:start + step]
+                out[start:start + step] = _hypot(block[:, :1] - b.xy[:, 0],
+                                                 block[:, 1:] - b.xy[:, 1])
+            return out
         best = np.where(a.edge[:, None] == b.edge,
                         np.abs(a.dist[:, :1] - b.dist[:, 0]), math.inf)
         for i in (0, 1):

@@ -42,8 +42,8 @@ class BaseStation:
 class PropagationModel:
     """Log-distance path loss with optional lattice-hashed shadowing."""
 
-    pl0_db: float = 70.0
-    exponent: float = ranged(3.0, gt=0)
+    pl0_db: float = ranged(70.0, ge=0, le=200)  # at D0_M
+    exponent: float = ranged(3.0, gt=0, le=10)
     shadowing_sigma_db: float = ranged(6.0, ge=0, le=30)
     shadowing_enabled: bool = True
     seed: int = 0

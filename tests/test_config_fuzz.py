@@ -9,12 +9,19 @@ negative, a huge number, an empty list or an unknown name. The property:
 starts with a path in the document (``config`` or under it); no other exception
 escapes. One test puts each mutation at each site of both documents alone; the
 other draws combinations, 10 times the hypothesis profile's example count.
+
+The radio and trace settings that used to parse and then fail in the transfer
+stage are bounded: a value past a bound fails by path, and every corner of the
+bounds runs.
 """
 
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +154,71 @@ def test_every_mutant_at_every_site():
 @given(configs())
 def test_drawn_configs_parse_or_fail_by_path(doc):
     assert _fault(doc) is None
+
+
+SHADOWING, TRACE = ("stages", "transfer", "shadowing"), ("stages", "transfer", "trace")
+# values that parsed and then failed in the transfer stage as "math domain error" or
+# "Numerical result out of range", and values just past each bound
+PAST_BOUNDS = {
+    "pl0_db_huge": (SHADOWING + ("pl0_db",), 5000, "config.stages.transfer.shadowing.pl0_db: "
+                    "pl0_db must be in [0, 200], got 5000.0"),
+    "pl0_db_negative_huge": (SHADOWING + ("pl0_db",), -5000, "config.stages.transfer.shadowing."
+                             "pl0_db: pl0_db must be in [0, 200], got -5000.0"),
+    "pl0_db_below": (SHADOWING + ("pl0_db",), -0.5, "config.stages.transfer.shadowing.pl0_db: "
+                     "pl0_db must be in [0, 200], got -0.5"),
+    "pl0_db_above": (SHADOWING + ("pl0_db",), 200.5, "config.stages.transfer.shadowing.pl0_db: "
+                     "pl0_db must be in [0, 200], got 200.5"),
+    "exponent_huge": (SHADOWING + ("exponent",), 1000, "config.stages.transfer.shadowing."
+                      "exponent: exponent must be in (0, 10], got 1000.0"),
+    "exponent_above": (SHADOWING + ("exponent",), 10.5, "config.stages.transfer.shadowing."
+                       "exponent: exponent must be in (0, 10], got 10.5"),
+    "exponent_zero": (SHADOWING + ("exponent",), 0, "config.stages.transfer.shadowing."
+                      "exponent: exponent must be in (0, 10], got 0.0"),
+    "velocity_huge": (TRACE + ("velocity_mps",), [1e300, 0], "config.stages.transfer.trace."
+                      "velocity_mps[0]: velocity_mps must be in [-100, 100], got 1e+300"),
+    "velocity_below": (TRACE + ("velocity_mps",), [0, -100.5], "config.stages.transfer.trace."
+                       "velocity_mps[1]: velocity_mps must be in [-100, 100], got -100.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_BOUNDS))
+def test_past_a_bound_fails_by_path(case):
+    path, value, message = PAST_BOUNDS[case]
+    doc = json.loads(TEXTS["transfer_two_phase.json"])
+    _apply(doc, path, value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.parse_config(doc, str(CONFIG_DIR))
+
+
+def _ends(field):
+    """The least and the greatest value a bounded float Field admits."""
+    low = field.ge if field.gt is None else math.nextafter(field.gt, math.inf)
+    return low, field.le
+
+
+# weakest and strongest received signal: station power and noise floor at opposite
+# ends, and the largest shadowing, whose draws reach far into either tail
+_STATION = harness.STATION["tx_power_dbm"]
+_NOISE = harness.TRANSFER["noise_dbm"]
+_SIGNAL = {"weak": (_ends(_STATION)[0], _ends(_NOISE)[1]),
+           "strong": (_ends(_STATION)[1], _ends(_NOISE)[0])}
+
+
+@pytest.mark.parametrize("signal", sorted(_SIGNAL))
+def test_corners_of_the_radio_bounds_run(signal):
+    """Every corner of pl0_db, exponent and the two velocity components, at the weak and
+    strong signal ends, runs all the configured policies with finite results."""
+    shadowing, trace = harness.TRANSFER["shadowing"], harness.TRANSFER["trace"]
+    tx_power, noise = _SIGNAL[signal]
+    for pl0, exponent, vx, vy in itertools.product(
+            _ends(shadowing["pl0_db"]), _ends(shadowing["exponent"]),
+            *[_ends(trace["velocity_mps"].item)] * 2):
+        doc = json.loads(TEXTS["transfer_two_phase.json"])
+        transfer = doc["stages"]["transfer"]
+        transfer["stations"][0]["tx_power_dbm"], transfer["noise_dbm"] = tx_power, noise
+        transfer["shadowing"].update(pl0_db=pl0, exponent=exponent,
+                                     sigma_db=_ends(shadowing["sigma_db"])[1])
+        transfer["trace"]["velocity_mps"] = [vx, vy]
+        report = harness.run_experiment(doc, base_dir=str(CONFIG_DIR))
+        rows = report.data["stages"]["transfer"]
+        assert rows and json.dumps(rows, allow_nan=False), (pl0, exponent, vx, vy)

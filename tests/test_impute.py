@@ -2,12 +2,16 @@ import itertools
 import json
 import math
 import re
+import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridflow import harness, impute
 from hybridflow.cli import main
@@ -492,6 +496,99 @@ class TestMatchesPairwise:
             for k in range(1, len(obs) + 1):
                 got = knn_estimate(obs, q, k, net)
                 assert got == sum(o.flow_veh_day for o in ranked[:k]) / k
+
+
+class TestPointFaults:
+    """The first location off the network, in input order, names its fault as
+    ``location_fault`` words it: an unknown edge before its offset."""
+
+    GOOD = [NetPoint("e0", 0.0), NetPoint("e3", 500.0), NetPoint("e1", 250), NetPoint("e2", -0.0)]
+    FAULTS = [(NetPoint("zz", 1.0), "unknown edge 'zz'"),
+              (NetPoint("e2", -1.0), "offset -1.0 outside edge 'e2'"),
+              (NetPoint("e0", math.nan), "offset nan outside edge 'e0'"),
+              (NetPoint("e1", 500.5), "offset 500.5 outside edge 'e1'"),
+              (NetPoint("e3", math.inf), "offset inf outside edge 'e3'"),
+              (NetPoint("yy", math.nan), "unknown edge 'yy'")]
+
+    @METRICS
+    def test_first_fault_named(self, euclidean):
+        oracle = _DistanceOracle(line_net(), euclidean)
+        assert oracle.points(self.GOOD).n == len(self.GOOD)
+        for first in range(len(self.FAULTS)):
+            faults = self.FAULTS[first:] + self.FAULTS[:first]
+            # good points before, between and after the faults
+            locations = self.GOOD[:2] + [p for p, _ in faults[:1]] + self.GOOD[2:] + [
+                p for p, _ in faults[1:]]
+            with pytest.raises(ImputeError) as exc:
+                oracle.points(locations)
+            assert str(exc.value) == faults[0][1]
+
+    @METRICS
+    def test_fit_and_predict_name_it(self, euclidean):
+        net = line_net()
+        obs = [obs_at("e0", 100.0, 5.0), obs_at("e1", 200.0, 7.0)]
+        params = GprParams(1.0, 300.0, 0.01, euclidean)
+        model = fit_gpr(net, obs, params)
+        with pytest.raises(ImputeError, match=r"^offset 500\.5 outside edge 'e1'$"):
+            predict_gpr(model, self.GOOD + [NetPoint("e1", 500.5), NetPoint("zz", 0.0)])
+        with pytest.raises(ImputeError, match=r"^unknown edge 'zz'$"):
+            fit_gpr(net, obs + [obs_at("zz", 1.0, 3.0)], params)
+
+
+# --- math.hypot's bits ------------------------------------------------------
+
+def hypot_bits(x, y):
+    """The int64 views of _hypot and of math.hypot over the pairs (x, y); a numpy
+    warning is an error."""
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    want = np.array([math.hypot(u, v) for u, v in zip(x.tolist(), y.tolist())], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = impute._hypot(x.copy(), y.copy())
+    return got.view(np.int64), want.view(np.int64)
+
+
+# any double, and the ranges where math.hypot changes course: zeros and subnormals,
+# the scale's overflow and the result's
+DOUBLES = st.one_of(
+    st.floats(), st.floats(-1e-300, 1e-300), st.floats(min_value=1e300),
+    st.floats(max_value=-1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+                     -sys.float_info.max, math.inf, -math.inf, math.nan, 1.0, 3.0, 4.0]))
+
+
+class TestHypot:
+    @settings(max_examples=10 * settings().max_examples)
+    @given(st.lists(st.tuples(DOUBLES, DOUBLES), min_size=1, max_size=64))
+    def test_bits_of_math_hypot(self, pairs):
+        got, want = hypot_bits(*zip(*pairs))
+        assert np.array_equal(got, want)
+
+    def test_bits_at_impute_sensors_magnitudes(self):
+        # differences of positions on the benchmark's 8 x 8 grid of 300 m blocks
+        a, b = np.random.default_rng(71).uniform(-40.0, 2140.0, (2, 2, 10 ** 6))
+        got, want = hypot_bits(a[0] - b[0], a[1] - b[1])
+        assert np.array_equal(got, want)
+
+    def test_bits_near_midpoints(self):
+        # pairs whose hypot lies on or near a midpoint between doubles, where CPython
+        # 3.10-3.11 and 3.12 round apart: (x, 3x/4), (x, x) and scaled Pythagorean triples
+        rng = np.random.default_rng(74)
+        x = rng.uniform(1.0, 4000.0, 10 ** 5)
+        m, k = rng.integers(1, 3000, (2, 10 ** 5)).astype(float)
+        scale = 2.0 ** rng.integers(-40, 40, 10 ** 5)
+        for a, b in ((x, 0.75 * x), (x, x), (np.abs(m * m - k * k) * scale, 2.0 * m * k * scale)):
+            got, want = hypot_bits(a, b)
+            assert np.array_equal(got, want)
+
+    def test_blocks_of_a_wide_row(self):
+        # a row wider than _PAIRS goes one row per block
+        net = city_net(72)
+        rng = np.random.default_rng(73)
+        a, b = random_points(net, rng, 3), random_points(net, rng, impute._PAIRS + 5)
+        oracle, pairs = _DistanceOracle(net, True), PairOracle(net, True)
+        want = np.array([[pairs.distance(p, q) for q in b] for p in a])
+        assert np.array_equal(oracle.rows(oracle.points(a), oracle.points(b)), want)
 
 
 @pytest.fixture
