@@ -47,7 +47,8 @@ class StageError(RuntimeError):
 # the tables of an experiment document (see hybridflow.schema); each range and choice
 # is the Field of the module that owns the setting
 _MODEL = table(radio_env.PropagationModel)
-STATION = {"id": str, "x": float, "y": float,
+COORD_M = Field(float, ge=-10 ** 6, le=10 ** 6)  # a radio position within 1000 km of the origin
+STATION = {"id": str, "x": COORD_M, "y": COORD_M,
            "tx_power_dbm": table(radio_env.BaseStation)["tx_power_dbm"]}
 NET_POINT = {"edge": str, "offset_m": float}
 OBSERVATION = {**NET_POINT, "day": 0, "flow": table(impute.VolumeObservation)["flow_veh_day"]}
@@ -63,7 +64,9 @@ TRANSFER = {"stations": [STATION], "noise_dbm": table(radio_env.RadioScene)["noi
                           "sigma_db": _MODEL["shadowing_sigma_db"],
                           "enabled": _MODEL["shadowing_enabled"]},
             # a drive needs two trace points: a line trace has duration_s + 1
-            "trace": {"kind": Field("line", choices=("line", "from_traffic")), "start": (0.0, 0.0),
+            # start and velocity_mps are two numbers each (parse_config checks the count)
+            "trace": {"kind": Field("line", choices=("line", "from_traffic")),
+                      "start": Field((0.0, 0.0), item=COORD_M),
                       "velocity_mps": Field((10.0, 0.0), item=Field(float, ge=-100, le=100)),
                       "duration_s": Field(600, ge=1),
                       "min_duration_s": Field(60, ge=2), "max_vehicles": Field(3, ge=1)},
@@ -96,10 +99,11 @@ def parse_config(config: dict, base_dir=".") -> dict:
     demand whose origin is its destination, no regularization, a holdout of
     no trace, transfer policy overrides that make a listed policy's bounds
     degenerate, a from_traffic trace that no connected vehicle can drive, a
-    transfer stage of no station, a traffic, impute or assign stage with no
-    network, an impute stage with neither inline observations nor a traffic
-    stage with detectors, or whose traffic run is shorter than a detector
-    window, and a demand node, lane mask or impute location off the network."""
+    transfer stage of no station, a trace start or velocity of other than two
+    numbers, a traffic, impute or assign stage with no network, an impute stage
+    with neither inline observations nor a traffic stage with detectors, or
+    whose traffic run is shorter than a detector window, and a demand node,
+    lane mask or impute location off the network."""
     parsed = _section(config, CONFIG, "config")
     if parsed["version"] != 1:
         raise ConfigError(f"config.version: unsupported version {parsed['version']!r}")
@@ -152,6 +156,10 @@ def parse_config(config: dict, base_dir=".") -> dict:
             raise ConfigError("config.stages.transfer.stations: expected at least one base "
                               "station")
         _check_policies(tcfg)
+        for key in ("start", "velocity_mps"):
+            if len(tcfg["trace"][key]) != 2:
+                raise ConfigError(f"config.stages.transfer.trace.{key}: expected 2 numbers, "
+                                  f"got {len(tcfg['trace'][key])}")
         if tcfg["trace"]["kind"] == "from_traffic":
             _check_connected(parsed)
     if net is None:
@@ -283,7 +291,7 @@ def _build_traces(tcfg, metrics):
         return [transfer.line_trace(trace_cfg["start"], trace_cfg["velocity_mps"],
                                     trace_cfg["duration_s"])]
     # from_traffic
-    if metrics is None or not metrics.connected_traces:
+    if not metrics.connected_traces:
         raise ConfigError("from_traffic trace needs a traffic stage with connected vehicles")
     min_len = trace_cfg["min_duration_s"]
     usable = sorted(((vid, tr) for vid, tr in metrics.connected_traces.items()
@@ -356,14 +364,9 @@ def _impute_stage(run, icfg):
         for det_id, series in sorted(run.traffic_metrics.observations.items()):
             det = run.net.detectors[det_id]
             count = sum(o.count for o in series)
-            window = sum(o.t1 - o.t0 for o in series)
-            if window == 0:
-                continue
-            flow_day = count / window * 86400.0
+            flow_day = count / sum(o.t1 - o.t0 for o in series) * 86400.0
             observations.append(impute.VolumeObservation(
                 impute.NetPoint(det.edge, det.cell * run.net.cell_length_m), 0, flow_day))
-    if not observations:
-        raise ConfigError("no observations available for imputation")
     model = impute.fit_gpr(run.net, observations, impute.default_params(
         [o.flow_veh_day for o in observations], icfg["length_scale_m"], icfg["euclidean"]))
     targets = [impute.NetPoint(t["edge"], t["offset_m"]) for t in icfg["targets"]]
@@ -427,14 +430,10 @@ def _transfer_stage(run, tcfg):
     predictor = None
     if tcfg["predictor"] == "learned":
         cal_policy = transfer.TransferPolicy(kind="periodic", periodic_interval_s=10.0)
-        rows = []
-        for i, record in enumerate(records):
-            _, log = transfer.simulate_drive(
-                record, None, cal_policy, rate,
-                substream_seed(run.seed, "transfer-calibration", i))
-            rows.extend(log.transmissions())
-        if rows:
-            predictor = transfer.train_predictor(rows)
+        logs = [transfer.simulate_drive(record, None, cal_policy, rate,
+                                        substream_seed(run.seed, "transfer-calibration", i))[1]
+                for i, record in enumerate(records)]
+        predictor = transfer.train_predictor(logs)
     stage_out = {"policies": {}}
     for kind in tcfg["policies"]:
         policy = _policy(kind, tcfg)

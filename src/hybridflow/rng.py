@@ -9,8 +9,9 @@ A named single stream (``substream``, ``substream_seed``) builds numpy's
 (``substreams``), are seeded by ``seed_states``: numpy's SeedSequence hash
 as array operations over all rows at once. Each PCG64 then seeds itself from
 its row's words through ``_seeded()``, so every stream draws the bits that
-``default_rng(SeedSequence(row))`` draws. The array pass costs about 0.05-0.15
-ms whatever its row count (its hash constants are made once per row length),
+``default_rng(SeedSequence(row))`` draws. A row is 2 uint32 words per trace
+and 3 per cell, within SeedSequence's pool of 4. The array pass costs about
+0.05-0.15 ms whatever its row count (its hash constants are made at import),
 so a caller seeds all its entities in one call.
 """
 
@@ -57,19 +58,13 @@ def _hash_consts(init: int, mult: int, n: int):
     return np.array(xors, np.uint32), np.array(mults, np.uint32)
 
 
-@functools.cache
-def _consts(m: int):
-    """Every hash constant of ``seed_states`` for rows of m words, made once per m and
-    shared, so no caller writes them: the (xors, mults) of the first pool words, of
-    each pool word's mixing into the pool (a zero in its own column, never read), of
-    each word beyond the pool, and of the output."""
-    xors, mults = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + max(m - _POOL, 0) * _POOL)
-    mixing = [tuple(np.insert(c[at:at + 3], src, 0) for c in (xors, mults))
-              for src, at in enumerate(range(_POOL, _POOL * _POOL, 3))]
-    extra = [(xors[at:at + _POOL], mults[at:at + _POOL])
-             for at in range(_POOL * _POOL, len(xors), _POOL)]
-    output = [c.reshape(2, _POOL) for c in _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)]
-    return (xors[:_POOL], mults[:_POOL]), mixing, extra, output
+# every hash constant of seed_states: the (xors, mults) of the pool words hashed in
+# (the first _POOL), of each pool word's mixing into the pool (a zero in its own
+# column, never read), and of the output
+_XORS, _MULTS = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_MIXING = [tuple(np.insert(c[at:at + 3], src, 0) for c in (_XORS, _MULTS))
+           for src, at in enumerate(range(_POOL, _POOL * _POOL, 3))]
+_OUTPUT = [c.reshape(2, _POOL) for c in _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)]
 
 
 def _hash(words, xors, mults):
@@ -87,34 +82,19 @@ def _mix(x, y):
 
 def seed_states(entropy) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a (k, m)
-    array of 32-bit entropy words, as a (k, 4) uint64 array, worked out as array
-    operations over all rows. A uint32 array is taken as it is; any other integer
-    array is checked word by word."""
-    words = np.asarray(entropy)
-    if words.ndim != 2 or words.dtype.kind not in "iu":
-        raise ValueError(f"entropy: expected a 2-d array of integer words, got shape "
-                         f"{words.shape} of {words.dtype}")
-    if words.dtype != np.uint32:
-        if (words >> 32).any():  # a negative word or one beyond 32 bits
-            i, j = np.argwhere((words < 0) | (words > _MASK32))[0]
-            raise ValueError(f"entropy[{i}][{j}]: {words[i, j]} is not a 32-bit word")
-        words = words.astype(np.uint32)
-    m = words.shape[1]
-    first, mixing, extra, output = _consts(m)
-    # the first words hashed into the pool, zeros where a row is shorter
-    pool = np.zeros((len(words), _POOL), np.uint32)
-    pool[:, :min(m, _POOL)] = words[:, :_POOL]
-    pool = _hash(pool, *first)
+    uint32 array of entropy words, m at most the pool's 4, as a (k, 4) uint64 array,
+    worked out as array operations over all rows."""
+    # the words hashed into the pool, zeros where a row is shorter
+    pool = np.zeros((len(entropy), _POOL), np.uint32)
+    pool[:, :entropy.shape[1]] = entropy
+    pool = _hash(pool, _XORS[:_POOL], _MULTS[:_POOL])
     # each word mixed into the other three; a source word stays put while it mixes
-    for src, consts in enumerate(mixing):
+    for src, consts in enumerate(_MIXING):
         mixed = _mix(pool, _hash(pool[:, src:src + 1], *consts))
         mixed[:, src] = pool[:, src]
         pool = mixed
-    # entropy beyond the pool, each word mixed into every pool word
-    for src, consts in enumerate(extra, _POOL):
-        pool = _mix(pool, _hash(words[:, src:src + 1], *consts))
     # eight 32-bit words from the pool, cycled, paired little-endian into four uint64
-    out = _hash(pool[:, None, :], *output).reshape(len(pool), 2 * _POOL)
+    out = _hash(pool[:, None, :], *_OUTPUT).reshape(len(pool), 2 * _POOL)
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 

@@ -211,8 +211,6 @@ def _beckmann(od: ODProblem, flows):
 
 def _combined_objective(od: ODProblem, flows, lam: float):
     margin = min(r.q_crit_veh_h - q for r, q in zip(od.routes, flows))
-    if lam == 0.0:
-        return margin
     demand = max(od.demand_veh_h, 1e-12)
     return margin - lam * _beckmann(od, flows) / demand
 

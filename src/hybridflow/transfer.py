@@ -24,7 +24,6 @@ import bisect
 import csv
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .rng import Uniforms, substream
@@ -146,23 +145,23 @@ class RatePredictor:
                    default=-math.inf)
 
 
-def train_predictor(log_rows) -> RatePredictor:
-    """Binned-mean table from observed transmissions.
+def train_predictor(logs) -> RatePredictor:
+    """Binned-mean table from the transmit rows of drive logs.
 
-    Rows need sinr_db, payload_bytes (the flushed amount), speed_mps and the
-    achieved rate_mbps; each bin predicts exactly the mean of its samples.
+    Each bin of a transmission's sinr_db, payload_bytes (the flushed amount) and
+    speed_mps predicts exactly the mean of its achieved rate_mbps; logs with no
+    transmission give the formula predictor.
     """
-    rows = list(log_rows)
-    if not rows:
-        raise PolicyError("cannot train a rate predictor from an empty log")
     table = {}
-    for row in rows:
-        key = RatePredictor.bin_of(row["sinr_db"], row["payload_bytes"], row["speed_mps"])
-        count, mean = table.get(key, (0, 0.0))
-        count += 1
-        mean += (row["rate_mbps"] - mean) / count
-        table[key] = (count, mean)
-    return RatePredictor(kind="learned_table", table=table)
+    for log in logs:
+        for _, _, decision, _, _, _, sinr, rate, payload, speed, _ in log:
+            if decision == "transmit":
+                key = RatePredictor.bin_of(sinr, payload, speed)
+                count, mean = table.get(key, (0, 0.0))
+                count += 1
+                mean += (rate - mean) / count
+                table[key] = (count, mean)
+    return RatePredictor(kind="learned_table", table=table) if table else RatePredictor()
 
 
 @dataclass
@@ -284,7 +283,8 @@ def simulate_drive(record, forecast, policy: TransferPolicy, sensor_rate_bytes_s
     probe of a predictive policy reads the peak of its look-ahead window, the
     later points within ``lookahead_s``, from a ``_WindowPeak``; it rejects a
     trace with a non-finite time. The policy flags and link rates are worked out
-    once per drive. The log is a DriveLog.
+    once per drive. The log is the list of the probes' rows, each a tuple of
+    ``LOG_KEYS``'s values.
     """
     times, speeds, sinrs, rsrps = record.times, record.speeds, record.sinr, record.rsrp
     n = len(times)
@@ -390,7 +390,7 @@ def simulate_drive(record, forecast, policy: TransferPolicy, sensor_rate_bytes_s
         bytes_generated=generated,
         bytes_transferred=transferred,
         bytes_buffered_end=buf.queued_bytes,
-    ), DriveLog(rows)
+    ), rows
 
 
 LOG_KEYS = ("t", "phi_metric", "decision", "bytes", "duration_s", "energy_j", "sinr_db",
@@ -398,43 +398,12 @@ LOG_KEYS = ("t", "phi_metric", "decision", "bytes", "duration_s", "energy_j", "s
 LOG_FIELDS = LOG_KEYS[:7]  # the columns of the CSV log
 
 
-class DriveLog(Sequence):
-    """The decision log of one drive, read-only: one flat tuple of LOG_KEYS's values
-    per probe, read (by index, slice or iteration) as a fresh dict of LOG_KEYS. It is
-    equal to, and has the repr of, the list of those dicts."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        rows = self._rows[index]
-        return list(DriveLog(rows)) if isinstance(index, slice) else dict(zip(LOG_KEYS, rows))
-
-    def __iter__(self):
-        return (dict(zip(LOG_KEYS, row)) for row in self._rows)
-
-    def __eq__(self, other):  # another DriveLog answers through list's reflected ==
-        return list(self) == other
-
-    def __repr__(self):
-        return repr(list(self))
-
-    def transmissions(self) -> list:
-        """The rows of the probes that transmitted, as dicts."""
-        return [dict(zip(LOG_KEYS, row)) for row in self._rows if row[2] == "transmit"]
-
-
 def write_log_csv(path, logs) -> None:
-    """The LOG_FIELDS of every row of each DriveLog of logs, in order, as one CSV."""
+    """The LOG_FIELDS of every row of each drive log of logs, in order, as one CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_FIELDS)
-        writer.writerows(row[:len(LOG_FIELDS)] for log in logs for row in log._rows)
+        writer.writerows(row[:len(LOG_FIELDS)] for log in logs for row in log)
 
 
 def line_trace(start, velocity_mps, duration_s, t0: float = 0.0):

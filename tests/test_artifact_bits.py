@@ -95,8 +95,8 @@ def transfer_compare():
     original = transfer.simulate_drive
 
     def recording_drive(record, forecast, policy, *args, **kwargs):
-        out = original(record, forecast, policy, *args, **kwargs)
-        drives[policy.kind].append(out)
+        metrics, log = out = original(record, forecast, policy, *args, **kwargs)
+        drives[policy.kind].append((metrics, [dict(zip(transfer.LOG_KEYS, row)) for row in log]))
         return out
 
     with mock.patch.object(transfer, "simulate_drive", recording_drive):

@@ -157,6 +157,7 @@ def test_drawn_configs_parse_or_fail_by_path(doc):
 
 
 SHADOWING, TRACE = ("stages", "transfer", "shadowing"), ("stages", "transfer", "trace")
+STATION = ("stages", "transfer", "stations", 0)
 # values that parsed and then failed in the transfer stage as "math domain error" or
 # "Numerical result out of range", and values just past each bound
 PAST_BOUNDS = {
@@ -178,6 +179,21 @@ PAST_BOUNDS = {
                       "velocity_mps[0]: velocity_mps must be in [-100, 100], got 1e+300"),
     "velocity_below": (TRACE + ("velocity_mps",), [0, -100.5], "config.stages.transfer.trace."
                        "velocity_mps[1]: velocity_mps must be in [-100, 100], got -100.5"),
+    "start_huge": (TRACE + ("start",), [1e300, 0], "config.stages.transfer.trace.start[0]: "
+                   "start must be in [-1000000, 1000000], got 1e+300"),
+    "start_below": (TRACE + ("start",), [0, -1000000.5], "config.stages.transfer.trace."
+                    "start[1]: start must be in [-1000000, 1000000], got -1000000.5"),
+    "station_x_huge": (STATION + ("x",), 1e300, "config.stages.transfer.stations[0].x: "
+                       "x must be in [-1000000, 1000000], got 1e+300"),
+    "station_y_above": (STATION + ("y",), 1000000.5, "config.stages.transfer.stations[0].y: "
+                        "y must be in [-1000000, 1000000], got 1000000.5"),
+    # lists of other than two numbers failed unpacking them in the transfer stage
+    "velocity_three": (TRACE + ("velocity_mps",), [1, 2, 3], "config.stages.transfer.trace."
+                       "velocity_mps: expected 2 numbers, got 3"),
+    "velocity_one": (TRACE + ("velocity_mps",), [1], "config.stages.transfer.trace."
+                     "velocity_mps: expected 2 numbers, got 1"),
+    "start_none": (TRACE + ("start",), [], "config.stages.transfer.trace.start: "
+                   "expected 2 numbers, got 0"),
 }
 
 
@@ -222,3 +238,27 @@ def test_corners_of_the_radio_bounds_run(signal):
         report = harness.run_experiment(doc, base_dir=str(CONFIG_DIR))
         rows = report.data["stages"]["transfer"]
         assert rows and json.dumps(rows, allow_nan=False), (pl0, exponent, vx, vy)
+
+
+@pytest.mark.parametrize("signal", sorted(_SIGNAL))
+def test_corners_of_the_coordinate_bounds_run(signal):
+    """A station at each corner of the coordinate bounds and the trace starting at it or
+    at the opposite corner, moving away at full speed under the largest path loss, runs
+    all the configured policies with finite results at the weak and strong signal ends."""
+    shadowing, trace = harness.TRANSFER["shadowing"], harness.TRANSFER["trace"]
+    tx_power, noise = _SIGNAL[signal]
+    speed = _ends(trace["velocity_mps"].item)[1]
+    for x, y, side in itertools.product(*[_ends(harness.COORD_M)] * 2, (1, -1)):
+        doc = json.loads(TEXTS["transfer_two_phase.json"])
+        transfer = doc["stages"]["transfer"]
+        transfer["stations"][0].update(x=x, y=y, tx_power_dbm=tx_power)
+        transfer["noise_dbm"] = noise
+        transfer["shadowing"].update(pl0_db=_ends(shadowing["pl0_db"])[1],
+                                     exponent=_ends(shadowing["exponent"])[1],
+                                     sigma_db=_ends(shadowing["sigma_db"])[1])
+        transfer["trace"].update(start=[side * x, side * y],
+                                 velocity_mps=[math.copysign(speed, side * x),
+                                               math.copysign(speed, side * y)])
+        report = harness.run_experiment(doc, base_dir=str(CONFIG_DIR))
+        rows = report.data["stages"]["transfer"]
+        assert rows and json.dumps(rows, allow_nan=False), (x, y, side)

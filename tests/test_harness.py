@@ -695,6 +695,13 @@ class TestComparePolicies:
         with pytest.raises(harness.ConfigError, match="at least one seed"):
             harness.compare_policies(transfer_config(), ["periodic", "ml_cat"], [])
 
+    def test_needs_a_transfer_stage(self):
+        config = harness.load_config(CONFIG_DIR / "two_route_low.json")
+        with pytest.raises(harness.ConfigError,
+                           match="^compare needs a transfer stage in the config$"):
+            harness.compare_policies(config, ["periodic", "ml_cat"], [1],
+                                     base_dir=str(CONFIG_DIR))
+
     def test_seed_generator_counted(self):
         config = transfer_config()
         config["stages"]["transfer"]["trace"]["duration_s"] = 200
@@ -752,6 +759,13 @@ class TestComparePolicies:
             assert row["dwell_s_mean"] == stages["traffic"]["mean_dwell_s"]
             assert row["goodput_mbps_mean"] == policy["mean_goodput_mbps"]
             assert row["energy_j_mean"] == policy["total_energy_j"]
+
+
+def test_assignment_needs_a_network():
+    # transfer_two_phase.json has no network; its transfer stage alone parses without one
+    with pytest.raises(harness.ConfigError,
+                       match=r"^config\.network: assignment needs a network$"):
+        harness.evaluate_assignment(transfer_config(), "bmp", base_dir=str(CONFIG_DIR))
 
 
 class TestCli:

@@ -52,6 +52,14 @@ class TestTransmissionProbability:
             assert transmission_probability(phi, 0.0, 30.0, 1.0) == pytest.approx(phi / 30.0)
 
 
+def log_row(sinr_db, payload_bytes, speed_mps, rate_mbps, decision="transmit"):
+    """A drive log's row of a probe with these features and achieved rate."""
+    row = dict(t=0.0, phi_metric=0.0, decision=decision, bytes=payload_bytes, duration_s=1.0,
+               energy_j=1.0, sinr_db=sinr_db, rate_mbps=rate_mbps,
+               payload_bytes=payload_bytes, speed_mps=speed_mps, attempts=1)
+    return tuple(row[key] for key in transfer.LOG_KEYS)
+
+
 class TestPredictRate:
     def test_formula_at_zero_db(self):
         pred = RatePredictor()
@@ -79,25 +87,31 @@ class TestPredictRate:
         assert half == pytest.approx(full / 2)
 
     def test_single_entry_table(self):
-        table = train_predictor([{"sinr_db": 5.0, "payload_bytes": 3e5,
-                                  "speed_mps": 12.0, "rate_mbps": 17.5}])
+        table = train_predictor([[log_row(5.0, 3e5, 12.0, 17.5)]])
         assert table.predict(5.0, 3e5, 12.0) == 17.5
 
     def test_two_entries_one_bin(self):
-        rows = [{"sinr_db": 5.0, "payload_bytes": 3e5, "speed_mps": 12.0, "rate_mbps": 4.0},
-                {"sinr_db": 5.5, "payload_bytes": 3.2e5, "speed_mps": 13.0, "rate_mbps": 6.0}]
-        table = train_predictor(rows)
+        # two drives' logs; the defer rows between them are not read
+        logs = [[log_row(5.0, 3e5, 12.0, 4.0), log_row(9.0, 3e5, 12.0, 50.0, "defer")],
+                [log_row(25.0, 1e3, 1.0, 70.0, "defer"), log_row(5.5, 3.2e5, 13.0, 6.0)]]
+        table = train_predictor(logs)
         assert table.predict(5.2, 3.1e5, 12.5) == pytest.approx(5.0)
+        assert len(table.table) == 1
+
+    def test_no_transmission_gives_the_formula(self):
+        # as a drive without a predictor uses, so the learned stage keeps its bits
+        for logs in ([], [[]], [[log_row(5.0, 3e5, 12.0, 0.0, "defer")], []]):
+            assert train_predictor(logs) == RatePredictor()
 
     def test_table_equals_groupby_oracle(self):
         rng = np.random.default_rng(3)
-        rows = [{"sinr_db": float(rng.uniform(-5, 30)),
-                 "payload_bytes": float(rng.uniform(1e3, 2e6)),
-                 "speed_mps": float(rng.uniform(0, 40)),
-                 "rate_mbps": float(rng.uniform(0.1, 60))} for _ in range(2000)]
-        table = train_predictor(rows)
+        rows = [log_row(float(rng.uniform(-5, 30)), float(rng.uniform(1e3, 2e6)),
+                        float(rng.uniform(0, 40)), float(rng.uniform(0.1, 60)),
+                        "transmit" if rng.random() < 0.8 else "defer") for _ in range(2000)]
+        table = train_predictor([rows[:700], rows[700:]])
         groups = {}
-        for r in rows:
+        for r in (dict(zip(transfer.LOG_KEYS, row)) for row in rows
+                  if row[2] == "transmit"):
             key = (math.floor(r["sinr_db"] / 2), math.floor(math.log2(r["payload_bytes"])),
                    math.floor(r["speed_mps"] / 5))
             groups.setdefault(key, []).append(r["rate_mbps"])
@@ -155,10 +169,11 @@ class MappedScene(RadioScene):
 
 def drive(trace, scene, policy, *args, **kwargs):
     """``simulate_drive`` on the record of the trace in the scene and, with a map, the
-    map's forecast along the trace."""
+    map's forecast along the trace; its log's rows read as dicts of LOG_KEYS."""
     record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
     ahead = None if scene.map is None else forecast_along(scene.map, trace)
-    return simulate_drive(record, ahead, policy, *args, **kwargs)
+    metrics, log = simulate_drive(record, ahead, policy, *args, **kwargs)
+    return metrics, [dict(zip(transfer.LOG_KEYS, row)) for row in log]
 
 
 def good_bad_scene(with_map=False):
@@ -301,8 +316,8 @@ class TestSimulateDrive:
                 _, log = simulate_drive(record, ahead, pol, 1000.0, seed=3, predictor=predictor)
                 reference_drive(trace, scene, pol, 1000.0, 3, predictor=predictor, windows=want)
                 assert len(windows) == len(want) == len(log) > 3
-                for r, points, got in zip(log, want, windows):
-                    assert points == [p for p in trace if 0 < p[0] - r["t"] <= lookahead]
+                for (t, *_), points, got in zip(log, want, windows):
+                    assert points == [p for p in trace if 0 < p[0] - t <= lookahead]
                     assert got == [scene.map.lookup((x, y)) for _, x, y in points]
 
     def test_predictive_policy_needs_a_whole_forecast(self):
@@ -672,59 +687,45 @@ class TestWindowPeak:
             assert repr(peaks.peak(k, j)) == repr(python_max(values, k, j))
 
 
-class TestDriveLog:
-    """A drive's log reads as the list of dicts the drive loop built for each probe
-    before it kept one flat tuple per probe (``reference_drive`` builds them so)."""
+class TestLogRows:
+    """A drive's log holds, as one flat tuple of LOG_KEYS's values per probe, the rows
+    of the dicts the drive loop once built (``reference_drive`` builds them so)."""
 
     @given(kind=st.sampled_from(transfer.POLICY_KINDS),
            gaps=st.lists(st.sampled_from([0, 1, 1, 1, 2, 3, 7]), min_size=1, max_size=80),
            lookahead=st.sampled_from([0.0, 1.0, 8.0, 30.0]), t_min=st.sampled_from([1.0, 5.0]),
-           learned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+           learned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(deadline=None)
-    def test_reads_as_the_list_of_dicts(self, kind, gaps, lookahead, t_min, learned, seed,
-                                        data):
+    def test_reads_as_the_list_of_dicts(self, kind, gaps, lookahead, t_min, learned, seed):
         t, trace = 0, [(0, 0.0, 0.0)]
         for gap in gaps:
             t += gap
             trace.append((t, 10.0 * t, 40.0 * math.sin(t / 20.0)))
         pol = make_policy(kind, lookahead_s=lookahead, t_min_s=t_min)
         predictor = half_filled_table() if learned else None
-        args = (trace, two_station_scene(), pol, 10_000.0, seed)
-        metrics, log = drive(*args, predictor=predictor)
-        want_metrics, rows = reference_drive(*args, predictor=predictor)
-        assert isinstance(log, transfer.DriveLog) and metrics == want_metrics
-        n = len(rows)
-        assert len(log) == n
-        assert list(log) == rows and log == rows and rows == log and not log != rows
-        assert repr(log) == repr(rows)
-        assert log != rows + [rows[0] if rows else {}] and log != tuple(rows)
-        for index in (data.draw(st.integers(-n - 2, n + 1)), -1, 0, n):
-            if -n <= index < n:
-                assert log[index] == rows[index]
-                assert list(log[index]) == list(transfer.LOG_KEYS)
-            else:
-                with pytest.raises(IndexError):
-                    log[index]
-        bound = st.none() | st.integers(-n - 2, n + 2)
-        window = slice(data.draw(bound), data.draw(bound),
-                       data.draw(st.none() | st.sampled_from([1, 2, 3, -1, -2])))
-        assert log[window] == rows[window] and repr(log[window]) == repr(rows[window])
-        # a row a caller changes is the caller's own copy
-        for row in list(log) + log[:] + [log[i] for i in range(n)]:
-            row["bytes"] = -1.0
-            row.clear()
-        assert log == rows and repr(log) == repr(rows)
+        scene = two_station_scene()
+        record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+        metrics, log = simulate_drive(record, forecast_along(scene.map, trace), pol, 10_000.0,
+                                      seed, predictor=predictor)
+        want_metrics, rows = reference_drive(trace, scene, pol, 10_000.0, seed,
+                                             predictor=predictor)
+        assert metrics == want_metrics and type(log) is list
+        assert all(type(row) is tuple for row in log)
+        assert log == [tuple(row[key] for key in transfer.LOG_KEYS) for row in rows]
+        assert all(list(row) == list(transfer.LOG_KEYS) for row in rows)
 
     def test_csv_rows_are_the_dict_columns(self, tmp_path):
         # the CSV of several drives' logs is what the writer made of their dict rows
         scene, trace = two_station_scene(), uneven_trace()
-        logs = [drive(trace, scene, make_policy(kind), 10_000.0, seed=8)[1]
+        record = TraceRecord(trace, scene.stations, scene.noise_dbm, scene.model)
+        ahead = forecast_along(scene.map, trace)
+        logs = [simulate_drive(record, ahead, make_policy(kind), 10_000.0, seed=8)[1]
                 for kind in transfer.POLICY_KINDS]
         transfer.write_log_csv(tmp_path / "log.csv", logs)
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(transfer.LOG_FIELDS)
-            for row in (row for log in logs for row in log):
+            for row in (dict(zip(transfer.LOG_KEYS, row)) for log in logs for row in log):
                 writer.writerow([row[k] for k in transfer.LOG_FIELDS])
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert sum(len(log) for log in logs) > 200
